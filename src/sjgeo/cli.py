@@ -19,6 +19,7 @@ import json
 import os
 import sys
 
+from .cmatrix import SingularMatrix
 from .geometry import point_from_json, point_to_json, random_point, validate_point
 from .groups import element_to_json, random_jacobi, random_jacobistar
 from .metrics import (
@@ -210,8 +211,8 @@ def _cmd_eval(args) -> int:
         else:
             _log(f"error: unknown target {args.target}")
             return 2
-    except (KeyError, ValueError, DomainMargin, OSError,
-            json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, DomainMargin, SingularMatrix, ArithmeticError,
+            OSError, json.JSONDecodeError) as exc:
         _log(f"error: {exc}")
         return 2
     print(f"{value:.15g}")

@@ -2,16 +2,16 @@
 
 Small, self-contained helpers for the matrix sizes this library actually
 meets (everything is <= 10x10): inversion with an explicit pivot guard,
-trace, the transpose-sandwich form A[B] = tB A B, Hermitian
-positive-definiteness tests, and the JSON wire format shared by all
-higher layers.  Backed by numpy/scipy; the contracts (shapes, error
-conditions, tolerances) are what the rest of the library relies on.
+of one matrix or of each matrix of a stack, trace, the transpose-sandwich
+form A[B] = tB A B, Hermitian positive-definiteness tests, and the JSON
+wire format shared by all higher layers.  Backed by numpy/scipy; the
+contracts (shapes, error conditions, tolerances) are what the rest of the
+library relies on.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SingularMatrix",
@@ -58,26 +58,70 @@ def max_abs(m) -> float:
 
 
 def mat_inverse(m: np.ndarray) -> np.ndarray:
-    """Invert a square matrix via LU with partial pivoting.
+    """Invert a square matrix, or each matrix of a (K, n, n) stack, by
+    elimination with partial pivoting.
 
-    Raises SingularMatrix when the smallest pivot falls below
-    PIVOT_RTOL times the largest input entry; callers treat that as
+    Raises SingularMatrix when the smallest pivot of a matrix falls below
+    PIVOT_RTOL times that matrix's largest entry; callers treat that as
     "the point or group element is outside its domain".
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"mat_inverse needs a square matrix, got {m.shape}")
-    scale = max_abs(m)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"mat_inverse needs a square matrix or a stack of them, "
+                         f"got {m.shape}")
+    if m.ndim == 3:
+        return _inverse_stack(m)
+    # Deferred: importing scipy.linalg is most of the package's import time,
+    # which every `sjgeo eval` / `sample` call would pay up front.
+    from scipy.linalg import lapack
+
+    scale = float(np.abs(m).max())
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
-    lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < PIVOT_RTOL * scale:
-        raise SingularMatrix(
-            f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e} * {scale:.3e}"
-        )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(m.shape[0], dtype=np.complex128),
-                                 check_finite=False)
+    lu, piv, _ = lapack.zgetrf(m)
+    _pivot_guard(float(np.abs(lu.diagonal()).min()), scale)
+    inv, _ = lapack.zgetri(lu, piv)
+    return inv
+
+
+def _pivot_guard(pivot: float, scale: float):
+    if pivot < PIVOT_RTOL * scale:
+        raise SingularMatrix(f"pivot {pivot:.3e} below {PIVOT_RTOL:.0e} * {scale:.3e}")
+
+
+def _inverse_stack(m: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan elimination vectorized over a (K, n, n) stack.
+
+    Pivots are chosen by |Re| + |Im| as LAPACK's getrf does, so each
+    matrix meets the guard of the single-matrix path on its own scale.
+    """
+    scale = np.max(np.abs(m), axis=(-2, -1))
+    if np.any(scale == 0.0):
+        raise SingularMatrix("zero matrix")
+    k_count, n, _ = m.shape
+    aug = np.zeros((k_count, n, 2 * n), dtype=np.complex128)
+    aug[:, :, :n] = m
+    aug[:, np.arange(n), n + np.arange(n)] = 1.0
+    rows = np.arange(k_count)
+    pivots = np.empty((k_count, n))
+    for k in range(n):
+        col = aug[:, k:, k]
+        r = k + np.argmax(np.abs(col.real) + np.abs(col.imag), axis=1)
+        top = aug[rows, k].copy()
+        aug[rows, k] = aug[rows, r]
+        aug[rows, r] = top
+        p = aug[:, k, k].copy()
+        pivots[:, k] = np.abs(p)
+        # A zero pivot fails the guard below; dividing by 1 keeps the rest finite.
+        aug[:, k] /= np.where(p == 0.0, 1.0, p)[:, None]
+        # Row by row, so the temporaries stay one row of the stack in size.
+        for i in range(n):
+            if i != k:
+                aug[:, i] -= aug[:, i, k, None] * aug[:, k]
+    low = pivots.min(axis=-1)
+    worst = np.argmax(low < PIVOT_RTOL * scale)
+    _pivot_guard(low[worst], scale[worst])
+    return np.ascontiguousarray(aug[:, :, n:])
 
 
 def trace(m: np.ndarray) -> complex:
@@ -120,10 +164,14 @@ def is_hermitian_pd(m: np.ndarray, tol: float = 1e-10) -> bool:
     return hermitian_pd_margin(m) > tol
 
 
-def sym_defect(m: np.ndarray) -> float:
-    """Max-norm distance from symmetry, ||m - tm||_max."""
+def sym_defect(m: np.ndarray):
+    """Max-norm distance from symmetry, ||m - tm||_max.
+
+    A float for one matrix; for a (K, n, n) stack, one defect per matrix.
+    """
     m = np.asarray(m)
-    return max_abs(m - m.T)
+    defect = np.max(np.abs(m - m.mT), axis=(-2, -1))
+    return float(defect) if m.ndim == 2 else defect
 
 
 def mat_to_json(m: np.ndarray) -> dict:

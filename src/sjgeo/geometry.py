@@ -47,6 +47,7 @@ __all__ = [
     "disk_point_defect",
     "upper_margin",
     "disk_margin",
+    "point_margin",
     "point_to_json",
     "point_from_json",
     "validate_point",
@@ -57,32 +58,63 @@ __all__ = [
 _ACTION_SYM_TOL = 1e-9
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only complex128 array with the values of ``a``.
+
+    An array that is already read-only, complex128 and owns its data is
+    frozen as it is and taken without a copy (stacked points can be large).
+    """
+    if (isinstance(a, np.ndarray) and a.dtype == np.complex128
+            and a.flags.owndata and not a.flags.writeable):
+        return a
+    a = np.array(a, dtype=np.complex128)
+    a.flags.writeable = False
+    return a
+
+
+def _frozen_pair(mat, vec, mat_name: str, vec_name: str):
+    """Read-only complex128 forms of a point's two blocks, shapes validated.
+
+    Either one point, (n, n) and (m, n), or a stack of K points,
+    (K, n, n) and (K, m, n).
+    """
+    mat = _frozen(mat)
+    vec = _frozen(vec)
+    if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]:
+        raise ValueError(f"{mat_name} must be square")
+    if (vec.ndim != mat.ndim or vec.shape[-1] != mat.shape[-1]
+            or vec.shape[:-2] != mat.shape[:-2]):
+        raise ValueError(f"{vec_name} must be m x n with n matching {mat_name}")
+    return mat, vec
+
+
 @dataclass(frozen=True)
 class UpperPoint:
-    """(Omega, Z): Omega symmetric with Im Omega > 0, Z complex m x n."""
+    """(Omega, Z): Omega symmetric with Im Omega > 0, Z complex m x n.
+
+    A stacked point holds K points as (K, n, n) and (K, m, n) arrays.
+    """
 
     omega: np.ndarray
     z: np.ndarray
 
     def __post_init__(self):
-        omega = np.array(self.omega, dtype=np.complex128)
-        z = np.array(self.z, dtype=np.complex128)
-        if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
-            raise ValueError("Omega must be square")
-        if z.ndim != 2 or z.shape[1] != omega.shape[0]:
-            raise ValueError("Z must be m x n with n matching Omega")
-        omega.flags.writeable = False
-        z.flags.writeable = False
+        omega, z = _frozen_pair(self.omega, self.z, "Omega", "Z")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "z", z)
 
     @property
     def n(self) -> int:
-        return self.omega.shape[0]
+        return self.omega.shape[-1]
 
     @property
     def m(self) -> int:
-        return self.z.shape[0]
+        return self.z.shape[-2]
+
+    @property
+    def batch(self) -> tuple:
+        """() for one point, (K,) for a stack of K points."""
+        return self.omega.shape[:-2]
 
     @property
     def x(self) -> np.ndarray:
@@ -105,30 +137,31 @@ class UpperPoint:
 
 @dataclass(frozen=True)
 class DiskPoint:
-    """(W, eta): W symmetric with I - conj(W) W > 0, eta complex m x n."""
+    """(W, eta): W symmetric with I - conj(W) W > 0, eta complex m x n.
+
+    A stacked point holds K points as (K, n, n) and (K, m, n) arrays.
+    """
 
     w: np.ndarray
     eta: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.w, dtype=np.complex128)
-        eta = np.array(self.eta, dtype=np.complex128)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("W must be square")
-        if eta.ndim != 2 or eta.shape[1] != w.shape[0]:
-            raise ValueError("eta must be m x n with n matching W")
-        w.flags.writeable = False
-        eta.flags.writeable = False
+        w, eta = _frozen_pair(self.w, self.eta, "W", "eta")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "eta", eta)
 
     @property
     def n(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[-1]
 
     @property
     def m(self) -> int:
-        return self.eta.shape[0]
+        return self.eta.shape[-2]
+
+    @property
+    def batch(self) -> tuple:
+        """() for one point, (K,) for a stack of K points."""
+        return self.w.shape[:-2]
 
 
 def upper_margin(p: UpperPoint) -> float:
@@ -142,6 +175,11 @@ def disk_margin(p: DiskPoint) -> float:
     return hermitian_pd_margin(np.eye(n) - p.w.conj() @ p.w)
 
 
+def point_margin(p) -> float:
+    """Boundary margin of a point of either model."""
+    return upper_margin(p) if isinstance(p, UpperPoint) else disk_margin(p)
+
+
 def upper_point_defect(p: UpperPoint) -> float:
     """Symmetry defect; membership additionally requires upper_margin > 0."""
     return sym_defect(p.omega)
@@ -152,11 +190,15 @@ def disk_point_defect(p: DiskPoint) -> float:
 
 
 def _symmetrized(mat: np.ndarray, what: str) -> np.ndarray:
-    """Average out round-off asymmetry, rejecting anything beyond tolerance."""
+    """Average out round-off asymmetry, rejecting anything beyond tolerance.
+
+    Each matrix of a stack is judged against its own scale.
+    """
     defect = sym_defect(mat)
-    if defect > _ACTION_SYM_TOL * (1.0 + max_abs(mat)):
-        raise ValueError(f"{what} produced an asymmetric result (defect {defect:.3e})")
-    return 0.5 * (mat + mat.T)
+    if np.any(defect > _ACTION_SYM_TOL * (1.0 + np.max(np.abs(mat), axis=(-2, -1)))):
+        raise ValueError(f"{what} produced an asymmetric result "
+                         f"(defect {np.max(defect):.3e})")
+    return 0.5 * (mat + mat.mT)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +214,10 @@ def act_siegel(m: SpElement, omega: np.ndarray) -> np.ndarray:
 
 
 def act_upper(g: JacobiElement, p: UpperPoint) -> UpperPoint:
-    """Jacobi action: (M . Omega, (Z + lambda Omega + mu)(C Omega + D)^-1)."""
+    """Jacobi action: (M . Omega, (Z + lambda Omega + mu)(C Omega + D)^-1).
+
+    A stacked point is moved point by point in one call.
+    """
     if (g.n, g.m) != (p.n, p.m):
         raise ValueError("element and point sizes differ")
     denom_inv = mat_inverse(g.sp.c @ p.omega + g.sp.d)
@@ -183,7 +228,10 @@ def act_upper(g: JacobiElement, p: UpperPoint) -> UpperPoint:
 
 def act_disk(g: JacobiStarElement, p: DiskPoint) -> DiskPoint:
     """Disk action: ((PW+Q)(conj(Q)W + conj(P))^-1,
-    (eta + xi W + conj(xi))(conj(Q)W + conj(P))^-1)."""
+    (eta + xi W + conj(xi))(conj(Q)W + conj(P))^-1).
+
+    A stacked point is moved point by point in one call.
+    """
     if (g.n, g.m) != (p.n, p.m):
         raise ValueError("element and point sizes differ")
     denom_inv = mat_inverse(g.g.q.conj() @ p.w + g.g.p.conj())

@@ -10,6 +10,10 @@ Four line elements are implemented as quadratic forms on tangents:
                   10 trace terms; transcribed exactly as printed,
                   including the two terms carrying (I - conj W)^-1.
 
+Each form is held as coefficient blocks that depend on the point only;
+metric_tensor contracts them against the chart's basis tangents, for one
+point or a stack of points.
+
 The chart fixes a canonical ordering of real coordinates (ordering tag
 "canonical-v1"): independent Re entries of the symmetric matrix block
 (row-major over the upper triangle), then the matching Im entries, then
@@ -98,7 +102,11 @@ class MetricParams:
 
 @dataclass(frozen=True)
 class MetricTensor:
-    """Real symmetric coordinate matrix of a quadratic form in the chart."""
+    """Real symmetric coordinate matrix of a quadratic form in the chart.
+
+    The tensors of a stacked point are stacked: g has shape (K, dim, dim);
+    apply and to_json take a single tensor.
+    """
 
     dim: int
     g: np.ndarray
@@ -106,7 +114,7 @@ class MetricTensor:
 
     def __post_init__(self):
         g = np.array(self.g, dtype=np.float64)
-        if g.shape != (self.dim, self.dim):
+        if g.ndim not in (2, 3) or g.shape[-2:] != (self.dim, self.dim):
             raise ValueError("tensor shape does not match dim")
         g.flags.writeable = False
         object.__setattr__(self, "g", g)
@@ -124,7 +132,11 @@ class MetricTensor:
 
 
 class Chart:
-    """Canonical real chart of either model (optionally the matrix part only)."""
+    """Canonical real chart of either model (optionally the matrix part only).
+
+    Points and tangents share one packing; the unpacking methods also take
+    a (K, dim) array of coordinate rows and return K stacked points.
+    """
 
     def __init__(self, model: str, n: int, m: int, include_vec: bool = True):
         if model not in ("upper", "disk"):
@@ -133,8 +145,10 @@ class Chart:
         self.n = n
         self.m = m
         self.include_vec = include_vec
-        self.mat_pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        self.n_mat_slots = len(self.mat_pairs)
+        # Upper triangle, row-major: the independent entries of the symmetric block.
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        self.mat_rows, self.mat_cols = np.array(pairs, dtype=int).T
+        self.n_mat_slots = len(pairs)
         self.n_vec_slots = m * n if include_vec else 0
         self.n_slots = self.n_mat_slots + self.n_vec_slots
         self.dim = 2 * self.n_slots
@@ -152,7 +166,7 @@ class Chart:
         # Slot index and weight per matrix entry of the symmetric block.
         self.mat_entry_slots = np.zeros((n, n), dtype=int)
         self.mat_weights = np.zeros((n, n))
-        for s, (i, j) in enumerate(self.mat_pairs):
+        for s, (i, j) in enumerate(pairs):
             self.mat_entry_slots[i, j] = self.mat_entry_slots[j, i] = s
             self.mat_weights[i, j] = self.mat_weights[j, i] = 0.5 if i != j else 1.0
 
@@ -164,6 +178,38 @@ class Chart:
             for k in range(m):
                 for l in range(n):
                     self.vec_entry_slots[l, k] = self.n_mat_slots + k * n + l
+
+    # -- packing shared by points and tangents -------------------------
+
+    def _pack(self, mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        ns, nv = self.n_mat_slots, self.n_vec_slots
+        v = np.empty(mat.shape[:-2] + (self.dim,))
+        v[..., :ns] = mat.real[..., self.mat_rows, self.mat_cols]
+        v[..., ns: 2 * ns] = mat.imag[..., self.mat_rows, self.mat_cols]
+        if self.include_vec:
+            v[..., 2 * ns: 2 * ns + nv] = vec.real.reshape(v.shape[:-1] + (nv,))
+            v[..., 2 * ns + nv:] = vec.imag.reshape(v.shape[:-1] + (nv,))
+        return v
+
+    def _unpack(self, v: np.ndarray):
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
+            raise ValueError(f"expected a vector of length {self.dim} "
+                             f"or a stack of them")
+        batch = v.shape[:-1]
+        ns, nv = self.n_mat_slots, self.n_vec_slots
+        mat = np.empty(batch + (self.n, self.n), dtype=np.complex128)
+        mat.real = v[..., self.mat_entry_slots]
+        mat.imag = v[..., ns + self.mat_entry_slots]
+        vec = np.zeros(batch + (self.m, self.n), dtype=np.complex128)
+        if self.include_vec:
+            off = 2 * ns
+            vec.real = v[..., off: off + nv].reshape(vec.shape)
+            vec.imag = v[..., off + nv:].reshape(vec.shape)
+        # Read-only fresh arrays: points take them without copying.
+        mat.flags.writeable = False
+        vec.flags.writeable = False
+        return mat, vec
 
     # -- points --------------------------------------------------------
 
@@ -177,80 +223,46 @@ class Chart:
         return p.w, p.eta
 
     def point_to_vec(self, p) -> np.ndarray:
-        mat, vec = self._parts(p)
-        rows = [pair[0] for pair in self.mat_pairs]
-        cols = [pair[1] for pair in self.mat_pairs]
-        parts = [mat.real[rows, cols], mat.imag[rows, cols]]
-        if self.include_vec:
-            parts += [vec.real.ravel(), vec.imag.ravel()]
-        return np.concatenate(parts)
+        return self._pack(*self._parts(p))
 
     def vec_to_point(self, v: np.ndarray):
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected a vector of length {self.dim}")
-        mat = self._unpack_sym(v[: self.n_mat_slots], v[self.n_mat_slots: 2 * self.n_mat_slots])
-        if self.include_vec:
-            off = 2 * self.n_mat_slots
-            re = v[off: off + self.n_vec_slots].reshape(self.m, self.n)
-            im = v[off + self.n_vec_slots:].reshape(self.m, self.n)
-            vec = re + 1j * im
-        else:
-            vec = np.zeros((self.m, self.n), dtype=complex)
+        mat, vec = self._unpack(v)
         if self.model == "upper":
             return UpperPoint(mat, vec)
         return DiskPoint(mat, vec)
-
-    def _unpack_sym(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-        mat = np.zeros((self.n, self.n), dtype=complex)
-        for s, (i, j) in enumerate(self.mat_pairs):
-            mat[i, j] = mat[j, i] = re[s] + 1j * im[s]
-        return mat
 
     # -- tangents ------------------------------------------------------
 
     def tangent_to_vec(self, t: Tangent) -> np.ndarray:
         if t.model != self.model:
             raise ValueError("tangent model does not match the chart")
-        rows = [pair[0] for pair in self.mat_pairs]
-        cols = [pair[1] for pair in self.mat_pairs]
-        parts = [t.dmat.real[rows, cols], t.dmat.imag[rows, cols]]
-        if self.include_vec:
-            parts += [t.dvec.real.ravel(), t.dvec.imag.ravel()]
-        return np.concatenate(parts)
+        return self._pack(t.dmat, t.dvec)
 
     def vec_to_tangent(self, v: np.ndarray) -> Tangent:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected a vector of length {self.dim}")
-        dmat = self._unpack_sym(v[: self.n_mat_slots], v[self.n_mat_slots: 2 * self.n_mat_slots])
-        if self.include_vec:
-            off = 2 * self.n_mat_slots
-            re = v[off: off + self.n_vec_slots].reshape(self.m, self.n)
-            im = v[off + self.n_vec_slots:].reshape(self.m, self.n)
-            dvec = re + 1j * im
-        else:
-            dvec = np.zeros((self.m, self.n), dtype=complex)
-        return Tangent(self.model, dmat, dvec)
+        return Tangent(self.model, *self._unpack(v))
 
-    def basis_stacks(self):
-        """Stacked dmat / dvec arrays of all chart basis tangents."""
-        dmats = np.zeros((self.dim, self.n, self.n), dtype=complex)
-        dvecs = np.zeros((self.dim, self.m, self.n), dtype=complex)
-        for idx in range(self.dim):
-            e = np.zeros(self.dim)
-            e[idx] = 1.0
-            t = self.vec_to_tangent(e)
-            dmats[idx] = t.dmat
-            dvecs[idx] = t.dvec
-        return dmats, dvecs
+    def slot_basis(self):
+        """Stacked dmat / dvec arrays of one basis tangent per complex slot:
+        the tangent of the slot's Re coordinate.  The tangent of its Im
+        coordinate is i times it."""
+        return self._unpack(np.eye(self.dim)[self.x_indices])
 
     def point_scale(self, p) -> float:
         return float(np.max(np.abs(self.point_to_vec(p))))
 
 
 # ---------------------------------------------------------------------------
-# Quadratic forms (batched cores; leading dims of dmat / dvec broadcast)
+# Quadratic forms
+#
+# Each form is a list of terms (weight, left, x, right, y).  A term's value
+# on a tangent is the Frobenius pairing sum((left @ X @ right) * conj(Y)),
+# with X and Y taken from (dmat, dvec) by the slot indices x and y: linear
+# in X, conjugate-linear in Y.  The trace terms sigma(A dM B conj(dM)) of
+# the printed line elements take this shape because dM is symmetric.
+# The coefficient blocks left / right depend on the point only, so one
+# list serves every tangent, and on a stacked point they are stacked.
+
+_MAT, _VEC = 0, 1
 
 
 def _realize(q: np.ndarray, what: str) -> np.ndarray:
@@ -260,54 +272,33 @@ def _realize(q: np.ndarray, what: str) -> np.ndarray:
     return q.real
 
 
-def _q_siegel_raw(y: np.ndarray, dmat: np.ndarray) -> np.ndarray:
+def _siegel_terms(y: np.ndarray) -> list:
     yi = mat_inverse(y.astype(complex))
-    return np.einsum("ab,...bc,cd,...da->...", yi, dmat, yi, dmat.conj())
+    return [(1.0, yi, _MAT, yi, _MAT)]
 
 
-def q_siegel(omega: np.ndarray, t: Tangent) -> float:
-    """sigma(Y^-1 dOmega Y^-1 conj(dOmega)) at Omega = X + iY."""
-    omega = np.asarray(omega, dtype=np.complex128)
-    q = _q_siegel_raw(omega.imag, np.asarray(t.dmat))
-    return float(_realize(np.asarray(q), "siegel form"))
-
-
-def _q_upper_raw(y, v, dmat, dvec, a, b):
+def _upper_terms(y: np.ndarray, v: np.ndarray, a: float, b: float) -> list:
     yi = mat_inverse(y.astype(complex))
-    dmc = dmat.conj()
-    dvc = dvec.conj()
-    term_a = np.einsum("ab,...bc,cd,...da->...", yi, dmat, yi, dmc)
-    c_vv = yi @ v.T @ v @ yi
-    t1 = np.einsum("ab,...bc,cd,...da->...", c_vv, dmat, yi, dmc)
-    t2 = np.einsum("ab,...cb,...ca->...", yi, dvec, dvc)
-    t3 = np.einsum("ka,ab,...bc,cd,...kd->...", v, yi, dmat, yi, dvc)
-    t4 = np.einsum("ka,ab,...bc,cd,...kd->...", v, yi, dmc, yi, dvec)
-    return a * term_a + b * (t1 + t2 - t3 - t4)
+    vyi = v @ yi
+    c_vv = yi @ v.mT @ vyi
+    return [
+        (a, yi, _MAT, yi, _MAT),
+        (b, c_vv, _MAT, yi, _MAT),
+        (b, np.eye(v.shape[-2]), _VEC, yi.mT, _VEC),
+        (-b, vyi, _MAT, yi, _VEC),
+        (-b, vyi.mT, _VEC, yi.mT, _MAT),
+    ]
 
 
-def q_upper(p: UpperPoint, t: Tangent, params: MetricParams) -> float:
-    """Two-parameter invariant form on the Siegel-Jacobi space."""
-    q = _q_upper_raw(p.y, p.v, np.asarray(t.dmat), np.asarray(t.dvec),
-                     params.a, params.b)
-    return float(_realize(np.asarray(q), "upper form"))
-
-
-def _q_disk_n_raw(w: np.ndarray, dmat: np.ndarray) -> np.ndarray:
-    n = w.shape[0]
+def _disk_n_terms(w: np.ndarray) -> list:
+    n = w.shape[-1]
     li = mat_inverse(np.eye(n) - w @ w.conj())
     ri = mat_inverse(np.eye(n) - w.conj() @ w)
-    return 4.0 * np.einsum("ab,...bc,cd,...da->...", li, dmat, ri, dmat.conj())
+    return [(4.0, li, _MAT, ri, _MAT)]
 
 
-def q_disk_n(w: np.ndarray, t: Tangent) -> float:
-    """4 sigma((I - W conj W)^-1 dW (I - conj(W) W)^-1 conj(dW))."""
-    q = _q_disk_n_raw(np.asarray(w, dtype=np.complex128), np.asarray(t.dmat))
-    return float(_realize(np.asarray(q), "disk form"))
-
-
-def _disk_coefficients(w: np.ndarray, eta: np.ndarray):
-    """Point-dependent coefficient matrices of the disk family."""
-    n = w.shape[0]
+def _disk_terms(w: np.ndarray, eta: np.ndarray, a: float, b: float) -> list:
+    n = w.shape[-1]
     eye = np.eye(n)
     wc = w.conj()
     ec = eta.conj()
@@ -319,32 +310,78 @@ def _disk_coefficients(w: np.ndarray, eta: np.ndarray):
     e2 = ec @ w - eta
     # dW/conj(dW) coefficient, summed over the six eta-quadratic terms.
     c_mid = (
-        - li @ eta.T @ eta @ ri @ wc
-        - w @ ri @ ec.T @ ec @ li
-        + li @ eta.T @ ec @ li
-        + one_minus_wc_inv @ ec.T @ eta @ wc @ li
-        + one_minus_wc_inv @ (eye - w) @ ri @ ec.T @ eta @ ri @ (eye - wc) @ one_minus_w_inv
-        - li @ (eye - w) @ one_minus_wc_inv @ ec.T @ eta @ one_minus_w_inv
+        - li @ eta.mT @ eta @ ri @ wc
+        - w @ ri @ ec.mT @ ec @ li
+        + li @ eta.mT @ ec @ li
+        + one_minus_wc_inv @ ec.mT @ eta @ wc @ li
+        + one_minus_wc_inv @ (eye - w) @ ri @ ec.mT @ eta @ ri @ (eye - wc) @ one_minus_w_inv
+        - li @ (eye - w) @ one_minus_wc_inv @ ec.mT @ eta @ one_minus_w_inv
     )
-    return li, ri, e1, e2, c_mid
+    a4, b4 = 4.0 * a, 4.0 * b
+    return [
+        (a4, li, _MAT, ri, _MAT),
+        (b4, np.eye(eta.shape[-2]), _VEC, li.mT, _VEC),
+        (b4, e1 @ li, _MAT, ri, _VEC),
+        (b4, (e2 @ ri).mT, _VEC, li.mT, _MAT),
+        (b4, c_mid, _MAT, ri, _MAT),
+    ]
 
 
-def _q_disk_raw(w, eta, dmat, dvec, a, b):
-    li, ri, e1, e2, c_mid = _disk_coefficients(w, eta)
-    dmc = dmat.conj()
-    dvc = dvec.conj()
-    term_a = np.einsum("ab,...bc,cd,...da->...", li, dmat, ri, dmc)
-    t1 = np.einsum("ab,...cb,...ca->...", li, dvec, dvc)
-    t2 = np.einsum("ka,ab,...bc,cd,...kd->...", e1, li, dmat, ri, dvc)
-    t3 = np.einsum("ka,ab,...bc,cd,...kd->...", e2, ri, dmc, li, dvec)
-    t_mid = np.einsum("ab,...bc,cd,...da->...", c_mid, dmat, ri, dmc)
-    return 4.0 * a * term_a + 4.0 * b * (t1 + t2 + t3 + t_mid)
+def _form_terms(kind: str, p, params: MetricParams) -> list:
+    if kind == "upper":
+        return _upper_terms(p.y, p.v, params.a, params.b)
+    if kind == "disk":
+        return _disk_terms(p.w, p.eta, params.a, params.b)
+    if kind == "siegel":
+        return _siegel_terms(p.y)
+    if kind == "diskn":
+        return _disk_n_terms(p.w)
+    raise ValueError(f"unknown form kind {kind!r}")
+
+
+def _form_value(terms: list, dmat: np.ndarray, dvec: np.ndarray):
+    """The form at one tangent."""
+    slots = (dmat, dvec)
+    return sum(w * np.sum(left @ slots[x] @ right * slots[y].conj())
+               for w, left, x, right, y in terms)
+
+
+def _form_matrix(terms: list, dmats: np.ndarray, dvecs: np.ndarray) -> np.ndarray:
+    """H[..., s, t]: the terms with tangent s of the stacks in the linear
+    slot and tangent t in the conjugate slot; leading axes follow the point."""
+    slots = (dmats, dvecs)
+    count = len(dmats)
+    lead = np.broadcast_shapes(*(block.shape[:-2] for _, left, _, right, _ in terms
+                                 for block in (left, right)))
+    total = np.zeros(lead + (count, count), dtype=np.complex128)
+    for w, left, x, right, y in terms:
+        lxr = (w * left)[..., None, :, :] @ slots[x] @ right[..., None, :, :]
+        total += lxr.reshape(*lxr.shape[:-2], -1) @ slots[y].conj().reshape(count, -1).T
+    return total
+
+
+def q_siegel(omega: np.ndarray, t: Tangent) -> float:
+    """sigma(Y^-1 dOmega Y^-1 conj(dOmega)) at Omega = X + iY."""
+    omega = np.asarray(omega, dtype=np.complex128)
+    q = _form_value(_siegel_terms(omega.imag), t.dmat, t.dvec)
+    return float(_realize(np.asarray(q), "siegel form"))
+
+
+def q_upper(p: UpperPoint, t: Tangent, params: MetricParams) -> float:
+    """Two-parameter invariant form on the Siegel-Jacobi space."""
+    q = _form_value(_upper_terms(p.y, p.v, params.a, params.b), t.dmat, t.dvec)
+    return float(_realize(np.asarray(q), "upper form"))
+
+
+def q_disk_n(w: np.ndarray, t: Tangent) -> float:
+    """4 sigma((I - W conj W)^-1 dW (I - conj(W) W)^-1 conj(dW))."""
+    q = _form_value(_disk_n_terms(np.asarray(w, dtype=np.complex128)), t.dmat, t.dvec)
+    return float(_realize(np.asarray(q), "disk form"))
 
 
 def q_disk(p: DiskPoint, t: Tangent, params: MetricParams) -> float:
     """Two-parameter invariant form on the Siegel-Jacobi disk."""
-    q = _q_disk_raw(p.w, p.eta, np.asarray(t.dmat), np.asarray(t.dvec),
-                    params.a, params.b)
+    q = _form_value(_disk_terms(p.w, p.eta, params.a, params.b), t.dmat, t.dvec)
     return float(_realize(np.asarray(q), "disk form"))
 
 
@@ -381,19 +418,6 @@ def q_disk_closed_11(p: DiskPoint, t: Tangent) -> float:
 # Tensor assembly and helpers
 
 
-def _raw_form(kind: str, p, params: MetricParams):
-    """Batched evaluator (dmat_stack, dvec_stack) -> values for one point."""
-    if kind == "upper":
-        return lambda dm, dv: _q_upper_raw(p.y, p.v, dm, dv, params.a, params.b)
-    if kind == "disk":
-        return lambda dm, dv: _q_disk_raw(p.w, p.eta, dm, dv, params.a, params.b)
-    if kind == "siegel":
-        return lambda dm, dv: _q_siegel_raw(p.y, dm)
-    if kind == "diskn":
-        return lambda dm, dv: _q_disk_n_raw(p.w, dm)
-    raise ValueError(f"unknown form kind {kind!r}")
-
-
 def form_kind_for_point(p, full: bool = True) -> str:
     if isinstance(p, UpperPoint):
         return "upper" if full else "siegel"
@@ -403,22 +427,29 @@ def form_kind_for_point(p, full: bool = True) -> str:
 
 
 def metric_tensor(p, params: MetricParams, kind: str | None = None) -> MetricTensor:
-    """Chart matrix of the selected form via polarization,
-    G[i][j] = (Q(e_i + e_j) - Q(e_i - e_j)) / 4."""
+    """Chart matrix of the selected form, for one point or, stacked, for
+    each point of a stack.
+
+    H[s, t] pairs the slot basis tangents E_s (linear) and E_t (conjugate)
+    through the form's terms.  Slot s has the chart tangents E_s and i E_s,
+    so with A, B the symmetric and antisymmetric parts of H the matrix is
+    Re A in the Re-Re and Im-Im blocks and Im B in the Re-Im block.  This
+    equals polarization, G[i][j] = (Q(e_i + e_j) - Q(e_i - e_j)) / 4.
+    """
     if kind is None:
         kind = form_kind_for_point(p)
     chart = chart_for(p, kind)
-    form = _raw_form(kind, p, params)
-    dmats, dvecs = chart.basis_stacks()
-    dim = chart.dim
-    iu, ju = np.triu_indices(dim)
-    plus = form(dmats[iu] + dmats[ju], dvecs[iu] + dvecs[ju])
-    minus = form(dmats[iu] - dmats[ju], dvecs[iu] - dvecs[ju])
-    vals = 0.25 * _realize(np.asarray(plus - minus), f"{kind} tensor")
-    g = np.zeros((dim, dim))
-    g[iu, ju] = vals
-    g[ju, iu] = vals
-    return MetricTensor(dim, g)
+    h = _form_matrix(_form_terms(kind, p, params), *chart.slot_basis())
+    what = f"{kind} tensor"
+    same = _realize(0.5 * (h + h.mT), what)
+    cross = _realize(-0.5j * (h - h.mT), what)
+    x, y = chart.x_indices, chart.y_indices
+    g = np.empty(h.shape[:-2] + (chart.dim, chart.dim))
+    g[..., x[:, None], x] = same
+    g[..., y[:, None], y] = same
+    g[..., x[:, None], y] = cross
+    g[..., y[:, None], x] = cross.mT
+    return MetricTensor(chart.dim, g)
 
 
 def chart_for(p, kind: str | None = None) -> Chart:

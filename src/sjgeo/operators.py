@@ -28,13 +28,17 @@ widely quoted expanded displays of these Laplacians drop the
 symmetrization of the shift; that loses nothing for 1 x 1 blocks but
 deviates from the true Laplace-Beltrami operator for n >= 2.  Both
 forms are provided (lap_upper / lap_upper_printed and likewise for the
-disk); the corrected forms are certified against exact arithmetic and
-the coordinate Laplacian oracle, and the printed forms reproduce the
-corrected ones at n = 1.
+disk).  The corrected forms are checked numerically against the
+coordinate Laplace-Beltrami oracle (sjgeo.verify.laplace_beltrami) by
+the lb-equivalence-* checks; the printed forms reproduce the corrected
+ones at n = 1.
 
 Second derivatives use nested central differences (the two passes
 collapse to the standard mixed-difference stencil) with one Richardson
-extrapolation level (h, h/2).
+extrapolation level (h, h/2).  Each level's stencil is one (K, dim)
+array of chart coordinates.  A stack-safe field (ScalarField.stacked)
+is called once on the K stacked points; any other callable is called
+once per node.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .cmatrix import mat_inverse
-from .geometry import DiskPoint, UpperPoint, disk_margin, upper_margin
+from .geometry import DiskPoint, UpperPoint, point_margin
 from .metrics import Chart
 
 __all__ = [
@@ -79,16 +83,31 @@ class DomainMargin(Exception):
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Deterministic scalar test function on one model."""
+    """Deterministic scalar test function on one model.
+
+    A field with ``stacked=True`` declares that ``fn`` also takes a stacked
+    point (see geometry.UpperPoint) and returns one value per point, shape
+    ``p.batch``.  The finite-difference engine then evaluates a whole
+    stencil in one call; fields without the flag are called node by node.
+    """
 
     name: str
     model: str
     fn: Callable
     mat_only: bool = False
     smoothness: str = "C-infinity"
+    stacked: bool = False
 
-    def __call__(self, p) -> float:
-        return float(self.fn(p))
+    def __call__(self, p):
+        """The value at one point (a float), or at each point of a stack
+        (an array of shape p.batch; stack-safe fields only)."""
+        if not self.stacked:
+            return float(self.fn(p))
+        vals = np.asarray(self.fn(p), dtype=np.float64)
+        if vals.shape != p.batch:
+            raise ValueError(f"field {self.name!r} returned shape {vals.shape} "
+                             f"for points of batch shape {p.batch}")
+        return vals if p.batch else float(vals)
 
 
 @dataclass(frozen=True)
@@ -116,10 +135,6 @@ class SecondBundle:
     vec_mat: np.ndarray | None
 
 
-def _point_margin(p) -> float:
-    return upper_margin(p) if isinstance(p, UpperPoint) else disk_margin(p)
-
-
 def default_step(p, chart: Chart, order: int = 2) -> float:
     """1e-5 (1 + scale) for first derivatives, 1e-4 (1 + scale) for nested ones."""
     base = 1e-5 if order == 1 else 1e-4
@@ -127,39 +142,58 @@ def default_step(p, chart: Chart, order: int = 2) -> float:
 
 
 def _require_margin(p, needed: float):
-    margin = _point_margin(p)
+    margin = point_margin(p)
     if margin <= needed:
         raise DomainMargin(
             f"boundary margin {margin:.3e} insufficient for step budget {needed:.3e}")
 
 
+def _field_at_nodes(f, chart: Chart, nodes: np.ndarray) -> np.ndarray:
+    """Values of f at the rows of a (K, dim) array of chart coordinates.
+
+    A stack-safe field is called once on the K stacked points; any other
+    callable is called once per node.
+    """
+    if getattr(f, "stacked", False):
+        points = chart.vec_to_point(nodes)
+        del nodes   # callers pass a temporary: free it before the field runs
+        return f(points)
+    return np.array([f(chart.vec_to_point(v)) for v in nodes])
+
+
 def _grad_real(f, chart: Chart, v0: np.ndarray, h: float) -> np.ndarray:
-    g = np.empty(chart.dim)
-    for i in range(chart.dim):
-        vp = v0.copy(); vp[i] += h
-        vm = v0.copy(); vm[i] -= h
-        g[i] = (f(chart.vec_to_point(vp)) - f(chart.vec_to_point(vm))) / (2.0 * h)
-    return g
+    """Central-difference gradient at v0, or at each row of a (K, dim) v0;
+    every stencil node is evaluated in one _field_at_nodes call."""
+    d = chart.dim
+    # nodes[0] = v0 + h e_i, nodes[1] = v0 - h e_i, built in one allocation
+    steps = h * np.eye(d) * np.array([1.0, -1.0])[:, None, None]
+    steps = steps.reshape((2,) + (1,) * (v0.ndim - 1) + (d, d))
+    vals = _field_at_nodes(f, chart, (v0[..., None, :] + steps).reshape(-1, d))
+    vals = vals.reshape((2,) + v0.shape[:-1] + (d,))
+    return (vals[0] - vals[1]) / (2.0 * h)
 
 
 def _hess_real(f, chart: Chart, v0: np.ndarray, h: float) -> np.ndarray:
-    """Nested central differences; mixed entries reduce to the 4-point stencil."""
+    """Nested central differences; mixed entries reduce to the 4-point stencil.
+
+    The nodes are the centre, v0 +- 2h e_i, and v0 +- h e_i +- h e_j for
+    i < j, evaluated in one _field_at_nodes call.
+    """
     d = chart.dim
+    e = np.eye(d)
+    iu, ju = np.triu_indices(d, 1)
+    both = e[iu] + e[ju]
+    skew = e[iu] - e[ju]
+    vals = _field_at_nodes(f, chart, np.concatenate([
+        v0[None], v0 + 2.0 * h * e, v0 - 2.0 * h * e,
+        v0 + h * both, v0 + h * skew, v0 - h * skew, v0 - h * both]))
+    f0, fp, fm = vals[0], vals[1: 1 + d], vals[1 + d: 1 + 2 * d]
+    fpp, fpm, fmp, fmm = vals[1 + 2 * d:].reshape(4, -1)
     hess = np.empty((d, d))
-    f0 = f(chart.vec_to_point(v0))
-    for i in range(d):
-        vp = v0.copy(); vp[i] += 2.0 * h
-        vm = v0.copy(); vm[i] -= 2.0 * h
-        hess[i, i] = (f(chart.vec_to_point(vp)) - 2.0 * f0
-                      + f(chart.vec_to_point(vm))) / (4.0 * h * h)
-        for j in range(i + 1, d):
-            vpp = v0.copy(); vpp[i] += h; vpp[j] += h
-            vpm = v0.copy(); vpm[i] += h; vpm[j] -= h
-            vmp = v0.copy(); vmp[i] -= h; vmp[j] += h
-            vmm = v0.copy(); vmm[i] -= h; vmm[j] -= h
-            val = (f(chart.vec_to_point(vpp)) - f(chart.vec_to_point(vpm))
-                   - f(chart.vec_to_point(vmp)) + f(chart.vec_to_point(vmm))) / (4.0 * h * h)
-            hess[i, j] = hess[j, i] = val
+    hess[np.diag_indices(d)] = (fp - 2.0 * f0 + fm) / (4.0 * h * h)
+    mixed = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+    hess[iu, ju] = mixed
+    hess[ju, iu] = mixed
     return hess
 
 
@@ -449,121 +483,86 @@ def op_invariant(kind: str, f, p, h: float | None = None,
 # Test fields
 
 
-def _suite_upper(n: int, m: int, rng: np.random.Generator, mat_only: bool):
-    chart = Chart("upper", n, m, include_vec=not mat_only)
-    coeff = rng.uniform(-1.0, 1.0, chart.dim)
-    center = rng.uniform(-0.5, 0.5, chart.dim)
-    lam0 = rng.uniform(-1.0, 1.0, (m, n))
-    a0 = rng.uniform(-1.0, 1.0, (n, n))
-    a0 = 0.5 * (a0 + a0.T)
-
-    def lin(p):
-        return float(coeff @ chart.point_to_vec(p))
-
-    def quad(p):
-        return float(np.sum(p.y * p.y))
-
-    def gauss(p):
-        d = chart.point_to_vec(p) - center
-        return float(np.exp(-float(d @ d)))
-
-    if mat_only:
-        def cross(p):
-            return float(np.trace(p.omega).real * np.trace(a0 @ p.omega).imag)
-    else:
-        def cross(p):
-            return float(np.trace(p.omega).real * np.trace(p.z @ lam0.T).imag)
-
-    return [
-        ScalarField("const", "upper", lambda p: 1.0, mat_only),
-        ScalarField("linear", "upper", lin, mat_only),
-        ScalarField("trace-quad", "upper", quad, mat_only),
-        ScalarField("gauss", "upper", gauss, mat_only),
-        ScalarField("cross", "upper", cross, mat_only),
-    ]
-
-
-def _suite_disk(n: int, m: int, rng: np.random.Generator, mat_only: bool):
-    chart = Chart("disk", n, m, include_vec=not mat_only)
-    coeff = rng.uniform(-1.0, 1.0, chart.dim)
-    center = rng.uniform(-0.5, 0.5, chart.dim)
-    lam0 = rng.uniform(-1.0, 1.0, (m, n))
-    a0 = rng.uniform(-1.0, 1.0, (n, n))
-    a0 = 0.5 * (a0 + a0.T)
-
-    def lin(p):
-        return float(coeff @ chart.point_to_vec(p))
-
-    def quad(p):
-        return float(np.trace(p.w.conj() @ p.w).real)
-
-    def gauss(p):
-        d = chart.point_to_vec(p) - center
-        return float(np.exp(-float(d @ d)))
-
-    if mat_only:
-        def cross(p):
-            return float(np.trace(p.w).real * np.trace(a0 @ p.w).imag)
-    else:
-        def cross(p):
-            return float(np.trace(p.w).real * np.trace(p.eta @ lam0.T).imag)
-
-    return [
-        ScalarField("const", "disk", lambda p: 1.0, mat_only),
-        ScalarField("linear", "disk", lin, mat_only),
-        ScalarField("trace-quad", "disk", quad, mat_only),
-        ScalarField("gauss", "disk", gauss, mat_only),
-        ScalarField("cross", "disk", cross, mat_only),
-    ]
+def _tr(x: np.ndarray) -> np.ndarray:
+    """Trace of each matrix of a stack (or of one matrix)."""
+    return np.trace(x, axis1=-2, axis2=-1)
 
 
 def test_field_suite(model: str, n: int, m: int, seed: int,
                      mat_only: bool = False) -> list:
     """Deterministic suite: constant, random linear, quadratic trace,
-    Gaussian bump with random center, and a product field."""
+    Gaussian bump with random center, and a product field.  All five are
+    stack-safe."""
+    if model not in ("upper", "disk"):
+        raise ValueError(f"unknown model {model!r}")
     rng = np.random.default_rng(seed)
+    chart = Chart(model, n, m, include_vec=not mat_only)
+    coeff = rng.uniform(-1.0, 1.0, chart.dim)
+    center = rng.uniform(-0.5, 0.5, chart.dim)
+    lam0 = rng.uniform(-1.0, 1.0, (m, n))
+    a0 = rng.uniform(-1.0, 1.0, (n, n))
+    a0 = 0.5 * (a0 + a0.T)
+
+    def blocks(p):
+        return (p.omega, p.z) if model == "upper" else (p.w, p.eta)
+
+    def lin(p):
+        return chart.point_to_vec(p) @ coeff
+
     if model == "upper":
-        return _suite_upper(n, m, rng, mat_only)
-    if model == "disk":
-        return _suite_disk(n, m, rng, mat_only)
-    raise ValueError(f"unknown model {model!r}")
+        def quad(p):
+            return np.sum(p.y * p.y, axis=(-2, -1))
+    else:
+        def quad(p):
+            return _tr(p.w.conj() @ p.w).real
 
+    def gauss(p):
+        d = chart.point_to_vec(p)
+        d -= center
+        return np.exp(-np.einsum("...i,...i->...", d, d))
 
-def _mat_sq_norm(mat: np.ndarray, pairs) -> float:
-    return float(sum(abs(mat[i, j]) ** 2 for (i, j) in pairs))
+    if mat_only:
+        def cross(p):
+            mat, _ = blocks(p)
+            return _tr(mat).real * _tr(a0 @ mat).imag
+    else:
+        def cross(p):
+            mat, vec = blocks(p)
+            return _tr(mat).real * _tr(vec @ lam0.T).imag
+
+    return [
+        ScalarField("const", model, lambda p: np.ones(p.batch), mat_only, stacked=True),
+        ScalarField("linear", model, lin, mat_only, stacked=True),
+        ScalarField("trace-quad", model, quad, mat_only, stacked=True),
+        ScalarField("gauss", model, gauss, mat_only, stacked=True),
+        ScalarField("cross", model, cross, mat_only, stacked=True),
+    ]
 
 
 def named_field(model: str, n: int, m: int, name: str) -> ScalarField:
-    """Fixed fields addressable by id (independent of any seed)."""
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    """Fixed fields addressable by id (independent of any seed); all stack-safe."""
+    rows, cols = np.triu_indices(n)
     if model == "disk":
         table = {
-            "absW2": ScalarField("absW2", "disk",
-                                 lambda p: _mat_sq_norm(p.w, pairs)),
-            "absEta2": ScalarField("absEta2", "disk",
-                                   lambda p: float(np.sum(np.abs(p.eta) ** 2))),
-            "reSigmaW": ScalarField("reSigmaW", "disk",
-                                    lambda p: float(np.trace(p.w).real)),
-            "logDetIWW": ScalarField(
-                "logDetIWW", "disk",
-                lambda p: float(np.log(np.linalg.det(
-                    np.eye(n) - p.w.conj() @ p.w).real))),
+            "absW2": lambda p: np.sum(np.abs(p.w[..., rows, cols]) ** 2, axis=-1),
+            "absEta2": lambda p: np.sum(np.abs(p.eta) ** 2, axis=(-2, -1)),
+            "reSigmaW": lambda p: _tr(p.w).real,
+            "logDetIWW": lambda p: np.log(np.linalg.det(
+                np.eye(n) - p.w.conj() @ p.w).real),
         }
+        mat_only = ()
     elif model == "upper":
         table = {
-            "absZ2": ScalarField("absZ2", "upper",
-                                 lambda p: float(np.sum(np.abs(p.z) ** 2))),
-            "sigmaY": ScalarField("sigmaY", "upper",
-                                  lambda p: float(np.trace(p.y)), mat_only=True),
-            "logDetY": ScalarField("logDetY", "upper",
-                                   lambda p: float(np.log(np.linalg.det(p.y))),
-                                   mat_only=True),
+            "absZ2": lambda p: np.sum(np.abs(p.z) ** 2, axis=(-2, -1)),
+            "sigmaY": lambda p: _tr(p.y),
+            "logDetY": lambda p: np.log(np.linalg.det(p.y)),
         }
+        mat_only = ("sigmaY", "logDetY")
     else:
         raise ValueError(f"unknown model {model!r}")
     if name not in table:
         raise KeyError(f"unknown field id {name!r} for model {model}")
-    return table[name]
+    return ScalarField(name, model, table[name], mat_only=name in mat_only, stacked=True)
 
 
 def field_registry_ids(model: str) -> list[str]:

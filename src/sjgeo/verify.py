@@ -37,6 +37,7 @@ from .geometry import (
     check_cayley_compat,
     disk_margin,
     hc_pplus_component,
+    point_margin,
     point_to_json,
     random_point,
     upper_margin,
@@ -82,6 +83,7 @@ from .metrics import (
 )
 from .operators import (
     DomainMargin,
+    ScalarField,
     _grad_real,
     default_step,
     lap_disk,
@@ -188,7 +190,7 @@ def map_differential(fn, p, t: Tangent, h: float | None = None) -> Tangent:
     tchart = chart_for(target)
     if norm == 0.0:
         return tchart.vec_to_tangent(np.zeros(tchart.dim))
-    margin = upper_margin(p) if isinstance(p, UpperPoint) else disk_margin(p)
+    margin = point_margin(p)
     if margin <= 2.0 * h:
         raise DomainMargin(f"margin {margin:.3e} too small for step {h:.3e}")
     v0 = chart.point_to_vec(p)
@@ -219,6 +221,11 @@ def laplace_beltrami(f, p, metric, h: float | None = None) -> float:
 
     ``metric`` maps a point to a MetricTensor over either the full chart
     or the matrix-only chart; the chart is inferred from its dimension.
+    The 2 dim flux points v0 +- h e_i are one node array: a metric with a
+    true ``stacked`` attribute gets them in one call as a stacked point and
+    returns stacked tensors, any other is called point by point.  The
+    gradients at every flux point come from one field evaluation of all
+    their stencils (see operators.ScalarField for the field contract).
     """
     g0 = metric(p)
     model = "upper" if isinstance(p, UpperPoint) else "disk"
@@ -234,7 +241,7 @@ def laplace_beltrami(f, p, metric, h: float | None = None) -> float:
         # the smooth metric field, where round-off is negligible and the
         # truncation term dominates.
         h = 0.3 * default_step(p, chart, order=2)
-    margin = upper_margin(p) if isinstance(p, UpperPoint) else disk_margin(p)
+    margin = point_margin(p)
     if margin <= 4.0 * h:
         raise DomainMargin(f"margin {margin:.3e} too small for step {h:.3e}")
     det0 = float(np.linalg.det(g0.g))
@@ -242,22 +249,20 @@ def laplace_beltrami(f, p, metric, h: float | None = None) -> float:
         raise SingularMatrix("metric tensor is not positive definite at the point")
     h1 = default_step(p, chart, order=1)
     v0 = chart.point_to_vec(p)
-
-    def flux(v: np.ndarray, i: int) -> float:
-        q = chart.vec_to_point(v)
-        gq = metric(q)
-        det = float(np.linalg.det(gq.g))
-        if det <= 0.0:
-            raise SingularMatrix("metric tensor degenerates inside the stencil")
-        grad = _grad_real(f, chart, v, h1)
-        return float(np.sqrt(det) * np.linalg.solve(gq.g, grad)[i])
-
-    total = 0.0
-    for i in range(chart.dim):
-        vp = v0.copy(); vp[i] += h
-        vm = v0.copy(); vm[i] -= h
-        total += (flux(vp, i) - flux(vm, i)) / (2.0 * h)
-    return total / float(np.sqrt(det0))
+    step = h * np.eye(chart.dim)
+    flux_nodes = np.concatenate([v0 + step, v0 - step])
+    grad = _grad_real(f, chart, flux_nodes, h1)
+    if getattr(metric, "stacked", False):
+        gq = metric(chart.vec_to_point(flux_nodes)).g
+    else:
+        gq = np.array([metric(chart.vec_to_point(v)).g for v in flux_nodes])
+    det = np.linalg.det(gq)
+    if np.any(det <= 0.0):
+        raise SingularMatrix("metric tensor degenerates inside the stencil")
+    flux = np.sqrt(det)[:, None] * np.linalg.solve(gq, grad[..., None])[..., 0]
+    diag = np.arange(chart.dim)
+    total = np.sum(flux[diag, diag] - flux[chart.dim + diag, diag]) / (2.0 * h)
+    return float(total / np.sqrt(det0))
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +564,7 @@ def _lb_pair(kind, n, m, params, master, idx):
     f = fields[idx % len(fields)]
     p = random_point(model, n, m, sample_seed(master, idx, "p"))
     metric = lambda q: metric_tensor(q, params, kind=kind)
+    metric.stacked = True
     out = _Outcome()
     if kind == "upper":
         sb = second_bundle(f, p, mat_only=False)
@@ -596,10 +602,10 @@ def _chk_lb_diskn(n, m, params, master, idx):
     return _lb_pair("diskn", n, m, params, master, idx)
 
 
-def _compose(f, action):
-    def fn(q):
-        return f(action(q))
-    return fn
+def _compose(f, action) -> ScalarField:
+    """f after a point map; stack-safe when f is, since the actions are."""
+    return ScalarField(f.name, f.model, lambda q: f(action(q)), f.mat_only,
+                       stacked=f.stacked)
 
 
 def _invariance_sample(n, m, params, master, idx, operators_upper, operators_disk):

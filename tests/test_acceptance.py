@@ -131,7 +131,7 @@ def test_criterion_08_cayley_isometry():
 def test_criterion_09_laplace_beltrami_equivalence():
     worst = 0.0
     constants = {}
-    for (n, m) in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+    for (n, m) in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]:
         for kind in ("upper", "disk"):
             rep = _run(f"lb-equivalence-{kind}", n, m, 50, 1e-3)
             worst = max(worst, rep.max_rel)
@@ -149,7 +149,7 @@ def test_criterion_09_laplace_beltrami_equivalence():
 
 def test_criterion_10_operator_invariance():
     worst = 0.0
-    for (n, m, samples) in [(1, 1, 20), (2, 1, 10), (2, 2, 8)]:
+    for (n, m, samples) in [(1, 1, 20), (2, 1, 10), (2, 2, 8), (3, 2, 8)]:
         for name in ("laplacian-invariance", "remark41-invariance"):
             rep = _run(name, n, m, samples, 1e-3)
             worst = max(worst, rep.max_rel)

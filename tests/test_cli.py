@@ -126,6 +126,30 @@ def test_eval_rejects_invalid_point(capsys, tmp_path):
     assert "positive definite" in err
 
 
+def test_eval_singular_point_exits_2(capsys, tmp_path):
+    # passes validate_point (margin 1e-8 > 1e-9), but inverting Im Omega
+    # trips the relative pivot guard: one error line, exit 2, no traceback
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps({
+        "model": "upper", "n": 2, "m": 1,
+        "omega": {"rows": 2, "cols": 2,
+                  "data": [[0.0, 1e6], [0.0, 0.0], [0.0, 0.0], [0.0, 1e-8]]},
+        "z": {"rows": 1, "cols": 2, "data": [[0.0, 0.0], [0.0, 0.0]]},
+    }))
+    tangent = tmp_path / "t.json"
+    tangent.write_text(json.dumps({
+        "model": "upper", "n": 2, "m": 1,
+        "dmat": {"rows": 2, "cols": 2,
+                 "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+        "dvec": {"rows": 1, "cols": 2, "data": [[0.0, 0.0], [0.0, 0.0]]},
+    }))
+    code, out, err = run_cli(capsys, "eval", "metric", "--point", str(path),
+                             "--tangent", str(tangent))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: pivot") and err.count("\n") == 1
+
+
 def test_sample_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "sample", "point", "--model", "disk",
                              "--seed", "5")
