@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .cmatrix import SingularMatrix
@@ -75,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override the per-check default tolerance")
     pv.add_argument("--out", default=None, help="write the report file here")
     pv.add_argument("--format", choices=("json", "csv"), default="json")
-    pv.add_argument("--threads", type=int,
-                    default=int(os.environ.get("SJGEO_THREADS", "1")))
 
     pe = sub.add_parser("eval", help="evaluate a metric, Laplacian, operator or field")
     pe.add_argument("target", choices=_EVAL_TARGETS)
@@ -133,7 +130,7 @@ def _cmd_verify(args) -> int:
     for name in names:
         try:
             rep = run_check(name, args.n, args.m, params, args.samples,
-                            args.seed, tol=args.tol, threads=args.threads)
+                            args.seed, tol=args.tol)
         except UnknownCheck as exc:
             _log(f"error: {exc}")
             return 2

@@ -2,9 +2,9 @@
 
 Small, self-contained helpers for the matrix sizes this library actually
 meets (everything is <= 10x10): inversion with an explicit pivot guard,
-of one matrix or of each matrix of a stack, trace, the transpose-sandwich
-form A[B] = tB A B, Hermitian positive-definiteness tests, and the JSON
-wire format shared by all higher layers.  Backed by numpy/scipy; the
+of one matrix or of each matrix of a stack, the Hermitian positive-definite
+margin, the symmetry defect, and the JSON wire format shared by all higher
+layers.  Backed by numpy/scipy; the
 contracts (shapes, error conditions, tolerances) are what the rest of the
 library relies on.
 """
@@ -17,9 +17,6 @@ __all__ = [
     "SingularMatrix",
     "as_cmatrix",
     "mat_inverse",
-    "trace",
-    "bracket_form",
-    "is_hermitian_pd",
     "hermitian_pd_margin",
     "max_abs",
     "sym_defect",
@@ -124,25 +121,6 @@ def _inverse_stack(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(aug[:, :, n:])
 
 
-def trace(m: np.ndarray) -> complex:
-    """Trace of a square matrix."""
-    m = np.asarray(m)
-    if m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"trace needs a square matrix, got {m.shape}")
-    return complex(np.trace(m)) if m.ndim == 2 else np.trace(m, axis1=-2, axis2=-1)
-
-
-def bracket_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sandwich tB A B for a k x k matrix A and k x l matrix B."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"first argument must be square, got {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"shapes do not conform: {a.shape} vs {b.shape}")
-    return b.T @ a @ b
-
-
 def hermitian_pd_margin(m: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian part of ``m``.
 
@@ -152,16 +130,6 @@ def hermitian_pd_margin(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=np.complex128)
     h = 0.5 * (m + m.conj().T)
     return float(np.linalg.eigvalsh(h).min())
-
-
-def is_hermitian_pd(m: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff ``m`` is Hermitian within ``tol`` and positive definite."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"is_hermitian_pd needs a square matrix, got {m.shape}")
-    if max_abs(m - m.conj().T) > tol:
-        return False
-    return hermitian_pd_margin(m) > tol
 
 
 def sym_defect(m: np.ndarray):

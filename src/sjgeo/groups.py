@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import max_abs, mat_inverse
+from .cmatrix import max_abs
 
 __all__ = [
     "HeisenbergElement",
@@ -46,18 +46,13 @@ __all__ = [
     "jacobistar_identity",
     "jacobistar_mul",
     "jacobistar_inverse",
-    "cheisenberg_mul",
-    "cheisenberg_inverse",
     "cjacobi_mul",
-    "cjacobi_inverse",
     "theta_map",
     "embed_sp",
-    "gstar_matrix",
     "star_matrix",
     "sp_defect",
     "heisenberg_defect",
     "jacobi_defect",
-    "gstar_defect",
     "jacobistar_defect",
     "cheisenberg_defect",
     "random_sp",
@@ -363,19 +358,6 @@ def jacobi_defect(g: JacobiElement) -> float:
 # Complex Heisenberg group and the complexified Jacobi group
 
 
-def cheisenberg_mul(x: ComplexHeisenbergElement,
-                    y: ComplexHeisenbergElement) -> ComplexHeisenbergElement:
-    if (x.n, x.m) != (y.n, y.m):
-        raise ValueError("size mismatch")
-    zeta = x.zeta + y.zeta + x.xi @ y.eta.T - x.eta @ y.xi.T
-    return ComplexHeisenbergElement(x.xi + y.xi, x.eta + y.eta, zeta)
-
-
-def cheisenberg_inverse(x: ComplexHeisenbergElement) -> ComplexHeisenbergElement:
-    zeta = -x.zeta + x.xi @ x.eta.T - x.eta @ x.xi.T
-    return ComplexHeisenbergElement(-x.xi, -x.eta, zeta)
-
-
 def cheisenberg_defect(x: ComplexHeisenbergElement) -> float:
     s = x.zeta + x.eta @ x.xi.T
     return max_abs(s - s.T)
@@ -396,11 +378,6 @@ def cjacobi_mul(x: ComplexJacobiElement, y: ComplexJacobiElement) -> ComplexJaco
     zeta = tw.zeta + y.h.zeta + tw.xi @ y.h.eta.T - tw.eta @ y.h.xi.T
     h = ComplexHeisenbergElement(tw.xi + y.h.xi, tw.eta + y.h.eta, zeta)
     return ComplexJacobiElement(x.mat @ y.mat, h)
-
-
-def cjacobi_inverse(x: ComplexJacobiElement) -> ComplexJacobiElement:
-    minv = mat_inverse(x.mat)
-    return ComplexJacobiElement(minv, _ch_twist(cheisenberg_inverse(x.h), minv))
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +418,6 @@ def jacobistar_inverse(g: JacobiStarElement) -> JacobiStarElement:
     xi_t = g.xi @ pinv + g.xi.conj() @ qinv.conj()
     center = -1j * g.kappa + xi_t @ xi_t.conj().T - xi_t.conj() @ xi_t.T
     return JacobiStarElement(ginv, -xi_t, center.imag)
-
-
-def gstar_defect(g: GStarElement) -> float:
-    """Distance from membership: the model change must yield a real symplectic matrix."""
-    t = tstar(g.n)
-    real_form = t @ g.matrix() @ t.conj().T
-    j = jmat(g.n)
-    imag_part = max_abs(real_form.imag)
-    sympl = max_abs(real_form.real.T @ j @ real_form.real - j)
-    return max(imag_part, sympl)
 
 
 def jacobistar_defect(g: JacobiStarElement) -> float:
@@ -494,10 +461,6 @@ def embed_sp(g: JacobiElement) -> np.ndarray:
         [c, znm, d, c @ mu.T - d @ lam.T],
         [zmn, np.zeros((m, m)), zmn, np.eye(m)],
     ])
-
-
-def gstar_matrix(g: GStarElement) -> np.ndarray:
-    return g.matrix()
 
 
 def star_matrix(g: JacobiStarElement) -> np.ndarray:

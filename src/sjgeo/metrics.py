@@ -459,15 +459,9 @@ def chart_for(p, kind: str | None = None) -> Chart:
 
 
 def evaluate_form(kind: str, p, t: Tangent, params: MetricParams) -> float:
-    if kind == "upper":
-        return q_upper(p, t, params)
-    if kind == "disk":
-        return q_disk(p, t, params)
-    if kind == "siegel":
-        return q_siegel(p.omega, t)
-    if kind == "diskn":
-        return q_disk_n(p.w, t)
-    raise ValueError(f"unknown form kind {kind!r}")
+    """The form of the given kind at point p and tangent t."""
+    q = _form_value(_form_terms(kind, p, params), t.dmat, t.dvec)
+    return float(_realize(np.asarray(q), f"{kind} form"))
 
 
 def random_tangent(model: str, n: int, m: int, rng: np.random.Generator) -> Tangent:

@@ -55,10 +55,8 @@ from .metrics import Chart
 __all__ = [
     "DomainMargin",
     "ScalarField",
-    "DerivativeBundle",
     "SecondBundle",
     "default_step",
-    "wirtinger_bundle",
     "second_bundle",
     "lap_siegel",
     "lap_upper",
@@ -95,7 +93,6 @@ class ScalarField:
     model: str
     fn: Callable
     mat_only: bool = False
-    smoothness: str = "C-infinity"
     stacked: bool = False
 
     def __call__(self, p):
@@ -108,16 +105,6 @@ class ScalarField:
             raise ValueError(f"field {self.name!r} returned shape {vals.shape} "
                              f"for points of batch shape {p.batch}")
         return vals if p.batch else float(vals)
-
-
-@dataclass(frozen=True)
-class DerivativeBundle:
-    """Weighted first-order Wirtinger derivatives of a field at a point."""
-
-    d_mat: np.ndarray
-    d_mat_conj: np.ndarray
-    d_vec: np.ndarray | None
-    d_vec_conj: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -205,31 +192,6 @@ def _mixed_wirtinger(hess: np.ndarray, chart: Chart) -> np.ndarray:
     hyx = hess[np.ix_(y, x)]
     hxy = hess[np.ix_(x, y)]
     return 0.25 * ((hxx + hyy) + 1j * (hyx - hxy))
-
-
-def wirtinger_bundle(f, p, h: float | None = None) -> DerivativeBundle:
-    """Weighted first-order Wirtinger derivative matrices by central differences."""
-    model = "upper" if isinstance(p, UpperPoint) else "disk"
-    mat_only = getattr(f, "mat_only", False)
-    chart = Chart(model, p.n, p.m, include_vec=not mat_only)
-    if h is None:
-        h = default_step(p, chart, order=1)
-    _require_margin(p, 2.0 * h)
-    grad = _grad_real(f, chart, chart.point_to_vec(p), h)
-    gx = grad[chart.x_indices]
-    gy = grad[chart.y_indices]
-    holo = 0.5 * (gx - 1j * gy)
-    anti = 0.5 * (gx + 1j * gy)
-    ms, mw = chart.mat_entry_slots, chart.mat_weights
-    d_mat = mw * holo[ms]
-    d_mat_conj = mw * anti[ms]
-    if chart.include_vec:
-        vs = chart.vec_entry_slots
-        d_vec = holo[vs]
-        d_vec_conj = anti[vs]
-    else:
-        d_vec = d_vec_conj = None
-    return DerivativeBundle(d_mat, d_mat_conj, d_vec, d_vec_conj)
 
 
 def second_bundle(f, p, h: float | None = None,

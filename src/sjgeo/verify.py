@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -583,23 +583,8 @@ def _lb_pair(kind, n, m, params, master, idx):
     rhs = laplace_beltrami(f, p, metric)
     out.pair = (float(lhs), float(rhs))
     out.info.update({"field": f.name, "point": point_to_json(p)})
+    out.add(f"lb-pair[{f.name}]", np.asarray(lhs), np.asarray(rhs), info=out.info)
     return out
-
-
-def _chk_lb_upper(n, m, params, master, idx):
-    return _lb_pair("upper", n, m, params, master, idx)
-
-
-def _chk_lb_disk(n, m, params, master, idx):
-    return _lb_pair("disk", n, m, params, master, idx)
-
-
-def _chk_lb_siegel(n, m, params, master, idx):
-    return _lb_pair("siegel", n, m, params, master, idx)
-
-
-def _chk_lb_diskn(n, m, params, master, idx):
-    return _lb_pair("diskn", n, m, params, master, idx)
 
 
 def _compose(f, action) -> ScalarField:
@@ -737,7 +722,6 @@ def _chk_pushforward_identities(n, m, params, master, idx) -> _Outcome:
 class _CheckDef:
     sampler: object
     default_tol: float
-    paired: bool = False
 
 
 _CHECKS: dict[str, _CheckDef] = {
@@ -750,10 +734,10 @@ _CHECKS: dict[str, _CheckDef] = {
     "metric-invariance-disk": _CheckDef(_chk_metric_invariance_disk, 1e-5),
     "cayley-isometry": _CheckDef(_chk_cayley_isometry, 1e-5),
     "tensor-pd": _CheckDef(_chk_tensor_pd, 1e-9),
-    "lb-equivalence-upper": _CheckDef(_chk_lb_upper, 1e-3, paired=True),
-    "lb-equivalence-disk": _CheckDef(_chk_lb_disk, 1e-3, paired=True),
-    "lb-equivalence-siegel": _CheckDef(_chk_lb_siegel, 1e-3, paired=True),
-    "lb-equivalence-diskn": _CheckDef(_chk_lb_diskn, 1e-3, paired=True),
+    "lb-equivalence-upper": _CheckDef(partial(_lb_pair, "upper"), 1e-3),
+    "lb-equivalence-disk": _CheckDef(partial(_lb_pair, "disk"), 1e-3),
+    "lb-equivalence-siegel": _CheckDef(partial(_lb_pair, "siegel"), 1e-3),
+    "lb-equivalence-diskn": _CheckDef(partial(_lb_pair, "diskn"), 1e-3),
     "laplacian-invariance": _CheckDef(_chk_laplacian_invariance, 1e-3),
     "remark41-invariance": _CheckDef(_chk_remark_invariance, 1e-3),
     "reduce-n1m1": _CheckDef(_chk_reduce_n1m1, 1e-6),
@@ -764,23 +748,27 @@ CHECK_NAMES = list(_CHECKS)
 DEFAULT_TOLERANCES = {name: c.default_tol for name, c in _CHECKS.items()}
 
 
-def _estimate_constant(pairs: list[tuple[float, float]]) -> float:
-    """Median lhs/rhs ratio over samples where the oracle value is informative."""
-    ratios = [lhs / rhs for lhs, rhs in pairs
+def _pairing_constant(outcomes: list[_Outcome]) -> float | None:
+    """Median lhs/rhs ratio over samples where the oracle value is
+    informative; reported only, the residuals compare unscaled values."""
+    ratios = [lhs / rhs for lhs, rhs in (o.pair for o in outcomes if o.pair)
               if abs(rhs) > 1e-3 * (1.0 + abs(lhs))]
-    if not ratios:
-        return 1.0
-    return float(np.median(ratios))
+    return float(np.median(ratios)) if ratios else None
 
 
 def run_check(name: str, n: int, m: int, params: MetricParams,
               samples: int, seed: int, tol: float | None = None,
               threads: int = 1) -> CheckReport:
-    """Run one named verification suite and reduce it to a report."""
+    """Run one named verification suite and reduce it to a report.
+
+    Samples run in order in the calling thread; ``threads`` must be 1.
+    """
     if name not in _CHECKS:
         raise UnknownCheck(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     cdef = _CHECKS[name]
     if tol is None:
         tol = cdef.default_tol
@@ -795,25 +783,13 @@ def run_check(name: str, n: int, m: int, params: MetricParams,
                              info={"error": f"{type(exc).__name__}: {exc}"})
             return bad
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, range(samples)))
-    else:
-        outcomes = [one(i) for i in range(samples)]
+    outcomes = [one(i) for i in range(samples)]
 
-    constant = None
-    if cdef.paired:
-        pairs = [o.pair for o in outcomes if o.pair is not None]
-        constant = _estimate_constant(pairs)
-        for o in outcomes:
-            if o.pair is None:
-                continue
-            lhs, rhs = o.pair
-            o.add(f"lb-ratio[{o.info.get('field', '?')}]",
-                  np.asarray(lhs), np.asarray(constant * rhs), info=o.info)
-    elif any(o.constant_candidate is not None for o in outcomes):
-        constant = min(o.constant_candidate for o in outcomes
-                       if o.constant_candidate is not None)
+    candidates = [o.constant_candidate for o in outcomes
+                  if o.constant_candidate is not None]
+    constant = _pairing_constant(outcomes)
+    if constant is None and candidates:
+        constant = min(candidates)
 
     max_abs_res = max(o.max_abs for o in outcomes)
     max_rel_res = max(o.max_rel for o in outcomes)

@@ -48,6 +48,12 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in err
 
 
+def test_verify_has_no_threads_flag(capsys):
+    code, out, err = run_cli(capsys, "verify", "group-laws", "--threads", "2")
+    assert code == 2
+    assert out == ""
+
+
 def test_verify_failing_tolerance(capsys):
     code, out, err = run_cli(capsys, "verify", "cayley-roundtrip",
                              "--samples", "5", "--tol", "1e-30")

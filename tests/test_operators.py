@@ -8,41 +8,6 @@ from sjgeo.metrics import MetricParams
 UNIT = MetricParams(1.0, 1.0)
 
 
-def test_wirtinger_of_real_part():
-    p = geo.DiskPoint([[0.1 + 0.2j]], [[0.3 - 0.1j]])
-    f = op.ScalarField("rew", "disk", lambda q: float(q.w[0, 0].real))
-    b = op.wirtinger_bundle(f, p)
-    assert b.d_mat[0, 0] == pytest.approx(0.5, abs=1e-9)
-    assert b.d_mat_conj[0, 0] == pytest.approx(0.5, abs=1e-9)
-
-
-def test_wirtinger_of_trace_y():
-    p = geo.random_point("upper", 1, 1, 3)
-    f = op.named_field("upper", 1, 1, "sigmaY")
-    b = op.wirtinger_bundle(f, p)
-    assert b.d_mat[0, 0] == pytest.approx(-0.5j, abs=1e-9)
-
-
-def test_wirtinger_richardson_consistency():
-    # step-halving agrees with the plain bundle on polynomial fields
-    p = geo.random_point("disk", 2, 1, 5)
-    f = op.ScalarField("poly", "disk",
-                       lambda q: float((q.w[0, 1] * q.w[1, 0].conjugate()).real
-                                       + q.eta[0, 0].imag ** 2))
-    b1 = op.wirtinger_bundle(f, p, h=1e-4)
-    b2 = op.wirtinger_bundle(f, p, h=5e-5)
-    rich = (4 * b2.d_mat - b1.d_mat) / 3
-    assert np.max(np.abs(rich - b2.d_mat)) < 1e-8
-
-
-def test_wirtinger_conjugate_pairs_real_field():
-    p = geo.random_point("disk", 2, 2, 1)
-    f = op.test_field_suite("disk", 2, 2, 3)[3]
-    b = op.wirtinger_bundle(f, p)
-    assert np.max(np.abs(b.d_mat_conj - b.d_mat.conj())) < 1e-8
-    assert np.max(np.abs(b.d_vec_conj - b.d_vec.conj())) < 1e-8
-
-
 def test_domain_margin_guard():
     near = geo.DiskPoint([[0.999999]], [[0.0]])
     f = op.named_field("disk", 1, 1, "absW2")
