@@ -102,6 +102,8 @@ def _validate_common(args) -> str | None:
         return "A and B must be positive"
     if getattr(args, "samples", 1) < 1:
         return "samples must be >= 1"
+    if getattr(args, "seed", 0) < 0:
+        return "seed must be >= 0"
     if getattr(args, "tol", None) is not None and args.tol <= 0:
         return "tol must be positive"
     return None
@@ -152,10 +154,19 @@ def _cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def _load_point(path: str):
+def _load(path: str, parse):
+    """parse() of a JSON file's content; content of the wrong shape or
+    type is a ValueError."""
     with open(path) as fh:
         obj = json.load(fh)
-    point = point_from_json(obj)
+    try:
+        return parse(obj)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed {path}: {type(exc).__name__}: {exc}") from None
+
+
+def _load_point(path: str):
+    point = _load(path, point_from_json)
     problems = validate_point(point)
     if problems:
         raise ValueError("invalid point: " + "; ".join(problems))
@@ -186,8 +197,7 @@ def _cmd_eval(args) -> int:
             if not args.tangent:
                 _log("error: eval metric needs --tangent")
                 return 2
-            with open(args.tangent) as fh:
-                tangent = tangent_from_json(json.load(fh))
+            tangent = _load(args.tangent, tangent_from_json)
             if tangent.model != model:
                 _log("error: tangent model does not match the point")
                 return 2

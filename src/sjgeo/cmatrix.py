@@ -2,11 +2,11 @@
 
 Small, self-contained helpers for the matrix sizes this library actually
 meets (everything is <= 10x10): inversion with an explicit pivot guard,
-of one matrix or of each matrix of a stack, the Hermitian positive-definite
-margin, the symmetry defect, and the JSON wire format shared by all higher
-layers.  Backed by numpy/scipy; the
-contracts (shapes, error conditions, tolerances) are what the rest of the
-library relies on.
+block assembly, the Hermitian positive-definite margin, the max-norm and
+the symmetry defect, each of one matrix or of every matrix of a stack,
+and the JSON wire format shared by all higher layers.  Backed by
+numpy/scipy; the contracts (shapes, error conditions, tolerances) are
+what the rest of the library relies on.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ import numpy as np
 __all__ = [
     "SingularMatrix",
     "as_cmatrix",
+    "block",
     "mat_inverse",
     "hermitian_pd_margin",
     "max_abs",
+    "mat_max_abs",
     "sym_defect",
     "mat_to_json",
     "mat_from_json",
@@ -52,6 +54,39 @@ def as_cmatrix(data, rows: int | None = None, cols: int | None = None) -> np.nda
 def max_abs(m) -> float:
     """Max-norm (largest entry magnitude)."""
     return float(np.max(np.abs(np.asarray(m))))
+
+
+def _per_matrix(values: np.ndarray):
+    """A float for one matrix, the array of values for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
+def mat_max_abs(m):
+    """Max-norm of one matrix (a float) or of each matrix of a stack."""
+    return _per_matrix(np.max(np.abs(np.asarray(m)), axis=(-2, -1)))
+
+
+def block(rows) -> np.ndarray:
+    """np.block for a grid of matrices that may carry leading stack axes.
+
+    The blocks' stack shapes broadcast against each other; ``None`` is a
+    zero block, sized by the other blocks of its block row and column.
+    """
+    blocks = [b for row in rows for b in row if b is not None]
+    heights = [next(b.shape[-2] for b in row if b is not None) for row in rows]
+    widths = [next(row[j].shape[-1] for row in rows if row[j] is not None)
+              for j in range(len(rows[0]))]
+    batch = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+    out = np.zeros(batch + (sum(heights), sum(widths)), dtype=np.result_type(*blocks))
+    top = 0
+    for row, height in zip(rows, heights):
+        left = 0
+        for b, width in zip(row, widths):
+            if b is not None:
+                out[..., top: top + height, left: left + width] = b
+            left += width
+        top += height
+    return out
 
 
 def mat_inverse(m: np.ndarray) -> np.ndarray:
@@ -121,15 +156,15 @@ def _inverse_stack(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(aug[:, :, n:])
 
 
-def hermitian_pd_margin(m: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``m``.
+def hermitian_pd_margin(m: np.ndarray):
+    """Smallest eigenvalue of the Hermitian part of ``m``, per matrix of a stack.
 
     Positive values measure how far the matrix is inside the
     positive-definite cone; used by samplers to enforce a boundary margin.
     """
     m = np.asarray(m, dtype=np.complex128)
-    h = 0.5 * (m + m.conj().T)
-    return float(np.linalg.eigvalsh(h).min())
+    h = 0.5 * (m + m.conj().mT)
+    return _per_matrix(np.linalg.eigvalsh(h).min(axis=-1))
 
 
 def sym_defect(m: np.ndarray):
@@ -138,8 +173,7 @@ def sym_defect(m: np.ndarray):
     A float for one matrix; for a (K, n, n) stack, one defect per matrix.
     """
     m = np.asarray(m)
-    defect = np.max(np.abs(m - m.mT), axis=(-2, -1))
-    return float(defect) if m.ndim == 2 else defect
+    return _per_matrix(np.max(np.abs(m - m.mT), axis=(-2, -1)))
 
 
 def mat_to_json(m: np.ndarray) -> dict:

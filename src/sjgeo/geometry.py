@@ -15,11 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmatrix import (
+    PIVOT_RTOL,
+    block,
     hermitian_pd_margin,
     mat_from_json,
     mat_inverse,
+    mat_max_abs,
     mat_to_json,
-    max_abs,
     sym_defect,
 )
 from .groups import (
@@ -43,8 +45,6 @@ __all__ = [
     "check_cayley_compat",
     "hc_pplus_component",
     "random_point",
-    "upper_point_defect",
-    "disk_point_defect",
     "upper_margin",
     "disk_margin",
     "point_margin",
@@ -164,29 +164,30 @@ class DiskPoint:
         return self.w.shape[:-2]
 
 
-def upper_margin(p: UpperPoint) -> float:
-    """Smallest eigenvalue of Im Omega (distance inside the domain)."""
-    return hermitian_pd_margin(p.y.astype(complex))
+def _margin_matrix(p) -> np.ndarray:
+    """The matrix that must be positive definite: Im Omega, or I - conj(W) W."""
+    if isinstance(p, UpperPoint):
+        return p.y.astype(complex)
+    return np.eye(p.n) - p.w.conj() @ p.w
 
 
-def disk_margin(p: DiskPoint) -> float:
+def upper_margin(p: UpperPoint):
+    """Smallest eigenvalue of Im Omega (distance inside the domain).
+
+    A float for one point, one margin per point for a stacked point; so
+    are disk_margin and point_margin.
+    """
+    return hermitian_pd_margin(_margin_matrix(p))
+
+
+def disk_margin(p: DiskPoint):
     """Smallest eigenvalue of I - conj(W) W."""
-    n = p.n
-    return hermitian_pd_margin(np.eye(n) - p.w.conj() @ p.w)
+    return hermitian_pd_margin(_margin_matrix(p))
 
 
-def point_margin(p) -> float:
+def point_margin(p):
     """Boundary margin of a point of either model."""
-    return upper_margin(p) if isinstance(p, UpperPoint) else disk_margin(p)
-
-
-def upper_point_defect(p: UpperPoint) -> float:
-    """Symmetry defect; membership additionally requires upper_margin > 0."""
-    return sym_defect(p.omega)
-
-
-def disk_point_defect(p: DiskPoint) -> float:
-    return sym_defect(p.w)
+    return hermitian_pd_margin(_margin_matrix(p))
 
 
 def _symmetrized(mat: np.ndarray, what: str) -> np.ndarray:
@@ -206,7 +207,11 @@ def _symmetrized(mat: np.ndarray, what: str) -> np.ndarray:
 
 
 def act_siegel(m: SpElement, omega: np.ndarray) -> np.ndarray:
-    """Moebius action (A Omega + B)(C Omega + D)^-1 on the upper half space."""
+    """Moebius action (A Omega + B)(C Omega + D)^-1 on the upper half space.
+
+    Stacked elements and stacked Omega act matrix by matrix, as in the
+    actions below.
+    """
     omega = np.asarray(omega, dtype=np.complex128)
     denom = m.c @ omega + m.d
     res = (m.a @ omega + m.b) @ mat_inverse(denom)
@@ -216,7 +221,8 @@ def act_siegel(m: SpElement, omega: np.ndarray) -> np.ndarray:
 def act_upper(g: JacobiElement, p: UpperPoint) -> UpperPoint:
     """Jacobi action: (M . Omega, (Z + lambda Omega + mu)(C Omega + D)^-1).
 
-    A stacked point is moved point by point in one call.
+    A stacked point is moved point by point in one call, by one element
+    or by a stack of as many elements.
     """
     if (g.n, g.m) != (p.n, p.m):
         raise ValueError("element and point sizes differ")
@@ -230,7 +236,8 @@ def act_disk(g: JacobiStarElement, p: DiskPoint) -> DiskPoint:
     """Disk action: ((PW+Q)(conj(Q)W + conj(P))^-1,
     (eta + xi W + conj(xi))(conj(Q)W + conj(P))^-1).
 
-    A stacked point is moved point by point in one call.
+    A stacked point is moved point by point in one call, by one element
+    or by a stack of as many elements.
     """
     if (g.n, g.m) != (p.n, p.m):
         raise ValueError("element and point sizes differ")
@@ -260,11 +267,11 @@ def cayley_inv(p: UpperPoint) -> DiskPoint:
     return DiskPoint(w, p.z @ inv)
 
 
-def check_cayley_compat(g: JacobiElement, p: DiskPoint) -> float:
-    """Max-norm residual of g . Phi(p) = Phi(theta(g) . p)."""
+def check_cayley_compat(g: JacobiElement, p: DiskPoint):
+    """Max-norm residual of g . Phi(p) = Phi(theta(g) . p), per point of a stack."""
     lhs = act_upper(g, cayley(p))
     rhs = cayley(act_disk(theta_map(g), p))
-    return max(max_abs(lhs.omega - rhs.omega), max_abs(lhs.z - rhs.z))
+    return np.maximum(mat_max_abs(lhs.omega - rhs.omega), mat_max_abs(lhs.z - rhs.z))
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +280,10 @@ def check_cayley_compat(g: JacobiElement, p: DiskPoint) -> float:
 
 def _point_element(p: DiskPoint) -> ComplexJacobiElement:
     """Embed a disk point as ((I, W; 0, I), (0, eta; 0)) in the complexified group."""
-    n, m = p.n, p.m
-    mat = np.block([[np.eye(n), p.w], [np.zeros((n, n)), np.eye(n)]])
-    h = ComplexHeisenbergElement(np.zeros((m, n), dtype=complex), p.eta,
-                                 np.zeros((m, m), dtype=complex))
+    eye = np.eye(p.n)
+    mat = block([[eye, p.w], [None, eye]])
+    zeta = np.zeros(p.batch + (p.m, p.m))
+    h = ComplexHeisenbergElement(np.zeros_like(p.eta), p.eta, zeta)
     return ComplexJacobiElement(mat, h)
 
 
@@ -295,8 +302,8 @@ def hc_pplus_component(g: JacobiStarElement, p: DiskPoint) -> DiskPoint:
     n = g.n
     h = ComplexHeisenbergElement(g.xi, g.xi.conj(), 1j * g.kappa)
     full = cjacobi_mul(ComplexJacobiElement(g.g.matrix(), h), _point_element(p))
-    s_block = full.mat[n:, n:]
-    q_block = full.mat[:n, n:]
+    s_block = full.mat[..., n:, n:]
+    q_block = full.mat[..., :n, n:]
     s_inv = mat_inverse(s_block)
     w = _symmetrized(q_block @ s_inv, "triangular normalization")
     eta = full.h.eta @ s_inv
@@ -354,19 +361,27 @@ def point_from_json(obj: dict):
     raise ValueError(f"unknown model {model!r}")
 
 
-def validate_point(p, strict: bool = True) -> list[str]:
-    """Names of violated membership invariants (empty when the point is valid)."""
-    problems = []
+def validate_point(p, strict: bool = True) -> list:
+    """Names of violated membership invariants (empty when the point is valid);
+    for a stacked point, one such list per point.
+
+    The margin matrix (Im Omega, or I - conj(W) W) counts as positive
+    definite when its smallest eigenvalue exceeds both 1e-9 (0 when not
+    ``strict``) and PIVOT_RTOL times its largest entry: the scale below
+    which mat_inverse rejects it as singular.
+    """
     if isinstance(p, UpperPoint):
-        if upper_point_defect(p) > 1e-12 * (1.0 + max_abs(p.omega)):
-            problems.append("Omega is not symmetric")
-        if upper_margin(p) <= (1e-9 if strict else 0.0):
-            problems.append("Im Omega is not positive definite")
+        mat, names = p.omega, ("Omega is not symmetric",
+                               "Im Omega is not positive definite")
     elif isinstance(p, DiskPoint):
-        if disk_point_defect(p) > 1e-12 * (1.0 + max_abs(p.w)):
-            problems.append("W is not symmetric")
-        if disk_margin(p) <= (1e-9 if strict else 0.0):
-            problems.append("I - conj(W) W is not positive definite")
+        mat, names = p.w, ("W is not symmetric",
+                           "I - conj(W) W is not positive definite")
     else:
-        problems.append(f"not a point: {type(p).__name__}")
-    return problems
+        return [f"not a point: {type(p).__name__}"]
+    gram = _margin_matrix(p)
+    asym = sym_defect(mat) > 1e-12 * (1.0 + mat_max_abs(mat))
+    floor = np.maximum(1e-9 if strict else 0.0, PIVOT_RTOL * mat_max_abs(gram))
+    thin = hermitian_pd_margin(gram) <= floor
+    problems = [[name for name, bad in zip(names, flags) if bad]
+                for flags in zip(np.atleast_1d(asym), np.atleast_1d(thin))]
+    return problems if p.batch else problems[0]

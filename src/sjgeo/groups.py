@@ -14,6 +14,10 @@ Conventions:
     m x n and kappa real m x m; the stored kappa is the real parameter
     of the purely imaginary central entry.
   * All element values are immutable after construction.
+  * An element may hold a stack of K elements: every array then carries a
+    leading axis of length K, and the laws, maps and defects below work
+    per element of the stack.  Stacked and single elements combine by
+    broadcasting, so a stack times the identity is a stack.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import max_abs
+from .cmatrix import block, mat_max_abs, sym_defect
 
 __all__ = [
     "HeisenbergElement",
@@ -64,20 +68,27 @@ __all__ = [
 ]
 
 
-def _real(a, shape=None) -> np.ndarray:
-    m = np.array(a, dtype=np.float64)
+def _frozen(a, dtype, shape=None) -> np.ndarray:
+    """A read-only copy; ``shape`` is the expected full shape, stack axes included."""
+    m = np.array(a, dtype=dtype)
     if shape is not None and m.shape != shape:
         raise ValueError(f"expected shape {shape}, got {m.shape}")
     m.flags.writeable = False
     return m
+
+
+def _real(a, shape=None) -> np.ndarray:
+    return _frozen(a, np.float64, shape)
 
 
 def _cplx(a, shape=None) -> np.ndarray:
-    m = np.array(a, dtype=np.complex128)
-    if shape is not None and m.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {m.shape}")
-    m.flags.writeable = False
-    return m
+    return _frozen(a, np.complex128, shape)
+
+
+def _square(a: np.ndarray, what: str) -> np.ndarray:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{what} must be square")
+    return a
 
 
 @dataclass(frozen=True)
@@ -90,20 +101,20 @@ class HeisenbergElement:
 
     def __post_init__(self):
         lam = _real(self.lam)
-        if lam.ndim != 2:
+        if lam.ndim < 2:
             raise ValueError("lambda must be an m x n matrix")
-        m, n = lam.shape
+        m = lam.shape[-2]
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", _real(self.mu, (m, n)))
-        object.__setattr__(self, "kappa", _real(self.kappa, (m, m)))
+        object.__setattr__(self, "mu", _real(self.mu, lam.shape))
+        object.__setattr__(self, "kappa", _real(self.kappa, lam.shape[:-2] + (m, m)))
 
     @property
     def n(self) -> int:
-        return self.lam.shape[1]
+        return self.lam.shape[-1]
 
     @property
     def m(self) -> int:
-        return self.lam.shape[0]
+        return self.lam.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -116,27 +127,24 @@ class SpElement:
     d: np.ndarray
 
     def __post_init__(self):
-        a = _real(self.a)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("blocks must be square n x n matrices")
-        n = a.shape[0]
+        a = _square(_real(self.a), "blocks")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", _real(self.b, (n, n)))
-        object.__setattr__(self, "c", _real(self.c, (n, n)))
-        object.__setattr__(self, "d", _real(self.d, (n, n)))
+        object.__setattr__(self, "b", _real(self.b, a.shape))
+        object.__setattr__(self, "c", _real(self.c, a.shape))
+        object.__setattr__(self, "d", _real(self.d, a.shape))
 
     @property
     def n(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
     def matrix(self) -> np.ndarray:
-        return np.block([[self.a, self.b], [self.c, self.d]])
+        return block([[self.a, self.b], [self.c, self.d]])
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "SpElement":
         mat = np.asarray(mat, dtype=np.float64)
-        n = mat.shape[0] // 2
-        return cls(mat[:n, :n], mat[:n, n:], mat[n:, :n], mat[n:, n:])
+        n = mat.shape[-1] // 2
+        return cls(mat[..., :n, :n], mat[..., :n, n:], mat[..., n:, :n], mat[..., n:, n:])
 
 
 @dataclass(frozen=True)
@@ -167,18 +175,16 @@ class GStarElement:
     q: np.ndarray
 
     def __post_init__(self):
-        p = _cplx(self.p)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError("P must be square")
+        p = _square(_cplx(self.p), "P")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", _cplx(self.q, p.shape))
 
     @property
     def n(self) -> int:
-        return self.p.shape[0]
+        return self.p.shape[-1]
 
     def matrix(self) -> np.ndarray:
-        return np.block([[self.p, self.q], [self.q.conj(), self.p.conj()]])
+        return block([[self.p, self.q], [self.q.conj(), self.p.conj()]])
 
 
 @dataclass(frozen=True)
@@ -191,10 +197,11 @@ class JacobiStarElement:
 
     def __post_init__(self):
         xi = _cplx(self.xi)
-        if xi.ndim != 2 or xi.shape[1] != self.g.n:
+        if xi.ndim < 2 or xi.shape[-1] != self.g.n:
             raise ValueError("xi must be m x n with n the symplectic degree")
         object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "kappa", _real(self.kappa, (xi.shape[0],) * 2))
+        object.__setattr__(self, "kappa",
+                           _real(self.kappa, xi.shape[:-2] + (xi.shape[-2],) * 2))
 
     @property
     def n(self) -> int:
@@ -202,7 +209,7 @@ class JacobiStarElement:
 
     @property
     def m(self) -> int:
-        return self.xi.shape[0]
+        return self.xi.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -215,20 +222,20 @@ class ComplexHeisenbergElement:
 
     def __post_init__(self):
         xi = _cplx(self.xi)
-        if xi.ndim != 2:
+        if xi.ndim < 2:
             raise ValueError("xi must be an m x n matrix")
-        m, n = xi.shape
+        m = xi.shape[-2]
         object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "eta", _cplx(self.eta, (m, n)))
-        object.__setattr__(self, "zeta", _cplx(self.zeta, (m, m)))
+        object.__setattr__(self, "eta", _cplx(self.eta, xi.shape))
+        object.__setattr__(self, "zeta", _cplx(self.zeta, xi.shape[:-2] + (m, m)))
 
     @property
     def n(self) -> int:
-        return self.xi.shape[1]
+        return self.xi.shape[-1]
 
     @property
     def m(self) -> int:
-        return self.xi.shape[0]
+        return self.xi.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -240,7 +247,7 @@ class ComplexJacobiElement:
 
     def __post_init__(self):
         mat = _cplx(self.mat)
-        if mat.shape != (2 * self.h.n, 2 * self.h.n):
+        if mat.shape[-2:] != (2 * self.h.n, 2 * self.h.n):
             raise ValueError("matrix degree does not match the Heisenberg part")
         object.__setattr__(self, "mat", mat)
 
@@ -264,7 +271,7 @@ def jmat(n: int) -> np.ndarray:
 def tstar(k: int) -> np.ndarray:
     """The unitary change of model (1/sqrt 2) [[I, I], [iI, -iI]] of degree k."""
     i = np.eye(k)
-    return np.block([[i, i], [1j * i, -1j * i]]) / np.sqrt(2.0)
+    return block([[i, i], [1j * i, -1j * i]]) / np.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +286,18 @@ def heisenberg_mul(x: HeisenbergElement, y: HeisenbergElement) -> HeisenbergElem
     """Twisted addition (l,u;k)(l',u';k') = (l+l', u+u'; k+k'+l tu' - u tl')."""
     if (x.n, x.m) != (y.n, y.m):
         raise ValueError("size mismatch")
-    kappa = x.kappa + y.kappa + x.lam @ y.mu.T - x.mu @ y.lam.T
+    kappa = x.kappa + y.kappa + x.lam @ y.mu.mT - x.mu @ y.lam.mT
     return HeisenbergElement(x.lam + y.lam, x.mu + y.mu, kappa)
 
 
 def heisenberg_inverse(x: HeisenbergElement) -> HeisenbergElement:
-    kappa = -x.kappa + x.lam @ x.mu.T - x.mu @ x.lam.T
+    kappa = -x.kappa + x.lam @ x.mu.mT - x.mu @ x.lam.mT
     return HeisenbergElement(-x.lam, -x.mu, kappa)
 
 
-def heisenberg_defect(x: HeisenbergElement) -> float:
+def heisenberg_defect(x: HeisenbergElement):
     """Distance of kappa + mu t(lambda) from symmetry."""
-    s = x.kappa + x.mu @ x.lam.T
-    return max_abs(s - s.T)
+    return sym_defect(x.kappa + x.mu @ x.lam.mT)
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +314,14 @@ def sp_mul(x: SpElement, y: SpElement) -> SpElement:
 
 def sp_inverse(x: SpElement) -> SpElement:
     # For symplectic [[A,B],[C,D]] the inverse is [[tD,-tB],[-tC,tA]].
-    return SpElement(x.d.T, -x.b.T, -x.c.T, x.a.T)
+    return SpElement(x.d.mT, -x.b.mT, -x.c.mT, x.a.mT)
 
 
-def sp_defect(x: SpElement) -> float:
+def sp_defect(x: SpElement):
     """Residual of the defining relation tM J M = J."""
     mat = x.matrix()
     j = jmat(x.n)
-    return max_abs(mat.T @ j @ mat - j)
+    return mat_max_abs(mat.mT @ j @ mat - j)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +344,7 @@ def jacobi_mul(g1: JacobiElement, g2: JacobiElement) -> JacobiElement:
     if (g1.n, g1.m) != (g2.n, g2.m):
         raise ValueError("size mismatch")
     lt, mt = _translate(g1.h.lam, g1.h.mu, g2.sp)
-    kappa = g1.h.kappa + g2.h.kappa + lt @ g2.h.mu.T - mt @ g2.h.lam.T
+    kappa = g1.h.kappa + g2.h.kappa + lt @ g2.h.mu.mT - mt @ g2.h.lam.mT
     h = HeisenbergElement(lt + g2.h.lam, mt + g2.h.mu, kappa)
     return JacobiElement(sp_mul(g1.sp, g2.sp), h)
 
@@ -346,28 +352,27 @@ def jacobi_mul(g1: JacobiElement, g2: JacobiElement) -> JacobiElement:
 def jacobi_inverse(g: JacobiElement) -> JacobiElement:
     minv = sp_inverse(g.sp)
     lt, mt = _translate(g.h.lam, g.h.mu, minv)
-    kappa = -g.h.kappa + lt @ mt.T - mt @ lt.T
+    kappa = -g.h.kappa + lt @ mt.mT - mt @ lt.mT
     return JacobiElement(minv, HeisenbergElement(-lt, -mt, kappa))
 
 
-def jacobi_defect(g: JacobiElement) -> float:
-    return max(sp_defect(g.sp), heisenberg_defect(g.h))
+def jacobi_defect(g: JacobiElement):
+    return np.maximum(sp_defect(g.sp), heisenberg_defect(g.h))
 
 
 # ---------------------------------------------------------------------------
 # Complex Heisenberg group and the complexified Jacobi group
 
 
-def cheisenberg_defect(x: ComplexHeisenbergElement) -> float:
-    s = x.zeta + x.eta @ x.xi.T
-    return max_abs(s - s.T)
+def cheisenberg_defect(x: ComplexHeisenbergElement):
+    return sym_defect(x.zeta + x.eta @ x.xi.mT)
 
 
 def _ch_twist(h: ComplexHeisenbergElement, mat: np.ndarray) -> ComplexHeisenbergElement:
     """Right twist (xi, eta) -> (xi P' + eta R', xi Q' + eta S'), zeta unchanged."""
     n = h.n
-    p, q = mat[:n, :n], mat[:n, n:]
-    r, s = mat[n:, :n], mat[n:, n:]
+    p, q = mat[..., :n, :n], mat[..., :n, n:]
+    r, s = mat[..., n:, :n], mat[..., n:, n:]
     return ComplexHeisenbergElement(h.xi @ p + h.eta @ r, h.xi @ q + h.eta @ s, h.zeta)
 
 
@@ -375,7 +380,7 @@ def cjacobi_mul(x: ComplexJacobiElement, y: ComplexJacobiElement) -> ComplexJaco
     if (x.n, x.m) != (y.n, y.m):
         raise ValueError("size mismatch")
     tw = _ch_twist(x.h, y.mat)
-    zeta = tw.zeta + y.h.zeta + tw.xi @ y.h.eta.T - tw.eta @ y.h.xi.T
+    zeta = tw.zeta + y.h.zeta + tw.xi @ y.h.eta.mT - tw.eta @ y.h.xi.mT
     h = ComplexHeisenbergElement(tw.xi + y.h.xi, tw.eta + y.h.eta, zeta)
     return ComplexJacobiElement(x.mat @ y.mat, h)
 
@@ -398,8 +403,8 @@ def jacobistar_mul(g1: JacobiStarElement, g2: JacobiStarElement) -> JacobiStarEl
     q = g1.g.p @ g2.g.q + g1.g.q @ g2.g.p.conj()
     xi_t = g1.xi @ g2.g.p + g1.xi.conj() @ g2.g.q.conj()
     center = (1j * g1.kappa + 1j * g2.kappa
-              + xi_t @ g2.xi.conj().T - xi_t.conj() @ g2.xi.T)
-    if max_abs(center.real) > 1e-9 * (1.0 + max_abs(center)):
+              + xi_t @ g2.xi.conj().mT - xi_t.conj() @ g2.xi.mT)
+    if np.any(mat_max_abs(center.real) > 1e-9 * (1.0 + mat_max_abs(center))):
         raise ValueError("central parameter lost its purely imaginary form")
     return JacobiStarElement(GStarElement(p, q), xi_t + g2.xi, center.imag)
 
@@ -412,23 +417,23 @@ def _to_cjacobi(g: JacobiStarElement) -> ComplexJacobiElement:
 def jacobistar_inverse(g: JacobiStarElement) -> JacobiStarElement:
     # Symplectic inverse of [[P,Q],[Qbar,Pbar]] keeps the block shape:
     # inverse is [[P*, -tQ],[conj thereof]].
-    pinv = g.g.p.conj().T
-    qinv = -g.g.q.T
+    pinv = g.g.p.conj().mT
+    qinv = -g.g.q.mT
     ginv = GStarElement(pinv, qinv)
     xi_t = g.xi @ pinv + g.xi.conj() @ qinv.conj()
-    center = -1j * g.kappa + xi_t @ xi_t.conj().T - xi_t.conj() @ xi_t.T
+    center = -1j * g.kappa + xi_t @ xi_t.conj().mT - xi_t.conj() @ xi_t.mT
     return JacobiStarElement(ginv, -xi_t, center.imag)
 
 
-def jacobistar_defect(g: JacobiStarElement) -> float:
+def jacobistar_defect(g: JacobiStarElement):
     """Membership defect of the full element via its (m+n)-degree matrix form."""
     k = g.n + g.m
     t = tstar(k)
     real_form = t @ star_matrix(g) @ t.conj().T
     j = jmat(k)
-    imag_part = max_abs(real_form.imag)
-    sympl = max_abs(real_form.real.T @ j @ real_form.real - j)
-    return max(imag_part, sympl, cheisenberg_defect(_to_cjacobi(g).h))
+    imag_part = mat_max_abs(real_form.imag)
+    sympl = mat_max_abs(real_form.real.mT @ j @ real_form.real - j)
+    return np.maximum(np.maximum(imag_part, sympl), cheisenberg_defect(_to_cjacobi(g).h))
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +455,14 @@ def theta_map(g: JacobiElement) -> JacobiStarElement:
 
 def embed_sp(g: JacobiElement) -> np.ndarray:
     """Embed (M, (lambda, mu; kappa)) as a symplectic matrix of degree m + n."""
-    n, m = g.n, g.m
     a, b, c, d = g.sp.a, g.sp.b, g.sp.c, g.sp.d
     lam, mu, kappa = g.h.lam, g.h.mu, g.h.kappa
-    znm = np.zeros((n, m))
-    zmn = np.zeros((m, n))
-    return np.block([
-        [a, znm, b, a @ mu.T - b @ lam.T],
-        [lam, np.eye(m), mu, kappa],
-        [c, znm, d, c @ mu.T - d @ lam.T],
-        [zmn, np.zeros((m, m)), zmn, np.eye(m)],
+    eye = np.eye(g.m)
+    return block([
+        [a, None, b, a @ mu.mT - b @ lam.mT],
+        [lam, eye, mu, kappa],
+        [c, None, d, c @ mu.mT - d @ lam.mT],
+        [None, None, None, eye],
     ])
 
 
@@ -470,12 +473,11 @@ def star_matrix(g: JacobiStarElement) -> np.ndarray:
     Q* = [[Q, P t(conj xi) - Q txi], [conj xi, i kappa]].
     """
     p, q, xi, kappa = g.g.p, g.g.q, g.xi, g.kappa
-    m = g.m
-    pu = q @ xi.T - p @ xi.conj().T
-    qu = p @ xi.conj().T - q @ xi.T
-    pstar = np.block([[p, pu], [xi, np.eye(m) - 1j * kappa]])
-    qstar = np.block([[q, qu], [xi.conj(), 1j * kappa]])
-    return np.block([[pstar, qstar], [qstar.conj(), pstar.conj()]])
+    pu = q @ xi.mT - p @ xi.conj().mT
+    qu = p @ xi.conj().mT - q @ xi.mT
+    pstar = block([[p, pu], [xi, np.eye(g.m) - 1j * kappa]])
+    qstar = block([[q, qu], [xi.conj(), 1j * kappa]])
+    return block([[pstar, qstar], [qstar.conj(), pstar.conj()]])
 
 
 # ---------------------------------------------------------------------------
@@ -484,23 +486,26 @@ def star_matrix(g: JacobiStarElement) -> np.ndarray:
 
 def random_sp(n: int, rng: np.random.Generator) -> SpElement:
     """Product of 4-8 exact symplectic generators: shears [[I,B],[0,I]] with
-    B symmetric, block-diagonal [[A,0],[0,tA^-1]] with A near I, and J."""
+    B symmetric, block-diagonal [[A,0],[0,tA^-1]] with A near I, and J.
+
+    Each generator is applied to the column blocks [L, R] of the running
+    product: the shear gives [L, L B + R], the block-diagonal one
+    [L A, R tA^-1] and J gives [-R, L].
+    """
     count = int(rng.integers(4, 9))
-    mat = np.eye(2 * n)
+    left = np.eye(2 * n, n)
+    right = np.eye(2 * n, n, -n)
     for _ in range(count):
         kind = int(rng.integers(0, 3))
         if kind == 0:
             b = rng.uniform(-1.0, 1.0, size=(n, n))
-            b = 0.5 * (b + b.T)
-            gen = np.block([[np.eye(n), b], [np.zeros((n, n)), np.eye(n)]])
+            right = left @ (0.5 * (b + b.T)) + right
         elif kind == 1:
             a = np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, size=(n, n))
-            ainv_t = np.linalg.inv(a).T
-            gen = np.block([[a, np.zeros((n, n))], [np.zeros((n, n)), ainv_t]])
+            left, right = left @ a, right @ np.linalg.inv(a).T
         else:
-            gen = jmat(n)
-        mat = mat @ gen
-    return SpElement.from_matrix(mat)
+            left, right = -right, left
+    return SpElement(left[:n], right[:n], left[n:], right[n:])
 
 
 def random_heisenberg(n: int, m: int, rng: np.random.Generator) -> HeisenbergElement:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import mat_inverse, mat_to_json, max_abs, sym_defect
+from .cmatrix import mat_inverse, mat_max_abs, mat_to_json, sym_defect
 from .geometry import DiskPoint, UpperPoint
 
 __all__ = [
@@ -57,7 +57,11 @@ _IMAG_GUARD = 1e-6
 
 @dataclass(frozen=True)
 class Tangent:
-    """Tangent vector: symmetric dmat (dOmega or dW) and dvec (dZ or deta)."""
+    """Tangent vector: symmetric dmat (dOmega or dW) and dvec (dZ or deta).
+
+    A stacked tangent holds K tangents as (K, n, n) and (K, m, n) arrays,
+    like a stacked point.
+    """
 
     model: str
     dmat: np.ndarray
@@ -68,11 +72,12 @@ class Tangent:
             raise ValueError(f"unknown model {self.model!r}")
         dmat = np.array(self.dmat, dtype=np.complex128)
         dvec = np.array(self.dvec, dtype=np.complex128)
-        if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
+        if dmat.ndim not in (2, 3) or dmat.shape[-1] != dmat.shape[-2]:
             raise ValueError("dmat must be square")
-        if sym_defect(dmat) > 1e-12 * (1.0 + max_abs(dmat)):
+        if np.any(sym_defect(dmat) > 1e-12 * (1.0 + mat_max_abs(dmat))):
             raise ValueError("dmat must be symmetric")
-        if dvec.ndim != 2 or dvec.shape[1] != dmat.shape[0]:
+        if (dvec.ndim != dmat.ndim or dvec.shape[-1] != dmat.shape[-1]
+                or dvec.shape[:-2] != dmat.shape[:-2]):
             raise ValueError("dvec must be m x n with n matching dmat")
         dmat.flags.writeable = False
         dvec.flags.writeable = False
@@ -81,11 +86,11 @@ class Tangent:
 
     @property
     def n(self) -> int:
-        return self.dmat.shape[0]
+        return self.dmat.shape[-1]
 
     @property
     def m(self) -> int:
-        return self.dvec.shape[0]
+        return self.dvec.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -104,8 +109,9 @@ class MetricParams:
 class MetricTensor:
     """Real symmetric coordinate matrix of a quadratic form in the chart.
 
-    The tensors of a stacked point are stacked: g has shape (K, dim, dim);
-    apply and to_json take a single tensor.
+    The tensors of a stacked point are stacked: g has shape (K, dim, dim),
+    and min_eigenvalue and apply then give one value per tensor; to_json
+    takes a single tensor.
     """
 
     dim: int
@@ -119,12 +125,16 @@ class MetricTensor:
         g.flags.writeable = False
         object.__setattr__(self, "g", g)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.g).min())
+    def min_eigenvalue(self):
+        eig = np.linalg.eigvalsh(self.g).min(axis=-1)
+        return float(eig) if eig.ndim == 0 else eig
 
-    def apply(self, vec: np.ndarray) -> float:
+    def apply(self, vec: np.ndarray):
+        """The form at a coordinate vector, or at row k of a (K, dim) array
+        for tensor k of a stack."""
         vec = np.asarray(vec, dtype=np.float64)
-        return float(vec @ self.g @ vec)
+        q = (vec[..., None, :] @ self.g @ vec[..., :, None])[..., 0, 0]
+        return float(q) if q.ndim == 0 else q
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "ordering": self.ordering,
@@ -247,8 +257,10 @@ class Chart:
         coordinate is i times it."""
         return self._unpack(np.eye(self.dim)[self.x_indices])
 
-    def point_scale(self, p) -> float:
-        return float(np.max(np.abs(self.point_to_vec(p))))
+    def point_scale(self, p):
+        """Largest coordinate magnitude; one per point of a stacked point."""
+        scale = np.max(np.abs(self.point_to_vec(p)), axis=-1)
+        return float(scale) if scale.ndim == 0 else scale
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +352,16 @@ def _form_terms(kind: str, p, params: MetricParams) -> list:
 
 
 def _form_value(terms: list, dmat: np.ndarray, dvec: np.ndarray):
-    """The form at one tangent."""
+    """The form at one tangent, or at tangent k and point k of stacks."""
     slots = (dmat, dvec)
-    return sum(w * np.sum(left @ slots[x] @ right * slots[y].conj())
+    return sum(w * np.sum(left @ slots[x] @ right * slots[y].conj(), axis=(-2, -1))
                for w, left, x, right, y in terms)
+
+
+def _form_at(terms: list, t: Tangent, what: str):
+    """The real form value: a float, or one value per stacked tangent."""
+    q = _realize(np.asarray(_form_value(terms, t.dmat, t.dvec)), what)
+    return float(q) if q.ndim == 0 else q
 
 
 def _form_matrix(terms: list, dmats: np.ndarray, dvecs: np.ndarray) -> np.ndarray:
@@ -360,29 +378,29 @@ def _form_matrix(terms: list, dmats: np.ndarray, dvecs: np.ndarray) -> np.ndarra
     return total
 
 
-def q_siegel(omega: np.ndarray, t: Tangent) -> float:
-    """sigma(Y^-1 dOmega Y^-1 conj(dOmega)) at Omega = X + iY."""
+def q_siegel(omega: np.ndarray, t: Tangent):
+    """sigma(Y^-1 dOmega Y^-1 conj(dOmega)) at Omega = X + iY.
+
+    Like the other forms, it takes a stacked point and tangent and then
+    returns one value per point.
+    """
     omega = np.asarray(omega, dtype=np.complex128)
-    q = _form_value(_siegel_terms(omega.imag), t.dmat, t.dvec)
-    return float(_realize(np.asarray(q), "siegel form"))
+    return _form_at(_siegel_terms(omega.imag), t, "siegel form")
 
 
-def q_upper(p: UpperPoint, t: Tangent, params: MetricParams) -> float:
+def q_upper(p: UpperPoint, t: Tangent, params: MetricParams):
     """Two-parameter invariant form on the Siegel-Jacobi space."""
-    q = _form_value(_upper_terms(p.y, p.v, params.a, params.b), t.dmat, t.dvec)
-    return float(_realize(np.asarray(q), "upper form"))
+    return _form_at(_upper_terms(p.y, p.v, params.a, params.b), t, "upper form")
 
 
-def q_disk_n(w: np.ndarray, t: Tangent) -> float:
+def q_disk_n(w: np.ndarray, t: Tangent):
     """4 sigma((I - W conj W)^-1 dW (I - conj(W) W)^-1 conj(dW))."""
-    q = _form_value(_disk_n_terms(np.asarray(w, dtype=np.complex128)), t.dmat, t.dvec)
-    return float(_realize(np.asarray(q), "disk form"))
+    return _form_at(_disk_n_terms(np.asarray(w, dtype=np.complex128)), t, "disk form")
 
 
-def q_disk(p: DiskPoint, t: Tangent, params: MetricParams) -> float:
+def q_disk(p: DiskPoint, t: Tangent, params: MetricParams):
     """Two-parameter invariant form on the Siegel-Jacobi disk."""
-    q = _form_value(_disk_terms(p.w, p.eta, params.a, params.b), t.dmat, t.dvec)
-    return float(_realize(np.asarray(q), "disk form"))
+    return _form_at(_disk_terms(p.w, p.eta, params.a, params.b), t, "disk form")
 
 
 def q_disk_closed_11(p: DiskPoint, t: Tangent) -> float:
@@ -458,10 +476,9 @@ def chart_for(p, kind: str | None = None) -> Chart:
     return Chart(model, p.n, p.m, include_vec=include_vec)
 
 
-def evaluate_form(kind: str, p, t: Tangent, params: MetricParams) -> float:
+def evaluate_form(kind: str, p, t: Tangent, params: MetricParams):
     """The form of the given kind at point p and tangent t."""
-    q = _form_value(_form_terms(kind, p, params), t.dmat, t.dvec)
-    return float(_realize(np.asarray(q), f"{kind} form"))
+    return _form_at(_form_terms(kind, p, params), t, f"{kind} form")
 
 
 def random_tangent(model: str, n: int, m: int, rng: np.random.Generator) -> Tangent:

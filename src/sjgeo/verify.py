@@ -15,18 +15,25 @@ sample, and reduces to a CheckReport.  Relative residuals are
 Samples whose transformed points sit too close to the domain boundary
 for the finite-difference stencils are re-drawn (up to 10 attempts,
 logged in the report).
+
+The checks that build no second-order stencil stack the draws of up to
+256 samples and evaluate each identity once on the stack; the others run
+one sample per call.  A stack that raises is run again one sample at a
+time, so only the failing sample reports the error.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .cmatrix import SingularMatrix, max_abs, mat_inverse
+from .cmatrix import SingularMatrix, mat_inverse, mat_max_abs, max_abs
 from .geometry import (
     UpperPoint,
     act_disk,
@@ -175,29 +182,33 @@ def sample_seed(master: int, *parts) -> int:
 # Oracles
 
 
-def map_differential(fn, p, t: Tangent, h: float | None = None) -> Tangent:
+def map_differential(fn, p, t: Tangent, h=None) -> Tangent:
     """Central-difference differential of a smooth point map at p along t.
 
     The step is taken along the normalized direction and rescaled, so the
-    result is exactly linear in t.
+    result is exactly linear in t.  A stacked point and tangent give the
+    stacked differentials, with each point's own step (``h`` may also be
+    one step per point) and one call of ``fn`` per stencil side.
     """
     chart = chart_for(p)
     if h is None:
         h = default_step(p, chart, order=1)
     tv = chart.tangent_to_vec(t)
-    norm = float(np.linalg.norm(tv))
+    norm = np.linalg.norm(tv, axis=-1)
     target = fn(p)
     tchart = chart_for(target)
-    if norm == 0.0:
-        return tchart.vec_to_tangent(np.zeros(tchart.dim))
-    margin = point_margin(p)
-    if margin <= 2.0 * h:
-        raise DomainMargin(f"margin {margin:.3e} too small for step {h:.3e}")
+    margin, h = np.broadcast_arrays(point_margin(p), np.asarray(h, dtype=np.float64))
+    # a zero tangent has the zero image whatever the margin
+    short = (norm != 0.0) & (margin <= 2.0 * h)
+    if np.any(short):
+        k = np.argmax(short)
+        raise DomainMargin(f"margin {margin.flat[k]:.3e} too small for step {h.flat[k]:.3e}")
     v0 = chart.point_to_vec(p)
-    u = tv / norm
-    plus = tchart.point_to_vec(fn(chart.vec_to_point(v0 + h * u)))
-    minus = tchart.point_to_vec(fn(chart.vec_to_point(v0 - h * u)))
-    return tchart.vec_to_tangent((plus - minus) * (norm / (2.0 * h)))
+    u = tv / np.where(norm == 0.0, 1.0, norm)[..., None]
+    step = h[..., None] * u
+    plus = tchart.point_to_vec(fn(chart.vec_to_point(v0 + step)))
+    minus = tchart.point_to_vec(fn(chart.vec_to_point(v0 - step)))
+    return tchart.vec_to_tangent((plus - minus) * (norm / (2.0 * h))[..., None])
 
 
 def pushforward(g, p, t: Tangent, h: float | None = None) -> Tangent:
@@ -271,13 +282,20 @@ def laplace_beltrami(f, p, metric, h: float | None = None) -> float:
 
 @dataclass
 class _Outcome:
+    """One sample's residuals, reduced over its parts.
+
+    ``info`` describes the worst part.  A stacked sampler leaves it as a
+    callable, so that only the worst sample of a run is serialized.
+    """
+
     max_abs: float = 0.0
     max_rel: float = 0.0
     label: str = ""
-    info: dict = field(default_factory=dict)
+    info: dict | Callable[[], dict] = field(default_factory=dict)
     retries: int = 0
     pair: tuple[float, float] | None = None
     constant_candidate: float | None = None
+    printed_gap: float | None = None
 
     def add(self, label: str, lhs, rhs, info: dict | None = None):
         d, r = rel_residual(lhs, rhs)
@@ -299,81 +317,195 @@ class _Outcome:
         self.max_abs = max(self.max_abs, value)
 
 
-def _redraw(make, accept, master: int, idx: int, tag: str):
-    """Draw until the acceptance predicate holds; count the retries."""
+def _sample_max(x: np.ndarray) -> np.ndarray:
+    """Largest entry magnitude of each sample of a (K, ...) array."""
+    return np.abs(x).reshape(len(x), -1).max(axis=1)
+
+
+class _Stack:
+    """The residuals of a stack of K samples, one per sample and part.
+
+    ``add`` and ``add_residual`` take values with a leading sample axis and
+    apply _Outcome's tie rule to each sample: a part at least as bad as the
+    worst so far takes over the label, and the ``info`` when one is given.
+    Here ``info`` maps a sample's position in the stack to its dict, and
+    ``where`` limits a part to some of the samples.
+    """
+
+    def __init__(self, count: int):
+        self.count = count
+        self.max_abs = np.zeros(count)
+        self.max_rel = np.zeros(count)
+        self.labels = np.full(count, "", dtype=object)
+        self.infos = np.full(count, None, dtype=object)
+        self.retries = np.zeros(count, dtype=int)
+        self.constant_candidate: np.ndarray | None = None
+
+    def add(self, label: str, lhs, rhs, info=None, where=None):
+        """Relative residual of lhs against rhs.  Either side may be a tuple
+        of arrays, compared pair by pair as one concatenated vector; in each
+        pair at least one side is stacked, the other broadcasts."""
+        if not isinstance(lhs, tuple):
+            lhs, rhs = (lhs,), (rhs,)
+        d = scale = np.zeros(self.count)
+        for a, b in zip(lhs, rhs):
+            a, b = np.broadcast_arrays(a, b)
+            d = np.maximum(d, _sample_max(a - b))
+            scale = np.maximum(scale, np.maximum(_sample_max(a), _sample_max(b)))
+        self._record(label, d, d / (1.0 + scale), info, where)
+
+    def add_residual(self, label: str, value, scale=0.0, info=None, where=None):
+        value = np.broadcast_to(np.asarray(value, dtype=np.float64), (self.count,))
+        self._record(label, value, value / (1.0 + scale), info, where)
+
+    def _record(self, label, d, rel, info, where):
+        win = rel >= self.max_rel
+        if where is not None:
+            win &= where
+            d = np.where(where, d, 0.0)
+        self.max_rel = np.where(win, rel, self.max_rel)
+        self.labels[win] = label
+        if info is not None:
+            self.infos[win] = info
+        self.max_abs = np.fmax(self.max_abs, d)
+
+    def default_info(self, info):
+        """``info`` for the samples whose parts gave none."""
+        self.infos[[i is None for i in self.infos]] = info
+
+    def outcomes(self) -> list[_Outcome]:
+        cand = self.constant_candidate
+        return [_Outcome(float(self.max_abs[k]), float(self.max_rel[k]), self.labels[k],
+                         {} if self.infos[k] is None else partial(self.infos[k], k),
+                         int(self.retries[k]),
+                         constant_candidate=None if cand is None else float(cand[k]))
+                for k in range(self.count)]
+
+
+def _stack(items: list):
+    """One stacked object from same-shaped draws: arrays gain a leading
+    sample axis; tuples and dataclasses are stacked member by member."""
+    first = items[0]
+    if isinstance(first, np.ndarray):
+        return np.stack(items)
+    if isinstance(first, tuple):
+        return tuple(_stack(list(column)) for column in zip(*items))
+    if dataclasses.is_dataclass(first):
+        return type(first)(**{f.name: _stack([getattr(x, f.name) for x in items])
+                              for f in dataclasses.fields(first)})
+    return first    # shared by every sample, such as a tangent's model
+
+
+def _draws(make, idx) -> tuple[list, object]:
+    """make(i) for each sample index i, as a list and as one stack."""
+    items = [make(int(i)) for i in idx]
+    return items, _stack(items)
+
+
+def _tangents(model: str, n: int, m: int, master: int, idx):
+    return _draws(lambda i: random_tangent(
+        model, n, m, np.random.default_rng(sample_seed(master, i, "t"))), idx)[1]
+
+
+def _redraw(make, accept, master: int, idx, tag: str):
+    """Draw each sample until the acceptance predicate holds; count the retries.
+
+    Attempt a of sample i draws make(sample_seed(master, i, tag, a)).  The
+    draws still pending after an attempt are stacked and judged in one
+    ``accept`` call, which gives one verdict per draw.
+    """
+    draws = [None] * len(idx)
+    retries = np.zeros(len(idx), dtype=int)
+    pending = np.arange(len(idx))
     for attempt in range(_MAX_RETRIES):
-        obj = make(sample_seed(master, idx, tag, attempt))
-        if accept(obj):
-            return obj, attempt
+        for k in pending:
+            draws[k] = make(sample_seed(master, int(idx[k]), tag, attempt))
+        retries[pending] = attempt
+        ok = np.atleast_1d(accept(_stack([draws[k] for k in pending])))
+        pending = pending[~ok]
+        if not pending.size:
+            return draws, retries
     raise DomainMargin(f"no admissible sample after {_MAX_RETRIES} draws ({tag})")
 
 
 # ---------------------------------------------------------------------------
 # Check samplers
+#
+# A sampler takes an array of sample indices and returns one _Outcome per
+# index.  The stencil-free checks draw every sample on its own, exactly as
+# a one-sample run would, stack the draws and evaluate each identity once
+# on the stack.
 
 
-def _chk_group_laws(n, m, params, master, idx) -> _Outcome:
-    out = _Outcome()
-    hs = [random_heisenberg(n, m, np.random.default_rng(sample_seed(master, idx, "h", k)))
-          for k in range(3)]
-    gs = [random_jacobi(n, m, sample_seed(master, idx, "g", k)) for k in range(3)]
+def _heisenberg_parts(h):
+    return h.lam, h.mu, h.kappa
+
+
+def _jacobi_parts(g):
+    return (g.sp.matrix(),) + _heisenberg_parts(g.h)
+
+
+def _star_parts(s):
+    return s.g.p, s.g.q, s.xi, s.kappa
+
+
+def _chk_group_laws(n, m, params, master, idx) -> list[_Outcome]:
+    out = _Stack(len(idx))
+    hs = [_draws(lambda i: random_heisenberg(
+        n, m, np.random.default_rng(sample_seed(master, i, "h", k))), idx)[1]
+        for k in range(3)]
+    drawn = [_draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", k)), idx)
+             for k in range(3)]
+    gs = [g for _, g in drawn]
     ss = [theta_map(g) for g in gs]
 
     h12 = heisenberg_mul(hs[0], hs[1])
     lhs = heisenberg_mul(h12, hs[2])
     rhs = heisenberg_mul(hs[0], heisenberg_mul(hs[1], hs[2]))
-    out.add("heisenberg-assoc",
-            np.concatenate([lhs.lam.ravel(), lhs.mu.ravel(), lhs.kappa.ravel()]),
-            np.concatenate([rhs.lam.ravel(), rhs.mu.ravel(), rhs.kappa.ravel()]))
+    out.add("heisenberg-assoc", _heisenberg_parts(lhs), _heisenberg_parts(rhs))
     e = heisenberg_identity(n, m)
-    out.add("heisenberg-identity",
-            np.concatenate([heisenberg_mul(hs[0], e).kappa.ravel()]),
-            np.concatenate([hs[0].kappa.ravel()]))
+    out.add("heisenberg-identity", heisenberg_mul(hs[0], e).kappa, hs[0].kappa)
     inv = heisenberg_mul(hs[0], heisenberg_inverse(hs[0]))
     out.add_residual("heisenberg-inverse",
-                     max(max_abs(inv.lam), max_abs(inv.mu), max_abs(inv.kappa)))
+                     np.maximum.reduce([_sample_max(a) for a in _heisenberg_parts(inv)]))
     out.add_residual("heisenberg-symmetry", heisenberg_defect(h12),
-                     max_abs(h12.kappa))
+                     mat_max_abs(h12.kappa))
 
     g12 = jacobi_mul(gs[0], gs[1])
     lhs_g = jacobi_mul(g12, gs[2])
     rhs_g = jacobi_mul(gs[0], jacobi_mul(gs[1], gs[2]))
-    flat = lambda g: np.concatenate([g.sp.matrix().ravel(), g.h.lam.ravel(),
-                                     g.h.mu.ravel(), g.h.kappa.ravel()])
-    out.add("jacobi-assoc", flat(lhs_g), flat(rhs_g),
-            info={"element": element_to_json(gs[0])})
-    out.add("jacobi-identity", flat(jacobi_mul(gs[0], jacobi_identity(n, m))), flat(gs[0]))
+    first = drawn[0][0]
+    out.add("jacobi-assoc", _jacobi_parts(lhs_g), _jacobi_parts(rhs_g),
+            info=lambda k: {"element": element_to_json(first[k])})
+    out.add("jacobi-identity", _jacobi_parts(jacobi_mul(gs[0], jacobi_identity(n, m))),
+            _jacobi_parts(gs[0]))
     ginv = jacobi_mul(gs[0], jacobi_inverse(gs[0]))
-    out.add("jacobi-inverse", flat(ginv), flat(jacobi_identity(n, m)))
-    out.add_residual("jacobi-symmetry", heisenberg_defect(g12.h), max_abs(g12.h.kappa))
+    out.add("jacobi-inverse", _jacobi_parts(ginv), _jacobi_parts(jacobi_identity(n, m)))
+    out.add_residual("jacobi-symmetry", heisenberg_defect(g12.h), mat_max_abs(g12.h.kappa))
     out.add_residual("sp-closure", sp_defect(g12.sp),
-                     max_abs(g12.sp.matrix()) ** 2)
+                     mat_max_abs(g12.sp.matrix()) ** 2)
 
     s12 = jacobistar_mul(ss[0], ss[1])
     lhs_s = jacobistar_mul(s12, ss[2])
     rhs_s = jacobistar_mul(ss[0], jacobistar_mul(ss[1], ss[2]))
-    flat_s = lambda s: np.concatenate([s.g.p.ravel(), s.g.q.ravel(),
-                                       s.xi.ravel(), s.kappa.astype(complex).ravel()])
-    out.add("star-assoc", flat_s(lhs_s), flat_s(rhs_s))
-    out.add("star-identity", flat_s(jacobistar_mul(ss[0], jacobistar_identity(n, m))),
-            flat_s(ss[0]))
+    out.add("star-assoc", _star_parts(lhs_s), _star_parts(rhs_s))
+    out.add("star-identity", _star_parts(jacobistar_mul(ss[0], jacobistar_identity(n, m))),
+            _star_parts(ss[0]))
     sinv = jacobistar_mul(ss[0], jacobistar_inverse(ss[0]))
-    out.add("star-inverse", flat_s(sinv), flat_s(jacobistar_identity(n, m)))
+    out.add("star-inverse", _star_parts(sinv), _star_parts(jacobistar_identity(n, m)))
     out.add_residual("star-closure", jacobistar_defect(s12),
-                     max_abs(s12.g.p) ** 2)
-    return out
+                     mat_max_abs(s12.g.p) ** 2)
+    return out.outcomes()
 
 
-def _chk_theta_hom(n, m, params, master, idx) -> _Outcome:
-    out = _Outcome()
-    g1 = random_jacobi(n, m, sample_seed(master, idx, "g", 0))
-    g2 = random_jacobi(n, m, sample_seed(master, idx, "g", 1))
+def _chk_theta_hom(n, m, params, master, idx) -> list[_Outcome]:
+    out = _Stack(len(idx))
+    g1s, g1 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 0)), idx)
+    _, g2 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 1)), idx)
     t12 = theta_map(jacobi_mul(g1, g2))
     tt = jacobistar_mul(theta_map(g1), theta_map(g2))
-    flat_s = lambda s: np.concatenate([s.g.p.ravel(), s.g.q.ravel(),
-                                       s.xi.ravel(), s.kappa.astype(complex).ravel()])
-    out.add("theta-homomorphism", flat_s(t12), flat_s(tt),
-            info={"element": element_to_json(g1)})
+    out.add("theta-homomorphism", _star_parts(t12), _star_parts(tt),
+            info=lambda k: {"element": element_to_json(g1s[k])})
 
     k = n + m
     t = tstar(k)
@@ -383,178 +515,198 @@ def _chk_theta_hom(n, m, params, master, idx) -> _Outcome:
     e12 = embed_sp(jacobi_mul(g1, g2))
     out.add("embed-homomorphism", e12, embed_sp(g1) @ embed_sp(g2))
     emb = embed_sp(g1)
-    out.add_residual("embed-symplectic", max_abs(emb.T @ jmat(k) @ emb - jmat(k)),
-                     max_abs(emb) ** 2)
-    return out
+    out.add_residual("embed-symplectic", mat_max_abs(emb.mT @ jmat(k) @ emb - jmat(k)),
+                     mat_max_abs(emb) ** 2)
+    return out.outcomes()
 
 
-def _chk_action_axioms(n, m, params, master, idx) -> _Outcome:
-    out = _Outcome()
-    g1 = random_jacobi(n, m, sample_seed(master, idx, "g", 0))
-    g2 = random_jacobi(n, m, sample_seed(master, idx, "g", 1))
-    pu = random_point("upper", n, m, sample_seed(master, idx, "pu"))
-    pd = random_point("disk", n, m, sample_seed(master, idx, "pd"))
+def _chk_action_axioms(n, m, params, master, idx) -> list[_Outcome]:
+    out = _Stack(len(idx))
+    g1s, g1 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 0)), idx)
+    _, g2 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 1)), idx)
+    pus, pu = _draws(lambda i: random_point("upper", n, m, sample_seed(master, i, "pu")),
+                     idx)
+    _, pd = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "pd")), idx)
 
     om_lhs = act_siegel(jacobi_mul(g1, g2).sp, pu.omega)
     om_rhs = act_siegel(g1.sp, act_siegel(g2.sp, pu.omega))
     out.add("siegel-assoc", om_lhs, om_rhs)
-    out.add("siegel-identity",
-            act_siegel(jacobi_identity(n, m).sp, pu.omega), pu.omega)
+    out.add("siegel-identity", act_siegel(jacobi_identity(n, m).sp, pu.omega), pu.omega)
 
     up_lhs = act_upper(jacobi_mul(g1, g2), pu)
     up_rhs = act_upper(g1, act_upper(g2, pu))
-    out.add("upper-assoc",
-            np.concatenate([up_lhs.omega.ravel(), up_lhs.z.ravel()]),
-            np.concatenate([up_rhs.omega.ravel(), up_rhs.z.ravel()]),
-            info={"point": point_to_json(pu), "element": element_to_json(g1)})
-    out.add("upper-identity",
-            np.concatenate([act_upper(jacobi_identity(n, m), pu).omega.ravel()]),
-            np.concatenate([pu.omega.ravel()]))
+    out.add("upper-assoc", (up_lhs.omega, up_lhs.z), (up_rhs.omega, up_rhs.z),
+            info=lambda k: {"point": point_to_json(pus[k]),
+                            "element": element_to_json(g1s[k])})
+    out.add("upper-identity", act_upper(jacobi_identity(n, m), pu).omega, pu.omega)
 
     s1, s2 = theta_map(g1), theta_map(g2)
     dk_lhs = act_disk(jacobistar_mul(s1, s2), pd)
     dk_rhs = act_disk(s1, act_disk(s2, pd))
-    out.add("disk-assoc",
-            np.concatenate([dk_lhs.w.ravel(), dk_lhs.eta.ravel()]),
-            np.concatenate([dk_rhs.w.ravel(), dk_rhs.eta.ravel()]))
-    out.add("disk-identity",
-            np.concatenate([act_disk(jacobistar_identity(n, m), pd).w.ravel()]),
-            np.concatenate([pd.w.ravel()]))
+    out.add("disk-assoc", (dk_lhs.w, dk_lhs.eta), (dk_rhs.w, dk_rhs.eta))
+    out.add("disk-identity", act_disk(jacobistar_identity(n, m), pd).w, pd.w)
 
     # transformed points must stay inside their domains
     for tag, pt in (("upper", up_lhs), ("disk", dk_lhs)):
         problems = validate_point(pt, strict=False)
-        out.add_residual(f"domain-{tag}", 1.0 if problems else 0.0,
-                         info={"violations": problems} if problems else None)
+        bad = np.array([bool(p) for p in problems])
+        out.add_residual(f"domain-{tag}", 1.0, where=bad,
+                         info=lambda k, problems=problems: {"violations": problems[k]})
+        out.add_residual(f"domain-{tag}", 0.0, where=~bad)
 
     # the triangular-factorization route must match the direct action
     hc = hc_pplus_component(s1, pd)
     direct = act_disk(s1, pd)
-    out.add("hc-vs-direct",
-            np.concatenate([hc.w.ravel(), hc.eta.ravel()]),
-            np.concatenate([direct.w.ravel(), direct.eta.ravel()]))
-    return out
+    out.add("hc-vs-direct", (hc.w, hc.eta), (direct.w, direct.eta))
+    return out.outcomes()
 
 
-def _chk_cayley_roundtrip(n, m, params, master, idx) -> _Outcome:
-    out = _Outcome()
-    pd = random_point("disk", n, m, sample_seed(master, idx, "pd"))
-    pu = random_point("upper", n, m, sample_seed(master, idx, "pu"))
+def _chk_cayley_roundtrip(n, m, params, master, idx) -> list[_Outcome]:
+    out = _Stack(len(idx))
+    pds, pd = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "pd")), idx)
+    _, pu = _draws(lambda i: random_point("upper", n, m, sample_seed(master, i, "pu")), idx)
     back = cayley_inv(cayley(pd))
-    out.add("disk-roundtrip",
-            np.concatenate([back.w.ravel(), back.eta.ravel()]),
-            np.concatenate([pd.w.ravel(), pd.eta.ravel()]),
-            info={"point": point_to_json(pd)})
+    out.add("disk-roundtrip", (back.w, back.eta), (pd.w, pd.eta),
+            info=lambda k: {"point": point_to_json(pds[k])})
     fwd = cayley(cayley_inv(pu))
-    out.add("upper-roundtrip",
-            np.concatenate([fwd.omega.ravel(), fwd.z.ravel()]),
-            np.concatenate([pu.omega.ravel(), pu.z.ravel()]))
-    return out
+    out.add("upper-roundtrip", (fwd.omega, fwd.z), (pu.omega, pu.z))
+    return out.outcomes()
 
 
-def _chk_cayley_compat(n, m, params, master, idx) -> _Outcome:
-    out = _Outcome()
-    g = random_jacobi(n, m, sample_seed(master, idx, "g"))
-    pd = random_point("disk", n, m, sample_seed(master, idx, "pd"))
+def _chk_cayley_compat(n, m, params, master, idx) -> list[_Outcome]:
+    out = _Stack(len(idx))
+    gs, g = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g")), idx)
+    pds, pd = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "pd")), idx)
     resid = check_cayley_compat(g, pd)
     lhs = act_upper(g, cayley(pd))
-    out.add_residual("compat", resid, max(max_abs(lhs.omega), max_abs(lhs.z)),
-                     info={"point": point_to_json(pd), "element": element_to_json(g)})
-    return out
+    out.add_residual("compat", resid,
+                     np.maximum(mat_max_abs(lhs.omega), mat_max_abs(lhs.z)),
+                     info=lambda k: {"point": point_to_json(pds[k]),
+                                     "element": element_to_json(gs[k])})
+    return out.outcomes()
 
 
 def _metric_invariance(out, tag, action_fn, p, t, evaluate):
     moved = map_differential(action_fn, p, t)
     lhs = evaluate(p, t)
     rhs = evaluate(action_fn(p), moved)
-    out.add(tag, np.asarray(lhs), np.asarray(rhs))
+    out.add(tag, lhs, rhs)
 
 
-def _chk_metric_invariance_upper(n, m, params, master, idx) -> _Outcome:
-    out = _Outcome()
+def _chk_metric_invariance_upper(n, m, params, master, idx) -> list[_Outcome]:
+    out = _Stack(len(idx))
 
     def make(seed):
-        g = random_jacobi(n, m, seed)
-        p = random_point("upper", n, m, sample_seed(seed, "p"))
-        return g, p
+        return random_jacobi(n, m, seed), random_point("upper", n, m, sample_seed(seed, "p"))
 
-    def accept(pair):
-        g, p = pair
+    def accept(pairs):
+        g, p = pairs
         return upper_margin(act_upper(g, p)) >= _MIN_MARGIN_METRIC
 
-    (g, p), retries = _redraw(make, accept, master, idx, "mi-upper")
-    out.retries = retries
-    rng = np.random.default_rng(sample_seed(master, idx, "t"))
-    t = random_tangent("upper", n, m, rng)
+    drawn, out.retries = _redraw(make, accept, master, idx, "mi-upper")
+    g, p = _stack(drawn)
+    t = _tangents("upper", n, m, master, idx)
     _metric_invariance(out, "upper-family", lambda q: act_upper(g, q), p, t,
                        lambda q, s: q_upper(q, s, params))
     sp_only = JacobiElement(g.sp, heisenberg_identity(n, m))
     _metric_invariance(out, "siegel", lambda q: act_upper(sp_only, q), p, t,
                        lambda q, s: q_siegel(q.omega, s))
-    out.info.setdefault("point", point_to_json(p))
-    out.info.setdefault("element", element_to_json(g))
-    return out
+    out.default_info(lambda k: {"point": point_to_json(drawn[k][1]),
+                                "element": element_to_json(drawn[k][0])})
+    return out.outcomes()
 
 
-def _chk_metric_invariance_disk(n, m, params, master, idx) -> _Outcome:
-    out = _Outcome()
+def _chk_metric_invariance_disk(n, m, params, master, idx) -> list[_Outcome]:
+    out = _Stack(len(idx))
 
     def make(seed):
-        g = theta_map(random_jacobi(n, m, seed))
-        p = random_point("disk", n, m, sample_seed(seed, "p"))
-        return g, p
+        return random_jacobi(n, m, seed), random_point("disk", n, m, sample_seed(seed, "p"))
 
-    def accept(pair):
-        g, p = pair
-        return disk_margin(act_disk(g, p)) >= _MIN_MARGIN_METRIC
+    def accept(pairs):
+        g, p = pairs
+        return disk_margin(act_disk(theta_map(g), p)) >= _MIN_MARGIN_METRIC
 
-    (g, p), retries = _redraw(make, accept, master, idx, "mi-disk")
-    out.retries = retries
-    rng = np.random.default_rng(sample_seed(master, idx, "t"))
-    t = random_tangent("disk", n, m, rng)
-    _metric_invariance(out, "disk-family", lambda q: act_disk(g, q), p, t,
-                       lambda q, s: q_disk(q, s, params))
-    _metric_invariance(out, "disk-base", lambda q: act_disk(g, q), p, t,
-                       lambda q, s: q_disk_n(q.w, s))
-    out.info.setdefault("point", point_to_json(p))
-    return out
+    drawn, out.retries = _redraw(make, accept, master, idx, "mi-disk")
+    g, p = _stack(drawn)
+    s = theta_map(g)
+    t = _tangents("disk", n, m, master, idx)
+    _metric_invariance(out, "disk-family", lambda q: act_disk(s, q), p, t,
+                       lambda q, v: q_disk(q, v, params))
+    _metric_invariance(out, "disk-base", lambda q: act_disk(s, q), p, t,
+                       lambda q, v: q_disk_n(q.w, v))
+    out.default_info(lambda k: {"point": point_to_json(drawn[k][1])})
+    return out.outcomes()
 
 
-def _chk_cayley_isometry(n, m, params, master, idx) -> _Outcome:
-    out = _Outcome()
-    p = random_point("disk", n, m, sample_seed(master, idx, "p"))
-    rng = np.random.default_rng(sample_seed(master, idx, "t"))
-    t = random_tangent("disk", n, m, rng)
+def _chk_cayley_isometry(n, m, params, master, idx) -> list[_Outcome]:
+    out = _Stack(len(idx))
+    pts, p = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "p")), idx)
+    t = _tangents("disk", n, m, master, idx)
     lhs = q_disk(p, t, params)
     rhs = q_upper(cayley(p), map_differential(cayley, p, t), params)
-    out.add("isometry", np.asarray(lhs), np.asarray(rhs),
-            info={"point": point_to_json(p)})
-    return out
+    out.add("isometry", lhs, rhs, info=lambda k: {"point": point_to_json(pts[k])})
+    return out.outcomes()
 
 
-def _chk_tensor_pd(n, m, params, master, idx) -> _Outcome:
-    out = _Outcome()
-    model = "upper" if idx % 2 == 0 else "disk"
-    p = random_point(model, n, m, sample_seed(master, idx, "p"))
+def _tensor_pd(model, n, m, params, master, idx) -> list[_Outcome]:
+    out = _Stack(len(idx))
+    pts, p = _draws(lambda i: random_point(model, n, m, sample_seed(master, i, "p")), idx)
     tensor = metric_tensor(p, params)
-    sym = max_abs(tensor.g - tensor.g.T)
-    out.add_residual("tensor-symmetry", sym, max_abs(tensor.g),
-                     info={"point": point_to_json(p)})
+    out.add_residual("tensor-symmetry", mat_max_abs(tensor.g - tensor.g.mT),
+                     mat_max_abs(tensor.g),
+                     info=lambda k: {"point": point_to_json(pts[k])})
     eig = tensor.min_eigenvalue()
     out.constant_candidate = eig
-    if eig <= 0.0:
-        out.add_residual("tensor-pd", 1.0 + abs(eig),
-                         info={"point": point_to_json(p), "min_eig": eig})
+    out.add_residual("tensor-pd", 1.0 + np.abs(eig), where=eig <= 0.0,
+                     info=lambda k: {"point": point_to_json(pts[k]),
+                                     "min_eig": float(eig[k])})
     chart = chart_for(p)
-    rng = np.random.default_rng(sample_seed(master, idx, "v"))
+    rngs = [np.random.default_rng(sample_seed(master, int(i), "v")) for i in idx]
     for k in range(2):
-        t = random_tangent(model, n, m, rng)
-        direct = (q_upper(p, t, params) if model == "upper"
-                  else q_disk(p, t, params))
-        out.add(f"polarization-{k}", np.asarray(direct),
-                np.asarray(tensor.apply(chart.tangent_to_vec(t))))
-    return out
+        t = _stack([random_tangent(model, n, m, rng) for rng in rngs])
+        direct = q_upper(p, t, params) if model == "upper" else q_disk(p, t, params)
+        out.add(f"polarization-{k}", direct, tensor.apply(chart.tangent_to_vec(t)))
+    return out.outcomes()
 
+
+def _chk_tensor_pd(n, m, params, master, idx) -> list[_Outcome]:
+    # even samples check the upper model, odd ones the disk
+    outcomes = [None] * len(idx)
+    for model, parity in (("upper", 0), ("disk", 1)):
+        pos = np.flatnonzero(idx % 2 == parity)
+        if pos.size:
+            for k, o in zip(pos, _tensor_pd(model, n, m, params, master, idx[pos])):
+                outcomes[k] = o
+    return outcomes
+
+
+def _chk_pushforward_identities(n, m, params, master, idx) -> list[_Outcome]:
+    out = _Stack(len(idx))
+    pts, p = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "p")), idx)
+    t = _tangents("disk", n, m, master, idx)
+    eye = np.eye(n)
+    inv_w = mat_inverse(eye - p.w)
+    inv_wc = mat_inverse(eye - p.w.conj())
+    target = cayley(p)
+
+    out.add("point-identity-Y", target.y,
+            inv_w @ (eye - p.w @ p.w.conj()) @ inv_wc,
+            info=lambda k: {"point": point_to_json(pts[k])})
+    out.add("point-identity-V", target.v,
+            p.eta @ inv_w + p.eta.conj() @ inv_wc)
+
+    chart = chart_for(p)
+    h = 1e-6 * (1.0 + chart.point_scale(p))
+    moved = map_differential(cayley, p, t, h=h)
+    d_omega = 2j * inv_w @ t.dmat @ inv_w
+    d_z = 2j * (t.dvec + p.eta @ inv_w @ t.dmat) @ inv_w
+    out.add("differential-dOmega", moved.dmat, 0.5 * (d_omega + d_omega.mT))
+    out.add("differential-dZ", moved.dvec, d_z)
+    return out.outcomes()
+
+
+# The checks below build second-order stencils (or, for reduce-n1m1, call
+# operators that do); their bodies take one sample index.
 
 def _lb_pair(kind, n, m, params, master, idx):
     model = "upper" if kind in ("upper", "siegel") else "disk"
@@ -570,16 +722,17 @@ def _lb_pair(kind, n, m, params, master, idx):
         sb = second_bundle(f, p, mat_only=False)
         lhs = lap_upper(None, p, params, _sb=sb)
         printed = lap_upper_printed(None, p, params, _sb=sb)
-        out.info["printed_rel_gap"] = rel_residual(lhs, printed)[1]
     elif kind == "disk":
         sb = second_bundle(f, p, mat_only=False)
         lhs = lap_disk(None, p, params, _sb=sb)
         printed = lap_disk_printed(None, p, params, _sb=sb)
-        out.info["printed_rel_gap"] = rel_residual(lhs, printed)[1]
     elif kind == "siegel":
         lhs = lap_siegel(f, p)
     else:
         lhs = lap_disk_n(f, p)
+    if kind in ("upper", "disk"):
+        out.printed_gap = rel_residual(lhs, printed)[1]
+        out.info["printed_rel_gap"] = out.printed_gap
     rhs = laplace_beltrami(f, p, metric)
     out.pair = (float(lhs), float(rhs))
     out.info.update({"field": f.name, "point": point_to_json(p)})
@@ -606,19 +759,19 @@ def _invariance_sample(n, m, params, master, idx, operators_upper, operators_dis
         pd = random_point("disk", n, m, sample_seed(seed, "pd"))
         return g, pu, pd
 
-    def accept(trip):
-        g, pu, pd = trip
+    def accept(trips):
+        g, pu, pd = trips
         qu = act_upper(g, pu)
         qd = act_disk(theta_map(g), pd)
         cu = Chart("upper", n, m)
         cd = Chart("disk", n, m)
-        return (upper_margin(qu) >= _MIN_MARGIN_NESTED
-                and disk_margin(qd) >= _MIN_MARGIN_NESTED
-                and cu.point_scale(qu) <= _MAX_SCALE_NESTED
-                and cd.point_scale(qd) <= _MAX_SCALE_NESTED)
+        return ((upper_margin(qu) >= _MIN_MARGIN_NESTED)
+                & (disk_margin(qd) >= _MIN_MARGIN_NESTED)
+                & (cu.point_scale(qu) <= _MAX_SCALE_NESTED)
+                & (cd.point_scale(qd) <= _MAX_SCALE_NESTED))
 
-    (g, pu, pd), retries = _redraw(make, accept, master, idx, "op-inv")
-    out.retries = retries
+    [(g, pu, pd)], retries = _redraw(make, accept, master, [idx], "op-inv")
+    out.retries = int(retries[0])
     s = theta_map(g)
 
     act_u = lambda q: act_upper(g, q)
@@ -692,36 +845,25 @@ def _chk_reduce_n1m1(n, m, params, master, idx) -> _Outcome:
     return out
 
 
-def _chk_pushforward_identities(n, m, params, master, idx) -> _Outcome:
-    out = _Outcome()
-    p = random_point("disk", n, m, sample_seed(master, idx, "p"))
-    rng = np.random.default_rng(sample_seed(master, idx, "t"))
-    t = random_tangent("disk", n, m, rng)
-    eye = np.eye(n)
-    inv_w = mat_inverse(eye - p.w)
-    inv_wc = mat_inverse(eye - p.w.conj())
-    target = cayley(p)
+# ---------------------------------------------------------------------------
+# Check registry and run_check
 
-    out.add("point-identity-Y", target.y,
-            inv_w @ (eye - p.w @ p.w.conj()) @ inv_wc,
-            info={"point": point_to_json(p)})
-    out.add("point-identity-V", target.v,
-            p.eta @ inv_w + p.eta.conj() @ inv_wc)
-
-    chart = chart_for(p)
-    h = 1e-6 * (1.0 + chart.point_scale(p))
-    moved = map_differential(cayley, p, t, h=h)
-    d_omega = 2j * inv_w @ t.dmat @ inv_w
-    d_z = 2j * (t.dvec + p.eta @ inv_w @ t.dmat) @ inv_w
-    out.add("differential-dOmega", moved.dmat, 0.5 * (d_omega + d_omega.T))
-    out.add("differential-dZ", moved.dvec, d_z)
-    return out
+# Samples per sampler call: a constant, so a stack's memory stays bounded.
+_STACK = 256
 
 
 @dataclass(frozen=True)
 class _CheckDef:
-    sampler: object
+    sampler: Callable   # (n, m, params, master, idx) -> one _Outcome per index
     default_tol: float
+    stack: int = _STACK
+
+
+def _single(body, default_tol: float) -> _CheckDef:
+    """A check whose body takes one sample index; it runs in stacks of one."""
+    def sampler(n, m, params, master, idx):
+        return [body(n, m, params, master, int(i)) for i in idx]
+    return _CheckDef(sampler, default_tol, stack=1)
 
 
 _CHECKS: dict[str, _CheckDef] = {
@@ -734,13 +876,13 @@ _CHECKS: dict[str, _CheckDef] = {
     "metric-invariance-disk": _CheckDef(_chk_metric_invariance_disk, 1e-5),
     "cayley-isometry": _CheckDef(_chk_cayley_isometry, 1e-5),
     "tensor-pd": _CheckDef(_chk_tensor_pd, 1e-9),
-    "lb-equivalence-upper": _CheckDef(partial(_lb_pair, "upper"), 1e-3),
-    "lb-equivalence-disk": _CheckDef(partial(_lb_pair, "disk"), 1e-3),
-    "lb-equivalence-siegel": _CheckDef(partial(_lb_pair, "siegel"), 1e-3),
-    "lb-equivalence-diskn": _CheckDef(partial(_lb_pair, "diskn"), 1e-3),
-    "laplacian-invariance": _CheckDef(_chk_laplacian_invariance, 1e-3),
-    "remark41-invariance": _CheckDef(_chk_remark_invariance, 1e-3),
-    "reduce-n1m1": _CheckDef(_chk_reduce_n1m1, 1e-6),
+    "lb-equivalence-upper": _single(partial(_lb_pair, "upper"), 1e-3),
+    "lb-equivalence-disk": _single(partial(_lb_pair, "disk"), 1e-3),
+    "lb-equivalence-siegel": _single(partial(_lb_pair, "siegel"), 1e-3),
+    "lb-equivalence-diskn": _single(partial(_lb_pair, "diskn"), 1e-3),
+    "laplacian-invariance": _single(_chk_laplacian_invariance, 1e-3),
+    "remark41-invariance": _single(_chk_remark_invariance, 1e-3),
+    "reduce-n1m1": _single(_chk_reduce_n1m1, 1e-6),
     "pushforward-identities": _CheckDef(_chk_pushforward_identities, 1e-6),
 }
 
@@ -756,6 +898,30 @@ def _pairing_constant(outcomes: list[_Outcome]) -> float | None:
     return float(np.median(ratios)) if ratios else None
 
 
+def _stack_outcomes(cdef: _CheckDef, n, m, params, seed, idx) -> list[_Outcome]:
+    """The samples ``idx`` in one sampler call.  When the call raises, each
+    sample runs again on its own, so only a failing sample reports the error."""
+    try:
+        return cdef.sampler(n, m, params, seed, idx)
+    except (DomainMargin, SingularMatrix, ArithmeticError) as exc:
+        if len(idx) > 1:
+            return [o for k in range(len(idx))
+                    for o in _stack_outcomes(cdef, n, m, params, seed, idx[k: k + 1])]
+        bad = _Outcome()
+        bad.add_residual("sample-error", float("inf"),
+                         info={"error": f"{type(exc).__name__}: {exc}"})
+        return [bad]
+
+
+def _sample_outcomes(name: str, n: int, m: int, params: MetricParams,
+                     samples: int, seed: int) -> list[_Outcome]:
+    """One _Outcome per sample, in order, evaluated a stack at a time."""
+    cdef = _CHECKS[name]
+    return [o for start in range(0, samples, cdef.stack)
+            for o in _stack_outcomes(cdef, n, m, params, seed,
+                                     np.arange(start, min(start + cdef.stack, samples)))]
+
+
 def run_check(name: str, n: int, m: int, params: MetricParams,
               samples: int, seed: int, tol: float | None = None,
               threads: int = 1) -> CheckReport:
@@ -769,21 +935,10 @@ def run_check(name: str, n: int, m: int, params: MetricParams,
         raise ValueError("samples must be >= 1")
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
-    cdef = _CHECKS[name]
     if tol is None:
-        tol = cdef.default_tol
+        tol = _CHECKS[name].default_tol
     start = time.perf_counter()
-
-    def one(idx: int) -> _Outcome:
-        try:
-            return cdef.sampler(n, m, params, seed, idx)
-        except (DomainMargin, SingularMatrix, ArithmeticError) as exc:
-            bad = _Outcome()
-            bad.add_residual("sample-error", float("inf"),
-                             info={"error": f"{type(exc).__name__}: {exc}"})
-            return bad
-
-    outcomes = [one(i) for i in range(samples)]
+    outcomes = _sample_outcomes(name, n, m, params, samples, seed)
 
     candidates = [o.constant_candidate for o in outcomes
                   if o.constant_candidate is not None]
@@ -794,11 +949,11 @@ def run_check(name: str, n: int, m: int, params: MetricParams,
     max_abs_res = max(o.max_abs for o in outcomes)
     max_rel_res = max(o.max_rel for o in outcomes)
     worst_idx = int(np.argmax([o.max_rel for o in outcomes]))
-    worst = dict(outcomes[worst_idx].info)
+    info = outcomes[worst_idx].info
+    worst = dict(info() if callable(info) else info)
     worst["sample"] = worst_idx
     worst["part"] = outcomes[worst_idx].label
-    gaps = [o.info["printed_rel_gap"] for o in outcomes
-            if "printed_rel_gap" in o.info]
+    gaps = [o.printed_gap for o in outcomes if o.printed_gap is not None]
     if gaps:
         worst["printed_rel_gap_max"] = float(max(gaps))
     retries = sum(o.retries for o in outcomes)

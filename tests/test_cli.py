@@ -133,8 +133,9 @@ def test_eval_rejects_invalid_point(capsys, tmp_path):
 
 
 def test_eval_singular_point_exits_2(capsys, tmp_path):
-    # passes validate_point (margin 1e-8 > 1e-9), but inverting Im Omega
-    # trips the relative pivot guard: one error line, exit 2, no traceback
+    # margin 1e-8 clears the absolute 1e-9 floor, but not PIVOT_RTOL times
+    # the largest entry of Im Omega, where inverting it would trip the
+    # pivot guard: rejected at validation, one error line, exit 2
     path = tmp_path / "stiff.json"
     path.write_text(json.dumps({
         "model": "upper", "n": 2, "m": 1,
@@ -153,7 +154,7 @@ def test_eval_singular_point_exits_2(capsys, tmp_path):
                              "--tangent", str(tangent))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: pivot") and err.count("\n") == 1
+    assert err == "error: invalid point: Im Omega is not positive definite\n"
 
 
 def test_sample_deterministic(capsys):

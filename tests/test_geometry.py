@@ -3,7 +3,7 @@ import pytest
 
 from sjgeo import geometry as geo
 from sjgeo import groups as G
-from sjgeo.cmatrix import SingularMatrix, max_abs
+from sjgeo.cmatrix import PIVOT_RTOL, SingularMatrix, mat_inverse, max_abs
 
 
 def _pt_flat(p):
@@ -24,6 +24,23 @@ def test_point_validation():
     assert "positive definite" in geo.validate_point(outside)[0]
     with pytest.raises(ValueError):
         geo.UpperPoint([[1j, 0], [0, 1j]], [[1.0]])  # z has wrong width
+
+
+def test_validation_matches_the_pivot_guard():
+    # margin 1e-8 clears the absolute 1e-9 floor but not PIVOT_RTOL times
+    # the largest entry 1e6 of Im Omega, where inverting Im Omega fails
+    stiff = geo.UpperPoint(np.diag([1e6j, 1e-8j]), np.zeros((1, 2)))
+    assert geo.validate_point(stiff) == ["Im Omega is not positive definite"]
+    with pytest.raises(SingularMatrix):
+        mat_inverse(stiff.y.astype(complex))
+    # the same margin beside a largest entry of 1e3 is accepted and inverts
+    milder = geo.UpperPoint(np.diag([1e3j, 1e-8j]), np.zeros((1, 2)))
+    assert 1e-8 > PIVOT_RTOL * 1e3
+    assert geo.validate_point(milder) == []
+    mat_inverse(milder.y.astype(complex))
+    # a stacked point is judged point by point
+    both = geo.UpperPoint(np.stack([milder.omega, stiff.omega]), np.zeros((2, 1, 2)))
+    assert geo.validate_point(both) == [[], ["Im Omega is not positive definite"]]
 
 
 def test_act_siegel_examples():

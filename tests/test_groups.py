@@ -92,6 +92,35 @@ def test_jacobi_group_laws_random():
         assert G.jacobi_defect(lhs) < 1e-10 * scale
 
 
+def _random_sp_reference(n, rng):
+    # the generator product as full 2n x 2n matrices, as np.block builds them
+    mat = np.eye(2 * n)
+    for _ in range(int(rng.integers(4, 9))):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            b = rng.uniform(-1.0, 1.0, size=(n, n))
+            gen = np.block([[np.eye(n), 0.5 * (b + b.T)], [np.zeros((n, n)), np.eye(n)]])
+        elif kind == 1:
+            a = np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, size=(n, n))
+            gen = np.block([[a, np.zeros((n, n))], [np.zeros((n, n)), np.linalg.inv(a).T]])
+        else:
+            gen = G.jmat(n)
+        mat = mat @ gen
+    return mat
+
+
+def test_random_sp_matches_full_matrix_product():
+    # column blocks give the same draws as the full products, up to the order
+    # of summation
+    for n in (1, 2, 3):
+        for seed in range(20):
+            got = G.random_sp(n, np.random.default_rng(seed)).matrix()
+            want = _random_sp_reference(n, np.random.default_rng(seed))
+            scale = 1.0 + max_abs(want)
+            assert max_abs(got - want) <= 1e-14 * scale
+            assert G.sp_defect(G.SpElement.from_matrix(got)) < 1e-12 * scale ** 2
+
+
 def test_theta_identity_and_rotation():
     e = G.theta_map(G.jacobi_identity(2, 1))
     assert max_abs(e.g.p - np.eye(2)) == 0.0 and max_abs(e.g.q) == 0.0
