@@ -34,6 +34,7 @@ from .operators import (
     lap_upper,
     named_field,
     op_invariant,
+    second_bundle,
     test_field_suite,
 )
 from .verify import CHECK_NAMES, DEFAULT_TOLERANCES, UnknownCheck, run_check
@@ -210,11 +211,15 @@ def _cmd_eval(args) -> int:
             f = _resolve_field(model, point.n, point.m, args.field, args.seed)
             if args.target == "field":
                 value = f(point)
-            elif args.target == "laplacian":
-                value = (lap_upper(f, point, params) if model == "upper"
-                         else lap_disk(f, point, params))
             else:
-                value = op_invariant(args.target, f, point)
+                # the full-chart bundle, also for a matrix-only field
+                sb = second_bundle(f, point, mat_only=False)
+                if args.target != "laplacian":
+                    value = op_invariant(args.target, sb, point)
+                elif model == "upper":
+                    value = lap_upper(sb, point, params)
+                else:
+                    value = lap_disk(sb, point, params)
         else:
             _log(f"error: unknown target {args.target}")
             return 2

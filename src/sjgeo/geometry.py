@@ -45,8 +45,6 @@ __all__ = [
     "check_cayley_compat",
     "hc_pplus_component",
     "random_point",
-    "upper_margin",
-    "disk_margin",
     "point_margin",
     "point_to_json",
     "point_from_json",
@@ -171,22 +169,12 @@ def _margin_matrix(p) -> np.ndarray:
     return np.eye(p.n) - p.w.conj() @ p.w
 
 
-def upper_margin(p: UpperPoint):
-    """Smallest eigenvalue of Im Omega (distance inside the domain).
-
-    A float for one point, one margin per point for a stacked point; so
-    are disk_margin and point_margin.
-    """
-    return hermitian_pd_margin(_margin_matrix(p))
-
-
-def disk_margin(p: DiskPoint):
-    """Smallest eigenvalue of I - conj(W) W."""
-    return hermitian_pd_margin(_margin_matrix(p))
-
-
 def point_margin(p):
-    """Boundary margin of a point of either model."""
+    """Boundary margin of a point of either model: the smallest eigenvalue
+    of Im Omega, or of I - conj(W) W (the distance inside the domain).
+
+    A float for one point, one margin per point for a stacked point.
+    """
     return hermitian_pd_margin(_margin_matrix(p))
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "star_matrix",
     "sp_defect",
     "heisenberg_defect",
-    "jacobi_defect",
     "jacobistar_defect",
     "cheisenberg_defect",
     "random_sp",
@@ -354,10 +353,6 @@ def jacobi_inverse(g: JacobiElement) -> JacobiElement:
     lt, mt = _translate(g.h.lam, g.h.mu, minv)
     kappa = -g.h.kappa + lt @ mt.mT - mt @ lt.mT
     return JacobiElement(minv, HeisenbergElement(-lt, -mt, kappa))
-
-
-def jacobi_defect(g: JacobiElement):
-    return np.maximum(sp_defect(g.sp), heisenberg_defect(g.h))
 
 
 # ---------------------------------------------------------------------------

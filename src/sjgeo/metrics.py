@@ -436,11 +436,11 @@ def q_disk_closed_11(p: DiskPoint, t: Tangent) -> float:
 # Tensor assembly and helpers
 
 
-def form_kind_for_point(p, full: bool = True) -> str:
+def form_kind_for_point(p) -> str:
     if isinstance(p, UpperPoint):
-        return "upper" if full else "siegel"
+        return "upper"
     if isinstance(p, DiskPoint):
-        return "disk" if full else "diskn"
+        return "disk"
     raise TypeError(f"not a point: {type(p).__name__}")
 
 

@@ -8,8 +8,11 @@ rectangular variable are arranged as an n x m matrix whose (l, k) entry
 differentiates the (k, l) entry, matching the transposed layout used in
 all trace contractions.
 
-Operators (coefficients evaluated at the point, second derivatives of
-the field only):
+Each operator takes the SecondBundle of a field at the point, built by
+second_bundle(f, p), and contracts it with coefficients evaluated at the
+point; no operator differentiates, so one bundle serves every operator
+at its point.  lap_siegel and lap_disk_n read the matrix block only and
+also take a matrix-only bundle; the others need the full-chart one:
 
   * lap_siegel    4 sigma(Y t(Y dOmegabar) dOmega)
   * lap_upper     (4/A) sigma(Y t(Y hatbar) hat) + (4/B) sigma(Y dZ t(dZbar))
@@ -194,15 +197,18 @@ def _mixed_wirtinger(hess: np.ndarray, chart: Chart) -> np.ndarray:
     return 0.25 * ((hxx + hyy) + 1j * (hyx - hxy))
 
 
-def second_bundle(f, p, h: float | None = None,
-                  mat_only: bool | None = None) -> SecondBundle:
-    """Mixed second Wirtinger tensors with one Richardson level."""
+def second_bundle(f, p, mat_only: bool | None = None) -> SecondBundle:
+    """Mixed second Wirtinger tensors of f at p with one Richardson level.
+
+    ``mat_only`` (default: the field's own flag) drops the vector blocks;
+    lap_siegel and lap_disk_n need only the matrix block, every other
+    operator needs the full-chart bundle (``mat_only=False``).
+    """
     model = "upper" if isinstance(p, UpperPoint) else "disk"
     if mat_only is None:
         mat_only = getattr(f, "mat_only", False)
     chart = Chart(model, p.n, p.m, include_vec=not mat_only)
-    if h is None:
-        h = default_step(p, chart, order=2)
+    h = default_step(p, chart, order=2)
     _require_margin(p, 4.0 * h)
     v0 = chart.point_to_vec(p)
     coarse = _hess_real(f, chart, v0, h)
@@ -220,6 +226,12 @@ def second_bundle(f, p, h: float | None = None,
     else:
         vec_vec = mat_vec = vec_mat = None
     return SecondBundle(mat_mat, vec_vec, mat_vec, vec_mat)
+
+
+def _require_full(sb: SecondBundle):
+    if sb.vec_vec is None:
+        raise ValueError("operator needs the full-chart bundle: "
+                         "second_bundle(f, p, mat_only=False)")
 
 
 def _real_value(val: complex, what: str) -> float:
@@ -240,6 +252,7 @@ def _hat_mat_mat(sb: SecondBundle, twist: np.ndarray, sign: float) -> np.ndarray
     here: the shift coefficients are holomorphic in the unbarred slots,
     so no first-order remainders appear.
     """
+    _require_full(sb)
     tw = twist
     twc = twist.conj()
     half = 0.5 * sign
@@ -264,6 +277,7 @@ def _hat_mat_mat(sb: SecondBundle, twist: np.ndarray, sign: float) -> np.ndarray
 
 
 def _upper_terms_printed(p: UpperPoint, sb: SecondBundle):
+    _require_full(sb)
     y = p.y.astype(complex)
     v = p.v.astype(complex)
     yi = mat_inverse(y)
@@ -285,31 +299,26 @@ def _upper_parts(p: UpperPoint, sb: SecondBundle):
     return part_a, part_b
 
 
-def lap_siegel(f, p: UpperPoint, h: float | None = None) -> float:
+def lap_siegel(sb: SecondBundle, p: UpperPoint) -> float:
     """4 sigma(Y t(Y dOmegabar) dOmega) applied to a field of Omega alone."""
-    sb = second_bundle(f, p, h, mat_only=True)
     y = p.y.astype(complex)
     val = 4.0 * np.einsum("ae,ck,keca->", y, y, sb.mat_mat)
     return _real_value(complex(val), "siegel laplacian")
 
 
-def lap_upper(f, p: UpperPoint, params, h: float | None = None,
-              _sb: SecondBundle | None = None) -> float:
+def lap_upper(sb: SecondBundle, p: UpperPoint, params) -> float:
     """Laplacian of the two-parameter family on the Siegel-Jacobi space."""
-    sb = _sb if _sb is not None else second_bundle(f, p, h, mat_only=False)
     part_a, part_b = _upper_parts(p, sb)
     val = (4.0 / params.a) * part_a + (4.0 / params.b) * part_b
     return _real_value(complex(val), "upper laplacian")
 
 
-def lap_upper_printed(f, p: UpperPoint, params, h: float | None = None,
-                      _sb: SecondBundle | None = None) -> float:
+def lap_upper_printed(sb: SecondBundle, p: UpperPoint, params) -> float:
     """Literal five-term transcription of the widely used expanded display.
 
     Deviates from the true Laplacian for n >= 2 (the display drops the
     symmetrization of the derivative shift); kept for comparison runs.
     """
-    sb = _sb if _sb is not None else second_bundle(f, p, h, mat_only=False)
     t1, t2, t3, t4, t5 = _upper_terms_printed(p, sb)
     val = (4.0 / params.a) * (t1 + t2 + t3 + t4) + (4.0 / params.b) * t5
     return _real_value(complex(val), "upper laplacian (printed)")
@@ -320,6 +329,7 @@ def lap_upper_printed(f, p: UpperPoint, params, h: float | None = None,
 
 
 def _disk_terms_printed(p: DiskPoint, sb: SecondBundle):
+    _require_full(sb)
     n = p.n
     eye = np.eye(n)
     w = p.w
@@ -355,35 +365,30 @@ def _disk_parts(p: DiskPoint, sb: SecondBundle):
     return part_a, part_b
 
 
-def lap_disk_n(f, p: DiskPoint, h: float | None = None) -> float:
+def lap_disk_n(sb: SecondBundle, p: DiskPoint) -> float:
     """sigma((I-W Wbar) t((I-W Wbar) dWbar) dW) on a field of W alone."""
-    sb = second_bundle(f, p, h, mat_only=True)
     n = p.n
     lm = np.eye(n) - p.w @ p.w.conj()
     val = np.einsum("ae,ck,keca->", lm, lm, sb.mat_mat)
     return _real_value(complex(val), "disk laplacian")
 
 
-def lap_disk(f, p: DiskPoint, params, h: float | None = None,
-             _sb: SecondBundle | None = None) -> float:
+def lap_disk(sb: SecondBundle, p: DiskPoint, params) -> float:
     """Laplacian of the two-parameter family on the Siegel-Jacobi disk."""
-    sb = _sb if _sb is not None else second_bundle(f, p, h, mat_only=False)
     part_a, part_b = _disk_parts(p, sb)
     val = (1.0 / params.a) * part_a + (1.0 / params.b) * part_b
     return _real_value(complex(val), "disk laplacian")
 
 
-def lap_disk_printed(f, p: DiskPoint, params, h: float | None = None,
-                     _sb: SecondBundle | None = None) -> float:
+def lap_disk_printed(sb: SecondBundle, p: DiskPoint, params) -> float:
     """Literal eight-term transcription of the expanded display; deviates
     from the true Laplacian for n >= 2 (see lap_disk)."""
-    sb = _sb if _sb is not None else second_bundle(f, p, h, mat_only=False)
     t1, t2, t3, t_eta, t8 = _disk_terms_printed(p, sb)
     val = (1.0 / params.a) * (t1 + t2 + t3 + t_eta) + (1.0 / params.b) * t8
     return _real_value(complex(val), "disk laplacian (printed)")
 
 
-def lap_disk_closed_11(f, p: DiskPoint, h: float | None = None) -> float:
+def lap_disk_closed_11(sb: SecondBundle, p: DiskPoint) -> float:
     """Independent scalar transcription of the n = m = 1 disk Laplacian
     at unit weights:
       (1-|W|^2)^2 f_{W Wbar} + (1-|W|^2) f_{eta etabar}
@@ -394,7 +399,7 @@ def lap_disk_closed_11(f, p: DiskPoint, h: float | None = None) -> float:
     """
     if p.n != 1 or p.m != 1:
         raise ValueError("closed form is defined for n = m = 1 only")
-    sb = second_bundle(f, p, h, mat_only=False)
+    _require_full(sb)
     w = complex(p.w[0, 0])
     eta = complex(p.eta[0, 0])
     d = 1.0 - abs(w) ** 2
@@ -414,8 +419,7 @@ def lap_disk_closed_11(f, p: DiskPoint, h: float | None = None) -> float:
 # The four named invariant operators
 
 
-def op_invariant(kind: str, f, p, h: float | None = None,
-                 _sb: SecondBundle | None = None) -> float:
+def op_invariant(kind: str, sb: SecondBundle, p) -> float:
     """Apply one of the first-class invariant operators.
 
     D       sigma(Y dZ t(dZbar))                       (upper model)
@@ -427,13 +431,11 @@ def op_invariant(kind: str, f, p, h: float | None = None,
     if kind in ("D", "L"):
         if not isinstance(p, UpperPoint):
             raise ValueError(f"operator {kind} needs an upper-model point")
-        sb = _sb if _sb is not None else second_bundle(f, p, h, mat_only=False)
         part_a, part_b = _upper_parts(p, sb)
         val = part_b if kind == "D" else part_a
     elif kind in ("Dtilde", "Ltilde"):
         if not isinstance(p, DiskPoint):
             raise ValueError(f"operator {kind} needs a disk-model point")
-        sb = _sb if _sb is not None else second_bundle(f, p, h, mat_only=False)
         part_a, part_b = _disk_parts(p, sb)
         val = part_b if kind == "Dtilde" else part_a
     else:

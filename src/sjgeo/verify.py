@@ -1,8 +1,8 @@
 """Independent oracles and the named verification suites.
 
 Oracles:
-  * pushforward      central-difference differential of a group action
-                     (or any smooth point map), exactly linear in the
+  * map_differential central-difference differential of a smooth point
+                     map, such as a group action, exactly linear in the
                      tangent by construction.
   * laplace_beltrami coordinate Laplacian |g|^(-1/2) d_i(|g|^(1/2) g^ij d_j f)
                      of an arbitrary metric-tensor field, by nested
@@ -16,10 +16,14 @@ Samples whose transformed points sit too close to the domain boundary
 for the finite-difference stencils are re-drawn (up to 10 attempts,
 logged in the report).
 
-The checks that build no second-order stencil stack the draws of up to
-256 samples and evaluate each identity once on the stack; the others run
-one sample per call.  A stack that raises is run again one sample at a
-time, so only the failing sample reports the error.
+Every sampler call returns one residual stack (_Stack): per sample, the
+worst relative residual over its parts, that part's name and a lazy
+description of the sample.  The checks that build no second-order
+stencil stack the draws of up to 256 samples and evaluate each identity
+once on the stack; the others fill a stack of one sample per call.  A
+call that raises is run again one sample at a time, so only the failing
+sample reports the error.  run_check reduces the concatenated stack of
+all samples to the report.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import dataclasses
 import hashlib
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -42,18 +46,14 @@ from .geometry import (
     cayley,
     cayley_inv,
     check_cayley_compat,
-    disk_margin,
     hc_pplus_component,
     point_margin,
     point_to_json,
     random_point,
-    upper_margin,
     validate_point,
 )
 from .groups import (
     JacobiElement,
-    JacobiStarElement,
-    SpElement,
     element_to_json,
     embed_sp,
     heisenberg_defect,
@@ -112,7 +112,6 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "rel_residual",
     "sample_seed",
-    "pushforward",
     "map_differential",
     "laplace_beltrami",
     "run_check",
@@ -211,23 +210,7 @@ def map_differential(fn, p, t: Tangent, h=None) -> Tangent:
     return tchart.vec_to_tangent((plus - minus) * (norm / (2.0 * h))[..., None])
 
 
-def pushforward(g, p, t: Tangent, h: float | None = None) -> Tangent:
-    """Differential of the action of g at p applied to t."""
-    if isinstance(g, JacobiElement):
-        fn = lambda q: act_upper(g, q)
-    elif isinstance(g, SpElement):
-        wrapped = JacobiElement(g, heisenberg_identity(g.n, p.m))
-        fn = lambda q: act_upper(wrapped, q)
-    elif isinstance(g, JacobiStarElement):
-        fn = lambda q: act_disk(g, q)
-    elif callable(g):
-        fn = g
-    else:
-        raise TypeError(f"cannot push forward along {type(g).__name__}")
-    return map_differential(fn, p, t, h)
-
-
-def laplace_beltrami(f, p, metric, h: float | None = None) -> float:
+def laplace_beltrami(f, p, metric) -> float:
     """Coordinate Laplacian of f at p for the metric-tensor field ``metric``.
 
     ``metric`` maps a point to a MetricTensor over either the full chart
@@ -247,11 +230,10 @@ def laplace_beltrami(f, p, metric, h: float | None = None) -> float:
         chart = Chart(model, p.n, p.m, include_vec=False)
         if g0.dim != chart.dim:
             raise ValueError(f"tensor dimension {g0.dim} matches no chart")
-    if h is None:
-        # Smaller than the generic nested step: the outer derivative acts on
-        # the smooth metric field, where round-off is negligible and the
-        # truncation term dominates.
-        h = 0.3 * default_step(p, chart, order=2)
+    # Smaller than the generic nested step: the outer derivative acts on
+    # the smooth metric field, where round-off is negligible and the
+    # truncation term dominates.
+    h = 0.3 * default_step(p, chart, order=2)
     margin = point_margin(p)
     if margin <= 4.0 * h:
         raise DomainMargin(f"margin {margin:.3e} too small for step {h:.3e}")
@@ -277,44 +259,7 @@ def laplace_beltrami(f, p, metric, h: float | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sample outcome plumbing
-
-
-@dataclass
-class _Outcome:
-    """One sample's residuals, reduced over its parts.
-
-    ``info`` describes the worst part.  A stacked sampler leaves it as a
-    callable, so that only the worst sample of a run is serialized.
-    """
-
-    max_abs: float = 0.0
-    max_rel: float = 0.0
-    label: str = ""
-    info: dict | Callable[[], dict] = field(default_factory=dict)
-    retries: int = 0
-    pair: tuple[float, float] | None = None
-    constant_candidate: float | None = None
-    printed_gap: float | None = None
-
-    def add(self, label: str, lhs, rhs, info: dict | None = None):
-        d, r = rel_residual(lhs, rhs)
-        if r >= self.max_rel:
-            self.max_rel = r
-            self.label = label
-            if info is not None:
-                self.info = info
-        self.max_abs = max(self.max_abs, d)
-
-    def add_residual(self, label: str, value: float, scale: float = 0.0,
-                     info: dict | None = None):
-        rel = value / (1.0 + scale)
-        if rel >= self.max_rel:
-            self.max_rel = rel
-            self.label = label
-            if info is not None:
-                self.info = info
-        self.max_abs = max(self.max_abs, value)
+# The residual stack
 
 
 def _sample_max(x: np.ndarray) -> np.ndarray:
@@ -326,20 +271,39 @@ class _Stack:
     """The residuals of a stack of K samples, one per sample and part.
 
     ``add`` and ``add_residual`` take values with a leading sample axis and
-    apply _Outcome's tie rule to each sample: a part at least as bad as the
-    worst so far takes over the label, and the ``info`` when one is given.
-    Here ``info`` maps a sample's position in the stack to its dict, and
-    ``where`` limits a part to some of the samples.
+    reduce each sample over its parts: a part at least as bad as the worst
+    so far takes over the label, and the ``info`` when one is given.
+    ``info`` maps a sample's position in the stack to its dict and is only
+    called for the worst sample of a run; ``where`` limits a part to some
+    of the samples.  ``pair`` (the Laplacian and oracle values),
+    ``printed_gap`` and ``constant_candidate`` stay NaN where a check
+    records none.
     """
 
     def __init__(self, count: int):
-        self.count = count
         self.max_abs = np.zeros(count)
         self.max_rel = np.zeros(count)
         self.labels = np.full(count, "", dtype=object)
         self.infos = np.full(count, None, dtype=object)
+        self.slots = np.arange(count)   # the position each info is called with
         self.retries = np.zeros(count, dtype=int)
-        self.constant_candidate: np.ndarray | None = None
+        self.pair = np.full((count, 2), np.nan)
+        self.printed_gap = np.full(count, np.nan)
+        self.constant_candidate = np.full(count, np.nan)
+
+    @property
+    def count(self) -> int:
+        return len(self.max_rel)
+
+    @staticmethod
+    def concat(stacks: list, order=None) -> "_Stack":
+        """The samples of ``stacks`` in turn; with ``order``, sample j of
+        the result is sample order[j] of that concatenation."""
+        out = _Stack(0)
+        for key in vars(out):
+            joined = np.concatenate([vars(st)[key] for st in stacks])
+            setattr(out, key, joined if order is None else joined[order])
+        return out
 
     def add(self, label: str, lhs, rhs, info=None, where=None):
         """Relative residual of lhs against rhs.  Either side may be a tuple
@@ -373,13 +337,10 @@ class _Stack:
         """``info`` for the samples whose parts gave none."""
         self.infos[[i is None for i in self.infos]] = info
 
-    def outcomes(self) -> list[_Outcome]:
-        cand = self.constant_candidate
-        return [_Outcome(float(self.max_abs[k]), float(self.max_rel[k]), self.labels[k],
-                         {} if self.infos[k] is None else partial(self.infos[k], k),
-                         int(self.retries[k]),
-                         constant_candidate=None if cand is None else float(cand[k]))
-                for k in range(self.count)]
+    def info(self, k: int) -> dict:
+        """The description of sample k."""
+        info = self.infos[k]
+        return {} if info is None else dict(info(int(self.slots[k])))
 
 
 def _stack(items: list):
@@ -431,10 +392,10 @@ def _redraw(make, accept, master: int, idx, tag: str):
 # ---------------------------------------------------------------------------
 # Check samplers
 #
-# A sampler takes an array of sample indices and returns one _Outcome per
-# index.  The stencil-free checks draw every sample on its own, exactly as
-# a one-sample run would, stack the draws and evaluate each identity once
-# on the stack.
+# A sampler takes an array of sample indices and returns one _Stack of
+# their residuals, in the same order.  The stencil-free checks draw every
+# sample on its own, exactly as a one-sample run would, stack the draws
+# and evaluate each identity once on the stack.
 
 
 def _heisenberg_parts(h):
@@ -449,7 +410,7 @@ def _star_parts(s):
     return s.g.p, s.g.q, s.xi, s.kappa
 
 
-def _chk_group_laws(n, m, params, master, idx) -> list[_Outcome]:
+def _chk_group_laws(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
     hs = [_draws(lambda i: random_heisenberg(
         n, m, np.random.default_rng(sample_seed(master, i, "h", k))), idx)[1]
@@ -495,10 +456,10 @@ def _chk_group_laws(n, m, params, master, idx) -> list[_Outcome]:
     out.add("star-inverse", _star_parts(sinv), _star_parts(jacobistar_identity(n, m)))
     out.add_residual("star-closure", jacobistar_defect(s12),
                      mat_max_abs(s12.g.p) ** 2)
-    return out.outcomes()
+    return out
 
 
-def _chk_theta_hom(n, m, params, master, idx) -> list[_Outcome]:
+def _chk_theta_hom(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
     g1s, g1 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 0)), idx)
     _, g2 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 1)), idx)
@@ -517,10 +478,10 @@ def _chk_theta_hom(n, m, params, master, idx) -> list[_Outcome]:
     emb = embed_sp(g1)
     out.add_residual("embed-symplectic", mat_max_abs(emb.mT @ jmat(k) @ emb - jmat(k)),
                      mat_max_abs(emb) ** 2)
-    return out.outcomes()
+    return out
 
 
-def _chk_action_axioms(n, m, params, master, idx) -> list[_Outcome]:
+def _chk_action_axioms(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
     g1s, g1 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 0)), idx)
     _, g2 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 1)), idx)
@@ -558,10 +519,10 @@ def _chk_action_axioms(n, m, params, master, idx) -> list[_Outcome]:
     hc = hc_pplus_component(s1, pd)
     direct = act_disk(s1, pd)
     out.add("hc-vs-direct", (hc.w, hc.eta), (direct.w, direct.eta))
-    return out.outcomes()
+    return out
 
 
-def _chk_cayley_roundtrip(n, m, params, master, idx) -> list[_Outcome]:
+def _chk_cayley_roundtrip(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
     pds, pd = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "pd")), idx)
     _, pu = _draws(lambda i: random_point("upper", n, m, sample_seed(master, i, "pu")), idx)
@@ -570,10 +531,10 @@ def _chk_cayley_roundtrip(n, m, params, master, idx) -> list[_Outcome]:
             info=lambda k: {"point": point_to_json(pds[k])})
     fwd = cayley(cayley_inv(pu))
     out.add("upper-roundtrip", (fwd.omega, fwd.z), (pu.omega, pu.z))
-    return out.outcomes()
+    return out
 
 
-def _chk_cayley_compat(n, m, params, master, idx) -> list[_Outcome]:
+def _chk_cayley_compat(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
     gs, g = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g")), idx)
     pds, pd = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "pd")), idx)
@@ -583,7 +544,7 @@ def _chk_cayley_compat(n, m, params, master, idx) -> list[_Outcome]:
                      np.maximum(mat_max_abs(lhs.omega), mat_max_abs(lhs.z)),
                      info=lambda k: {"point": point_to_json(pds[k]),
                                      "element": element_to_json(gs[k])})
-    return out.outcomes()
+    return out
 
 
 def _metric_invariance(out, tag, action_fn, p, t, evaluate):
@@ -593,7 +554,7 @@ def _metric_invariance(out, tag, action_fn, p, t, evaluate):
     out.add(tag, lhs, rhs)
 
 
-def _chk_metric_invariance_upper(n, m, params, master, idx) -> list[_Outcome]:
+def _chk_metric_invariance_upper(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
 
     def make(seed):
@@ -601,7 +562,7 @@ def _chk_metric_invariance_upper(n, m, params, master, idx) -> list[_Outcome]:
 
     def accept(pairs):
         g, p = pairs
-        return upper_margin(act_upper(g, p)) >= _MIN_MARGIN_METRIC
+        return point_margin(act_upper(g, p)) >= _MIN_MARGIN_METRIC
 
     drawn, out.retries = _redraw(make, accept, master, idx, "mi-upper")
     g, p = _stack(drawn)
@@ -613,10 +574,10 @@ def _chk_metric_invariance_upper(n, m, params, master, idx) -> list[_Outcome]:
                        lambda q, s: q_siegel(q.omega, s))
     out.default_info(lambda k: {"point": point_to_json(drawn[k][1]),
                                 "element": element_to_json(drawn[k][0])})
-    return out.outcomes()
+    return out
 
 
-def _chk_metric_invariance_disk(n, m, params, master, idx) -> list[_Outcome]:
+def _chk_metric_invariance_disk(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
 
     def make(seed):
@@ -624,7 +585,7 @@ def _chk_metric_invariance_disk(n, m, params, master, idx) -> list[_Outcome]:
 
     def accept(pairs):
         g, p = pairs
-        return disk_margin(act_disk(theta_map(g), p)) >= _MIN_MARGIN_METRIC
+        return point_margin(act_disk(theta_map(g), p)) >= _MIN_MARGIN_METRIC
 
     drawn, out.retries = _redraw(make, accept, master, idx, "mi-disk")
     g, p = _stack(drawn)
@@ -635,20 +596,20 @@ def _chk_metric_invariance_disk(n, m, params, master, idx) -> list[_Outcome]:
     _metric_invariance(out, "disk-base", lambda q: act_disk(s, q), p, t,
                        lambda q, v: q_disk_n(q.w, v))
     out.default_info(lambda k: {"point": point_to_json(drawn[k][1])})
-    return out.outcomes()
+    return out
 
 
-def _chk_cayley_isometry(n, m, params, master, idx) -> list[_Outcome]:
+def _chk_cayley_isometry(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
     pts, p = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "p")), idx)
     t = _tangents("disk", n, m, master, idx)
     lhs = q_disk(p, t, params)
     rhs = q_upper(cayley(p), map_differential(cayley, p, t), params)
     out.add("isometry", lhs, rhs, info=lambda k: {"point": point_to_json(pts[k])})
-    return out.outcomes()
+    return out
 
 
-def _tensor_pd(model, n, m, params, master, idx) -> list[_Outcome]:
+def _tensor_pd(model, n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
     pts, p = _draws(lambda i: random_point(model, n, m, sample_seed(master, i, "p")), idx)
     tensor = metric_tensor(p, params)
@@ -666,21 +627,20 @@ def _tensor_pd(model, n, m, params, master, idx) -> list[_Outcome]:
         t = _stack([random_tangent(model, n, m, rng) for rng in rngs])
         direct = q_upper(p, t, params) if model == "upper" else q_disk(p, t, params)
         out.add(f"polarization-{k}", direct, tensor.apply(chart.tangent_to_vec(t)))
-    return out.outcomes()
+    return out
 
 
-def _chk_tensor_pd(n, m, params, master, idx) -> list[_Outcome]:
+def _chk_tensor_pd(n, m, params, master, idx) -> _Stack:
     # even samples check the upper model, odd ones the disk
-    outcomes = [None] * len(idx)
-    for model, parity in (("upper", 0), ("disk", 1)):
-        pos = np.flatnonzero(idx % 2 == parity)
-        if pos.size:
-            for k, o in zip(pos, _tensor_pd(model, n, m, params, master, idx[pos])):
-                outcomes[k] = o
-    return outcomes
+    parts = [(model, np.flatnonzero(idx % 2 == parity))
+             for model, parity in (("upper", 0), ("disk", 1))]
+    parts = [(model, pos) for model, pos in parts if pos.size]
+    order = np.argsort(np.concatenate([pos for _, pos in parts]))
+    return _Stack.concat([_tensor_pd(model, n, m, params, master, idx[pos])
+                          for model, pos in parts], order)
 
 
-def _chk_pushforward_identities(n, m, params, master, idx) -> list[_Outcome]:
+def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
     pts, p = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "p")), idx)
     t = _tangents("disk", n, m, master, idx)
@@ -702,13 +662,14 @@ def _chk_pushforward_identities(n, m, params, master, idx) -> list[_Outcome]:
     d_z = 2j * (t.dvec + p.eta @ inv_w @ t.dmat) @ inv_w
     out.add("differential-dOmega", moved.dmat, 0.5 * (d_omega + d_omega.mT))
     out.add("differential-dZ", moved.dvec, d_z)
-    return out.outcomes()
+    return out
 
 
 # The checks below build second-order stencils (or, for reduce-n1m1, call
-# operators that do); their bodies take one sample index.
+# operators that do); their bodies take one sample index and fill a stack
+# of one.
 
-def _lb_pair(kind, n, m, params, master, idx):
+def _lb_pair(kind, n, m, params, master, idx) -> _Stack:
     model = "upper" if kind in ("upper", "siegel") else "disk"
     mat_only = kind in ("siegel", "diskn")
     fields = test_field_suite(model, n, m, sample_seed(master, "fields"),
@@ -717,26 +678,24 @@ def _lb_pair(kind, n, m, params, master, idx):
     p = random_point(model, n, m, sample_seed(master, idx, "p"))
     metric = lambda q: metric_tensor(q, params, kind=kind)
     metric.stacked = True
-    out = _Outcome()
+    out = _Stack(1)
+    sb = second_bundle(f, p, mat_only=mat_only)
+    gap = {}
     if kind == "upper":
-        sb = second_bundle(f, p, mat_only=False)
-        lhs = lap_upper(None, p, params, _sb=sb)
-        printed = lap_upper_printed(None, p, params, _sb=sb)
+        lhs = lap_upper(sb, p, params)
+        gap["printed_rel_gap"] = rel_residual(lhs, lap_upper_printed(sb, p, params))[1]
     elif kind == "disk":
-        sb = second_bundle(f, p, mat_only=False)
-        lhs = lap_disk(None, p, params, _sb=sb)
-        printed = lap_disk_printed(None, p, params, _sb=sb)
+        lhs = lap_disk(sb, p, params)
+        gap["printed_rel_gap"] = rel_residual(lhs, lap_disk_printed(sb, p, params))[1]
     elif kind == "siegel":
-        lhs = lap_siegel(f, p)
+        lhs = lap_siegel(sb, p)
     else:
-        lhs = lap_disk_n(f, p)
-    if kind in ("upper", "disk"):
-        out.printed_gap = rel_residual(lhs, printed)[1]
-        out.info["printed_rel_gap"] = out.printed_gap
+        lhs = lap_disk_n(sb, p)
+    out.printed_gap[0] = gap.get("printed_rel_gap", np.nan)
     rhs = laplace_beltrami(f, p, metric)
-    out.pair = (float(lhs), float(rhs))
-    out.info.update({"field": f.name, "point": point_to_json(p)})
-    out.add(f"lb-pair[{f.name}]", np.asarray(lhs), np.asarray(rhs), info=out.info)
+    out.pair[0] = lhs, rhs
+    out.add(f"lb-pair[{f.name}]", np.array([lhs]), np.array([rhs]),
+            info=lambda k: {**gap, "field": f.name, "point": point_to_json(p)})
     return out
 
 
@@ -746,8 +705,11 @@ def _compose(f, action) -> ScalarField:
                        stacked=f.stacked)
 
 
-def _invariance_sample(n, m, params, master, idx, operators_upper, operators_disk):
-    out = _Outcome()
+def _invariance_sample(n, m, params, master, idx, operators_upper,
+                       operators_disk) -> _Stack:
+    """Each operator (sb, p) -> value, applied to the field after the
+    action at p and to the field at the moved point."""
+    out = _Stack(1)
     suite_u = test_field_suite("upper", n, m, sample_seed(master, "fu"))
     suite_d = test_field_suite("disk", n, m, sample_seed(master, "fd"))
     f_u = suite_u[1 + idx % (len(suite_u) - 1)]   # skip the constant field
@@ -765,13 +727,12 @@ def _invariance_sample(n, m, params, master, idx, operators_upper, operators_dis
         qd = act_disk(theta_map(g), pd)
         cu = Chart("upper", n, m)
         cd = Chart("disk", n, m)
-        return ((upper_margin(qu) >= _MIN_MARGIN_NESTED)
-                & (disk_margin(qd) >= _MIN_MARGIN_NESTED)
+        return ((point_margin(qu) >= _MIN_MARGIN_NESTED)
+                & (point_margin(qd) >= _MIN_MARGIN_NESTED)
                 & (cu.point_scale(qu) <= _MAX_SCALE_NESTED)
                 & (cd.point_scale(qd) <= _MAX_SCALE_NESTED))
 
-    [(g, pu, pd)], retries = _redraw(make, accept, master, [idx], "op-inv")
-    out.retries = int(retries[0])
+    [(g, pu, pd)], out.retries = _redraw(make, accept, master, [idx], "op-inv")
     s = theta_map(g)
 
     act_u = lambda q: act_upper(g, q)
@@ -784,30 +745,28 @@ def _invariance_sample(n, m, params, master, idx, operators_upper, operators_dis
     sb_d = second_bundle(f_d, act_disk(s, pd), mat_only=False)
 
     for name, apply_op in operators_upper:
-        lhs = apply_op(pu, _sb=sb_cu)
-        rhs = apply_op(act_upper(g, pu), _sb=sb_u)
-        out.add(f"{name}", np.asarray(lhs), np.asarray(rhs),
-                info={"field": f_u.name, "point": point_to_json(pu)})
+        lhs = apply_op(sb_cu, pu)
+        rhs = apply_op(sb_u, act_upper(g, pu))
+        out.add(name, np.array([lhs]), np.array([rhs]),
+                info=lambda k: {"field": f_u.name, "point": point_to_json(pu)})
     for name, apply_op in operators_disk:
-        lhs = apply_op(pd, _sb=sb_cd)
-        rhs = apply_op(act_disk(s, pd), _sb=sb_d)
-        out.add(f"{name}", np.asarray(lhs), np.asarray(rhs),
-                info={"field": f_d.name, "point": point_to_json(pd)})
+        lhs = apply_op(sb_cd, pd)
+        rhs = apply_op(sb_d, act_disk(s, pd))
+        out.add(name, np.array([lhs]), np.array([rhs]),
+                info=lambda k: {"field": f_d.name, "point": point_to_json(pd)})
     return out
 
 
-def _chk_laplacian_invariance(n, m, params, master, idx) -> _Outcome:
-    ops_u = [("upper-laplacian",
-              lambda p, _sb: lap_upper(None, p, params, _sb=_sb))]
-    ops_d = [("disk-laplacian",
-              lambda p, _sb: lap_disk(None, p, params, _sb=_sb))]
+def _chk_laplacian_invariance(n, m, params, master, idx) -> _Stack:
+    ops_u = [("upper-laplacian", lambda sb, p: lap_upper(sb, p, params))]
+    ops_d = [("disk-laplacian", lambda sb, p: lap_disk(sb, p, params))]
     return _invariance_sample(n, m, params, master, idx, ops_u, ops_d)
 
 
-def _chk_remark_invariance(n, m, params, master, idx) -> _Outcome:
-    ops_u = [(kind, (lambda k: lambda p, _sb: op_invariant(k, None, p, _sb=_sb))(kind))
+def _chk_remark_invariance(n, m, params, master, idx) -> _Stack:
+    ops_u = [(kind, lambda sb, p, kind=kind: op_invariant(kind, sb, p))
              for kind in ("D", "L")]
-    ops_d = [(kind, (lambda k: lambda p, _sb: op_invariant(k, None, p, _sb=_sb))(kind))
+    ops_d = [(kind, lambda sb, p, kind=kind: op_invariant(kind, sb, p))
              for kind in ("Dtilde", "Ltilde")]
     out = _invariance_sample(n, m, params, master, idx, ops_u, ops_d)
 
@@ -816,32 +775,31 @@ def _chk_remark_invariance(n, m, params, master, idx) -> _Outcome:
     pu = random_point("upper", n, m, sample_seed(master, idx, "rel-u"))
     f = test_field_suite("upper", n, m, sample_seed(master, "fu"))[3]
     sb = second_bundle(f, pu, mat_only=False)
-    lhs = 0.25 * lap_upper(None, pu, unit, _sb=sb) - op_invariant("D", None, pu, _sb=sb)
-    out.add("L-split", np.asarray(lhs),
-            np.asarray(op_invariant("L", None, pu, _sb=sb)))
+    lhs = 0.25 * lap_upper(sb, pu, unit) - op_invariant("D", sb, pu)
+    out.add("L-split", np.array([lhs]), np.array([op_invariant("L", sb, pu)]))
     pd = random_point("disk", n, m, sample_seed(master, idx, "rel-d"))
     fd = test_field_suite("disk", n, m, sample_seed(master, "fd"))[3]
     sbd = second_bundle(fd, pd, mat_only=False)
-    lhs_d = (lap_disk(None, pd, unit, _sb=sbd)
-             - op_invariant("Dtilde", None, pd, _sb=sbd))
-    out.add("Ltilde-split", np.asarray(lhs_d),
-            np.asarray(op_invariant("Ltilde", None, pd, _sb=sbd)))
+    lhs_d = lap_disk(sbd, pd, unit) - op_invariant("Dtilde", sbd, pd)
+    out.add("Ltilde-split", np.array([lhs_d]),
+            np.array([op_invariant("Ltilde", sbd, pd)]))
     return out
 
 
-def _chk_reduce_n1m1(n, m, params, master, idx) -> _Outcome:
-    out = _Outcome()
+def _chk_reduce_n1m1(n, m, params, master, idx) -> _Stack:
+    out = _Stack(1)
     unit = MetricParams(1.0, 1.0)
     p = random_point("disk", 1, 1, sample_seed(master, idx, "p"))
     rng = np.random.default_rng(sample_seed(master, idx, "t"))
     t = random_tangent("disk", 1, 1, rng)
-    out.add("metric-closed-form", np.asarray(q_disk(p, t, unit)),
-            np.asarray(q_disk_closed_11(p, t)),
-            info={"point": point_to_json(p)})
+    out.add("metric-closed-form", np.array([q_disk(p, t, unit)]),
+            np.array([q_disk_closed_11(p, t)]),
+            info=lambda k: {"point": point_to_json(p)})
     f = test_field_suite("disk", 1, 1, sample_seed(master, "f"))[1 + idx % 4]
-    out.add("laplacian-closed-form", np.asarray(lap_disk(f, p, unit)),
-            np.asarray(lap_disk_closed_11(f, p)),
-            info={"field": f.name, "point": point_to_json(p)})
+    sb = second_bundle(f, p, mat_only=False)
+    out.add("laplacian-closed-form", np.array([lap_disk(sb, p, unit)]),
+            np.array([lap_disk_closed_11(sb, p)]),
+            info=lambda k: {"field": f.name, "point": point_to_json(p)})
     return out
 
 
@@ -854,7 +812,7 @@ _STACK = 256
 
 @dataclass(frozen=True)
 class _CheckDef:
-    sampler: Callable   # (n, m, params, master, idx) -> one _Outcome per index
+    sampler: Callable   # (n, m, params, master, idx) -> _Stack of len(idx)
     default_tol: float
     stack: int = _STACK
 
@@ -862,7 +820,7 @@ class _CheckDef:
 def _single(body, default_tol: float) -> _CheckDef:
     """A check whose body takes one sample index; it runs in stacks of one."""
     def sampler(n, m, params, master, idx):
-        return [body(n, m, params, master, int(i)) for i in idx]
+        return _Stack.concat([body(n, m, params, master, int(i)) for i in idx])
     return _CheckDef(sampler, default_tol, stack=1)
 
 
@@ -890,36 +848,37 @@ CHECK_NAMES = list(_CHECKS)
 DEFAULT_TOLERANCES = {name: c.default_tol for name, c in _CHECKS.items()}
 
 
-def _pairing_constant(outcomes: list[_Outcome]) -> float | None:
+def _pairing_constant(pair: np.ndarray) -> float | None:
     """Median lhs/rhs ratio over samples where the oracle value is
     informative; reported only, the residuals compare unscaled values."""
-    ratios = [lhs / rhs for lhs, rhs in (o.pair for o in outcomes if o.pair)
-              if abs(rhs) > 1e-3 * (1.0 + abs(lhs))]
-    return float(np.median(ratios)) if ratios else None
+    lhs, rhs = pair.T
+    ok = np.abs(rhs) > 1e-3 * (1.0 + np.abs(lhs))   # false where NaN
+    return float(np.median(lhs[ok] / rhs[ok])) if ok.any() else None
 
 
-def _stack_outcomes(cdef: _CheckDef, n, m, params, seed, idx) -> list[_Outcome]:
+def _sample_stack(cdef: _CheckDef, n, m, params, seed, idx) -> _Stack:
     """The samples ``idx`` in one sampler call.  When the call raises, each
     sample runs again on its own, so only a failing sample reports the error."""
     try:
         return cdef.sampler(n, m, params, seed, idx)
     except (DomainMargin, SingularMatrix, ArithmeticError) as exc:
         if len(idx) > 1:
-            return [o for k in range(len(idx))
-                    for o in _stack_outcomes(cdef, n, m, params, seed, idx[k: k + 1])]
-        bad = _Outcome()
-        bad.add_residual("sample-error", float("inf"),
-                         info={"error": f"{type(exc).__name__}: {exc}"})
-        return [bad]
+            return _Stack.concat([_sample_stack(cdef, n, m, params, seed, idx[k: k + 1])
+                                  for k in range(len(idx))])
+        error = f"{type(exc).__name__}: {exc}"
+        bad = _Stack(1)
+        bad.add_residual("sample-error", float("inf"), info=lambda k: {"error": error})
+        return bad
 
 
-def _sample_outcomes(name: str, n: int, m: int, params: MetricParams,
-                     samples: int, seed: int) -> list[_Outcome]:
-    """One _Outcome per sample, in order, evaluated a stack at a time."""
+def _all_samples(name: str, n: int, m: int, params: MetricParams,
+                 samples: int, seed: int) -> _Stack:
+    """Every sample of a check, in order, evaluated a stack at a time."""
     cdef = _CHECKS[name]
-    return [o for start in range(0, samples, cdef.stack)
-            for o in _stack_outcomes(cdef, n, m, params, seed,
-                                     np.arange(start, min(start + cdef.stack, samples)))]
+    return _Stack.concat([
+        _sample_stack(cdef, n, m, params, seed,
+                      np.arange(start, min(start + cdef.stack, samples)))
+        for start in range(0, samples, cdef.stack)])
 
 
 def run_check(name: str, n: int, m: int, params: MetricParams,
@@ -938,25 +897,23 @@ def run_check(name: str, n: int, m: int, params: MetricParams,
     if tol is None:
         tol = _CHECKS[name].default_tol
     start = time.perf_counter()
-    outcomes = _sample_outcomes(name, n, m, params, samples, seed)
+    st = _all_samples(name, n, m, params, samples, seed)
 
-    candidates = [o.constant_candidate for o in outcomes
-                  if o.constant_candidate is not None]
-    constant = _pairing_constant(outcomes)
-    if constant is None and candidates:
-        constant = min(candidates)
+    constant = _pairing_constant(st.pair)
+    candidates = st.constant_candidate[~np.isnan(st.constant_candidate)]
+    if constant is None and candidates.size:
+        constant = float(candidates.min())
 
-    max_abs_res = max(o.max_abs for o in outcomes)
-    max_rel_res = max(o.max_rel for o in outcomes)
-    worst_idx = int(np.argmax([o.max_rel for o in outcomes]))
-    info = outcomes[worst_idx].info
-    worst = dict(info() if callable(info) else info)
+    max_abs_res = st.max_abs.max()
+    max_rel_res = st.max_rel.max()
+    worst_idx = int(np.argmax(st.max_rel))
+    worst = st.info(worst_idx)
     worst["sample"] = worst_idx
-    worst["part"] = outcomes[worst_idx].label
-    gaps = [o.printed_gap for o in outcomes if o.printed_gap is not None]
-    if gaps:
-        worst["printed_rel_gap_max"] = float(max(gaps))
-    retries = sum(o.retries for o in outcomes)
+    worst["part"] = st.labels[worst_idx]
+    gaps = st.printed_gap[~np.isnan(st.printed_gap)]
+    if gaps.size:
+        worst["printed_rel_gap_max"] = float(gaps.max())
+    retries = int(st.retries.sum())
     elapsed = (time.perf_counter() - start) * 1000.0
     return CheckReport(
         check=name, n=n, m=m, a=params.a, b=params.b,

@@ -279,8 +279,8 @@ def test_stacked_forms_and_differential_match_per_point(model):
 
 
 def _per_sample(name, n, m, samples, seed):
-    outcomes = V._sample_outcomes(name, n, m, UNIT, samples, seed)
-    return [(o.max_rel, o.label) for o in outcomes]
+    st = V._all_samples(name, n, m, UNIT, samples, seed)
+    return list(zip(st.max_rel, st.labels))
 
 
 @pytest.mark.parametrize("name", ["group-laws", "metric-invariance-upper", "tensor-pd"])
@@ -290,13 +290,13 @@ def test_residuals_do_not_depend_on_the_stack(name):
     assert V._STACK == 256
     full = _per_sample(name, 1, 1, 257, 3)
     assert full[:256] == _per_sample(name, 1, 1, 256, 3)
-    alone = V._stack_outcomes(V._CHECKS[name], 1, 1, UNIT, 3, np.array([256]))
-    assert full[256] == (alone[0].max_rel, alone[0].label)
+    alone = V._sample_stack(V._CHECKS[name], 1, 1, UNIT, 3, np.array([256]))
+    assert full[256] == (alone.max_rel[0], alone.labels[0])
 
 
 def test_failing_sample_is_isolated(monkeypatch):
     seed, bad = 42, 3
-    clean = V._sample_outcomes("cayley-compat", 2, 1, UNIT, 8, seed)
+    clean = V._all_samples("cayley-compat", 2, 1, UNIT, 8, seed)
     poisoned = geo.random_point("disk", 2, 1, V.sample_seed(seed, bad, "pd"))
     correct = V.check_cayley_compat
 
@@ -305,14 +305,13 @@ def test_failing_sample_is_isolated(monkeypatch):
             raise SingularMatrix("injected")
         return correct(g, pd)
     monkeypatch.setattr(V, "check_cayley_compat", flaky)
-    outcomes = V._sample_outcomes("cayley-compat", 2, 1, UNIT, 8, seed)
-    assert [o.label for o in outcomes].count("sample-error") == 1
-    assert outcomes[bad].label == "sample-error"
-    assert outcomes[bad].info == {"error": "SingularMatrix: injected"}
+    st = V._all_samples("cayley-compat", 2, 1, UNIT, 8, seed)
+    assert list(st.labels).count("sample-error") == 1
+    assert st.labels[bad] == "sample-error"
+    assert st.info(bad) == {"error": "SingularMatrix: injected"}
     for k in range(8):
         if k != bad:
-            assert (outcomes[k].max_rel, outcomes[k].label) == (clean[k].max_rel,
-                                                                 clean[k].label)
+            assert (st.max_rel[k], st.labels[k]) == (clean.max_rel[k], clean.labels[k])
     rep = V.run_check("cayley-compat", 2, 1, UNIT, 8, seed)
     assert not rep.passed and rep.worst["sample"] == bad
 

@@ -110,6 +110,40 @@ def test_eval_operator(capsys, tmp_path):
     assert float(out.strip()) == pytest.approx(1.0, rel=1e-7)
 
 
+def _library_value(target, sb, p):
+    from sjgeo import operators as op
+    from sjgeo.metrics import MetricParams
+    if target == "laplacian":
+        return op.lap_upper(sb, p, MetricParams(1.0, 1.0))
+    return op.op_invariant(target, sb, p)
+
+
+@pytest.mark.parametrize("target, model, field", [
+    ("laplacian", "upper", "sigmaY"),
+    ("L", "upper", "logDetY"),
+    ("Dtilde", "disk", "absEta2"),
+])
+def test_eval_prints_the_library_value(capsys, tmp_path, target, model, field):
+    from sjgeo import operators as op
+    from sjgeo.geometry import point_to_json, random_point
+    p = random_point(model, 2, 1, 5)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(point_to_json(p)))
+    code, out, err = run_cli(capsys, "eval", target, "--point", str(path),
+                             "--field", field)
+    assert code == 0, err
+    f = op.named_field(model, 2, 1, field)
+    full = op.second_bundle(f, p, mat_only=False)
+    assert out == f"{_library_value(target, full, p):.15g}\n"
+    if f.mat_only:
+        # the field's own flag gives a bundle without the vector blocks,
+        # which the full-chart operators refuse
+        own = op.second_bundle(f, p)
+        assert own.vec_vec is None
+        with pytest.raises(ValueError, match="full-chart bundle"):
+            _library_value(target, own, p)
+
+
 def test_eval_rejects_bad_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("this is not json")
@@ -175,11 +209,11 @@ def test_sample_element_valid(capsys):
 
 
 def test_sample_point_margin(capsys):
-    from sjgeo.geometry import disk_margin, point_from_json
+    from sjgeo.geometry import point_from_json, point_margin
     code, out, _ = run_cli(capsys, "sample", "point", "--model", "disk",
                            "--n", "2", "--m", "2", "--seed", "8")
     assert code == 0
-    assert disk_margin(point_from_json(json.loads(out))) >= 0.1
+    assert point_margin(point_from_json(json.loads(out))) >= 0.1
 
 
 def test_config_validation(capsys):

@@ -137,7 +137,7 @@ def test_random_point_properties():
     assert _rel(a, b) == 0.0
     for seed in range(200):
         p = geo.random_point("disk", 2, 1, seed)
-        assert geo.disk_margin(p) >= 0.1
+        assert geo.point_margin(p) >= 0.1
         u = geo.random_point("upper", 2, 1, seed)
         assert geo.validate_point(u) == []
     with pytest.raises(ValueError):

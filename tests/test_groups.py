@@ -89,7 +89,8 @@ def test_jacobi_group_laws_random():
         assert max_abs(_flat_j(lhs) - _flat_j(rhs)) / scale < 1e-12
         inv = G.jacobi_mul(g1, G.jacobi_inverse(g1))
         assert max_abs(_flat_j(inv) - _flat_j(G.jacobi_identity(3, 2))) < 1e-9
-        assert G.jacobi_defect(lhs) < 1e-10 * scale
+        assert G.sp_defect(lhs.sp) < 1e-10 * scale
+        assert G.heisenberg_defect(lhs.h) < 1e-10 * scale
 
 
 def _random_sp_reference(n, rng):

@@ -12,60 +12,66 @@ def test_domain_margin_guard():
     near = geo.DiskPoint([[0.999999]], [[0.0]])
     f = op.named_field("disk", 1, 1, "absW2")
     with pytest.raises(op.DomainMargin):
-        op.lap_disk(f, near, UNIT)
+        op.second_bundle(f, near)
+
+
+def _lap_siegel(n, m, name, p):
+    f = op.named_field("upper", n, m, name)
+    return op.lap_siegel(op.second_bundle(f, p, mat_only=True), p)
 
 
 def test_lap_siegel_examples():
     p = geo.random_point("upper", 1, 1, 3)
-    assert op.lap_siegel(op.named_field("upper", 1, 1, "sigmaY"), p) == \
-        pytest.approx(0.0, abs=1e-7)
-    assert op.lap_siegel(op.named_field("upper", 1, 1, "logDetY"), p) == \
-        pytest.approx(-1.0, rel=1e-6)
+    assert _lap_siegel(1, 1, "sigmaY", p) == pytest.approx(0.0, abs=1e-7)
+    assert _lap_siegel(1, 1, "logDetY", p) == pytest.approx(-1.0, rel=1e-6)
     p2 = geo.random_point("upper", 2, 1, 11)
-    assert op.lap_siegel(op.named_field("upper", 2, 1, "logDetY"), p2) == \
-        pytest.approx(-3.0, rel=1e-6)
+    assert _lap_siegel(2, 1, "logDetY", p2) == pytest.approx(-3.0, rel=1e-6)
 
 
 def test_lap_disk_n_example():
     p = geo.random_point("disk", 1, 1, 5)
     f = op.named_field("disk", 1, 1, "absW2")
     expect = (1 - abs(p.w[0, 0]) ** 2) ** 2
-    assert op.lap_disk_n(f, p) == pytest.approx(expect, rel=1e-7)
+    sb = op.second_bundle(f, p, mat_only=True)
+    assert op.lap_disk_n(sb, p) == pytest.approx(expect, rel=1e-7)
 
 
 def test_lap_disk_closed_values():
     f_w = op.named_field("disk", 1, 1, "absW2")
     p = geo.DiskPoint([[0.0]], [[0.4 + 0.2j]])
-    assert op.lap_disk(f_w, p, UNIT) == pytest.approx(1.0, rel=1e-7)
+    assert op.lap_disk(op.second_bundle(f_w, p), p, UNIT) == pytest.approx(1.0, rel=1e-7)
     f_e = op.named_field("disk", 1, 1, "absEta2")
     origin = geo.DiskPoint([[0.0]], [[0.0]])
-    assert op.lap_disk(f_e, origin, UNIT) == pytest.approx(1.0, rel=1e-7)
+    assert op.lap_disk(op.second_bundle(f_e, origin), origin, UNIT) == \
+        pytest.approx(1.0, rel=1e-7)
 
 
 def test_constants_annihilated():
     for model, maker in (("upper", op.lap_upper), ("disk", op.lap_disk)):
         p = geo.random_point(model, 2, 1, 9)
         f = op.test_field_suite(model, 2, 1, 0)[0]
-        assert abs(maker(f, p, UNIT)) < 1e-8
+        assert abs(maker(op.second_bundle(f, p), p, UNIT)) < 1e-8
 
 
 def test_quarter_laplacian_split():
     p = geo.random_point("upper", 2, 2, 21)
     f = op.test_field_suite("upper", 2, 2, 77)[3]
-    lhs = 0.25 * op.lap_upper(f, p, UNIT) - op.op_invariant("D", f, p)
-    rhs = op.op_invariant("L", f, p)
+    sb = op.second_bundle(f, p)
+    lhs = 0.25 * op.lap_upper(sb, p, UNIT) - op.op_invariant("D", sb, p)
+    rhs = op.op_invariant("L", sb, p)
     assert abs(lhs - rhs) < 1e-8 * (1 + abs(rhs))
     pd = geo.random_point("disk", 2, 2, 22)
     fd = op.test_field_suite("disk", 2, 2, 78)[3]
-    lhs_d = op.lap_disk(fd, pd, UNIT) - op.op_invariant("Dtilde", fd, pd)
-    rhs_d = op.op_invariant("Ltilde", fd, pd)
+    sbd = op.second_bundle(fd, pd)
+    lhs_d = op.lap_disk(sbd, pd, UNIT) - op.op_invariant("Dtilde", sbd, pd)
+    rhs_d = op.op_invariant("Ltilde", sbd, pd)
     assert abs(lhs_d - rhs_d) < 1e-8 * (1 + abs(rhs_d))
 
 
 def test_d_ignores_mat_only_fields():
     p = geo.random_point("upper", 2, 2, 2)
     f = op.ScalarField("ymat", "upper", lambda q: float(np.sum(q.y * q.y)))
-    assert abs(op.op_invariant("D", f, p)) < 1e-10
+    assert abs(op.op_invariant("D", op.second_bundle(f, p), p)) < 1e-10
 
 
 def test_printed_forms_agree_at_n1():
@@ -74,8 +80,8 @@ def test_printed_forms_agree_at_n1():
         p = geo.random_point("disk", 1, m, 4)
         f = op.test_field_suite("disk", 1, m, 5)[3]
         sb = op.second_bundle(f, p)
-        a = op.lap_disk(None, p, UNIT, _sb=sb)
-        b = op.lap_disk_printed(None, p, UNIT, _sb=sb)
+        a = op.lap_disk(sb, p, UNIT)
+        b = op.lap_disk_printed(sb, p, UNIT)
         assert abs(a - b) <= 1e-12 * (1 + abs(a))
 
 
@@ -86,8 +92,8 @@ def test_printed_forms_deviate_at_n2():
         p = geo.random_point("disk", 2, 1, seed)
         f = op.test_field_suite("disk", 2, 1, 7)[3]
         sb = op.second_bundle(f, p)
-        a = op.lap_disk(None, p, UNIT, _sb=sb)
-        b = op.lap_disk_printed(None, p, UNIT, _sb=sb)
+        a = op.lap_disk(sb, p, UNIT)
+        b = op.lap_disk_printed(sb, p, UNIT)
         found = max(found, abs(a - b) / (1 + max(abs(a), abs(b))))
     assert found > 1e-8
 
@@ -104,8 +110,8 @@ def test_cayley_transfer_of_laplacians():
     f = op.ScalarField("bump", "upper",
                        lambda q: float(np.exp(-np.sum((chu.point_to_vec(q) - center) ** 2))))
     comp = op.ScalarField("bump-pullback", "disk", lambda q: f(geo.cayley(q)))
-    a = op.lap_disk(comp, p, UNIT)
-    b = op.lap_upper(f, up, UNIT)
+    a = op.lap_disk(op.second_bundle(comp, p), p, UNIT)
+    b = op.lap_upper(op.second_bundle(f, up), up, UNIT)
     assert abs(a - b) <= 1e-6 * (1 + max(abs(a), abs(b)))
 
 
@@ -113,8 +119,9 @@ def test_lap_disk_vs_closed_11():
     for seed in range(20):
         p = geo.random_point("disk", 1, 1, 400 + seed)
         for f in op.test_field_suite("disk", 1, 1, seed)[1:]:
-            a = op.lap_disk(f, p, UNIT)
-            b = op.lap_disk_closed_11(f, p)
+            sb = op.second_bundle(f, p)
+            a = op.lap_disk(sb, p, UNIT)
+            b = op.lap_disk_closed_11(sb, p)
             assert abs(a - b) <= 1e-6 * (1 + max(abs(a), abs(b)))
 
 
