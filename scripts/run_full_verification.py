@@ -21,7 +21,7 @@ CHEAP = {"group-laws", "theta-hom", "action-axioms", "cayley-roundtrip",
          "cayley-compat", "metric-invariance-upper", "metric-invariance-disk",
          "cayley-isometry", "tensor-pd", "pushforward-identities"}
 GRID_CHEAP = [(1, 1), (2, 1), (2, 2), (3, 2)]
-GRID_HEAVY = [(1, 1), (1, 2), (2, 1), (2, 2)]
+GRID_HEAVY = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]
 HEAVY_SAMPLES = {"lb-equivalence-upper": 25, "lb-equivalence-disk": 25,
                  "lb-equivalence-siegel": 25, "lb-equivalence-diskn": 25,
                  "laplacian-invariance": 8, "remark41-invariance": 8,

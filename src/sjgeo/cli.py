@@ -141,6 +141,9 @@ def _cmd_verify(args) -> int:
         all_pass &= rep.passed
         _log(f"{name:<26s} {'pass' if rep.passed else 'FAIL'} "
              f"max_rel={rep.max_rel:.3e} tol={rep.tol:g} ({rep.ms:.0f} ms)")
+        if (rep.n, rep.m) != (args.n, args.m):
+            _log(f"note: {name} is defined at n = {rep.n}, m = {rep.m} only, so it "
+                 f"ran and reports there, not at n = {args.n}, m = {args.m}")
     if args.format == "csv":
         text = _reports_to_csv(reports)
     else:

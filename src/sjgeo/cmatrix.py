@@ -139,9 +139,10 @@ def _inverse_stack(m: np.ndarray) -> np.ndarray:
     for k in range(n):
         col = aug[:, k:, k]
         r = k + np.argmax(np.abs(col.real) + np.abs(col.imag), axis=1)
-        top = aug[rows, k].copy()
-        aug[rows, k] = aug[rows, r]
-        aug[rows, r] = top
+        if np.any(r != k):   # row swaps; often none in a small stack
+            top = aug[rows, k].copy()
+            aug[rows, k] = aug[rows, r]
+            aug[rows, r] = top
         p = aug[:, k, k].copy()
         pivots[:, k] = np.abs(p)
         # A zero pivot fails the guard below; dividing by 1 keeps the rest finite.

@@ -403,8 +403,9 @@ def q_disk(p: DiskPoint, t: Tangent, params: MetricParams):
     return _form_at(_disk_terms(p.w, p.eta, params.a, params.b), t, "disk form")
 
 
-def q_disk_closed_11(p: DiskPoint, t: Tangent) -> float:
-    """Independent scalar transcription of the n = m = 1 disk form (A = B = 1).
+def q_disk_closed_11(p: DiskPoint, t: Tangent):
+    """Independent scalar transcription of the n = m = 1 disk form (A = B = 1),
+    per point of a stacked point and tangent.
 
     One quarter of the line element reads
       dW conj(dW) / (1-|W|^2)^2 + deta conj(deta) / (1-|W|^2)
@@ -415,10 +416,10 @@ def q_disk_closed_11(p: DiskPoint, t: Tangent) -> float:
     """
     if p.n != 1 or p.m != 1:
         raise ValueError("closed form is defined for n = m = 1 only")
-    w = complex(p.w[0, 0])
-    eta = complex(p.eta[0, 0])
-    dw = complex(t.dmat[0, 0])
-    de = complex(t.dvec[0, 0])
+    w = p.w[..., 0, 0]
+    eta = p.eta[..., 0, 0]
+    dw = t.dmat[..., 0, 0]
+    de = t.dvec[..., 0, 0]
     d = 1.0 - abs(w) ** 2
     quarter = (
         dw * dw.conjugate() / d ** 2
@@ -429,7 +430,8 @@ def q_disk_closed_11(p: DiskPoint, t: Tangent) -> float:
         + (eta * w.conjugate() - eta.conjugate()) / d ** 2 * dw * de.conjugate()
         + (eta.conjugate() * w - eta) / d ** 2 * dw.conjugate() * de
     )
-    return float(_realize(np.asarray(4.0 * quarter), "closed disk form"))
+    q = _realize(np.asarray(4.0 * quarter), "closed disk form")
+    return float(q) if q.ndim == 0 else q
 
 
 # ---------------------------------------------------------------------------

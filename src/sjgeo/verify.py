@@ -18,12 +18,16 @@ logged in the report).
 
 Every sampler call returns one residual stack (_Stack): per sample, the
 worst relative residual over its parts, that part's name and a lazy
-description of the sample.  The checks that build no second-order
-stencil stack the draws of up to 256 samples and evaluate each identity
-once on the stack; the others fill a stack of one sample per call.  A
-call that raises is run again one sample at a time, so only the failing
-sample reports the error.  run_check reduces the concatenated stack of
-all samples to the report.
+description of the sample.  Every check draws each sample on its own,
+stacks the draws and evaluates each identity once on the stack.  The
+checks that build no second-order stencil take up to 256 samples per
+call; the stencil checks take as many as fit a fixed budget of chart
+coordinates (_STENCIL_COORDS): all 50 of a run at (1, 1), one at a time
+at (3, 2).  There, each Richardson level of every sample's stencil is
+one field call, and each oracle one metric call.  A call that raises is
+run again one sample at a time, so only the failing sample reports the
+error.  run_check reduces the concatenated stack of all samples to the
+report.
 """
 
 from __future__ import annotations
@@ -92,6 +96,7 @@ from .operators import (
     DomainMargin,
     ScalarField,
     _grad_real,
+    _require_margin,
     default_step,
     lap_disk,
     lap_disk_closed_11,
@@ -210,52 +215,59 @@ def map_differential(fn, p, t: Tangent, h=None) -> Tangent:
     return tchart.vec_to_tangent((plus - minus) * (norm / (2.0 * h))[..., None])
 
 
-def laplace_beltrami(f, p, metric) -> float:
+def laplace_beltrami(f, p, metric):
     """Coordinate Laplacian of f at p for the metric-tensor field ``metric``.
 
-    ``metric`` maps a point to a MetricTensor over either the full chart
-    or the matrix-only chart; the chart is inferred from its dimension.
-    The 2 dim flux points v0 +- h e_i are one node array: a metric with a
-    true ``stacked`` attribute gets them in one call as a stacked point and
-    returns stacked tensors, any other is called point by point.  The
-    gradients at every flux point come from one field evaluation of all
-    their stencils (see operators.ScalarField for the field contract).
+    The chart is the field's, as in operators.second_bundle: the
+    matrix-only chart for a field with a true ``mat_only`` flag, the full
+    chart otherwise, and ``metric`` maps a point to a MetricTensor over
+    that chart.  The point and its 2 dim flux points v0 +- h e_i are one
+    node array: a metric with a true ``stacked`` attribute gets them in
+    one call as a stacked point and returns stacked tensors, any other is
+    called point by point.  The gradients at every flux point come from
+    one field evaluation of all their stencils (see operators.ScalarField
+    for the field contract).
+
+    A stacked point of K points gives K values, each with its point's own
+    steps: the tensors at all K points and their flux points come from one
+    metric call, and the gradient stencils from one field call.
     """
-    g0 = metric(p)
     model = "upper" if isinstance(p, UpperPoint) else "disk"
-    full = Chart(model, p.n, p.m, include_vec=True)
-    if g0.dim == full.dim:
-        chart = full
-    else:
-        chart = Chart(model, p.n, p.m, include_vec=False)
-        if g0.dim != chart.dim:
-            raise ValueError(f"tensor dimension {g0.dim} matches no chart")
+    chart = Chart(model, p.n, p.m, include_vec=not getattr(f, "mat_only", False))
+    d = chart.dim
     # Smaller than the generic nested step: the outer derivative acts on
     # the smooth metric field, where round-off is negligible and the
     # truncation term dominates.
-    h = 0.3 * default_step(p, chart, order=2)
-    margin = point_margin(p)
-    if margin <= 4.0 * h:
-        raise DomainMargin(f"margin {margin:.3e} too small for step {h:.3e}")
-    det0 = float(np.linalg.det(g0.g))
-    if det0 <= 0.0 or g0.min_eigenvalue() <= 0.0:
-        raise SingularMatrix("metric tensor is not positive definite at the point")
-    h1 = default_step(p, chart, order=1)
-    v0 = chart.point_to_vec(p)
-    step = h * np.eye(chart.dim)
-    flux_nodes = np.concatenate([v0 + step, v0 - step])
-    grad = _grad_real(f, chart, flux_nodes, h1)
+    h = 0.3 * np.asarray(default_step(p, chart, order=2))
+    _require_margin(p, 4.0 * h)
+    v0 = chart.point_to_vec(p)[..., None, :]
+    step = h[..., None, None] * np.eye(d)
+    nodes = np.concatenate([v0, v0 + step, v0 - step], axis=-2)   # the point, then its flux points
+    h1 = np.asarray(default_step(p, chart, order=1))
+    # the gradient stencils first: their nodes are the largest array, and
+    # the tensors need not be alive beside them
+    grad = _grad_real(f, chart, nodes[..., 1:, :], h1[..., None])
+    rows = nodes.reshape(-1, d)
     if getattr(metric, "stacked", False):
-        gq = metric(chart.vec_to_point(flux_nodes)).g
+        g = metric(chart.vec_to_point(rows)).g
     else:
-        gq = np.array([metric(chart.vec_to_point(v)).g for v in flux_nodes])
+        g = np.array([metric(chart.vec_to_point(v)).g for v in rows])
+    if g.shape[-1] != d:
+        raise ValueError(f"tensor dimension {g.shape[-1]} does not match the field's "
+                         f"chart of dimension {d}")
+    g = g.reshape(nodes.shape + (d,))
+    det0 = np.linalg.det(g[..., 0, :, :])
+    if np.any(det0 <= 0.0) or np.any(np.linalg.eigvalsh(g[..., 0, :, :]).min(axis=-1) <= 0.0):
+        raise SingularMatrix("metric tensor is not positive definite at the point")
+    gq = g[..., 1:, :, :]
     det = np.linalg.det(gq)
     if np.any(det <= 0.0):
         raise SingularMatrix("metric tensor degenerates inside the stencil")
-    flux = np.sqrt(det)[:, None] * np.linalg.solve(gq, grad[..., None])[..., 0]
-    diag = np.arange(chart.dim)
-    total = np.sum(flux[diag, diag] - flux[chart.dim + diag, diag]) / (2.0 * h)
-    return float(total / np.sqrt(det0))
+    flux = np.sqrt(det)[..., None] * np.linalg.solve(gq, grad[..., None])[..., 0]
+    diag = np.arange(d)
+    total = np.sum(flux[..., diag, diag] - flux[..., d + diag, diag], axis=-1) / (2.0 * h)
+    val = total / np.sqrt(det0)
+    return float(val) if val.ndim == 0 else val
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +405,19 @@ def _redraw(make, accept, master: int, idx, tag: str):
 # Check samplers
 #
 # A sampler takes an array of sample indices and returns one _Stack of
-# their residuals, in the same order.  The stencil-free checks draw every
-# sample on its own, exactly as a one-sample run would, stack the draws
-# and evaluate each identity once on the stack.
+# their residuals, in the same order.  It draws every sample on its own,
+# exactly as a one-sample run would, stacks the draws and evaluates each
+# identity once on the stack.
+
+
+def _grouped(count: int, idx, sampler) -> _Stack:
+    """The samples idx split by idx % count: sampler(j, sub) gives the stack
+    of the samples sub of class j, and the classes are joined back in
+    sample order."""
+    classes = [(j, np.flatnonzero(idx % count == j)) for j in range(count)]
+    classes = [(j, pos) for j, pos in classes if pos.size]
+    order = np.argsort(np.concatenate([pos for _, pos in classes]))
+    return _Stack.concat([sampler(j, idx[pos]) for j, pos in classes], order)
 
 
 def _heisenberg_parts(h):
@@ -632,12 +654,8 @@ def _tensor_pd(model, n, m, params, master, idx) -> _Stack:
 
 def _chk_tensor_pd(n, m, params, master, idx) -> _Stack:
     # even samples check the upper model, odd ones the disk
-    parts = [(model, np.flatnonzero(idx % 2 == parity))
-             for model, parity in (("upper", 0), ("disk", 1))]
-    parts = [(model, pos) for model, pos in parts if pos.size]
-    order = np.argsort(np.concatenate([pos for _, pos in parts]))
-    return _Stack.concat([_tensor_pd(model, n, m, params, master, idx[pos])
-                          for model, pos in parts], order)
+    return _grouped(2, idx, lambda parity, sub: _tensor_pd(
+        ("upper", "disk")[parity], n, m, params, master, sub))
 
 
 def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
@@ -666,65 +684,98 @@ def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
 
 
 # The checks below build second-order stencils (or, for reduce-n1m1, call
-# operators that do); their bodies take one sample index and fill a stack
-# of one.
+# operators that do).  Each test field serves the samples whose index is
+# its position modulo the number of fields: a sampler differentiates
+# each field once on the stack of its samples (see _grouped).
+
 
 def _lb_pair(kind, n, m, params, master, idx) -> _Stack:
     model = "upper" if kind in ("upper", "siegel") else "disk"
     mat_only = kind in ("siegel", "diskn")
     fields = test_field_suite(model, n, m, sample_seed(master, "fields"),
                               mat_only=mat_only)
-    f = fields[idx % len(fields)]
-    p = random_point(model, n, m, sample_seed(master, idx, "p"))
     metric = lambda q: metric_tensor(q, params, kind=kind)
     metric.stacked = True
-    out = _Stack(1)
-    sb = second_bundle(f, p, mat_only=mat_only)
-    gap = {}
-    if kind == "upper":
-        lhs = lap_upper(sb, p, params)
-        gap["printed_rel_gap"] = rel_residual(lhs, lap_upper_printed(sb, p, params))[1]
-    elif kind == "disk":
-        lhs = lap_disk(sb, p, params)
-        gap["printed_rel_gap"] = rel_residual(lhs, lap_disk_printed(sb, p, params))[1]
-    elif kind == "siegel":
-        lhs = lap_siegel(sb, p)
-    else:
-        lhs = lap_disk_n(sb, p)
-    out.printed_gap[0] = gap.get("printed_rel_gap", np.nan)
-    rhs = laplace_beltrami(f, p, metric)
-    out.pair[0] = lhs, rhs
-    out.add(f"lb-pair[{f.name}]", np.array([lhs]), np.array([rhs]),
-            info=lambda k: {**gap, "field": f.name, "point": point_to_json(p)})
-    return out
+
+    def sampler(j, sub):
+        f = fields[j]
+        pts, p = _draws(lambda i: random_point(model, n, m, sample_seed(master, i, "p")),
+                        sub)
+        out = _Stack(len(sub))
+        sb = second_bundle(f, p, mat_only=mat_only)
+        printed = None
+        if kind == "upper":
+            lhs = lap_upper(sb, p, params)
+            printed = lap_upper_printed(sb, p, params)
+        elif kind == "disk":
+            lhs = lap_disk(sb, p, params)
+            printed = lap_disk_printed(sb, p, params)
+        elif kind == "siegel":
+            lhs = lap_siegel(sb, p)
+        else:
+            lhs = lap_disk_n(sb, p)
+        rhs = laplace_beltrami(f, p, metric)
+        out.pair = np.stack([lhs, rhs], axis=-1)
+        extra = {}
+        if printed is not None:
+            out.printed_gap = extra["printed_rel_gap"] = _rel_gap(lhs, printed)
+        # the info reads these arrays, not out: out holds the info, and a
+        # reference cycle would keep every drawn point alive until a full
+        # garbage collection
+        out.add(f"lb-pair[{f.name}]", lhs, rhs,
+                info=lambda k: {**{key: float(v[k]) for key, v in extra.items()},
+                                "field": f.name, "point": point_to_json(pts[k])})
+        return out
+    return _grouped(len(fields), idx, sampler)
 
 
-def _compose(f, action) -> ScalarField:
-    """f after a point map; stack-safe when f is, since the actions are."""
-    return ScalarField(f.name, f.model, lambda q: f(action(q)), f.mat_only,
-                       stacked=f.stacked)
+def _rel_gap(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """rel_residual of each pair of values."""
+    return np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
-def _invariance_sample(n, m, params, master, idx, operators_upper,
+def _repeat(x, count: int):
+    """x with each stack member repeated ``count`` times in a row; arrays
+    are repeated along their leading axis, tuples and dataclasses member
+    by member (see _stack)."""
+    if isinstance(x, np.ndarray):
+        return np.repeat(x, count, axis=0)
+    if dataclasses.is_dataclass(x):
+        return type(x)(**{f.name: _repeat(getattr(x, f.name), count)
+                          for f in dataclasses.fields(x)})
+    return x
+
+
+def _compose(f, action, elements, count: int) -> ScalarField:
+    """f after the action of a stack of ``count`` elements, as a stack-safe
+    field of a stack-safe f.
+
+    It takes a stacked point whose points come in ``count`` equal runs,
+    such as the stencil nodes of that many samples, and moves run k by
+    element k, so the whole stencil stays one field call.  A stack of one
+    element broadcasts against the points as it is."""
+    return ScalarField(f.name, f.model, lambda q: f(action(
+        elements if count == 1 else _repeat(elements, q.batch[0] // count), q)),
+        f.mat_only, stacked=True)
+
+
+def _invariance_sample(n, m, suite_u, suite_d, master, idx, operators_upper,
                        operators_disk) -> _Stack:
     """Each operator (sb, p) -> value, applied to the field after the
-    action at p and to the field at the moved point."""
-    out = _Stack(1)
-    suite_u = test_field_suite("upper", n, m, sample_seed(master, "fu"))
-    suite_d = test_field_suite("disk", n, m, sample_seed(master, "fd"))
-    f_u = suite_u[1 + idx % (len(suite_u) - 1)]   # skip the constant field
-    f_d = suite_d[1 + idx % (len(suite_d) - 1)]
+    action at p and to the field at the moved point.  Sample k uses the
+    non-constant fields suite_u[1 + k % 4] and suite_d[1 + k % 4]."""
 
     def make(seed):
+        # each draw carries its images, moved point by point: accept judges
+        # them, and they are the stencil centres of the moved fields
         g = random_jacobi(n, m, seed)
+        s = theta_map(g)
         pu = random_point("upper", n, m, sample_seed(seed, "pu"))
         pd = random_point("disk", n, m, sample_seed(seed, "pd"))
-        return g, pu, pd
+        return g, s, pu, pd, act_upper(g, pu), act_disk(s, pd)
 
-    def accept(trips):
-        g, pu, pd = trips
-        qu = act_upper(g, pu)
-        qd = act_disk(theta_map(g), pd)
+    def accept(draws):
+        qu, qd = draws[4:]
         cu = Chart("upper", n, m)
         cd = Chart("disk", n, m)
         return ((point_margin(qu) >= _MIN_MARGIN_NESTED)
@@ -732,35 +783,34 @@ def _invariance_sample(n, m, params, master, idx, operators_upper,
                 & (cu.point_scale(qu) <= _MAX_SCALE_NESTED)
                 & (cd.point_scale(qd) <= _MAX_SCALE_NESTED))
 
-    [(g, pu, pd)], out.retries = _redraw(make, accept, master, [idx], "op-inv")
-    s = theta_map(g)
+    def sampler(j, sub):
+        out = _Stack(len(sub))
+        drawn, out.retries = _redraw(make, accept, master, sub, "op-inv")
+        g, s, pu, pd, qu, qd = _stack(drawn)
+        f_u, f_d = suite_u[1 + j], suite_d[1 + j]   # skip the constant field
+        sb_cu = second_bundle(_compose(f_u, act_upper, g, len(sub)), pu, mat_only=False)
+        sb_u = second_bundle(f_u, qu, mat_only=False)
+        sb_cd = second_bundle(_compose(f_d, act_disk, s, len(sub)), pd, mat_only=False)
+        sb_d = second_bundle(f_d, qd, mat_only=False)
+        for name, apply_op in operators_upper:
+            out.add(name, apply_op(sb_cu, pu), apply_op(sb_u, qu),
+                    info=lambda k: {"field": f_u.name, "point": point_to_json(drawn[k][2])})
+        for name, apply_op in operators_disk:
+            out.add(name, apply_op(sb_cd, pd), apply_op(sb_d, qd),
+                    info=lambda k: {"field": f_d.name, "point": point_to_json(drawn[k][3])})
+        return out
+    return _grouped(len(suite_u) - 1, idx, sampler)
 
-    act_u = lambda q: act_upper(g, q)
-    act_d = lambda q: act_disk(s, q)
-    comp_u = _compose(f_u, act_u)
-    comp_d = _compose(f_d, act_d)
-    sb_cu = second_bundle(comp_u, pu, mat_only=False)
-    sb_u = second_bundle(f_u, act_upper(g, pu), mat_only=False)
-    sb_cd = second_bundle(comp_d, pd, mat_only=False)
-    sb_d = second_bundle(f_d, act_disk(s, pd), mat_only=False)
 
-    for name, apply_op in operators_upper:
-        lhs = apply_op(sb_cu, pu)
-        rhs = apply_op(sb_u, act_upper(g, pu))
-        out.add(name, np.array([lhs]), np.array([rhs]),
-                info=lambda k: {"field": f_u.name, "point": point_to_json(pu)})
-    for name, apply_op in operators_disk:
-        lhs = apply_op(sb_cd, pd)
-        rhs = apply_op(sb_d, act_disk(s, pd))
-        out.add(name, np.array([lhs]), np.array([rhs]),
-                info=lambda k: {"field": f_d.name, "point": point_to_json(pd)})
-    return out
+def _suites(n, m, master):
+    return (test_field_suite("upper", n, m, sample_seed(master, "fu")),
+            test_field_suite("disk", n, m, sample_seed(master, "fd")))
 
 
 def _chk_laplacian_invariance(n, m, params, master, idx) -> _Stack:
     ops_u = [("upper-laplacian", lambda sb, p: lap_upper(sb, p, params))]
     ops_d = [("disk-laplacian", lambda sb, p: lap_disk(sb, p, params))]
-    return _invariance_sample(n, m, params, master, idx, ops_u, ops_d)
+    return _invariance_sample(n, m, *_suites(n, m, master), master, idx, ops_u, ops_d)
 
 
 def _chk_remark_invariance(n, m, params, master, idx) -> _Stack:
@@ -768,39 +818,42 @@ def _chk_remark_invariance(n, m, params, master, idx) -> _Stack:
              for kind in ("D", "L")]
     ops_d = [(kind, lambda sb, p, kind=kind: op_invariant(kind, sb, p))
              for kind in ("Dtilde", "Ltilde")]
-    out = _invariance_sample(n, m, params, master, idx, ops_u, ops_d)
+    suite_u, suite_d = _suites(n, m, master)
+    out = _invariance_sample(n, m, suite_u, suite_d, master, idx, ops_u, ops_d)
 
     # the defining split: quarter of the unit-weight Laplacian minus D is L
     unit = MetricParams(1.0, 1.0)
-    pu = random_point("upper", n, m, sample_seed(master, idx, "rel-u"))
-    f = test_field_suite("upper", n, m, sample_seed(master, "fu"))[3]
-    sb = second_bundle(f, pu, mat_only=False)
+    _, pu = _draws(lambda i: random_point("upper", n, m, sample_seed(master, i, "rel-u")),
+                   idx)
+    sb = second_bundle(suite_u[3], pu, mat_only=False)
     lhs = 0.25 * lap_upper(sb, pu, unit) - op_invariant("D", sb, pu)
-    out.add("L-split", np.array([lhs]), np.array([op_invariant("L", sb, pu)]))
-    pd = random_point("disk", n, m, sample_seed(master, idx, "rel-d"))
-    fd = test_field_suite("disk", n, m, sample_seed(master, "fd"))[3]
-    sbd = second_bundle(fd, pd, mat_only=False)
+    out.add("L-split", lhs, op_invariant("L", sb, pu))
+    _, pd = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "rel-d")),
+                   idx)
+    sbd = second_bundle(suite_d[3], pd, mat_only=False)
     lhs_d = lap_disk(sbd, pd, unit) - op_invariant("Dtilde", sbd, pd)
-    out.add("Ltilde-split", np.array([lhs_d]),
-            np.array([op_invariant("Ltilde", sbd, pd)]))
+    out.add("Ltilde-split", lhs_d, op_invariant("Ltilde", sbd, pd))
     return out
 
 
 def _chk_reduce_n1m1(n, m, params, master, idx) -> _Stack:
-    out = _Stack(1)
+    # always at n = m = 1 (its _CheckDef.cell)
     unit = MetricParams(1.0, 1.0)
-    p = random_point("disk", 1, 1, sample_seed(master, idx, "p"))
-    rng = np.random.default_rng(sample_seed(master, idx, "t"))
-    t = random_tangent("disk", 1, 1, rng)
-    out.add("metric-closed-form", np.array([q_disk(p, t, unit)]),
-            np.array([q_disk_closed_11(p, t)]),
-            info=lambda k: {"point": point_to_json(p)})
-    f = test_field_suite("disk", 1, 1, sample_seed(master, "f"))[1 + idx % 4]
-    sb = second_bundle(f, p, mat_only=False)
-    out.add("laplacian-closed-form", np.array([lap_disk(sb, p, unit)]),
-            np.array([lap_disk_closed_11(sb, p)]),
-            info=lambda k: {"field": f.name, "point": point_to_json(p)})
-    return out
+    fields = test_field_suite("disk", 1, 1, sample_seed(master, "f"))
+
+    def sampler(j, sub):
+        out = _Stack(len(sub))
+        pts, p = _draws(lambda i: random_point("disk", 1, 1, sample_seed(master, i, "p")),
+                        sub)
+        t = _tangents("disk", 1, 1, master, sub)
+        out.add("metric-closed-form", q_disk(p, t, unit), q_disk_closed_11(p, t),
+                info=lambda k: {"point": point_to_json(pts[k])})
+        f = fields[1 + j]   # skip the constant field
+        sb = second_bundle(f, p, mat_only=False)
+        out.add("laplacian-closed-form", lap_disk(sb, p, unit), lap_disk_closed_11(sb, p),
+                info=lambda k: {"field": f.name, "point": point_to_json(pts[k])})
+        return out
+    return _grouped(len(fields) - 1, idx, sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -809,19 +862,26 @@ def _chk_reduce_n1m1(n, m, params, master, idx) -> _Stack:
 # Samples per sampler call: a constant, so a stack's memory stays bounded.
 _STACK = 256
 
+# Chart coordinates per sampler call of a stencil check.  Its largest
+# array is the oracle's gradient stencil, (2 dim)^2 nodes of dim chart
+# coordinates per sample, so one sample at the desk corner (3,2), chart
+# dimension 24, fills the budget: a call holds as many samples as fit.
+_STENCIL_COORDS = 4 * 24 ** 3
+
 
 @dataclass(frozen=True)
 class _CheckDef:
     sampler: Callable   # (n, m, params, master, idx) -> _Stack of len(idx)
     default_tol: float
-    stack: int = _STACK
+    stencil: bool = False   # builds second-order stencils (see stack)
+    cell: tuple | None = None   # the (n, m) the check runs at, whatever is asked
 
-
-def _single(body, default_tol: float) -> _CheckDef:
-    """A check whose body takes one sample index; it runs in stacks of one."""
-    def sampler(n, m, params, master, idx):
-        return _Stack.concat([body(n, m, params, master, int(i)) for i in idx])
-    return _CheckDef(sampler, default_tol, stack=1)
+    def stack(self, n: int, m: int) -> int:
+        """Samples per sampler call at (n, m)."""
+        if not self.stencil:
+            return _STACK
+        dim = Chart("upper", n, m).dim
+        return max(1, _STENCIL_COORDS // (4 * dim ** 3))
 
 
 _CHECKS: dict[str, _CheckDef] = {
@@ -834,13 +894,14 @@ _CHECKS: dict[str, _CheckDef] = {
     "metric-invariance-disk": _CheckDef(_chk_metric_invariance_disk, 1e-5),
     "cayley-isometry": _CheckDef(_chk_cayley_isometry, 1e-5),
     "tensor-pd": _CheckDef(_chk_tensor_pd, 1e-9),
-    "lb-equivalence-upper": _single(partial(_lb_pair, "upper"), 1e-3),
-    "lb-equivalence-disk": _single(partial(_lb_pair, "disk"), 1e-3),
-    "lb-equivalence-siegel": _single(partial(_lb_pair, "siegel"), 1e-3),
-    "lb-equivalence-diskn": _single(partial(_lb_pair, "diskn"), 1e-3),
-    "laplacian-invariance": _single(_chk_laplacian_invariance, 1e-3),
-    "remark41-invariance": _single(_chk_remark_invariance, 1e-3),
-    "reduce-n1m1": _single(_chk_reduce_n1m1, 1e-6),
+    "lb-equivalence-upper": _CheckDef(partial(_lb_pair, "upper"), 1e-3, stencil=True),
+    "lb-equivalence-disk": _CheckDef(partial(_lb_pair, "disk"), 1e-3, stencil=True),
+    "lb-equivalence-siegel": _CheckDef(partial(_lb_pair, "siegel"), 1e-3, stencil=True),
+    "lb-equivalence-diskn": _CheckDef(partial(_lb_pair, "diskn"), 1e-3, stencil=True),
+    "laplacian-invariance": _CheckDef(_chk_laplacian_invariance, 1e-3, stencil=True),
+    "remark41-invariance": _CheckDef(_chk_remark_invariance, 1e-3, stencil=True),
+    "reduce-n1m1": _CheckDef(_chk_reduce_n1m1, 1e-6, stencil=True,
+                             cell=(1, 1)),
     "pushforward-identities": _CheckDef(_chk_pushforward_identities, 1e-6),
 }
 
@@ -875,10 +936,11 @@ def _all_samples(name: str, n: int, m: int, params: MetricParams,
                  samples: int, seed: int) -> _Stack:
     """Every sample of a check, in order, evaluated a stack at a time."""
     cdef = _CHECKS[name]
+    stack = cdef.stack(n, m)
     return _Stack.concat([
         _sample_stack(cdef, n, m, params, seed,
-                      np.arange(start, min(start + cdef.stack, samples)))
-        for start in range(0, samples, cdef.stack)])
+                      np.arange(start, min(start + stack, samples)))
+        for start in range(0, samples, stack)])
 
 
 def run_check(name: str, n: int, m: int, params: MetricParams,
@@ -886,7 +948,9 @@ def run_check(name: str, n: int, m: int, params: MetricParams,
               threads: int = 1) -> CheckReport:
     """Run one named verification suite and reduce it to a report.
 
-    Samples run in order in the calling thread; ``threads`` must be 1.
+    Samples run in order in the calling thread; ``threads`` must be 1.  A
+    check defined at one cell only (reduce-n1m1, at n = m = 1) runs there
+    whatever ``n``, ``m`` ask, and its report names that cell.
     """
     if name not in _CHECKS:
         raise UnknownCheck(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
@@ -896,6 +960,7 @@ def run_check(name: str, n: int, m: int, params: MetricParams,
         raise ValueError(f"threads must be 1, got {threads}")
     if tol is None:
         tol = _CHECKS[name].default_tol
+    n, m = _CHECKS[name].cell or (n, m)
     start = time.perf_counter()
     st = _all_samples(name, n, m, params, samples, seed)
 

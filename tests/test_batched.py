@@ -316,6 +316,93 @@ def test_failing_sample_is_isolated(monkeypatch):
     assert not rep.passed and rep.worst["sample"] == bad
 
 
+# ---------------------------------------------------------------------------
+# Sample-stacked stencil checks: a sample's residuals are the same in a
+# stack of any size, operators take stacked bundles, and a failing sample
+# stays isolated.
+
+STENCIL_CHECKS = ["lb-equivalence-upper", "lb-equivalence-disk", "laplacian-invariance",
+                  "remark41-invariance", "reduce-n1m1"]
+
+
+@pytest.mark.parametrize("name", STENCIL_CHECKS)
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1)])
+def test_stencil_residuals_do_not_depend_on_the_stack(name, n, m):
+    cdef = V._CHECKS[name]
+    idx = np.arange(10)     # every test field, twice or more
+    stacked = V._sample_stack(cdef, n, m, UNIT, 5, idx)
+    alone = V._Stack.concat([V._sample_stack(cdef, n, m, UNIT, 5, idx[k: k + 1])
+                             for k in range(len(idx))])
+    assert list(stacked.labels) == list(alone.labels)
+    assert np.allclose(stacked.max_rel, alone.max_rel, rtol=1e-12, atol=0.0)
+    assert np.array_equal(stacked.retries, alone.retries)
+
+
+def test_stencil_stack_sizes():
+    # a fixed budget of chart coordinates: the README run at (1,1) packs all
+    # 50 samples, the desk corner (3,2) runs them one at a time
+    lb = V._CHECKS["lb-equivalence-disk"]
+    assert lb.stack(1, 1) >= 50
+    assert lb.stack(3, 2) == 1
+    assert V._CHECKS["group-laws"].stack(3, 2) == V._STACK
+
+
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_stacked_operators_match_single_point(n, m):
+    # one stacked bundle and contraction against each point on its own; a
+    # single point inverts its coefficients through LAPACK, a stack by
+    # Gauss-Jordan, so they agree to round-off
+    for model, lap, kinds in (("upper", op.lap_upper, ("D", "L")),
+                              ("disk", op.lap_disk, ("Dtilde", "Ltilde"))):
+        points, stacked = _stack(model, n, m, range(4))
+        metric = lambda q: metric_tensor(q, PARAMS, kind=model)
+        metric.stacked = True
+        for f in op.test_field_suite(model, n, m, 5)[2::2]:   # trace-quad, cross
+            sb = op.second_bundle(f, stacked)
+            ones = [op.second_bundle(f, p) for p in points]
+            values = [lap(sb, stacked, PARAMS)] + [op.op_invariant(k, sb, stacked)
+                                                   for k in kinds]
+            singles = [[lap(b, p, PARAMS) for b, p in zip(ones, points)]] + [
+                [op.op_invariant(k, b, p) for b, p in zip(ones, points)] for k in kinds]
+            lb = V.laplace_beltrami(f, stacked, metric)
+            values.append(lb)
+            singles.append([V.laplace_beltrami(f, p, metric) for p in points])
+            for got, want in zip(values, singles):
+                assert got.shape == (4,)
+                assert _rel(got, want) <= 1e-12, (model, f.name)
+
+
+def test_failing_stencil_sample_is_isolated(monkeypatch):
+    seed, bad = 42, 3
+    assert V._CHECKS["lb-equivalence-disk"].stack(1, 1) >= 8   # one stacked call
+    clean = V._all_samples("lb-equivalence-disk", 1, 1, UNIT, 8, seed)
+    poisoned = geo.random_point("disk", 1, 1, V.sample_seed(seed, bad, "p"))
+    correct = V.laplace_beltrami
+
+    def flaky(f, p, metric):
+        if np.any(np.all(p.w == poisoned.w, axis=(-2, -1))):
+            raise op.DomainMargin("injected")
+        return correct(f, p, metric)
+    monkeypatch.setattr(V, "laplace_beltrami", flaky)
+    st = V._all_samples("lb-equivalence-disk", 1, 1, UNIT, 8, seed)
+    assert list(st.labels).count("sample-error") == 1
+    assert st.labels[bad] == "sample-error"
+    assert st.info(bad) == {"error": "DomainMargin: injected"}
+    for k in range(8):
+        if k != bad:
+            assert (st.max_rel[k], st.labels[k]) == (clean.max_rel[k], clean.labels[k])
+    rep = V.run_check("lb-equivalence-disk", 1, 1, UNIT, 8, seed)
+    assert not rep.passed and rep.worst["sample"] == bad
+
+
+def test_reduce_n1m1_reports_its_own_cell():
+    asked = V.run_check("reduce-n1m1", 3, 2, UNIT, 6, 42).to_json()
+    own = V.run_check("reduce-n1m1", 1, 1, UNIT, 6, 42).to_json()
+    assert (asked["n"], asked["m"]) == (1, 1)
+    assert {k: v for k, v in asked.items() if k != "ms"} == \
+        {k: v for k, v in own.items() if k != "ms"}
+
+
 @pytest.mark.parametrize("name, key, model, tag", [
     ("cayley-isometry", "point", "disk", "p"),
     ("pushforward-identities", "point", "disk", "p"),

@@ -42,6 +42,21 @@ def test_verify_single_check(capsys, tmp_path):
     assert "cayley-roundtrip" in err
 
 
+def test_verify_all_reports_reduce_n1m1_at_its_own_cell(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "--n", "3", "--m", "2",
+                             "--samples", "2")
+    assert code == 0
+    cells = {rep["check"]: (rep["n"], rep["m"]) for rep in json.loads(out)}
+    assert cells.pop("reduce-n1m1") == (1, 1)
+    assert set(cells.values()) == {(3, 2)}
+    notes = [line for line in err.splitlines() if line.startswith("note:")]
+    assert len(notes) == 1
+    assert "reduce-n1m1" in notes[0] and "n = 1, m = 1" in notes[0]
+    # at its own cell there is nothing to note
+    code, out, err = run_cli(capsys, "verify", "reduce-n1m1", "--samples", "2")
+    assert code == 0 and "note:" not in err
+
+
 def test_verify_unknown_check(capsys):
     code, out, err = run_cli(capsys, "verify", "definitely-not-a-check")
     assert code == 2
