@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .cmatrix import SingularMatrix
@@ -99,14 +100,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_common(args) -> str | None:
     if getattr(args, "n", 1) < 1 or getattr(args, "m", 1) < 1:
         return "n and m must be >= 1"
-    if getattr(args, "a", 1.0) <= 0 or getattr(args, "b", 1.0) <= 0:
-        return "A and B must be positive"
+    # written so that NaN fails too
+    if not (0.0 < getattr(args, "a", 1.0) < math.inf
+            and 0.0 < getattr(args, "b", 1.0) < math.inf):
+        return "A and B must be finite and positive"
     if getattr(args, "samples", 1) < 1:
         return "samples must be >= 1"
     if getattr(args, "seed", 0) < 0:
         return "seed must be >= 0"
-    if getattr(args, "tol", None) is not None and args.tol <= 0:
-        return "tol must be positive"
+    if getattr(args, "tol", None) is not None and not 0.0 < args.tol < math.inf:
+        return "tol must be finite and positive"
     return None
 
 

@@ -4,9 +4,10 @@ Small, self-contained helpers for the matrix sizes this library actually
 meets (everything is <= 10x10): inversion with an explicit pivot guard,
 block assembly, the Hermitian positive-definite margin, the max-norm and
 the symmetry defect, each of one matrix or of every matrix of a stack,
-and the JSON wire format shared by all higher layers.  Backed by
-numpy/scipy; the contracts (shapes, error conditions, tolerances) are
-what the rest of the library relies on.
+and the JSON wire format shared by all higher layers.  Backed by numpy
+alone, with one algorithm per operation for one matrix and for a stack;
+the contracts (shapes, error conditions, tolerances) are what the rest
+of the library relies on.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ __all__ = [
     "mat_from_json",
 ]
 
-# Relative pivot threshold for LU inversion: pivots below this times the
+# Relative pivot threshold for inversion: pivots below this times the
 # largest entry signal a (numerically) singular input.
 PIVOT_RTOL = 1e-12
 
@@ -91,48 +92,27 @@ def block(rows) -> np.ndarray:
 
 def mat_inverse(m: np.ndarray) -> np.ndarray:
     """Invert a square matrix, or each matrix of a (K, n, n) stack, by
-    elimination with partial pivoting.
+    Gauss-Jordan elimination with partial pivoting.
 
-    Raises SingularMatrix when the smallest pivot of a matrix falls below
-    PIVOT_RTOL times that matrix's largest entry; callers treat that as
-    "the point or group element is outside its domain".
+    One matrix is inverted as a stack of one, so a matrix gets the same
+    inverse, to the last bit, alone or in a stack of any size.  Pivots are
+    chosen by |Re| + |Im|.  Raises SingularMatrix when the smallest pivot
+    of a matrix falls below PIVOT_RTOL times that matrix's largest entry;
+    callers treat that as "the point or group element is outside its
+    domain".
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"mat_inverse needs a square matrix or a stack of them, "
                          f"got {m.shape}")
-    if m.ndim == 3:
-        return _inverse_stack(m)
-    # Deferred: importing scipy.linalg is most of the package's import time,
-    # which every `sjgeo eval` / `sample` call would pay up front.
-    from scipy.linalg import lapack
-
-    scale = float(np.abs(m).max())
-    if scale == 0.0:
-        raise SingularMatrix("zero matrix")
-    lu, piv, _ = lapack.zgetrf(m)
-    _pivot_guard(float(np.abs(lu.diagonal()).min()), scale)
-    inv, _ = lapack.zgetri(lu, piv)
-    return inv
-
-
-def _pivot_guard(pivot: float, scale: float):
-    if pivot < PIVOT_RTOL * scale:
-        raise SingularMatrix(f"pivot {pivot:.3e} below {PIVOT_RTOL:.0e} * {scale:.3e}")
-
-
-def _inverse_stack(m: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan elimination vectorized over a (K, n, n) stack.
-
-    Pivots are chosen by |Re| + |Im| as LAPACK's getrf does, so each
-    matrix meets the guard of the single-matrix path on its own scale.
-    """
-    scale = np.max(np.abs(m), axis=(-2, -1))
+    n = m.shape[-1]
+    stack = m.reshape(-1, n, n)
+    scale = np.max(np.abs(stack), axis=(-2, -1))
     if np.any(scale == 0.0):
         raise SingularMatrix("zero matrix")
-    k_count, n, _ = m.shape
+    k_count = len(stack)
     aug = np.zeros((k_count, n, 2 * n), dtype=np.complex128)
-    aug[:, :, :n] = m
+    aug[:, :, :n] = stack
     aug[:, np.arange(n), n + np.arange(n)] = 1.0
     rows = np.arange(k_count)
     pivots = np.empty((k_count, n))
@@ -153,8 +133,10 @@ def _inverse_stack(m: np.ndarray) -> np.ndarray:
                 aug[:, i] -= aug[:, i, k, None] * aug[:, k]
     low = pivots.min(axis=-1)
     worst = np.argmax(low < PIVOT_RTOL * scale)
-    _pivot_guard(low[worst], scale[worst])
-    return np.ascontiguousarray(aug[:, :, n:])
+    if low[worst] < PIVOT_RTOL * scale[worst]:
+        raise SingularMatrix(f"pivot {low[worst]:.3e} below {PIVOT_RTOL:.0e} "
+                             f"* {scale[worst]:.3e}")
+    return np.ascontiguousarray(aug[:, :, n:]).reshape(m.shape)
 
 
 def hermitian_pd_margin(m: np.ndarray):

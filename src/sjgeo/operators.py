@@ -39,9 +39,9 @@ ones at n = 1.
 Second derivatives use nested central differences (the two passes
 collapse to the standard mixed-difference stencil) with one Richardson
 extrapolation level (h, h/2).  Each level's stencil is one (N, dim)
-array of chart coordinates.  A stack-safe field (ScalarField.stacked)
-is called once on the N stacked points; any other callable is called
-once per node.
+array of chart coordinates, and the field is called once on the N
+stacked points: every field takes a stacked point and returns one value
+per point (see ScalarField).
 
 Every function here also takes a stacked point of K points (see
 geometry.UpperPoint): second_bundle then differentiates at each point
@@ -50,8 +50,9 @@ node array and one field call per Richardson level, and the bundle's
 tensors gain a leading axis of length K.  The operators contract such a
 bundle with the K points' coefficients and return one value per point;
 for a single point they return a float.  A point's bundle and operator
-values are the same, to the last bit, in a stack of any size: the suite
-fields and the contractions round each point alike wherever it sits.
+values are the same, to the last bit, alone or in a stack of any size:
+the suite fields, the contractions and mat_inverse round each point
+alike wherever it sits.
 """
 
 from __future__ import annotations
@@ -96,28 +97,33 @@ class DomainMargin(Exception):
 class ScalarField:
     """Deterministic scalar test function on one model.
 
-    A field with ``stacked=True`` declares that ``fn`` also takes a stacked
-    point (see geometry.UpperPoint) and returns one value per point, shape
-    ``p.batch``.  The finite-difference engine then evaluates a whole
-    stencil in one call; fields without the flag are called node by node.
+    ``fn`` takes a point or a stacked point (see geometry.UpperPoint) and
+    returns one value per point, shape ``p.batch``, where value k depends
+    on point k alone; the finite-difference engine evaluates a whole
+    stencil in one call.  The same contract holds for a plain callable
+    passed to second_bundle or verify.laplace_beltrami.
     """
 
     name: str
     model: str
     fn: Callable
     mat_only: bool = False
-    stacked: bool = False
 
     def __call__(self, p):
         """The value at one point (a float), or at each point of a stack
-        (an array of shape p.batch; stack-safe fields only)."""
-        if not self.stacked:
-            return float(self.fn(p))
-        vals = np.asarray(self.fn(p), dtype=np.float64)
-        if vals.shape != p.batch:
-            raise ValueError(f"field {self.name!r} returned shape {vals.shape} "
-                             f"for points of batch shape {p.batch}")
+        (an array of shape p.batch)."""
+        vals = _one_per_point(self.fn(p), p, self.name)
         return vals if p.batch else float(vals)
+
+
+def _one_per_point(vals, p, name: str) -> np.ndarray:
+    """A field's values at p as floats, rejected unless there is one per point."""
+    vals = np.asarray(vals, dtype=np.float64)
+    if vals.shape != p.batch:
+        raise ValueError(f"field {name!r} returned shape {vals.shape} for points of "
+                         f"batch shape {p.batch}: a field takes a stacked point and "
+                         f"returns one value per point")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -152,16 +158,12 @@ def _require_margin(p, needed):
 
 
 def _field_at_nodes(f, chart: Chart, nodes: np.ndarray) -> np.ndarray:
-    """Values of f at the rows of a (N, dim) array of chart coordinates.
-
-    A stack-safe field is called once on the N stacked points; any other
-    callable is called once per node.
-    """
-    if getattr(f, "stacked", False):
-        points = chart.vec_to_point(nodes)
-        del nodes   # callers pass a temporary: free it before the field runs
-        return f(points)
-    return np.array([f(chart.vec_to_point(v)) for v in nodes])
+    """Values of f at the rows of a (N, dim) array of chart coordinates,
+    from one call of f on the N stacked points."""
+    points = chart.vec_to_point(nodes)
+    del nodes   # callers pass a temporary: free it before the field runs
+    name = getattr(f, "name", getattr(f, "__name__", type(f).__name__))
+    return _one_per_point(f(points), points, name)
 
 
 def _grad_real(f, chart: Chart, v0: np.ndarray, h) -> np.ndarray:
@@ -503,8 +505,7 @@ def _tr(x: np.ndarray) -> np.ndarray:
 def test_field_suite(model: str, n: int, m: int, seed: int,
                      mat_only: bool = False) -> list:
     """Deterministic suite: constant, random linear, quadratic trace,
-    Gaussian bump with random center, and a product field.  All five are
-    stack-safe."""
+    Gaussian bump with random center, and a product field."""
     if model not in ("upper", "disk"):
         raise ValueError(f"unknown model {model!r}")
     rng = np.random.default_rng(seed)
@@ -547,16 +548,16 @@ def test_field_suite(model: str, n: int, m: int, seed: int,
             return _tr(mat).real * _tr(vec @ lam0.T).imag
 
     return [
-        ScalarField("const", model, lambda p: np.ones(p.batch), mat_only, stacked=True),
-        ScalarField("linear", model, lin, mat_only, stacked=True),
-        ScalarField("trace-quad", model, quad, mat_only, stacked=True),
-        ScalarField("gauss", model, gauss, mat_only, stacked=True),
-        ScalarField("cross", model, cross, mat_only, stacked=True),
+        ScalarField("const", model, lambda p: np.ones(p.batch), mat_only),
+        ScalarField("linear", model, lin, mat_only),
+        ScalarField("trace-quad", model, quad, mat_only),
+        ScalarField("gauss", model, gauss, mat_only),
+        ScalarField("cross", model, cross, mat_only),
     ]
 
 
 def named_field(model: str, n: int, m: int, name: str) -> ScalarField:
-    """Fixed fields addressable by id (independent of any seed); all stack-safe."""
+    """Fixed fields addressable by id (independent of any seed)."""
     rows, cols = np.triu_indices(n)
     if model == "disk":
         table = {
@@ -578,7 +579,7 @@ def named_field(model: str, n: int, m: int, name: str) -> ScalarField:
         raise ValueError(f"unknown model {model!r}")
     if name not in table:
         raise KeyError(f"unknown field id {name!r} for model {model}")
-    return ScalarField(name, model, table[name], mat_only=name in mat_only, stacked=True)
+    return ScalarField(name, model, table[name], mat_only=name in mat_only)
 
 
 def field_registry_ids(model: str) -> list[str]:

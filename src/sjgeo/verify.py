@@ -19,15 +19,16 @@ logged in the report).
 Every sampler call returns one residual stack (_Stack): per sample, the
 worst relative residual over its parts, that part's name and a lazy
 description of the sample.  Every check draws each sample on its own,
-stacks the draws and evaluates each identity once on the stack.  The
-checks that build no second-order stencil take up to 256 samples per
-call; the stencil checks take as many as fit a fixed budget of chart
-coordinates (_STENCIL_COORDS): all 50 of a run at (1, 1), one at a time
-at (3, 2).  There, each Richardson level of every sample's stencil is
-one field call, and each oracle one metric call.  A call that raises is
-run again one sample at a time, so only the failing sample reports the
-error.  run_check reduces the concatenated stack of all samples to the
-report.
+stacks the draws and evaluates each identity once on the stack; an
+upper-model point is drawn as its disk point, and the stack of them
+takes one Cayley transform.  The checks that build no second-order
+stencil take up to 256 samples per call; the stencil checks take as
+many as fit a fixed budget of chart coordinates (_STENCIL_COORDS): all
+50 of a run at (1, 1), one at a time at (3, 2).  There, each Richardson
+level of every sample's stencil is one field call, and each oracle one
+metric call.  A call that raises is run again one sample at a time, so
+only the failing sample reports the error.  run_check reduces the
+concatenated stack of all samples to the report.
 """
 
 from __future__ import annotations
@@ -220,13 +221,11 @@ def laplace_beltrami(f, p, metric):
 
     The chart is the field's, as in operators.second_bundle: the
     matrix-only chart for a field with a true ``mat_only`` flag, the full
-    chart otherwise, and ``metric`` maps a point to a MetricTensor over
-    that chart.  The point and its 2 dim flux points v0 +- h e_i are one
-    node array: a metric with a true ``stacked`` attribute gets them in
-    one call as a stacked point and returns stacked tensors, any other is
-    called point by point.  The gradients at every flux point come from
-    one field evaluation of all their stencils (see operators.ScalarField
-    for the field contract).
+    chart otherwise, and ``metric`` maps a stacked point to the stacked
+    MetricTensor over that chart.  The point and its 2 dim flux points
+    v0 +- h e_i are one node array and one metric call.  The gradients at
+    every flux point come from one field evaluation of all their stencils
+    (see operators.ScalarField for the field contract).
 
     A stacked point of K points gives K values, each with its point's own
     steps: the tensors at all K points and their flux points come from one
@@ -248,13 +247,10 @@ def laplace_beltrami(f, p, metric):
     # the tensors need not be alive beside them
     grad = _grad_real(f, chart, nodes[..., 1:, :], h1[..., None])
     rows = nodes.reshape(-1, d)
-    if getattr(metric, "stacked", False):
-        g = metric(chart.vec_to_point(rows)).g
-    else:
-        g = np.array([metric(chart.vec_to_point(v)).g for v in rows])
-    if g.shape[-1] != d:
-        raise ValueError(f"tensor dimension {g.shape[-1]} does not match the field's "
-                         f"chart of dimension {d}")
+    g = metric(chart.vec_to_point(rows)).g
+    if g.shape != (len(rows), d, d):
+        raise ValueError(f"metric returned tensors of shape {g.shape} for {len(rows)} "
+                         f"points of the field's chart of dimension {d}")
     g = g.reshape(nodes.shape + (d,))
     det0 = np.linalg.det(g[..., 0, :, :])
     if np.any(det0 <= 0.0) or np.any(np.linalg.eigvalsh(g[..., 0, :, :]).min(axis=-1) <= 0.0):
@@ -355,49 +351,77 @@ class _Stack:
         return {} if info is None else dict(info(int(self.slots[k])))
 
 
-def _stack(items: list):
+def _stack(items: list, join=np.stack):
     """One stacked object from same-shaped draws: arrays gain a leading
-    sample axis; tuples and dataclasses are stacked member by member."""
+    sample axis; tuples and dataclasses are stacked member by member.
+    With ``join=np.concatenate`` it joins stacks along their sample axis."""
     first = items[0]
     if isinstance(first, np.ndarray):
-        return np.stack(items)
+        return join(items)
     if isinstance(first, tuple):
-        return tuple(_stack(list(column)) for column in zip(*items))
+        return tuple(_stack(list(column), join) for column in zip(*items))
     if dataclasses.is_dataclass(first):
-        return type(first)(**{f.name: _stack([getattr(x, f.name) for x in items])
+        return type(first)(**{f.name: _stack([getattr(x, f.name) for x in items], join)
                               for f in dataclasses.fields(first)})
     return first    # shared by every sample, such as a tangent's model
 
 
-def _draws(make, idx) -> tuple[list, object]:
-    """make(i) for each sample index i, as a list and as one stack."""
-    items = [make(int(i)) for i in idx]
-    return items, _stack(items)
+def _at(x, k):
+    """Member k of a stacked object, or the stack of the members an index
+    array or boolean mask k selects; arrays are indexed along their leading
+    axis, tuples and dataclasses member by member (see _stack)."""
+    if isinstance(x, np.ndarray):
+        return x[k]
+    if isinstance(x, tuple):
+        return tuple(_at(column, k) for column in x)
+    if dataclasses.is_dataclass(x):
+        return type(x)(**{f.name: _at(getattr(x, f.name), k)
+                          for f in dataclasses.fields(x)})
+    return x
+
+
+def _draws(make, idx):
+    """make(i) for each sample index i, as one stack."""
+    return _stack([make(int(i)) for i in idx])
+
+
+def _points(model: str, n: int, m: int, seeds):
+    """random_point(model, n, m, s) for each seed s, as one stacked point.
+
+    An upper point is the Cayley image of the disk point its seed draws,
+    so the disk draws are stacked and mapped by one cayley call; member k
+    equals random_point("upper", n, m, seeds[k]) to the last bit.
+    """
+    disk = _stack([random_point("disk", n, m, s) for s in seeds])
+    return cayley(disk) if model == "upper" else disk
 
 
 def _tangents(model: str, n: int, m: int, master: int, idx):
     return _draws(lambda i: random_tangent(
-        model, n, m, np.random.default_rng(sample_seed(master, i, "t"))), idx)[1]
+        model, n, m, np.random.default_rng(sample_seed(master, i, "t"))), idx)
 
 
 def _redraw(make, accept, master: int, idx, tag: str):
     """Draw each sample until the acceptance predicate holds; count the retries.
 
-    Attempt a of sample i draws make(sample_seed(master, i, tag, a)).  The
-    draws still pending after an attempt are stacked and judged in one
-    ``accept`` call, which gives one verdict per draw.
+    Attempt a of sample i draws with seed sample_seed(master, i, tag, a).
+    ``make`` takes the seeds of the samples still pending and returns their
+    draws as one stack, which ``accept`` judges with one verdict per draw.
+    Returns the stack of accepted draws in sample order and the retries.
     """
-    draws = [None] * len(idx)
+    accepted, owners = [], []
     retries = np.zeros(len(idx), dtype=int)
     pending = np.arange(len(idx))
     for attempt in range(_MAX_RETRIES):
-        for k in pending:
-            draws[k] = make(sample_seed(master, int(idx[k]), tag, attempt))
+        drawn = make([sample_seed(master, int(idx[k]), tag, attempt) for k in pending])
         retries[pending] = attempt
-        ok = np.atleast_1d(accept(_stack([draws[k] for k in pending])))
+        ok = np.atleast_1d(accept(drawn))
+        accepted.append(_at(drawn, ok))
+        owners.append(pending[ok])
         pending = pending[~ok]
         if not pending.size:
-            return draws, retries
+            order = np.argsort(np.concatenate(owners))
+            return _at(_stack(accepted, np.concatenate), order), retries
     raise DomainMargin(f"no admissible sample after {_MAX_RETRIES} draws ({tag})")
 
 
@@ -435,11 +459,10 @@ def _star_parts(s):
 def _chk_group_laws(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
     hs = [_draws(lambda i: random_heisenberg(
-        n, m, np.random.default_rng(sample_seed(master, i, "h", k))), idx)[1]
+        n, m, np.random.default_rng(sample_seed(master, i, "h", k))), idx)
         for k in range(3)]
-    drawn = [_draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", k)), idx)
-             for k in range(3)]
-    gs = [g for _, g in drawn]
+    gs = [_draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", k)), idx)
+          for k in range(3)]
     ss = [theta_map(g) for g in gs]
 
     h12 = heisenberg_mul(hs[0], hs[1])
@@ -457,9 +480,8 @@ def _chk_group_laws(n, m, params, master, idx) -> _Stack:
     g12 = jacobi_mul(gs[0], gs[1])
     lhs_g = jacobi_mul(g12, gs[2])
     rhs_g = jacobi_mul(gs[0], jacobi_mul(gs[1], gs[2]))
-    first = drawn[0][0]
     out.add("jacobi-assoc", _jacobi_parts(lhs_g), _jacobi_parts(rhs_g),
-            info=lambda k: {"element": element_to_json(first[k])})
+            info=lambda k: {"element": element_to_json(_at(gs[0], k))})
     out.add("jacobi-identity", _jacobi_parts(jacobi_mul(gs[0], jacobi_identity(n, m))),
             _jacobi_parts(gs[0]))
     ginv = jacobi_mul(gs[0], jacobi_inverse(gs[0]))
@@ -483,12 +505,12 @@ def _chk_group_laws(n, m, params, master, idx) -> _Stack:
 
 def _chk_theta_hom(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
-    g1s, g1 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 0)), idx)
-    _, g2 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 1)), idx)
+    g1 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 0)), idx)
+    g2 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 1)), idx)
     t12 = theta_map(jacobi_mul(g1, g2))
     tt = jacobistar_mul(theta_map(g1), theta_map(g2))
     out.add("theta-homomorphism", _star_parts(t12), _star_parts(tt),
-            info=lambda k: {"element": element_to_json(g1s[k])})
+            info=lambda k: {"element": element_to_json(_at(g1, k))})
 
     k = n + m
     t = tstar(k)
@@ -505,11 +527,10 @@ def _chk_theta_hom(n, m, params, master, idx) -> _Stack:
 
 def _chk_action_axioms(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
-    g1s, g1 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 0)), idx)
-    _, g2 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 1)), idx)
-    pus, pu = _draws(lambda i: random_point("upper", n, m, sample_seed(master, i, "pu")),
-                     idx)
-    _, pd = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "pd")), idx)
+    g1 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 0)), idx)
+    g2 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 1)), idx)
+    pu = _points("upper", n, m, [sample_seed(master, i, "pu") for i in idx])
+    pd = _points("disk", n, m, [sample_seed(master, i, "pd") for i in idx])
 
     om_lhs = act_siegel(jacobi_mul(g1, g2).sp, pu.omega)
     om_rhs = act_siegel(g1.sp, act_siegel(g2.sp, pu.omega))
@@ -519,8 +540,8 @@ def _chk_action_axioms(n, m, params, master, idx) -> _Stack:
     up_lhs = act_upper(jacobi_mul(g1, g2), pu)
     up_rhs = act_upper(g1, act_upper(g2, pu))
     out.add("upper-assoc", (up_lhs.omega, up_lhs.z), (up_rhs.omega, up_rhs.z),
-            info=lambda k: {"point": point_to_json(pus[k]),
-                            "element": element_to_json(g1s[k])})
+            info=lambda k: {"point": point_to_json(_at(pu, k)),
+                            "element": element_to_json(_at(g1, k))})
     out.add("upper-identity", act_upper(jacobi_identity(n, m), pu).omega, pu.omega)
 
     s1, s2 = theta_map(g1), theta_map(g2)
@@ -546,11 +567,11 @@ def _chk_action_axioms(n, m, params, master, idx) -> _Stack:
 
 def _chk_cayley_roundtrip(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
-    pds, pd = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "pd")), idx)
-    _, pu = _draws(lambda i: random_point("upper", n, m, sample_seed(master, i, "pu")), idx)
+    pd = _points("disk", n, m, [sample_seed(master, i, "pd") for i in idx])
+    pu = _points("upper", n, m, [sample_seed(master, i, "pu") for i in idx])
     back = cayley_inv(cayley(pd))
     out.add("disk-roundtrip", (back.w, back.eta), (pd.w, pd.eta),
-            info=lambda k: {"point": point_to_json(pds[k])})
+            info=lambda k: {"point": point_to_json(_at(pd, k))})
     fwd = cayley(cayley_inv(pu))
     out.add("upper-roundtrip", (fwd.omega, fwd.z), (pu.omega, pu.z))
     return out
@@ -558,14 +579,14 @@ def _chk_cayley_roundtrip(n, m, params, master, idx) -> _Stack:
 
 def _chk_cayley_compat(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
-    gs, g = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g")), idx)
-    pds, pd = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "pd")), idx)
+    g = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g")), idx)
+    pd = _points("disk", n, m, [sample_seed(master, i, "pd") for i in idx])
     resid = check_cayley_compat(g, pd)
     lhs = act_upper(g, cayley(pd))
     out.add_residual("compat", resid,
                      np.maximum(mat_max_abs(lhs.omega), mat_max_abs(lhs.z)),
-                     info=lambda k: {"point": point_to_json(pds[k]),
-                                     "element": element_to_json(gs[k])})
+                     info=lambda k: {"point": point_to_json(_at(pd, k)),
+                                     "element": element_to_json(_at(g, k))})
     return out
 
 
@@ -579,69 +600,69 @@ def _metric_invariance(out, tag, action_fn, p, t, evaluate):
 def _chk_metric_invariance_upper(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
 
-    def make(seed):
-        return random_jacobi(n, m, seed), random_point("upper", n, m, sample_seed(seed, "p"))
+    def make(seeds):
+        return (_stack([random_jacobi(n, m, s) for s in seeds]),
+                _points("upper", n, m, [sample_seed(s, "p") for s in seeds]))
 
     def accept(pairs):
         g, p = pairs
         return point_margin(act_upper(g, p)) >= _MIN_MARGIN_METRIC
 
-    drawn, out.retries = _redraw(make, accept, master, idx, "mi-upper")
-    g, p = _stack(drawn)
+    (g, p), out.retries = _redraw(make, accept, master, idx, "mi-upper")
     t = _tangents("upper", n, m, master, idx)
     _metric_invariance(out, "upper-family", lambda q: act_upper(g, q), p, t,
                        lambda q, s: q_upper(q, s, params))
     sp_only = JacobiElement(g.sp, heisenberg_identity(n, m))
     _metric_invariance(out, "siegel", lambda q: act_upper(sp_only, q), p, t,
                        lambda q, s: q_siegel(q.omega, s))
-    out.default_info(lambda k: {"point": point_to_json(drawn[k][1]),
-                                "element": element_to_json(drawn[k][0])})
+    out.default_info(lambda k: {"point": point_to_json(_at(p, k)),
+                                "element": element_to_json(_at(g, k))})
     return out
 
 
 def _chk_metric_invariance_disk(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
 
-    def make(seed):
-        return random_jacobi(n, m, seed), random_point("disk", n, m, sample_seed(seed, "p"))
+    def make(seeds):
+        return (_stack([random_jacobi(n, m, s) for s in seeds]),
+                _points("disk", n, m, [sample_seed(s, "p") for s in seeds]))
 
     def accept(pairs):
         g, p = pairs
         return point_margin(act_disk(theta_map(g), p)) >= _MIN_MARGIN_METRIC
 
-    drawn, out.retries = _redraw(make, accept, master, idx, "mi-disk")
-    g, p = _stack(drawn)
+    (g, p), out.retries = _redraw(make, accept, master, idx, "mi-disk")
     s = theta_map(g)
     t = _tangents("disk", n, m, master, idx)
     _metric_invariance(out, "disk-family", lambda q: act_disk(s, q), p, t,
                        lambda q, v: q_disk(q, v, params))
     _metric_invariance(out, "disk-base", lambda q: act_disk(s, q), p, t,
                        lambda q, v: q_disk_n(q.w, v))
-    out.default_info(lambda k: {"point": point_to_json(drawn[k][1])})
+    out.default_info(lambda k: {"point": point_to_json(_at(p, k))})
     return out
 
 
 def _chk_cayley_isometry(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
-    pts, p = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "p")), idx)
+    p = _points("disk", n, m, [sample_seed(master, i, "p") for i in idx])
     t = _tangents("disk", n, m, master, idx)
     lhs = q_disk(p, t, params)
     rhs = q_upper(cayley(p), map_differential(cayley, p, t), params)
-    out.add("isometry", lhs, rhs, info=lambda k: {"point": point_to_json(pts[k])})
+    out.add("isometry", lhs, rhs, info=lambda k: {"point": point_to_json(_at(p, k))})
     return out
 
 
 def _tensor_pd(model, n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
-    pts, p = _draws(lambda i: random_point(model, n, m, sample_seed(master, i, "p")), idx)
+    p = _points(model, n, m, [sample_seed(master, i, "p") for i in idx])
     tensor = metric_tensor(p, params)
     out.add_residual("tensor-symmetry", mat_max_abs(tensor.g - tensor.g.mT),
                      mat_max_abs(tensor.g),
-                     info=lambda k: {"point": point_to_json(pts[k])})
+                     info=lambda k: {"point": point_to_json(_at(p, k))})
     eig = tensor.min_eigenvalue()
     out.constant_candidate = eig
     out.add_residual("tensor-pd", 1.0 + np.abs(eig), where=eig <= 0.0,
-                     info=lambda k: {"point": point_to_json(pts[k]),
+                     info=lambda k: {"point": point_to_json(_at(p, k)),
                                      "min_eig": float(eig[k])})
     chart = chart_for(p)
     rngs = [np.random.default_rng(sample_seed(master, int(i), "v")) for i in idx]
@@ -660,7 +681,7 @@ def _chk_tensor_pd(n, m, params, master, idx) -> _Stack:
 
 def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
     out = _Stack(len(idx))
-    pts, p = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "p")), idx)
+    p = _points("disk", n, m, [sample_seed(master, i, "p") for i in idx])
     t = _tangents("disk", n, m, master, idx)
     eye = np.eye(n)
     inv_w = mat_inverse(eye - p.w)
@@ -669,7 +690,7 @@ def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
 
     out.add("point-identity-Y", target.y,
             inv_w @ (eye - p.w @ p.w.conj()) @ inv_wc,
-            info=lambda k: {"point": point_to_json(pts[k])})
+            info=lambda k: {"point": point_to_json(_at(p, k))})
     out.add("point-identity-V", target.v,
             p.eta @ inv_w + p.eta.conj() @ inv_wc)
 
@@ -694,13 +715,13 @@ def _lb_pair(kind, n, m, params, master, idx) -> _Stack:
     mat_only = kind in ("siegel", "diskn")
     fields = test_field_suite(model, n, m, sample_seed(master, "fields"),
                               mat_only=mat_only)
-    metric = lambda q: metric_tensor(q, params, kind=kind)
-    metric.stacked = True
+
+    def metric(q):
+        return metric_tensor(q, params, kind=kind)
 
     def sampler(j, sub):
         f = fields[j]
-        pts, p = _draws(lambda i: random_point(model, n, m, sample_seed(master, i, "p")),
-                        sub)
+        p = _points(model, n, m, [sample_seed(master, i, "p") for i in sub])
         out = _Stack(len(sub))
         sb = second_bundle(f, p, mat_only=mat_only)
         printed = None
@@ -724,7 +745,7 @@ def _lb_pair(kind, n, m, params, master, idx) -> _Stack:
         # garbage collection
         out.add(f"lb-pair[{f.name}]", lhs, rhs,
                 info=lambda k: {**{key: float(v[k]) for key, v in extra.items()},
-                                "field": f.name, "point": point_to_json(pts[k])})
+                                "field": f.name, "point": point_to_json(_at(p, k))})
         return out
     return _grouped(len(fields), idx, sampler)
 
@@ -734,29 +755,17 @@ def _rel_gap(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
-def _repeat(x, count: int):
-    """x with each stack member repeated ``count`` times in a row; arrays
-    are repeated along their leading axis, tuples and dataclasses member
-    by member (see _stack)."""
-    if isinstance(x, np.ndarray):
-        return np.repeat(x, count, axis=0)
-    if dataclasses.is_dataclass(x):
-        return type(x)(**{f.name: _repeat(getattr(x, f.name), count)
-                          for f in dataclasses.fields(x)})
-    return x
-
-
 def _compose(f, action, elements, count: int) -> ScalarField:
-    """f after the action of a stack of ``count`` elements, as a stack-safe
-    field of a stack-safe f.
+    """f after the action of a stack of ``count`` elements, as a field.
 
     It takes a stacked point whose points come in ``count`` equal runs,
     such as the stencil nodes of that many samples, and moves run k by
     element k, so the whole stencil stays one field call.  A stack of one
     element broadcasts against the points as it is."""
     return ScalarField(f.name, f.model, lambda q: f(action(
-        elements if count == 1 else _repeat(elements, q.batch[0] // count), q)),
-        f.mat_only, stacked=True)
+        elements if count == 1
+        else _at(elements, np.repeat(np.arange(count), q.batch[0] // count)), q)),
+        f.mat_only)
 
 
 def _invariance_sample(n, m, suite_u, suite_d, master, idx, operators_upper,
@@ -765,13 +774,13 @@ def _invariance_sample(n, m, suite_u, suite_d, master, idx, operators_upper,
     action at p and to the field at the moved point.  Sample k uses the
     non-constant fields suite_u[1 + k % 4] and suite_d[1 + k % 4]."""
 
-    def make(seed):
-        # each draw carries its images, moved point by point: accept judges
-        # them, and they are the stencil centres of the moved fields
-        g = random_jacobi(n, m, seed)
+    def make(seeds):
+        # the draws carry their images: accept judges them, and they are the
+        # stencil centres of the moved fields
+        g = _stack([random_jacobi(n, m, seed) for seed in seeds])
         s = theta_map(g)
-        pu = random_point("upper", n, m, sample_seed(seed, "pu"))
-        pd = random_point("disk", n, m, sample_seed(seed, "pd"))
+        pu = _points("upper", n, m, [sample_seed(seed, "pu") for seed in seeds])
+        pd = _points("disk", n, m, [sample_seed(seed, "pd") for seed in seeds])
         return g, s, pu, pd, act_upper(g, pu), act_disk(s, pd)
 
     def accept(draws):
@@ -785,8 +794,7 @@ def _invariance_sample(n, m, suite_u, suite_d, master, idx, operators_upper,
 
     def sampler(j, sub):
         out = _Stack(len(sub))
-        drawn, out.retries = _redraw(make, accept, master, sub, "op-inv")
-        g, s, pu, pd, qu, qd = _stack(drawn)
+        (g, s, pu, pd, qu, qd), out.retries = _redraw(make, accept, master, sub, "op-inv")
         f_u, f_d = suite_u[1 + j], suite_d[1 + j]   # skip the constant field
         sb_cu = second_bundle(_compose(f_u, act_upper, g, len(sub)), pu, mat_only=False)
         sb_u = second_bundle(f_u, qu, mat_only=False)
@@ -794,10 +802,10 @@ def _invariance_sample(n, m, suite_u, suite_d, master, idx, operators_upper,
         sb_d = second_bundle(f_d, qd, mat_only=False)
         for name, apply_op in operators_upper:
             out.add(name, apply_op(sb_cu, pu), apply_op(sb_u, qu),
-                    info=lambda k: {"field": f_u.name, "point": point_to_json(drawn[k][2])})
+                    info=lambda k: {"field": f_u.name, "point": point_to_json(_at(pu, k))})
         for name, apply_op in operators_disk:
             out.add(name, apply_op(sb_cd, pd), apply_op(sb_d, qd),
-                    info=lambda k: {"field": f_d.name, "point": point_to_json(drawn[k][3])})
+                    info=lambda k: {"field": f_d.name, "point": point_to_json(_at(pd, k))})
         return out
     return _grouped(len(suite_u) - 1, idx, sampler)
 
@@ -823,13 +831,11 @@ def _chk_remark_invariance(n, m, params, master, idx) -> _Stack:
 
     # the defining split: quarter of the unit-weight Laplacian minus D is L
     unit = MetricParams(1.0, 1.0)
-    _, pu = _draws(lambda i: random_point("upper", n, m, sample_seed(master, i, "rel-u")),
-                   idx)
+    pu = _points("upper", n, m, [sample_seed(master, i, "rel-u") for i in idx])
     sb = second_bundle(suite_u[3], pu, mat_only=False)
     lhs = 0.25 * lap_upper(sb, pu, unit) - op_invariant("D", sb, pu)
     out.add("L-split", lhs, op_invariant("L", sb, pu))
-    _, pd = _draws(lambda i: random_point("disk", n, m, sample_seed(master, i, "rel-d")),
-                   idx)
+    pd = _points("disk", n, m, [sample_seed(master, i, "rel-d") for i in idx])
     sbd = second_bundle(suite_d[3], pd, mat_only=False)
     lhs_d = lap_disk(sbd, pd, unit) - op_invariant("Dtilde", sbd, pd)
     out.add("Ltilde-split", lhs_d, op_invariant("Ltilde", sbd, pd))
@@ -843,15 +849,14 @@ def _chk_reduce_n1m1(n, m, params, master, idx) -> _Stack:
 
     def sampler(j, sub):
         out = _Stack(len(sub))
-        pts, p = _draws(lambda i: random_point("disk", 1, 1, sample_seed(master, i, "p")),
-                        sub)
+        p = _points("disk", 1, 1, [sample_seed(master, i, "p") for i in sub])
         t = _tangents("disk", 1, 1, master, sub)
         out.add("metric-closed-form", q_disk(p, t, unit), q_disk_closed_11(p, t),
-                info=lambda k: {"point": point_to_json(pts[k])})
+                info=lambda k: {"point": point_to_json(_at(p, k))})
         f = fields[1 + j]   # skip the constant field
         sb = second_bundle(f, p, mat_only=False)
         out.add("laplacian-closed-form", lap_disk(sb, p, unit), lap_disk_closed_11(sb, p),
-                info=lambda k: {"field": f.name, "point": point_to_json(pts[k])})
+                info=lambda k: {"field": f.name, "point": point_to_json(_at(p, k))})
         return out
     return _grouped(len(fields) - 1, idx, sampler)
 

@@ -1,9 +1,10 @@
-"""The stacked evaluation path against the node-by-node path.
+"""The stacked evaluation path against one point at a time.
 
-Stack-safe fields see a (K, n, n) / (K, m, n) stacked point and return K
-values; every other callable is evaluated one node at a time.  Both must
-give the same numbers, and the kernels below them (mat_inverse, the
-actions, symmetrization) must judge each matrix of a stack on its own.
+Fields and metrics see a (K, n, n) / (K, m, n) stacked point and return
+K values; the reference evaluates them one point at a time
+(_node_by_node).  Both must give the same numbers, and the kernels below
+them (mat_inverse, the actions, symmetrization) must judge each matrix of
+a stack on its own.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ from sjgeo import groups as G
 from sjgeo import operators as op
 from sjgeo import verify as V
 from sjgeo.cmatrix import SingularMatrix, mat_inverse, max_abs, sym_defect
-from sjgeo.metrics import Chart, MetricParams, metric_tensor
+from sjgeo.metrics import Chart, MetricParams, MetricTensor, metric_tensor
 
 PARAMS = MetricParams(1.3, 0.7)
 SHAPES = [(1, 1), (2, 1), (3, 2)]
@@ -39,8 +40,15 @@ def _fields(model, n, m):
             for name in op.field_registry_ids(model)]
 
 
-def _node_by_node(f):
-    return dataclasses.replace(f, stacked=False)
+def _node_by_node(fn):
+    """A field or a metric evaluated at one point of a stacked point at a
+    time: the reference the stacked engine is compared with."""
+    def each(q):
+        values = [fn(V._at(q, k)) for k in range(q.batch[0])]
+        if isinstance(values[0], MetricTensor):
+            return MetricTensor(values[0].dim, np.stack([t.g for t in values]))
+        return np.array(values)
+    return dataclasses.replace(fn, fn=each) if isinstance(fn, op.ScalarField) else each
 
 
 @pytest.mark.parametrize("model", ["upper", "disk"])
@@ -50,7 +58,6 @@ def test_registry_fields_stacked_match_pointwise(model, n, m):
     assert stacked.batch == (7,)
     fields = _fields(model, n, m) + op.test_field_suite(model, n, m, 5, mat_only=True)
     for f in fields:
-        assert f.stacked, f.name
         vals = f(stacked)
         assert vals.shape == (7,)
         assert _rel(vals, [f(p) for p in points]) <= 1e-14, f.name
@@ -59,9 +66,15 @@ def test_registry_fields_stacked_match_pointwise(model, n, m):
 def test_stack_safe_field_must_return_one_value_per_point():
     _, stacked = _stack("disk", 2, 1, range(3))
     summed = op.ScalarField("summed", "disk",
-                            lambda q: float(np.sum(np.abs(q.eta) ** 2)), stacked=True)
-    with pytest.raises(ValueError):
+                            lambda q: float(np.sum(np.abs(q.eta) ** 2)))
+    with pytest.raises(ValueError, match="summed"):
         summed(stacked)
+
+    # a plain per-point callable fails by name rather than giving a wrong number
+    def per_point(q):
+        return float(np.sum(np.abs(q.eta) ** 2))
+    with pytest.raises(ValueError, match="per_point"):
+        op.second_bundle(per_point, geo.random_point("disk", 2, 1, 0))
 
 
 @pytest.mark.parametrize("model", ["upper", "disk"])
@@ -82,8 +95,7 @@ def test_composed_fields_stacked_match_node_by_node(n, m):
     s = G.theta_map(g)
     for model, act, elem in (("upper", geo.act_upper, g), ("disk", geo.act_disk, s)):
         f = op.test_field_suite(model, n, m, 8)[3]
-        comp = op.ScalarField("comp", model, lambda q, a=act, e=elem: f(a(e, q)),
-                              stacked=True)
+        comp = op.ScalarField("comp", model, lambda q, a=act, e=elem: f(a(e, q)))
         p = geo.random_point(model, n, m, 9)
         a = op.second_bundle(comp, p)
         b = op.second_bundle(_node_by_node(comp), p)
@@ -99,13 +111,11 @@ def test_laplace_beltrami_stacked_matches_node_by_node(kind, n, m):
     f = op.test_field_suite(model, n, m, 11, mat_only=mat_only)[3]
     p = geo.random_point(model, n, m, 12)
 
-    def stacked_metric(q):
+    def metric(q):
         return metric_tensor(q, PARAMS, kind=kind)
-    stacked_metric.stacked = True
 
-    a = V.laplace_beltrami(f, p, stacked_metric)
-    b = V.laplace_beltrami(_node_by_node(f),  p,
-                           lambda q: metric_tensor(q, PARAMS, kind=kind))
+    a = V.laplace_beltrami(f, p, metric)
+    b = V.laplace_beltrami(_node_by_node(f), p, _node_by_node(metric))
     assert _rel(a, b) <= 1e-6
 
 
@@ -131,10 +141,9 @@ def test_mat_inverse_stack_matches_single():
         inv = mat_inverse(stack)
         assert inv.shape == stack.shape
         for k in range(9):
-            assert max_abs(inv[k] - mat_inverse(stack[k])) < 1e-12
+            assert np.array_equal(inv[k], mat_inverse(stack[k]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mat_inverse_stack_singular_member_raises():
     stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2)])
     with pytest.raises(SingularMatrix):
@@ -270,12 +279,11 @@ def test_stacked_forms_and_differential_match_per_point(model):
         assert values.shape == (5,)
         assert _rel(values, [form(a, b) for a, b in zip(points, ts)]) <= 1e-12
     moved = V.map_differential(act, p, t)
-    # each point as a stack of one takes the same kernels: same step, same stencil
+    # a point alone, unstacked or as a stack of one, takes the same kernels with
+    # the same step and stencil, so its differential is the same to the last bit
     _matches(moved, [V.map_differential(act, V._stack([a]), V._stack([b]))
-                     for a, b in zip(points, ts)], 1e-12)
-    # one unstacked point inverts through LAPACK, a stack by Gauss-Jordan: their
-    # round-off differs by ~1e-16, which the 1 / (2 h) of the stencil turns into ~1e-11
-    _matches(moved, [V.map_differential(act, a, b) for a, b in zip(points, ts)], 1e-9)
+                     for a, b in zip(points, ts)], 0.0)
+    _matches(moved, [V.map_differential(act, a, b) for a, b in zip(points, ts)], 0.0)
 
 
 def _per_sample(name, n, m, samples, seed):
@@ -349,14 +357,12 @@ def test_stencil_stack_sizes():
 
 @pytest.mark.parametrize("n,m", SHAPES)
 def test_stacked_operators_match_single_point(n, m):
-    # one stacked bundle and contraction against each point on its own; a
-    # single point inverts its coefficients through LAPACK, a stack by
-    # Gauss-Jordan, so they agree to round-off
+    # one stacked bundle and contraction against each point on its own: the
+    # same kernels round each point alike, so the values are equal
     for model, lap, kinds in (("upper", op.lap_upper, ("D", "L")),
                               ("disk", op.lap_disk, ("Dtilde", "Ltilde"))):
         points, stacked = _stack(model, n, m, range(4))
         metric = lambda q: metric_tensor(q, PARAMS, kind=model)
-        metric.stacked = True
         for f in op.test_field_suite(model, n, m, 5)[2::2]:   # trace-quad, cross
             sb = op.second_bundle(f, stacked)
             ones = [op.second_bundle(f, p) for p in points]
@@ -369,7 +375,7 @@ def test_stacked_operators_match_single_point(n, m):
             singles.append([V.laplace_beltrami(f, p, metric) for p in points])
             for got, want in zip(values, singles):
                 assert got.shape == (4,)
-                assert _rel(got, want) <= 1e-12, (model, f.name)
+                assert np.array_equal(got, want), (model, f.name)
 
 
 def test_failing_stencil_sample_is_isolated(monkeypatch):
@@ -409,6 +415,8 @@ def test_reduce_n1m1_reports_its_own_cell():
     ("cayley-roundtrip", "point", "disk", "pd"),
     ("cayley-compat", "point", "disk", "pd"),
     ("group-laws", "element", None, ("g", 0)),
+    ("lb-equivalence-upper", "point", "upper", "p"),
+    ("lb-equivalence-siegel", "point", "upper", "p"),
 ])
 def test_worst_sample_replays(name, key, model, tag):
     rep = V.run_check(name, 2, 2, UNIT, 40, 9)
@@ -418,3 +426,15 @@ def test_worst_sample_replays(name, key, model, tag):
     else:
         drawn = geo.point_to_json(geo.random_point(model, 2, 2, V.sample_seed(9, k, tag)))
     assert rep.worst[key] == drawn
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_upper_draw_is_a_member_of_the_stacked_draw(n, m):
+    # a check maps its stack of disk draws by one cayley call; a worst upper
+    # sample replays through random_point only if member k is that draw exactly
+    seeds = [V.sample_seed(42, i, "p") for i in range(50)]
+    stacked = V._points("upper", n, m, seeds)
+    for k, seed in enumerate(seeds):
+        one, member = geo.random_point("upper", n, m, seed), V._at(stacked, k)
+        assert np.array_equal(one.omega, member.omega), k
+        assert np.array_equal(one.z, member.z), k

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import sjgeo
 
 from sjgeo.cli import main
 
@@ -236,3 +242,40 @@ def test_config_validation(capsys):
     assert code == 2
     code, out, err = run_cli(capsys, "verify", "group-laws", "--A", "-1")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--A", "--B", "--tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_verify_rejects_non_finite_or_non_positive_parameters(capsys, flag, value):
+    code, out, err = run_cli(capsys, "verify", "group-laws", "--samples", "2",
+                             flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--A", "--B"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_eval_rejects_non_finite_parameters(capsys, tmp_path, flag, value):
+    code, out, err = run_cli(capsys, "eval", "laplacian", "--point",
+                             _write_origin_point(tmp_path), "--field", "absEta2",
+                             flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_all_does_not_import_scipy():
+    # the library runs on numpy alone; scipy.linalg alone would add ~20 MB
+    # of resident memory to every run
+    script = ("import sys\n"
+              "from sjgeo.cli import main\n"
+              "code = main(['verify', 'all', '--n', '1', '--m', '1', '--samples', '3'])\n"
+              "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'),"
+              " file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    src = str(Path(sjgeo.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[]"

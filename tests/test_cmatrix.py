@@ -37,7 +37,6 @@ def test_inverse_involution():
     assert max_abs(mat_inverse(mat_inverse(m)) - m) < 1e-10
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_raises():
     with pytest.raises(SingularMatrix):
         mat_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))

@@ -70,7 +70,7 @@ def test_quarter_laplacian_split():
 
 def test_d_ignores_mat_only_fields():
     p = geo.random_point("upper", 2, 2, 2)
-    f = op.ScalarField("ymat", "upper", lambda q: float(np.sum(q.y * q.y)))
+    f = op.ScalarField("ymat", "upper", lambda q: np.sum(q.y * q.y, axis=(-2, -1)))
     assert abs(op.op_invariant("D", op.second_bundle(f, p), p)) < 1e-10
 
 
@@ -108,7 +108,7 @@ def test_cayley_transfer_of_laplacians():
     rng = np.random.default_rng(3)
     center = chu.point_to_vec(up) + rng.uniform(-0.4, 0.4, chu.dim)
     f = op.ScalarField("bump", "upper",
-                       lambda q: float(np.exp(-np.sum((chu.point_to_vec(q) - center) ** 2))))
+                       lambda q: np.exp(-np.sum((chu.point_to_vec(q) - center) ** 2, axis=-1)))
     comp = op.ScalarField("bump-pullback", "disk", lambda q: f(geo.cayley(q)))
     a = op.lap_disk(op.second_bundle(comp, p), p, UNIT)
     b = op.lap_upper(op.second_bundle(f, up), up, UNIT)

@@ -61,12 +61,12 @@ def test_pushforward_translation():
 
 def test_laplace_beltrami_euclidean():
     chart = Chart("disk", 1, 1)
-    flat = lambda q: MetricTensor(chart.dim, np.eye(chart.dim))
-    f = ScalarField("sq", "disk",
-                    lambda q: float(np.sum(chart.point_to_vec(q) ** 2)))
+    flat = lambda q: MetricTensor(chart.dim, np.broadcast_to(np.eye(chart.dim),
+                                                              q.batch + (chart.dim,) * 2))
+    f = ScalarField("sq", "disk", lambda q: np.sum(chart.point_to_vec(q) ** 2, axis=-1))
     p = geo.DiskPoint([[0.05 + 0.1j]], [[0.2 - 0.3j]])
     assert V.laplace_beltrami(f, p, flat) == pytest.approx(2.0 * chart.dim, rel=1e-6)
-    const = ScalarField("one", "disk", lambda q: 1.0)
+    const = ScalarField("one", "disk", lambda q: np.ones(q.batch))
     assert V.laplace_beltrami(const, p, flat) == pytest.approx(0.0, abs=1e-9)
 
 
