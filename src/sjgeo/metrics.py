@@ -110,8 +110,7 @@ class MetricTensor:
     """Real symmetric coordinate matrix of a quadratic form in the chart.
 
     The tensors of a stacked point are stacked: g has shape (K, dim, dim),
-    and min_eigenvalue and apply then give one value per tensor; to_json
-    takes a single tensor.
+    and min_eigenvalue and apply then give one value per tensor.
     """
 
     dim: int
@@ -135,10 +134,6 @@ class MetricTensor:
         vec = np.asarray(vec, dtype=np.float64)
         q = (vec[..., None, :] @ self.g @ vec[..., :, None])[..., 0, 0]
         return float(q) if q.ndim == 0 else q
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "ordering": self.ordering,
-                "g": [[float(x) for x in row] for row in self.g]}
 
 
 class Chart:

@@ -17,8 +17,9 @@ for the finite-difference stencils are re-drawn (up to 10 attempts,
 logged in the report).
 
 Every sampler call returns one residual stack (_Stack): per sample, the
-worst relative residual over its parts, that part's name and a lazy
-description of the sample.  Every check draws each sample on its own,
+worst relative residual over its parts and that part's name, per part
+its largest one, and one description of the samples whichever part is
+worst (their draws and values).  Every check draws each sample on its own,
 stacks the draws and evaluates each identity once on the stack; an
 upper-model point is drawn as its disk point, and the stack of them
 takes one Cayley transform.  The checks that build no second-order
@@ -28,7 +29,8 @@ many as fit a fixed budget of chart coordinates (_STENCIL_COORDS): all
 level of every sample's stencil is one field call, and each oracle one
 metric call.  A call that raises is run again one sample at a time, so
 only the failing sample reports the error.  run_check reduces the
-concatenated stack of all samples to the report.
+concatenated stack of all samples to the report: the worst sample's
+description becomes ``worst``, and the part maxima ``parts``.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ from functools import partial
 
 import numpy as np
 
-from .cmatrix import SingularMatrix, mat_inverse, mat_max_abs, max_abs
+from .cmatrix import SingularMatrix, mat_inverse, mat_max_abs
 from .geometry import (
+    DiskPoint,
     UpperPoint,
     act_disk,
     act_siegel,
@@ -116,7 +119,6 @@ __all__ = [
     "UnknownCheck",
     "CHECK_NAMES",
     "DEFAULT_TOLERANCES",
-    "rel_residual",
     "sample_seed",
     "map_differential",
     "laplace_beltrami",
@@ -153,6 +155,7 @@ class CheckReport:
     passed: bool
     constant: float | None
     worst: dict
+    parts: dict   # part label -> its largest relative residual
     retries: int
     ms: float
 
@@ -164,16 +167,8 @@ class CheckReport:
             "max_abs": self.max_abs, "max_rel": self.max_rel,
             "tol": self.tol, "pass": self.passed,
             "constant": self.constant, "worst": self.worst,
-            "retries": self.retries, "ms": self.ms,
+            "parts": self.parts, "retries": self.retries, "ms": self.ms,
         }
-
-
-def rel_residual(lhs, rhs) -> tuple[float, float]:
-    """(absolute, relative) max-norm residual with a 1 + scale denominator."""
-    lhs = np.asarray(lhs, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex)
-    d = max_abs(lhs - rhs)
-    return d, d / (1.0 + max(max_abs(lhs), max_abs(rhs)))
 
 
 def sample_seed(master: int, *parts) -> int:
@@ -276,44 +271,46 @@ def _sample_max(x: np.ndarray) -> np.ndarray:
 
 
 class _Stack:
-    """The residuals of a stack of K samples, one per sample and part.
+    """The residuals of a stack of samples, one per sample and part.
 
     ``add`` and ``add_residual`` take values with a leading sample axis and
     reduce each sample over its parts: a part at least as bad as the worst
-    so far takes over the label, and the ``info`` when one is given.
-    ``info`` maps a sample's position in the stack to its dict and is only
-    called for the worst sample of a run; ``where`` limits a part to some
-    of the samples.  ``pair`` (the Laplacian and oracle values),
-    ``printed_gap`` and ``constant_candidate`` stay NaN where a check
-    records none.
+    so far takes over the label.  ``where`` limits a part to some of the
+    samples; within it a NaN residual counts as infinite.  ``parts`` keeps
+    each part's largest relative residual.  ``describe`` records the data
+    that describe the samples (see _member_json); run_check turns the worst
+    sample's into JSON, and reduces some of them over every sample.
     """
 
-    def __init__(self, count: int):
+    def __init__(self, samples):
+        self.samples = np.asarray(samples)
+        count = len(self.samples)
         self.max_abs = np.zeros(count)
         self.max_rel = np.zeros(count)
         self.labels = np.full(count, "", dtype=object)
-        self.infos = np.full(count, None, dtype=object)
-        self.slots = np.arange(count)   # the position each info is called with
         self.retries = np.zeros(count, dtype=int)
-        self.pair = np.full((count, 2), np.nan)
-        self.printed_gap = np.full(count, np.nan)
-        self.constant_candidate = np.full(count, np.nan)
+        self.parts = {}
+        self.described = []   # (sample indices, members) per sampler call
 
     @property
     def count(self) -> int:
         return len(self.max_rel)
 
     @staticmethod
-    def concat(stacks: list, order=None) -> "_Stack":
-        """The samples of ``stacks`` in turn; with ``order``, sample j of
-        the result is sample order[j] of that concatenation."""
-        out = _Stack(0)
-        for key in vars(out):
-            joined = np.concatenate([vars(st)[key] for st in stacks])
-            setattr(out, key, joined if order is None else joined[order])
+    def concat(stacks: list) -> "_Stack":
+        """The samples of ``stacks``, in sample order."""
+        samples = np.concatenate([st.samples for st in stacks])
+        order = np.argsort(samples, kind="stable")
+        out = _Stack(samples[order])
+        for key in ("max_abs", "max_rel", "labels", "retries"):
+            setattr(out, key, np.concatenate([getattr(st, key) for st in stacks])[order])
+        for st in stacks:
+            out.described += st.described
+            for label, rel in st.parts.items():
+                out.parts[label] = max(out.parts.get(label, 0.0), rel)
         return out
 
-    def add(self, label: str, lhs, rhs, info=None, where=None):
+    def add(self, label: str, lhs, rhs, where=None):
         """Relative residual of lhs against rhs.  Either side may be a tuple
         of arrays, compared pair by pair as one concatenated vector; in each
         pair at least one side is stacked, the other broadcasts."""
@@ -324,31 +321,54 @@ class _Stack:
             a, b = np.broadcast_arrays(a, b)
             d = np.maximum(d, _sample_max(a - b))
             scale = np.maximum(scale, np.maximum(_sample_max(a), _sample_max(b)))
-        self._record(label, d, d / (1.0 + scale), info, where)
+        self._record(label, d, d / (1.0 + scale), where)
 
-    def add_residual(self, label: str, value, scale=0.0, info=None, where=None):
+    def add_residual(self, label: str, value, scale=0.0, where=None):
         value = np.broadcast_to(np.asarray(value, dtype=np.float64), (self.count,))
-        self._record(label, value, value / (1.0 + scale), info, where)
+        self._record(label, value, value / (1.0 + scale), where)
 
-    def _record(self, label, d, rel, info, where):
-        win = rel >= self.max_rel
-        if where is not None:
-            win &= where
-            d = np.where(where, d, 0.0)
+    def _record(self, label, d, rel, where):
+        inside = np.ones(self.count, dtype=bool) if where is None else where
+        d = np.where(np.isnan(d), np.inf, d)
+        rel = np.where(np.isnan(rel), np.inf, rel)
+        win = inside & (rel >= self.max_rel)
         self.max_rel = np.where(win, rel, self.max_rel)
         self.labels[win] = label
-        if info is not None:
-            self.infos[win] = info
-        self.max_abs = np.fmax(self.max_abs, d)
+        self.max_abs = np.maximum(self.max_abs, np.where(inside, d, 0.0))
+        self.parts[label] = max(self.parts.get(label, 0.0),
+                                float(np.max(rel, where=inside, initial=0.0)))
 
-    def default_info(self, info):
-        """``info`` for the samples whose parts gave none."""
-        self.infos[[i is None for i in self.infos]] = info
+    def describe(self, **members):
+        """Describe the samples: each member is a stack with a leading
+        sample axis, a list of one item per sample, or a str they share."""
+        self.described.append((self.samples, members))
 
-    def info(self, k: int) -> dict:
-        """The description of sample k."""
-        info = self.infos[k]
-        return {} if info is None else dict(info(int(self.slots[k])))
+    def description(self, sample: int) -> dict:
+        """The JSON description of sample ``sample``."""
+        for samples, members in self.described:
+            hit = np.flatnonzero(samples == sample)
+            if hit.size:
+                return {key: _member_json(value, int(hit[0])) for key, value in members.items()}
+        return {}
+
+    def column(self, key: str) -> np.ndarray:
+        """The values of member ``key`` of every sample that describes one."""
+        return np.concatenate([np.empty(0)] + [members[key] for _, members in self.described
+                                               if key in members])
+
+
+def _member_json(value, k: int):
+    """Item k of a described member, as JSON."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return value[k]
+    item = _at(value, k)
+    if isinstance(item, (UpperPoint, DiskPoint)):
+        return point_to_json(item)
+    if dataclasses.is_dataclass(item):
+        return element_to_json(item)
+    return float(item)
 
 
 def _stack(items: list, join=np.stack):
@@ -438,10 +458,8 @@ def _grouped(count: int, idx, sampler) -> _Stack:
     """The samples idx split by idx % count: sampler(j, sub) gives the stack
     of the samples sub of class j, and the classes are joined back in
     sample order."""
-    classes = [(j, np.flatnonzero(idx % count == j)) for j in range(count)]
-    classes = [(j, pos) for j, pos in classes if pos.size]
-    order = np.argsort(np.concatenate([pos for _, pos in classes]))
-    return _Stack.concat([sampler(j, idx[pos]) for j, pos in classes], order)
+    classes = [(j, idx[idx % count == j]) for j in range(count)]
+    return _Stack.concat([sampler(j, sub) for j, sub in classes if sub.size])
 
 
 def _heisenberg_parts(h):
@@ -457,7 +475,7 @@ def _star_parts(s):
 
 
 def _chk_group_laws(n, m, params, master, idx) -> _Stack:
-    out = _Stack(len(idx))
+    out = _Stack(idx)
     hs = [_draws(lambda i: random_heisenberg(
         n, m, np.random.default_rng(sample_seed(master, i, "h", k))), idx)
         for k in range(3)]
@@ -480,8 +498,7 @@ def _chk_group_laws(n, m, params, master, idx) -> _Stack:
     g12 = jacobi_mul(gs[0], gs[1])
     lhs_g = jacobi_mul(g12, gs[2])
     rhs_g = jacobi_mul(gs[0], jacobi_mul(gs[1], gs[2]))
-    out.add("jacobi-assoc", _jacobi_parts(lhs_g), _jacobi_parts(rhs_g),
-            info=lambda k: {"element": element_to_json(_at(gs[0], k))})
+    out.add("jacobi-assoc", _jacobi_parts(lhs_g), _jacobi_parts(rhs_g))
     out.add("jacobi-identity", _jacobi_parts(jacobi_mul(gs[0], jacobi_identity(n, m))),
             _jacobi_parts(gs[0]))
     ginv = jacobi_mul(gs[0], jacobi_inverse(gs[0]))
@@ -500,17 +517,17 @@ def _chk_group_laws(n, m, params, master, idx) -> _Stack:
     out.add("star-inverse", _star_parts(sinv), _star_parts(jacobistar_identity(n, m)))
     out.add_residual("star-closure", jacobistar_defect(s12),
                      mat_max_abs(s12.g.p) ** 2)
+    out.describe(element=gs[0])
     return out
 
 
 def _chk_theta_hom(n, m, params, master, idx) -> _Stack:
-    out = _Stack(len(idx))
+    out = _Stack(idx)
     g1 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 0)), idx)
     g2 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 1)), idx)
     t12 = theta_map(jacobi_mul(g1, g2))
     tt = jacobistar_mul(theta_map(g1), theta_map(g2))
-    out.add("theta-homomorphism", _star_parts(t12), _star_parts(tt),
-            info=lambda k: {"element": element_to_json(_at(g1, k))})
+    out.add("theta-homomorphism", _star_parts(t12), _star_parts(tt))
 
     k = n + m
     t = tstar(k)
@@ -522,11 +539,12 @@ def _chk_theta_hom(n, m, params, master, idx) -> _Stack:
     emb = embed_sp(g1)
     out.add_residual("embed-symplectic", mat_max_abs(emb.mT @ jmat(k) @ emb - jmat(k)),
                      mat_max_abs(emb) ** 2)
+    out.describe(element=g1)
     return out
 
 
 def _chk_action_axioms(n, m, params, master, idx) -> _Stack:
-    out = _Stack(len(idx))
+    out = _Stack(idx)
     g1 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 0)), idx)
     g2 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 1)), idx)
     pu = _points("upper", n, m, [sample_seed(master, i, "pu") for i in idx])
@@ -539,9 +557,7 @@ def _chk_action_axioms(n, m, params, master, idx) -> _Stack:
 
     up_lhs = act_upper(jacobi_mul(g1, g2), pu)
     up_rhs = act_upper(g1, act_upper(g2, pu))
-    out.add("upper-assoc", (up_lhs.omega, up_lhs.z), (up_rhs.omega, up_rhs.z),
-            info=lambda k: {"point": point_to_json(_at(pu, k)),
-                            "element": element_to_json(_at(g1, k))})
+    out.add("upper-assoc", (up_lhs.omega, up_lhs.z), (up_rhs.omega, up_rhs.z))
     out.add("upper-identity", act_upper(jacobi_identity(n, m), pu).omega, pu.omega)
 
     s1, s2 = theta_map(g1), theta_map(g2)
@@ -551,42 +567,42 @@ def _chk_action_axioms(n, m, params, master, idx) -> _Stack:
     out.add("disk-identity", act_disk(jacobistar_identity(n, m), pd).w, pd.w)
 
     # transformed points must stay inside their domains
-    for tag, pt in (("upper", up_lhs), ("disk", dk_lhs)):
-        problems = validate_point(pt, strict=False)
+    found = {tag: validate_point(pt, strict=False) for tag, pt in (("upper", up_lhs),
+                                                                   ("disk", dk_lhs))}
+    for tag, problems in found.items():
         bad = np.array([bool(p) for p in problems])
-        out.add_residual(f"domain-{tag}", 1.0, where=bad,
-                         info=lambda k, problems=problems: {"violations": problems[k]})
+        out.add_residual(f"domain-{tag}", 1.0, where=bad)
         out.add_residual(f"domain-{tag}", 0.0, where=~bad)
 
     # the triangular-factorization route must match the direct action
     hc = hc_pplus_component(s1, pd)
     direct = act_disk(s1, pd)
     out.add("hc-vs-direct", (hc.w, hc.eta), (direct.w, direct.eta))
+    out.describe(point=pu, element=g1, violations=[u + d for u, d in zip(*found.values())])
     return out
 
 
 def _chk_cayley_roundtrip(n, m, params, master, idx) -> _Stack:
-    out = _Stack(len(idx))
+    out = _Stack(idx)
     pd = _points("disk", n, m, [sample_seed(master, i, "pd") for i in idx])
     pu = _points("upper", n, m, [sample_seed(master, i, "pu") for i in idx])
     back = cayley_inv(cayley(pd))
-    out.add("disk-roundtrip", (back.w, back.eta), (pd.w, pd.eta),
-            info=lambda k: {"point": point_to_json(_at(pd, k))})
+    out.add("disk-roundtrip", (back.w, back.eta), (pd.w, pd.eta))
     fwd = cayley(cayley_inv(pu))
     out.add("upper-roundtrip", (fwd.omega, fwd.z), (pu.omega, pu.z))
+    out.describe(point=pd)
     return out
 
 
 def _chk_cayley_compat(n, m, params, master, idx) -> _Stack:
-    out = _Stack(len(idx))
+    out = _Stack(idx)
     g = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g")), idx)
     pd = _points("disk", n, m, [sample_seed(master, i, "pd") for i in idx])
     resid = check_cayley_compat(g, pd)
     lhs = act_upper(g, cayley(pd))
     out.add_residual("compat", resid,
-                     np.maximum(mat_max_abs(lhs.omega), mat_max_abs(lhs.z)),
-                     info=lambda k: {"point": point_to_json(_at(pd, k)),
-                                     "element": element_to_json(_at(g, k))})
+                     np.maximum(mat_max_abs(lhs.omega), mat_max_abs(lhs.z)))
+    out.describe(point=pd, element=g)
     return out
 
 
@@ -598,7 +614,7 @@ def _metric_invariance(out, tag, action_fn, p, t, evaluate):
 
 
 def _chk_metric_invariance_upper(n, m, params, master, idx) -> _Stack:
-    out = _Stack(len(idx))
+    out = _Stack(idx)
 
     def make(seeds):
         return (_stack([random_jacobi(n, m, s) for s in seeds]),
@@ -615,13 +631,12 @@ def _chk_metric_invariance_upper(n, m, params, master, idx) -> _Stack:
     sp_only = JacobiElement(g.sp, heisenberg_identity(n, m))
     _metric_invariance(out, "siegel", lambda q: act_upper(sp_only, q), p, t,
                        lambda q, s: q_siegel(q.omega, s))
-    out.default_info(lambda k: {"point": point_to_json(_at(p, k)),
-                                "element": element_to_json(_at(g, k))})
+    out.describe(point=p, element=g)
     return out
 
 
 def _chk_metric_invariance_disk(n, m, params, master, idx) -> _Stack:
-    out = _Stack(len(idx))
+    out = _Stack(idx)
 
     def make(seeds):
         return (_stack([random_jacobi(n, m, s) for s in seeds]),
@@ -638,38 +653,36 @@ def _chk_metric_invariance_disk(n, m, params, master, idx) -> _Stack:
                        lambda q, v: q_disk(q, v, params))
     _metric_invariance(out, "disk-base", lambda q: act_disk(s, q), p, t,
                        lambda q, v: q_disk_n(q.w, v))
-    out.default_info(lambda k: {"point": point_to_json(_at(p, k))})
+    out.describe(point=p)
     return out
 
 
 def _chk_cayley_isometry(n, m, params, master, idx) -> _Stack:
-    out = _Stack(len(idx))
+    out = _Stack(idx)
     p = _points("disk", n, m, [sample_seed(master, i, "p") for i in idx])
     t = _tangents("disk", n, m, master, idx)
     lhs = q_disk(p, t, params)
     rhs = q_upper(cayley(p), map_differential(cayley, p, t), params)
-    out.add("isometry", lhs, rhs, info=lambda k: {"point": point_to_json(_at(p, k))})
+    out.add("isometry", lhs, rhs)
+    out.describe(point=p)
     return out
 
 
 def _tensor_pd(model, n, m, params, master, idx) -> _Stack:
-    out = _Stack(len(idx))
+    out = _Stack(idx)
     p = _points(model, n, m, [sample_seed(master, i, "p") for i in idx])
     tensor = metric_tensor(p, params)
     out.add_residual("tensor-symmetry", mat_max_abs(tensor.g - tensor.g.mT),
-                     mat_max_abs(tensor.g),
-                     info=lambda k: {"point": point_to_json(_at(p, k))})
+                     mat_max_abs(tensor.g))
     eig = tensor.min_eigenvalue()
-    out.constant_candidate = eig
-    out.add_residual("tensor-pd", 1.0 + np.abs(eig), where=eig <= 0.0,
-                     info=lambda k: {"point": point_to_json(_at(p, k)),
-                                     "min_eig": float(eig[k])})
+    out.add_residual("tensor-pd", 1.0 + np.abs(eig), where=eig <= 0.0)
     chart = chart_for(p)
     rngs = [np.random.default_rng(sample_seed(master, int(i), "v")) for i in idx]
     for k in range(2):
         t = _stack([random_tangent(model, n, m, rng) for rng in rngs])
         direct = q_upper(p, t, params) if model == "upper" else q_disk(p, t, params)
         out.add(f"polarization-{k}", direct, tensor.apply(chart.tangent_to_vec(t)))
+    out.describe(point=p, min_eig=eig)
     return out
 
 
@@ -680,7 +693,7 @@ def _chk_tensor_pd(n, m, params, master, idx) -> _Stack:
 
 
 def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
-    out = _Stack(len(idx))
+    out = _Stack(idx)
     p = _points("disk", n, m, [sample_seed(master, i, "p") for i in idx])
     t = _tangents("disk", n, m, master, idx)
     eye = np.eye(n)
@@ -689,8 +702,7 @@ def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
     target = cayley(p)
 
     out.add("point-identity-Y", target.y,
-            inv_w @ (eye - p.w @ p.w.conj()) @ inv_wc,
-            info=lambda k: {"point": point_to_json(_at(p, k))})
+            inv_w @ (eye - p.w @ p.w.conj()) @ inv_wc)
     out.add("point-identity-V", target.v,
             p.eta @ inv_w + p.eta.conj() @ inv_wc)
 
@@ -701,6 +713,7 @@ def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
     d_z = 2j * (t.dvec + p.eta @ inv_w @ t.dmat) @ inv_w
     out.add("differential-dOmega", moved.dmat, 0.5 * (d_omega + d_omega.mT))
     out.add("differential-dZ", moved.dvec, d_z)
+    out.describe(point=p)
     return out
 
 
@@ -722,7 +735,7 @@ def _lb_pair(kind, n, m, params, master, idx) -> _Stack:
     def sampler(j, sub):
         f = fields[j]
         p = _points(model, n, m, [sample_seed(master, i, "p") for i in sub])
-        out = _Stack(len(sub))
+        out = _Stack(sub)
         sb = second_bundle(f, p, mat_only=mat_only)
         printed = None
         if kind == "upper":
@@ -736,22 +749,15 @@ def _lb_pair(kind, n, m, params, master, idx) -> _Stack:
         else:
             lhs = lap_disk_n(sb, p)
         rhs = laplace_beltrami(f, p, metric)
-        out.pair = np.stack([lhs, rhs], axis=-1)
-        extra = {}
-        if printed is not None:
-            out.printed_gap = extra["printed_rel_gap"] = _rel_gap(lhs, printed)
-        # the info reads these arrays, not out: out holds the info, and a
-        # reference cycle would keep every drawn point alive until a full
-        # garbage collection
-        out.add(f"lb-pair[{f.name}]", lhs, rhs,
-                info=lambda k: {**{key: float(v[k]) for key, v in extra.items()},
-                                "field": f.name, "point": point_to_json(_at(p, k))})
+        out.add(f"lb-pair[{f.name}]", lhs, rhs)
+        gap = {} if printed is None else {"printed_rel_gap": _rel_gap(lhs, printed)}
+        out.describe(field=f.name, point=p, laplacian=lhs, oracle=rhs, **gap)
         return out
     return _grouped(len(fields), idx, sampler)
 
 
 def _rel_gap(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """rel_residual of each pair of values."""
+    """|lhs - rhs| / (1 + max(|lhs|, |rhs|)) of each pair of values."""
     return np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
@@ -768,11 +774,14 @@ def _compose(f, action, elements, count: int) -> ScalarField:
         f.mat_only)
 
 
-def _invariance_sample(n, m, suite_u, suite_d, master, idx, operators_upper,
-                       operators_disk) -> _Stack:
-    """Each operator (sb, p) -> value, applied to the field after the
-    action at p and to the field at the moved point.  Sample k uses the
-    non-constant fields suite_u[1 + k % 4] and suite_d[1 + k % 4]."""
+def _invariance_sample(n, m, master, idx, parts) -> _Stack:
+    """The residuals ``parts(out, upper, disk)`` adds for each stack of
+    samples, where each model's argument is (sb_moved, p, sb, q): the bundle
+    of the field after the action at the drawn point p, and the bundle of
+    the field at the moved point q.  Sample k uses the non-constant field
+    1 + k % 4 of each model's suite."""
+    suite_u = test_field_suite("upper", n, m, sample_seed(master, "fu"))
+    suite_d = test_field_suite("disk", n, m, sample_seed(master, "fd"))
 
     def make(seeds):
         # the draws carry their images: accept judges them, and they are the
@@ -793,53 +802,44 @@ def _invariance_sample(n, m, suite_u, suite_d, master, idx, operators_upper,
                 & (cd.point_scale(qd) <= _MAX_SCALE_NESTED))
 
     def sampler(j, sub):
-        out = _Stack(len(sub))
+        out = _Stack(sub)
         (g, s, pu, pd, qu, qd), out.retries = _redraw(make, accept, master, sub, "op-inv")
         f_u, f_d = suite_u[1 + j], suite_d[1 + j]   # skip the constant field
-        sb_cu = second_bundle(_compose(f_u, act_upper, g, len(sub)), pu, mat_only=False)
-        sb_u = second_bundle(f_u, qu, mat_only=False)
-        sb_cd = second_bundle(_compose(f_d, act_disk, s, len(sub)), pd, mat_only=False)
-        sb_d = second_bundle(f_d, qd, mat_only=False)
-        for name, apply_op in operators_upper:
-            out.add(name, apply_op(sb_cu, pu), apply_op(sb_u, qu),
-                    info=lambda k: {"field": f_u.name, "point": point_to_json(_at(pu, k))})
-        for name, apply_op in operators_disk:
-            out.add(name, apply_op(sb_cd, pd), apply_op(sb_d, qd),
-                    info=lambda k: {"field": f_d.name, "point": point_to_json(_at(pd, k))})
+        upper = (second_bundle(_compose(f_u, act_upper, g, len(sub)), pu, mat_only=False), pu,
+                 second_bundle(f_u, qu, mat_only=False), qu)
+        disk = (second_bundle(_compose(f_d, act_disk, s, len(sub)), pd, mat_only=False), pd,
+                second_bundle(f_d, qd, mat_only=False), qd)
+        parts(out, upper, disk)
+        out.describe(field=f_u.name, point=pu, disk_point=pd)
         return out
     return _grouped(len(suite_u) - 1, idx, sampler)
 
 
-def _suites(n, m, master):
-    return (test_field_suite("upper", n, m, sample_seed(master, "fu")),
-            test_field_suite("disk", n, m, sample_seed(master, "fd")))
-
-
 def _chk_laplacian_invariance(n, m, params, master, idx) -> _Stack:
-    ops_u = [("upper-laplacian", lambda sb, p: lap_upper(sb, p, params))]
-    ops_d = [("disk-laplacian", lambda sb, p: lap_disk(sb, p, params))]
-    return _invariance_sample(n, m, *_suites(n, m, master), master, idx, ops_u, ops_d)
+    def parts(out, upper, disk):
+        for name, lap, (sb_moved, p, sb, q) in (("upper-laplacian", lap_upper, upper),
+                                                ("disk-laplacian", lap_disk, disk)):
+            out.add(name, lap(sb_moved, p, params), lap(sb, q, params))
+    return _invariance_sample(n, m, master, idx, parts)
 
 
 def _chk_remark_invariance(n, m, params, master, idx) -> _Stack:
-    ops_u = [(kind, lambda sb, p, kind=kind: op_invariant(kind, sb, p))
-             for kind in ("D", "L")]
-    ops_d = [(kind, lambda sb, p, kind=kind: op_invariant(kind, sb, p))
-             for kind in ("Dtilde", "Ltilde")]
-    suite_u, suite_d = _suites(n, m, master)
-    out = _invariance_sample(n, m, suite_u, suite_d, master, idx, ops_u, ops_d)
-
-    # the defining split: quarter of the unit-weight Laplacian minus D is L
     unit = MetricParams(1.0, 1.0)
-    pu = _points("upper", n, m, [sample_seed(master, i, "rel-u") for i in idx])
-    sb = second_bundle(suite_u[3], pu, mat_only=False)
-    lhs = 0.25 * lap_upper(sb, pu, unit) - op_invariant("D", sb, pu)
-    out.add("L-split", lhs, op_invariant("L", sb, pu))
-    pd = _points("disk", n, m, [sample_seed(master, i, "rel-d") for i in idx])
-    sbd = second_bundle(suite_d[3], pd, mat_only=False)
-    lhs_d = lap_disk(sbd, pd, unit) - op_invariant("Dtilde", sbd, pd)
-    out.add("Ltilde-split", lhs_d, op_invariant("Ltilde", sbd, pd))
-    return out
+
+    def parts(out, upper, disk):
+        for (sb_moved, p, sb, q), kinds in ((upper, ("D", "L")), (disk, ("Dtilde", "Ltilde"))):
+            for kind in kinds:
+                out.add(kind, op_invariant(kind, sb_moved, p), op_invariant(kind, sb, q))
+        # the defining splits at the moved points: a quarter of the
+        # unit-weight Laplacian minus D is L, the disk Laplacian minus
+        # Dtilde is Ltilde
+        sb, q = upper[2:]
+        out.add("L-split", 0.25 * lap_upper(sb, q, unit) - op_invariant("D", sb, q),
+                op_invariant("L", sb, q))
+        sb, q = disk[2:]
+        out.add("Ltilde-split", lap_disk(sb, q, unit) - op_invariant("Dtilde", sb, q),
+                op_invariant("Ltilde", sb, q))
+    return _invariance_sample(n, m, master, idx, parts)
 
 
 def _chk_reduce_n1m1(n, m, params, master, idx) -> _Stack:
@@ -848,15 +848,14 @@ def _chk_reduce_n1m1(n, m, params, master, idx) -> _Stack:
     fields = test_field_suite("disk", 1, 1, sample_seed(master, "f"))
 
     def sampler(j, sub):
-        out = _Stack(len(sub))
+        out = _Stack(sub)
         p = _points("disk", 1, 1, [sample_seed(master, i, "p") for i in sub])
         t = _tangents("disk", 1, 1, master, sub)
-        out.add("metric-closed-form", q_disk(p, t, unit), q_disk_closed_11(p, t),
-                info=lambda k: {"point": point_to_json(_at(p, k))})
+        out.add("metric-closed-form", q_disk(p, t, unit), q_disk_closed_11(p, t))
         f = fields[1 + j]   # skip the constant field
         sb = second_bundle(f, p, mat_only=False)
-        out.add("laplacian-closed-form", lap_disk(sb, p, unit), lap_disk_closed_11(sb, p),
-                info=lambda k: {"field": f.name, "point": point_to_json(_at(p, k))})
+        out.add("laplacian-closed-form", lap_disk(sb, p, unit), lap_disk_closed_11(sb, p))
+        out.describe(field=f.name, point=p)
         return out
     return _grouped(len(fields) - 1, idx, sampler)
 
@@ -914,10 +913,9 @@ CHECK_NAMES = list(_CHECKS)
 DEFAULT_TOLERANCES = {name: c.default_tol for name, c in _CHECKS.items()}
 
 
-def _pairing_constant(pair: np.ndarray) -> float | None:
+def _pairing_constant(lhs: np.ndarray, rhs: np.ndarray) -> float | None:
     """Median lhs/rhs ratio over samples where the oracle value is
     informative; reported only, the residuals compare unscaled values."""
-    lhs, rhs = pair.T
     ok = np.abs(rhs) > 1e-3 * (1.0 + np.abs(lhs))   # false where NaN
     return float(np.median(lhs[ok] / rhs[ok])) if ok.any() else None
 
@@ -932,8 +930,9 @@ def _sample_stack(cdef: _CheckDef, n, m, params, seed, idx) -> _Stack:
             return _Stack.concat([_sample_stack(cdef, n, m, params, seed, idx[k: k + 1])
                                   for k in range(len(idx))])
         error = f"{type(exc).__name__}: {exc}"
-        bad = _Stack(1)
-        bad.add_residual("sample-error", float("inf"), info=lambda k: {"error": error})
+        bad = _Stack(idx)
+        bad.add_residual("sample-error", float("inf"))
+        bad.describe(error=error)
         return bad
 
 
@@ -969,18 +968,18 @@ def run_check(name: str, n: int, m: int, params: MetricParams,
     start = time.perf_counter()
     st = _all_samples(name, n, m, params, samples, seed)
 
-    constant = _pairing_constant(st.pair)
-    candidates = st.constant_candidate[~np.isnan(st.constant_candidate)]
-    if constant is None and candidates.size:
-        constant = float(candidates.min())
+    constant = _pairing_constant(st.column("laplacian"), st.column("oracle"))
+    eig = st.column("min_eig")
+    if constant is None and eig.size:
+        constant = float(eig.min())
 
     max_abs_res = st.max_abs.max()
     max_rel_res = st.max_rel.max()
     worst_idx = int(np.argmax(st.max_rel))
-    worst = st.info(worst_idx)
+    worst = st.description(worst_idx)
     worst["sample"] = worst_idx
     worst["part"] = st.labels[worst_idx]
-    gaps = st.printed_gap[~np.isnan(st.printed_gap)]
+    gaps = st.column("printed_rel_gap")
     if gaps.size:
         worst["printed_rel_gap_max"] = float(gaps.max())
     retries = int(st.retries.sum())
@@ -990,5 +989,5 @@ def run_check(name: str, n: int, m: int, params: MetricParams,
         samples=samples, seed=seed,
         max_abs=float(max_abs_res), max_rel=float(max_rel_res),
         tol=float(tol), passed=bool(max_rel_res <= tol),
-        constant=constant, worst=worst, retries=retries, ms=elapsed,
+        constant=constant, worst=worst, parts=st.parts, retries=retries, ms=elapsed,
     )

@@ -7,19 +7,10 @@ scale throughout: n <= 3, m <= 2, 50-100 samples per check.
 
 import sys
 
-import numpy as np
 import pytest
 
-from sjgeo import geometry as geo
-from sjgeo import operators as op
 from sjgeo import verify as V
-from sjgeo.cmatrix import mat_inverse
-from sjgeo.metrics import (
-    MetricParams,
-    q_disk,
-    q_disk_closed_11,
-    random_tangent,
-)
+from sjgeo.metrics import MetricParams
 
 UNIT = MetricParams(1.0, 1.0)
 SEED = 42
@@ -161,52 +152,20 @@ def test_criterion_10_operator_invariance():
 
 
 def test_criterion_11_n1m1_reduction():
-    worst_metric = 0.0
-    for idx in range(100):
-        p = geo.random_point("disk", 1, 1, V.sample_seed(SEED, idx, "r-p"))
-        t = random_tangent("disk", 1, 1,
-                           np.random.default_rng(V.sample_seed(SEED, idx, "r-t")))
-        a = q_disk(p, t, UNIT)
-        b = q_disk_closed_11(p, t)
-        worst_metric = max(worst_metric, abs(a - b) / (1 + max(abs(a), abs(b))))
-    worst_lap = 0.0
-    fields = op.test_field_suite("disk", 1, 1, V.sample_seed(SEED, "r-f"))
-    for idx in range(100):
-        p = geo.random_point("disk", 1, 1, V.sample_seed(SEED, idx, "r-lp"))
-        f = fields[1 + idx % 4]
-        sb = op.second_bundle(f, p)
-        a = op.lap_disk(sb, p, UNIT)
-        b = op.lap_disk_closed_11(sb, p)
-        worst_lap = max(worst_lap, abs(a - b) / (1 + max(abs(a), abs(b))))
+    parts = _run("reduce-n1m1", 1, 1, 100, 1e-6).parts
+    metric, lap = parts["metric-closed-form"], parts["laplacian-closed-form"]
     _line("criterion-11a n=m=1 metric reduction",
-          f"max_rel={worst_metric:.2e} tol=1e-12", worst_metric <= 1e-12)
+          f"max_rel={metric:.2e} tol=1e-12", metric <= 1e-12)
     _line("criterion-11b n=m=1 laplacian reduction",
-          f"max_rel={worst_lap:.2e} tol=1e-6", worst_lap <= 1e-6)
+          f"max_rel={lap:.2e} tol=1e-6", lap <= 1e-6)
 
 
 def test_criterion_12_pushforward_identities():
-    worst_point = 0.0
-    worst_diff = 0.0
+    worst_point = worst_diff = 0.0
     for (n, m) in [(1, 1), (2, 1), (2, 2)]:
-        for idx in range(100):
-            p = geo.random_point("disk", n, m, V.sample_seed(SEED, idx, "pf-p"))
-            t = random_tangent("disk", n, m,
-                               np.random.default_rng(V.sample_seed(SEED, idx, "pf-t")))
-            eye = np.eye(n)
-            inv_w = mat_inverse(eye - p.w)
-            inv_wc = mat_inverse(eye - p.w.conj())
-            target = geo.cayley(p)
-            _, r1 = V.rel_residual(target.y, inv_w @ (eye - p.w @ p.w.conj()) @ inv_wc)
-            _, r2 = V.rel_residual(target.v, p.eta @ inv_w + p.eta.conj() @ inv_wc)
-            worst_point = max(worst_point, r1, r2)
-            chart = V.Chart("disk", n, m)
-            h = 1e-6 * (1.0 + chart.point_scale(p))
-            moved = V.map_differential(geo.cayley, p, t, h=h)
-            d_omega = 2j * inv_w @ t.dmat @ inv_w
-            d_z = 2j * (t.dvec + p.eta @ inv_w @ t.dmat) @ inv_w
-            _, r3 = V.rel_residual(moved.dmat, 0.5 * (d_omega + d_omega.T))
-            _, r4 = V.rel_residual(moved.dvec, d_z)
-            worst_diff = max(worst_diff, r3, r4)
+        parts = _run("pushforward-identities", n, m, 100, 1e-6).parts
+        worst_point = max(worst_point, parts["point-identity-Y"], parts["point-identity-V"])
+        worst_diff = max(worst_diff, parts["differential-dOmega"], parts["differential-dZ"])
     _line("criterion-12a point identities", f"max_rel={worst_point:.2e} tol=1e-10",
           worst_point <= 1e-10)
     _line("criterion-12b differential identities", f"max_rel={worst_diff:.2e} tol=1e-6",

@@ -316,7 +316,7 @@ def test_failing_sample_is_isolated(monkeypatch):
     st = V._all_samples("cayley-compat", 2, 1, UNIT, 8, seed)
     assert list(st.labels).count("sample-error") == 1
     assert st.labels[bad] == "sample-error"
-    assert st.info(bad) == {"error": "SingularMatrix: injected"}
+    assert st.description(bad) == {"error": "SingularMatrix: injected"}
     for k in range(8):
         if k != bad:
             assert (st.max_rel[k], st.labels[k]) == (clean.max_rel[k], clean.labels[k])
@@ -393,7 +393,7 @@ def test_failing_stencil_sample_is_isolated(monkeypatch):
     st = V._all_samples("lb-equivalence-disk", 1, 1, UNIT, 8, seed)
     assert list(st.labels).count("sample-error") == 1
     assert st.labels[bad] == "sample-error"
-    assert st.info(bad) == {"error": "DomainMargin: injected"}
+    assert st.description(bad) == {"error": "DomainMargin: injected"}
     for k in range(8):
         if k != bad:
             assert (st.max_rel[k], st.labels[k]) == (clean.max_rel[k], clean.labels[k])
@@ -409,6 +409,18 @@ def test_reduce_n1m1_reports_its_own_cell():
         {k: v for k, v in own.items() if k != "ms"}
 
 
+def _assert_replays(name, n, m, seed, draws):
+    """The worst sample's described draws equal fresh draws from their tags."""
+    rep = V.run_check(name, n, m, UNIT, 40, seed)
+    k = rep.worst["sample"]
+    for key, (model, tag) in draws.items():
+        if model is None:
+            drawn = G.element_to_json(G.random_jacobi(n, m, V.sample_seed(seed, k, *tag)))
+        else:
+            drawn = geo.point_to_json(geo.random_point(model, n, m, V.sample_seed(seed, k, tag)))
+        assert rep.worst[key] == drawn, key
+
+
 @pytest.mark.parametrize("name, key, model, tag", [
     ("cayley-isometry", "point", "disk", "p"),
     ("pushforward-identities", "point", "disk", "p"),
@@ -419,13 +431,17 @@ def test_reduce_n1m1_reports_its_own_cell():
     ("lb-equivalence-siegel", "point", "upper", "p"),
 ])
 def test_worst_sample_replays(name, key, model, tag):
-    rep = V.run_check(name, 2, 2, UNIT, 40, 9)
-    k = rep.worst["sample"]
-    if model is None:
-        drawn = G.element_to_json(G.random_jacobi(2, 2, V.sample_seed(9, k, *tag)))
-    else:
-        drawn = geo.point_to_json(geo.random_point(model, 2, 2, V.sample_seed(9, k, tag)))
-    assert rep.worst[key] == drawn
+    _assert_replays(name, 2, 2, 9, {key: (model, tag)})
+
+
+@pytest.mark.parametrize("name, n, m, seed, draws", [
+    ("group-laws", 1, 1, 9, {"element": (None, ("g", 0))}),
+    ("action-axioms", 1, 1, 7, {"point": ("upper", "pu"), "element": (None, ("g", 0))}),
+])
+def test_worst_sample_replays_whatever_part_wins(name, n, m, seed, draws):
+    # the worst parts here (star-closure, disk-assoc) draw no element or
+    # upper point of their own; the sample's description still holds them
+    _assert_replays(name, n, m, seed, draws)
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2)])

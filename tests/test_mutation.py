@@ -1,10 +1,13 @@
 """Mutation tests: each injects one known defect into a Laplacian, a
-group law or a metric form, and asserts that the matching check fails.
+group law, a metric form or a map, and asserts that the matching check fails.
 
 A check that still passes with the defect in place cannot tell the
 defective operator from the correct one.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from sjgeo import groups as G
@@ -28,6 +31,27 @@ def test_doubled_laplacian_fails(monkeypatch, name, kind):
     rep = _run(f"lb-equivalence-{kind}")
     assert not rep.passed, f"max_rel={rep.max_rel} constant={rep.constant}"
     assert rep.constant == pytest.approx(2.0, rel=1e-3)
+
+
+def _nan_like(x):
+    """x with every value NaN; a point keeps its type."""
+    if dataclasses.is_dataclass(x):
+        return dataclasses.replace(x, **{f.name: _nan_like(getattr(x, f.name))
+                                         for f in dataclasses.fields(x)})
+    return np.full_like(x, np.nan)
+
+
+@pytest.mark.parametrize("name, check", [("lap_upper", "lb-equivalence-upper"),
+                                         ("q_upper", "cayley-isometry"),
+                                         ("cayley_inv", "cayley-roundtrip")])
+def test_nan_residual_fails(monkeypatch, name, check):
+    # a NaN compares false with every bound, so it must count as infinite
+    correct = getattr(V, name)
+    monkeypatch.setattr(V, name, lambda *a, **k: _nan_like(correct(*a, **k)))
+    with np.errstate(invalid="ignore"):
+        rep = _run(check)
+    assert not rep.passed, f"max_rel={rep.max_rel}"
+    assert rep.parts[rep.worst["part"]] == np.inf
 
 
 def test_printed_disk_laplacian_fails(monkeypatch):
