@@ -22,12 +22,7 @@ import sys
 from .cmatrix import SingularMatrix
 from .geometry import point_from_json, point_to_json, random_point, validate_point
 from .groups import element_to_json, random_jacobi, random_jacobistar
-from .metrics import (
-    MetricParams,
-    evaluate_form,
-    form_kind_for_point,
-    tangent_from_json,
-)
+from .metrics import MetricParams, evaluate_form, tangent_from_json
 from .operators import (
     DomainMargin,
     field_registry_ids,
@@ -36,7 +31,6 @@ from .operators import (
     named_field,
     op_invariant,
     second_bundle,
-    test_field_suite,
 )
 from .verify import CHECK_NAMES, DEFAULT_TOLERANCES, UnknownCheck, run_check
 
@@ -113,6 +107,20 @@ def _validate_common(args) -> str | None:
     return None
 
 
+def _json_text(obj, indent: int | None = None) -> str:
+    """RFC 8259 JSON text of obj: a non-finite number becomes null, as JSON
+    has no Infinity or NaN."""
+    def finite(x):
+        if isinstance(x, float):
+            return x if math.isfinite(x) else None
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [finite(v) for v in x]
+        return x
+    return json.dumps(finite(obj), sort_keys=True, allow_nan=False, indent=indent)
+
+
 def _reports_to_csv(reports: list[dict]) -> str:
     buf = io.StringIO()
     fields = ["check", "n", "m", "A", "B", "samples", "seed",
@@ -151,7 +159,7 @@ def _cmd_verify(args) -> int:
         text = _reports_to_csv(reports)
     else:
         payload = reports[0] if args.check != "all" else reports
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -180,13 +188,6 @@ def _load_point(path: str):
     return point
 
 
-def _resolve_field(model: str, n: int, m: int, name: str, seed: int):
-    suite = {f.name: f for f in test_field_suite(model, n, m, seed)}
-    if name in suite:
-        return suite[name]
-    return named_field(model, n, m, name)
-
-
 def _cmd_eval(args) -> int:
     problem = _validate_common(args)
     if problem:
@@ -197,7 +198,7 @@ def _cmd_eval(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         _log(f"error: {exc}")
         return 2
-    model = "upper" if form_kind_for_point(point) == "upper" else "disk"
+    model = point.model
     params = MetricParams(args.a, args.b)
     try:
         if args.target == "metric":
@@ -209,12 +210,12 @@ def _cmd_eval(args) -> int:
                 _log("error: tangent model does not match the point")
                 return 2
             value = evaluate_form(model, point, tangent, params)
-        elif args.target in ("laplacian", "D", "L", "Dtilde", "Ltilde", "field"):
+        else:   # the other targets all act on a field
             if not args.field:
                 _log(f"error: eval {args.target} needs --field "
                      f"(known ids: {', '.join(field_registry_ids(model))})")
                 return 2
-            f = _resolve_field(model, point.n, point.m, args.field, args.seed)
+            f = named_field(model, point.n, point.m, args.field, args.seed)
             if args.target == "field":
                 value = f(point)
             else:
@@ -226,9 +227,6 @@ def _cmd_eval(args) -> int:
                     value = lap_upper(sb, point, params)
                 else:
                     value = lap_disk(sb, point, params)
-        else:
-            _log(f"error: unknown target {args.target}")
-            return 2
     except (KeyError, ValueError, DomainMargin, SingularMatrix, ArithmeticError,
             OSError, json.JSONDecodeError) as exc:
         _log(f"error: {exc}")
@@ -249,7 +247,7 @@ def _cmd_sample(args) -> int:
             obj = element_to_json(random_jacobi(args.n, args.m, args.seed))
         else:
             obj = element_to_json(random_jacobistar(args.n, args.m, args.seed))
-    print(json.dumps(obj, sort_keys=True))
+    print(_json_text(obj))
     return 0
 
 

@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "SingularMatrix",
     "as_cmatrix",
+    "frozen",
     "block",
     "mat_inverse",
     "hermitian_pd_margin",
@@ -50,6 +51,23 @@ def as_cmatrix(data, rows: int | None = None, cols: int | None = None) -> np.nda
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def frozen(a, dtype, shape: tuple | None = None) -> np.ndarray:
+    """A read-only array of ``dtype`` with the values of ``a``; ``shape``,
+    when given, is the expected full shape, stack axes included.
+
+    An array that is already read-only, of ``dtype`` and owns its data is
+    taken as it is, without a copy (stacked points can be large); any
+    other input is copied, so a caller's array never changes flags.
+    """
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype
+            and a.flags.owndata and not a.flags.writeable):
+        a = np.array(a, dtype=dtype)
+        a.flags.writeable = False
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {a.shape}")
+    return a
 
 
 def max_abs(m) -> float:
@@ -97,9 +115,9 @@ def mat_inverse(m: np.ndarray) -> np.ndarray:
     One matrix is inverted as a stack of one, so a matrix gets the same
     inverse, to the last bit, alone or in a stack of any size.  Pivots are
     chosen by |Re| + |Im|.  Raises SingularMatrix when the smallest pivot
-    of a matrix falls below PIVOT_RTOL times that matrix's largest entry;
-    callers treat that as "the point or group element is outside its
-    domain".
+    of a matrix falls below PIVOT_RTOL times that matrix's largest entry,
+    and when an entry is not finite; callers treat that as "the point or
+    group element is outside its domain".
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
@@ -110,6 +128,8 @@ def mat_inverse(m: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(stack), axis=(-2, -1))
     if np.any(scale == 0.0):
         raise SingularMatrix("zero matrix")
+    if not np.all(np.isfinite(scale)):
+        raise SingularMatrix("matrix entry is not finite")
     k_count = len(stack)
     aug = np.zeros((k_count, n, 2 * n), dtype=np.complex128)
     aug[:, :, :n] = stack
@@ -132,8 +152,10 @@ def mat_inverse(m: np.ndarray) -> np.ndarray:
             if i != k:
                 aug[:, i] -= aug[:, i, k, None] * aug[:, k]
     low = pivots.min(axis=-1)
-    worst = np.argmax(low < PIVOT_RTOL * scale)
-    if low[worst] < PIVOT_RTOL * scale[worst]:
+    # written so that a NaN pivot (an overflow in the elimination) fails too
+    failed = ~(low >= PIVOT_RTOL * scale)
+    worst = np.argmax(failed)
+    if failed[worst]:
         raise SingularMatrix(f"pivot {low[worst]:.3e} below {PIVOT_RTOL:.0e} "
                              f"* {scale[worst]:.3e}")
     return np.ascontiguousarray(aug[:, :, n:]).reshape(m.shape)

@@ -11,12 +11,14 @@ two Jacobi group actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .cmatrix import (
     PIVOT_RTOL,
     block,
+    frozen,
     hermitian_pd_margin,
     mat_from_json,
     mat_inverse,
@@ -56,28 +58,15 @@ __all__ = [
 _ACTION_SYM_TOL = 1e-9
 
 
-def _frozen(a) -> np.ndarray:
-    """A read-only complex128 array with the values of ``a``.
-
-    An array that is already read-only, complex128 and owns its data is
-    frozen as it is and taken without a copy (stacked points can be large).
-    """
-    if (isinstance(a, np.ndarray) and a.dtype == np.complex128
-            and a.flags.owndata and not a.flags.writeable):
-        return a
-    a = np.array(a, dtype=np.complex128)
-    a.flags.writeable = False
-    return a
-
-
 def _frozen_pair(mat, vec, mat_name: str, vec_name: str):
-    """Read-only complex128 forms of a point's two blocks, shapes validated.
+    """Read-only complex128 forms of the two blocks of a point or a
+    tangent, shapes validated.
 
     Either one point, (n, n) and (m, n), or a stack of K points,
     (K, n, n) and (K, m, n).
     """
-    mat = _frozen(mat)
-    vec = _frozen(vec)
+    mat = frozen(mat, np.complex128)
+    vec = frozen(vec, np.complex128)
     if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"{mat_name} must be square")
     if (vec.ndim != mat.ndim or vec.shape[-1] != mat.shape[-1]
@@ -93,6 +82,7 @@ class UpperPoint:
     A stacked point holds K points as (K, n, n) and (K, m, n) arrays.
     """
 
+    model: ClassVar[str] = "upper"
     omega: np.ndarray
     z: np.ndarray
 
@@ -140,6 +130,7 @@ class DiskPoint:
     A stacked point holds K points as (K, n, n) and (K, m, n) arrays.
     """
 
+    model: ClassVar[str] = "disk"
     w: np.ndarray
     eta: np.ndarray
 
@@ -164,7 +155,7 @@ class DiskPoint:
 
 def _margin_matrix(p) -> np.ndarray:
     """The matrix that must be positive definite: Im Omega, or I - conj(W) W."""
-    if isinstance(p, UpperPoint):
+    if p.model == "upper":
         return p.y.astype(complex)
     return np.eye(p.n) - p.w.conj() @ p.w
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import block, mat_max_abs, sym_defect
+from .cmatrix import block, frozen, mat_max_abs, sym_defect
 
 __all__ = [
     "HeisenbergElement",
@@ -67,23 +67,6 @@ __all__ = [
 ]
 
 
-def _frozen(a, dtype, shape=None) -> np.ndarray:
-    """A read-only copy; ``shape`` is the expected full shape, stack axes included."""
-    m = np.array(a, dtype=dtype)
-    if shape is not None and m.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {m.shape}")
-    m.flags.writeable = False
-    return m
-
-
-def _real(a, shape=None) -> np.ndarray:
-    return _frozen(a, np.float64, shape)
-
-
-def _cplx(a, shape=None) -> np.ndarray:
-    return _frozen(a, np.complex128, shape)
-
-
 def _square(a: np.ndarray, what: str) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{what} must be square")
@@ -99,13 +82,14 @@ class HeisenbergElement:
     kappa: np.ndarray
 
     def __post_init__(self):
-        lam = _real(self.lam)
+        lam = frozen(self.lam, np.float64)
         if lam.ndim < 2:
             raise ValueError("lambda must be an m x n matrix")
         m = lam.shape[-2]
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", _real(self.mu, lam.shape))
-        object.__setattr__(self, "kappa", _real(self.kappa, lam.shape[:-2] + (m, m)))
+        object.__setattr__(self, "mu", frozen(self.mu, np.float64, lam.shape))
+        object.__setattr__(self, "kappa",
+                           frozen(self.kappa, np.float64, lam.shape[:-2] + (m, m)))
 
     @property
     def n(self) -> int:
@@ -126,11 +110,11 @@ class SpElement:
     d: np.ndarray
 
     def __post_init__(self):
-        a = _square(_real(self.a), "blocks")
+        a = _square(frozen(self.a, np.float64), "blocks")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", _real(self.b, a.shape))
-        object.__setattr__(self, "c", _real(self.c, a.shape))
-        object.__setattr__(self, "d", _real(self.d, a.shape))
+        object.__setattr__(self, "b", frozen(self.b, np.float64, a.shape))
+        object.__setattr__(self, "c", frozen(self.c, np.float64, a.shape))
+        object.__setattr__(self, "d", frozen(self.d, np.float64, a.shape))
 
     @property
     def n(self) -> int:
@@ -174,9 +158,9 @@ class GStarElement:
     q: np.ndarray
 
     def __post_init__(self):
-        p = _square(_cplx(self.p), "P")
+        p = _square(frozen(self.p, np.complex128), "P")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", _cplx(self.q, p.shape))
+        object.__setattr__(self, "q", frozen(self.q, np.complex128, p.shape))
 
     @property
     def n(self) -> int:
@@ -195,12 +179,12 @@ class JacobiStarElement:
     kappa: np.ndarray
 
     def __post_init__(self):
-        xi = _cplx(self.xi)
+        xi = frozen(self.xi, np.complex128)
         if xi.ndim < 2 or xi.shape[-1] != self.g.n:
             raise ValueError("xi must be m x n with n the symplectic degree")
         object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "kappa",
-                           _real(self.kappa, xi.shape[:-2] + (xi.shape[-2],) * 2))
+        kappa_shape = xi.shape[:-2] + (xi.shape[-2],) * 2
+        object.__setattr__(self, "kappa", frozen(self.kappa, np.float64, kappa_shape))
 
     @property
     def n(self) -> int:
@@ -220,13 +204,14 @@ class ComplexHeisenbergElement:
     zeta: np.ndarray
 
     def __post_init__(self):
-        xi = _cplx(self.xi)
+        xi = frozen(self.xi, np.complex128)
         if xi.ndim < 2:
             raise ValueError("xi must be an m x n matrix")
         m = xi.shape[-2]
         object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "eta", _cplx(self.eta, xi.shape))
-        object.__setattr__(self, "zeta", _cplx(self.zeta, xi.shape[:-2] + (m, m)))
+        object.__setattr__(self, "eta", frozen(self.eta, np.complex128, xi.shape))
+        object.__setattr__(self, "zeta",
+                           frozen(self.zeta, np.complex128, xi.shape[:-2] + (m, m)))
 
     @property
     def n(self) -> int:
@@ -245,7 +230,7 @@ class ComplexJacobiElement:
     h: ComplexHeisenbergElement
 
     def __post_init__(self):
-        mat = _cplx(self.mat)
+        mat = frozen(self.mat, np.complex128)
         if mat.shape[-2:] != (2 * self.h.n, 2 * self.h.n):
             raise ValueError("matrix degree does not match the Heisenberg part")
         object.__setattr__(self, "mat", mat)

@@ -12,14 +12,14 @@ Four line elements are implemented as quadratic forms on tangents:
 
 Each form is held as coefficient blocks that depend on the point only;
 metric_tensor contracts them against the chart's basis tangents, for one
-point or a stack of points.
+point or a stack of points, and returns the read-only (..., dim, dim)
+float array of the form in the chart.
 
-The chart fixes a canonical ordering of real coordinates (ordering tag
-"canonical-v1"): independent Re entries of the symmetric matrix block
-(row-major over the upper triangle), then the matching Im entries, then
-Re of the rectangular block row-major, then its Im entries.  Tangent
-basis vectors for off-diagonal symmetric entries set both mirrored
-matrix entries to 1.
+The chart fixes a canonical ordering of real coordinates: independent Re
+entries of the symmetric matrix block (row-major over the upper
+triangle), then the matching Im entries, then Re of the rectangular
+block row-major, then its Im entries.  Tangent basis vectors for
+off-diagonal symmetric entries set both mirrored matrix entries to 1.
 """
 
 from __future__ import annotations
@@ -28,13 +28,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import mat_inverse, mat_max_abs, mat_to_json, sym_defect
-from .geometry import DiskPoint, UpperPoint
+from .cmatrix import (
+    frozen,
+    mat_from_json,
+    mat_inverse,
+    mat_max_abs,
+    mat_to_json,
+    sym_defect,
+)
+from .geometry import DiskPoint, UpperPoint, _frozen_pair
 
 __all__ = [
     "Tangent",
     "MetricParams",
-    "MetricTensor",
     "Chart",
     "q_siegel",
     "q_upper",
@@ -47,8 +53,6 @@ __all__ = [
     "tangent_to_json",
     "tangent_from_json",
 ]
-
-ORDERING_TAG = "canonical-v1"
 
 # Transcription bugs in the self-conjugate trace sums show up as O(1)
 # imaginary parts; genuine round-off stays many orders below this.
@@ -70,17 +74,9 @@ class Tangent:
     def __post_init__(self):
         if self.model not in ("upper", "disk"):
             raise ValueError(f"unknown model {self.model!r}")
-        dmat = np.array(self.dmat, dtype=np.complex128)
-        dvec = np.array(self.dvec, dtype=np.complex128)
-        if dmat.ndim not in (2, 3) or dmat.shape[-1] != dmat.shape[-2]:
-            raise ValueError("dmat must be square")
+        dmat, dvec = _frozen_pair(self.dmat, self.dvec, "dmat", "dvec")
         if np.any(sym_defect(dmat) > 1e-12 * (1.0 + mat_max_abs(dmat))):
             raise ValueError("dmat must be symmetric")
-        if (dvec.ndim != dmat.ndim or dvec.shape[-1] != dmat.shape[-1]
-                or dvec.shape[:-2] != dmat.shape[:-2]):
-            raise ValueError("dvec must be m x n with n matching dmat")
-        dmat.flags.writeable = False
-        dvec.flags.writeable = False
         object.__setattr__(self, "dmat", dmat)
         object.__setattr__(self, "dvec", dvec)
 
@@ -103,37 +99,6 @@ class MetricParams:
     def __post_init__(self):
         if not (self.a > 0.0 and self.b > 0.0):
             raise ValueError("both metric parameters must be positive")
-
-
-@dataclass(frozen=True)
-class MetricTensor:
-    """Real symmetric coordinate matrix of a quadratic form in the chart.
-
-    The tensors of a stacked point are stacked: g has shape (K, dim, dim),
-    and min_eigenvalue and apply then give one value per tensor.
-    """
-
-    dim: int
-    g: np.ndarray
-    ordering: str = ORDERING_TAG
-
-    def __post_init__(self):
-        g = np.array(self.g, dtype=np.float64)
-        if g.ndim not in (2, 3) or g.shape[-2:] != (self.dim, self.dim):
-            raise ValueError("tensor shape does not match dim")
-        g.flags.writeable = False
-        object.__setattr__(self, "g", g)
-
-    def min_eigenvalue(self):
-        eig = np.linalg.eigvalsh(self.g).min(axis=-1)
-        return float(eig) if eig.ndim == 0 else eig
-
-    def apply(self, vec: np.ndarray):
-        """The form at a coordinate vector, or at row k of a (K, dim) array
-        for tensor k of a stack."""
-        vec = np.asarray(vec, dtype=np.float64)
-        q = (vec[..., None, :] @ self.g @ vec[..., :, None])[..., 0, 0]
-        return float(q) if q.ndim == 0 else q
 
 
 class Chart:
@@ -211,30 +176,21 @@ class Chart:
             off = 2 * ns
             vec.real = v[..., off: off + nv].reshape(vec.shape)
             vec.imag = v[..., off + nv:].reshape(vec.shape)
-        # Read-only fresh arrays: points take them without copying.
-        mat.flags.writeable = False
-        vec.flags.writeable = False
         return mat, vec
 
     # -- points --------------------------------------------------------
 
     def _parts(self, p):
-        if self.model == "upper":
-            if not isinstance(p, UpperPoint):
-                raise TypeError("expected an UpperPoint")
-            return p.omega, p.z
-        if not isinstance(p, DiskPoint):
-            raise TypeError("expected a DiskPoint")
-        return p.w, p.eta
+        if not isinstance(p, (UpperPoint, DiskPoint)) or p.model != self.model:
+            raise TypeError(f"expected a point of the {self.model} model")
+        return (p.omega, p.z) if p.model == "upper" else (p.w, p.eta)
 
     def point_to_vec(self, p) -> np.ndarray:
         return self._pack(*self._parts(p))
 
     def vec_to_point(self, v: np.ndarray):
-        mat, vec = self._unpack(v)
-        if self.model == "upper":
-            return UpperPoint(mat, vec)
-        return DiskPoint(mat, vec)
+        point = UpperPoint if self.model == "upper" else DiskPoint
+        return point(*self._unpack(v))
 
     # -- tangents ------------------------------------------------------
 
@@ -433,17 +389,10 @@ def q_disk_closed_11(p: DiskPoint, t: Tangent):
 # Tensor assembly and helpers
 
 
-def form_kind_for_point(p) -> str:
-    if isinstance(p, UpperPoint):
-        return "upper"
-    if isinstance(p, DiskPoint):
-        return "disk"
-    raise TypeError(f"not a point: {type(p).__name__}")
-
-
-def metric_tensor(p, params: MetricParams, kind: str | None = None) -> MetricTensor:
-    """Chart matrix of the selected form, for one point or, stacked, for
-    each point of a stack.
+def metric_tensor(p, params: MetricParams, kind: str | None = None) -> np.ndarray:
+    """Chart matrix of the selected form (default: the point's own model's
+    family), a read-only (dim, dim) float array for one point and
+    (K, dim, dim) for a stack of K points.
 
     H[s, t] pairs the slot basis tangents E_s (linear) and E_t (conjugate)
     through the form's terms.  Slot s has the chart tangents E_s and i E_s,
@@ -452,7 +401,7 @@ def metric_tensor(p, params: MetricParams, kind: str | None = None) -> MetricTen
     equals polarization, G[i][j] = (Q(e_i + e_j) - Q(e_i - e_j)) / 4.
     """
     if kind is None:
-        kind = form_kind_for_point(p)
+        kind = p.model
     chart = chart_for(p, kind)
     h = _form_matrix(_form_terms(kind, p, params), *chart.slot_basis())
     what = f"{kind} tensor"
@@ -464,13 +413,11 @@ def metric_tensor(p, params: MetricParams, kind: str | None = None) -> MetricTen
     g[..., y[:, None], y] = same
     g[..., x[:, None], y] = cross
     g[..., y[:, None], x] = cross.mT
-    return MetricTensor(chart.dim, g)
+    return frozen(g, np.float64)
 
 
 def chart_for(p, kind: str | None = None) -> Chart:
-    model = "upper" if isinstance(p, UpperPoint) else "disk"
-    include_vec = kind not in ("siegel", "diskn")
-    return Chart(model, p.n, p.m, include_vec=include_vec)
+    return Chart(p.model, p.n, p.m, include_vec=kind not in ("siegel", "diskn"))
 
 
 def evaluate_form(kind: str, p, t: Tangent, params: MetricParams):
@@ -491,6 +438,4 @@ def tangent_to_json(t: Tangent) -> dict:
 
 
 def tangent_from_json(obj: dict) -> Tangent:
-    from .cmatrix import mat_from_json
-
     return Tangent(obj["model"], mat_from_json(obj["dmat"]), mat_from_json(obj["dvec"]))

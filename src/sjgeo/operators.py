@@ -231,10 +231,9 @@ def second_bundle(f, p, mat_only: bool | None = None) -> SecondBundle:
     operator needs the full-chart bundle (``mat_only=False``).  At a
     stacked point each tensor gains the leading sample axis.
     """
-    model = "upper" if isinstance(p, UpperPoint) else "disk"
     if mat_only is None:
         mat_only = getattr(f, "mat_only", False)
-    chart = Chart(model, p.n, p.m, include_vec=not mat_only)
+    chart = Chart(p.model, p.n, p.m, include_vec=not mat_only)
     h = np.asarray(default_step(p, chart, order=2))
     _require_margin(p, 4.0 * h)
     v0 = chart.point_to_vec(p)
@@ -479,18 +478,15 @@ def op_invariant(kind: str, sb: SecondBundle, p):
     Ltilde  the shifted Maass part, = lap - Dtilde     (disk model)
     """
     if kind in ("D", "L"):
-        if not isinstance(p, UpperPoint):
-            raise ValueError(f"operator {kind} needs an upper-model point")
-        part_a, part_b = _upper_parts(p, sb)
-        val = part_b if kind == "D" else part_a
+        model, parts = "upper", _upper_parts
     elif kind in ("Dtilde", "Ltilde"):
-        if not isinstance(p, DiskPoint):
-            raise ValueError(f"operator {kind} needs a disk-model point")
-        part_a, part_b = _disk_parts(p, sb)
-        val = part_b if kind == "Dtilde" else part_a
+        model, parts = "disk", _disk_parts
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
-    return _real_value(val, f"operator {kind}")
+    if p.model != model:
+        raise ValueError(f"operator {kind} needs a point of the {model} model")
+    part_a, part_b = parts(p, sb)
+    return _real_value(part_b if kind in ("D", "Dtilde") else part_a, f"operator {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +496,10 @@ def op_invariant(kind: str, sb: SecondBundle, p):
 def _tr(x: np.ndarray) -> np.ndarray:
     """Trace of each matrix of a stack (or of one matrix)."""
     return np.trace(x, axis1=-2, axis2=-1)
+
+
+# The fields of test_field_suite, in its order.
+_SUITE_IDS = ("const", "linear", "trace-quad", "gauss", "cross")
 
 
 def test_field_suite(model: str, n: int, m: int, seed: int,
@@ -547,43 +547,44 @@ def test_field_suite(model: str, n: int, m: int, seed: int,
             mat, vec = blocks(p)
             return _tr(mat).real * _tr(vec @ lam0.T).imag
 
-    return [
-        ScalarField("const", model, lambda p: np.ones(p.batch), mat_only),
-        ScalarField("linear", model, lin, mat_only),
-        ScalarField("trace-quad", model, quad, mat_only),
-        ScalarField("gauss", model, gauss, mat_only),
-        ScalarField("cross", model, cross, mat_only),
-    ]
+    fns = (lambda p: np.ones(p.batch), lin, quad, gauss, cross)
+    return [ScalarField(name, model, fn, mat_only) for name, fn in zip(_SUITE_IDS, fns)]
 
 
-def named_field(model: str, n: int, m: int, name: str) -> ScalarField:
-    """Fixed fields addressable by id (independent of any seed)."""
-    rows, cols = np.triu_indices(n)
-    if model == "disk":
-        table = {
-            "absW2": lambda p: np.sum(np.abs(p.w[..., rows, cols]) ** 2, axis=-1),
-            "absEta2": lambda p: np.sum(np.abs(p.eta) ** 2, axis=(-2, -1)),
-            "reSigmaW": lambda p: _tr(p.w).real,
-            "logDetIWW": lambda p: np.log(np.linalg.det(
-                np.eye(n) - p.w.conj() @ p.w).real),
-        }
-        mat_only = ()
-    elif model == "upper":
-        table = {
-            "absZ2": lambda p: np.sum(np.abs(p.z) ** 2, axis=(-2, -1)),
-            "sigmaY": lambda p: _tr(p.y),
-            "logDetY": lambda p: np.log(np.linalg.det(p.y)),
-        }
-        mat_only = ("sigmaY", "logDetY")
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    if name not in table:
+def _abs_w2(p):
+    """The sum of |W_ij|^2 over the upper triangle."""
+    rows, cols = np.triu_indices(p.n)
+    return np.sum(np.abs(p.w[..., rows, cols]) ** 2, axis=-1)
+
+
+# The fixed fields of each model, by id, and the ids of those of Omega alone.
+_FIXED = {
+    "disk": {
+        "absW2": _abs_w2,
+        "absEta2": lambda p: np.sum(np.abs(p.eta) ** 2, axis=(-2, -1)),
+        "reSigmaW": lambda p: _tr(p.w).real,
+        "logDetIWW": lambda p: np.log(np.linalg.det(np.eye(p.n) - p.w.conj() @ p.w).real),
+    },
+    "upper": {
+        "absZ2": lambda p: np.sum(np.abs(p.z) ** 2, axis=(-2, -1)),
+        "sigmaY": lambda p: _tr(p.y),
+        "logDetY": lambda p: np.log(np.linalg.det(p.y)),
+    },
+}
+_FIXED_MAT_ONLY = ("sigmaY", "logDetY")
+
+
+def named_field(model: str, n: int, m: int, name: str, seed: int) -> ScalarField:
+    """The field with id ``name``: a field of test_field_suite(model, n, m,
+    seed), or a fixed field, which does not depend on the seed."""
+    for f in test_field_suite(model, n, m, seed):
+        if f.name == name:
+            return f
+    if name not in _FIXED[model]:
         raise KeyError(f"unknown field id {name!r} for model {model}")
-    return ScalarField(name, model, table[name], mat_only=name in mat_only)
+    return ScalarField(name, model, _FIXED[model][name], mat_only=name in _FIXED_MAT_ONLY)
 
 
 def field_registry_ids(model: str) -> list[str]:
-    suite = ["const", "linear", "trace-quad", "gauss", "cross"]
-    named = (["absW2", "absEta2", "reSigmaW", "logDetIWW"] if model == "disk"
-             else ["absZ2", "sigmaY", "logDetY"])
-    return suite + named
+    """Every id named_field resolves for ``model``."""
+    return list(_SUITE_IDS) + list(_FIXED[model])

@@ -153,7 +153,7 @@ class CheckReport:
     max_rel: float
     tol: float
     passed: bool
-    constant: float | None
+    constant: float | None   # the LB pairing ratio (see _pairing_constant); None elsewhere
     worst: dict
     parts: dict   # part label -> its largest relative residual
     retries: int
@@ -216,8 +216,9 @@ def laplace_beltrami(f, p, metric):
 
     The chart is the field's, as in operators.second_bundle: the
     matrix-only chart for a field with a true ``mat_only`` flag, the full
-    chart otherwise, and ``metric`` maps a stacked point to the stacked
-    MetricTensor over that chart.  The point and its 2 dim flux points
+    chart otherwise, and ``metric`` maps a stacked point to its stacked
+    tensors over that chart, a (K, dim, dim) float array (such as
+    metrics.metric_tensor's).  The point and its 2 dim flux points
     v0 +- h e_i are one node array and one metric call.  The gradients at
     every flux point come from one field evaluation of all their stencils
     (see operators.ScalarField for the field contract).
@@ -226,8 +227,7 @@ def laplace_beltrami(f, p, metric):
     steps: the tensors at all K points and their flux points come from one
     metric call, and the gradient stencils from one field call.
     """
-    model = "upper" if isinstance(p, UpperPoint) else "disk"
-    chart = Chart(model, p.n, p.m, include_vec=not getattr(f, "mat_only", False))
+    chart = Chart(p.model, p.n, p.m, include_vec=not getattr(f, "mat_only", False))
     d = chart.dim
     # Smaller than the generic nested step: the outer derivative acts on
     # the smooth metric field, where round-off is negligible and the
@@ -242,7 +242,7 @@ def laplace_beltrami(f, p, metric):
     # the tensors need not be alive beside them
     grad = _grad_real(f, chart, nodes[..., 1:, :], h1[..., None])
     rows = nodes.reshape(-1, d)
-    g = metric(chart.vec_to_point(rows)).g
+    g = np.asarray(metric(chart.vec_to_point(rows)))
     if g.shape != (len(rows), d, d):
         raise ValueError(f"metric returned tensors of shape {g.shape} for {len(rows)} "
                          f"points of the field's chart of dimension {d}")
@@ -671,17 +671,18 @@ def _chk_cayley_isometry(n, m, params, master, idx) -> _Stack:
 def _tensor_pd(model, n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
     p = _points(model, n, m, [sample_seed(master, i, "p") for i in idx])
-    tensor = metric_tensor(p, params)
-    out.add_residual("tensor-symmetry", mat_max_abs(tensor.g - tensor.g.mT),
-                     mat_max_abs(tensor.g))
-    eig = tensor.min_eigenvalue()
+    g = metric_tensor(p, params)
+    out.add_residual("tensor-symmetry", mat_max_abs(g - g.mT), mat_max_abs(g))
+    eig = np.linalg.eigvalsh(g).min(axis=-1)
     out.add_residual("tensor-pd", 1.0 + np.abs(eig), where=eig <= 0.0)
     chart = chart_for(p)
     rngs = [np.random.default_rng(sample_seed(master, int(i), "v")) for i in idx]
     for k in range(2):
         t = _stack([random_tangent(model, n, m, rng) for rng in rngs])
         direct = q_upper(p, t, params) if model == "upper" else q_disk(p, t, params)
-        out.add(f"polarization-{k}", direct, tensor.apply(chart.tangent_to_vec(t)))
+        v = chart.tangent_to_vec(t)
+        via_tensor = (v[..., None, :] @ g @ v[..., :, None])[..., 0, 0]
+        out.add(f"polarization-{k}", direct, via_tensor)
     out.describe(point=p, min_eig=eig)
     return out
 
@@ -969,9 +970,6 @@ def run_check(name: str, n: int, m: int, params: MetricParams,
     st = _all_samples(name, n, m, params, samples, seed)
 
     constant = _pairing_constant(st.column("laplacian"), st.column("oracle"))
-    eig = st.column("min_eig")
-    if constant is None and eig.size:
-        constant = float(eig.min())
 
     max_abs_res = st.max_abs.max()
     max_rel_res = st.max_rel.max()

@@ -78,11 +78,7 @@ def test_criterion_04_partial_cayley():
 
 def test_criterion_05_harish_chandra_route(action_axioms):
     # the block-triangular route is the hc-vs-direct part of action-axioms
-    worst = 0.0
-    for (n, m) in [(1, 1), (2, 2)]:
-        rep = action_axioms[(n, m)]
-        worst = max(worst, rep.max_rel)
-        assert rep.passed
+    worst = max(action_axioms[cell].parts["hc-vs-direct"] for cell in [(1, 1), (2, 2)])
     _line("criterion-5 harish-chandra-route", f"max_rel={worst:.2e} tol=1e-9",
           worst <= 1e-9)
 
@@ -107,8 +103,8 @@ def test_criterion_07_disk_metric_invariance_and_positivity():
     _line("criterion-7a disk-metric-invariance", f"max_rel={worst:.2e} tol=1e-5",
           worst <= 1e-5)
     _line("criterion-7b tensor-positivity",
-          f"min_eig={rep_pd.constant:.4f} at 100 points",
-          rep_pd.passed and rep_pd.constant > 0.0)
+          f"tensor-pd={rep_pd.parts['tensor-pd']:.1e} at 100 points",
+          rep_pd.passed and rep_pd.parts["tensor-pd"] == 0.0)
 
 
 def test_criterion_08_cayley_isometry():

@@ -91,6 +91,19 @@ def test_verify_csv_format(capsys, tmp_path):
     assert lines[1].startswith("group-laws,")
 
 
+def test_verify_json_is_strict(capsys):
+    # B = 1e-308 overflows the metric tensor: an infinite max_rel is null
+    code, out, err = run_cli(capsys, "verify", "lb-equivalence-upper",
+                             "--B", "1e-308", "--samples", "2")
+    assert code == 1
+
+    def reject(token):
+        raise ValueError(f"{token} is not RFC 8259 JSON")
+    rep = json.loads(out, parse_constant=reject)
+    assert rep["max_rel"] is None and rep["max_abs"] is None
+    assert rep["parts"]["sample-error"] is None
+
+
 def test_verify_stdout_json(capsys):
     code, out, err = run_cli(capsys, "verify", "tensor-pd", "--samples", "4")
     assert code == 0
@@ -153,7 +166,7 @@ def test_eval_prints_the_library_value(capsys, tmp_path, target, model, field):
     code, out, err = run_cli(capsys, "eval", target, "--point", str(path),
                              "--field", field)
     assert code == 0, err
-    f = op.named_field(model, 2, 1, field)
+    f = op.named_field(model, 2, 1, field, 42)
     full = op.second_bundle(f, p, mat_only=False)
     assert out == f"{_library_value(target, full, p):.15g}\n"
     if f.mat_only:

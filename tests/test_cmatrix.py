@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from sjgeo.cmatrix import (
     SingularMatrix,
+    frozen,
     hermitian_pd_margin,
     mat_from_json,
     mat_inverse,
@@ -42,6 +43,26 @@ def test_singular_raises():
         mat_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrix):
         mat_inverse(np.zeros((2, 2)))
+
+
+def test_nan_raises():
+    # a NaN compares false with the pivot bound, so the guard must fail on it
+    with pytest.raises(SingularMatrix):
+        mat_inverse(np.full((1, 2, 2), np.nan + 0j))
+    stack = np.stack([np.eye(2), np.eye(2), np.eye(2)]).astype(complex)
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(SingularMatrix):
+        mat_inverse(stack)
+
+
+def test_frozen():
+    a = np.ones((2, 2))
+    f = frozen(a, np.complex128, (2, 2))
+    assert f.dtype == np.complex128 and not f.flags.writeable
+    assert a.flags.writeable   # the caller's array is copied, not frozen
+    assert frozen(f, np.complex128) is f   # already frozen: taken as it is
+    with pytest.raises(ValueError, match="expected shape"):
+        frozen(a, np.float64, (3, 2))
 
 
 @settings(max_examples=40, deadline=None)

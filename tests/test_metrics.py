@@ -100,8 +100,8 @@ def test_completed_square_identities():
 
 def test_metric_tensor_origin():
     g = me.metric_tensor(geo.DiskPoint([[0.0]], [[0.0]]), UNIT)
-    assert max_abs(g.g - 4.0 * np.eye(4)) < 1e-12
-    assert g.ordering == "canonical-v1"
+    assert max_abs(g - 4.0 * np.eye(4)) < 1e-12
+    assert not g.flags.writeable
 
 
 def test_metric_tensor_consistency_and_pd():
@@ -114,18 +114,19 @@ def test_metric_tensor_consistency_and_pd():
             for _ in range(5):
                 t = me.random_tangent(model, 2, 1, rng)
                 direct = me.evaluate_form(model, p, t, UNIT)
-                via = tensor.apply(chart.tangent_to_vec(t))
+                v = chart.tangent_to_vec(t)
+                via = v @ tensor @ v
                 assert abs(direct - via) <= 1e-9 * (1 + abs(direct))
-            assert tensor.min_eigenvalue() > 0.0
+            assert np.linalg.eigvalsh(tensor).min() > 0.0
 
 
 def test_mat_only_tensors():
     p = geo.random_point("upper", 2, 1, 4)
     g = me.metric_tensor(p, UNIT, kind="siegel")
-    assert g.dim == 6 and g.min_eigenvalue() > 0.0
+    assert g.shape == (6, 6) and np.linalg.eigvalsh(g).min() > 0.0
     pd = geo.random_point("disk", 2, 1, 4)
     gd = me.metric_tensor(pd, UNIT, kind="diskn")
-    assert gd.dim == 6 and gd.min_eigenvalue() > 0.0
+    assert gd.shape == (6, 6) and np.linalg.eigvalsh(gd).min() > 0.0
 
 
 def test_chart_roundtrips():

@@ -10,13 +10,13 @@ UNIT = MetricParams(1.0, 1.0)
 
 def test_domain_margin_guard():
     near = geo.DiskPoint([[0.999999]], [[0.0]])
-    f = op.named_field("disk", 1, 1, "absW2")
+    f = op.named_field("disk", 1, 1, "absW2", 0)
     with pytest.raises(op.DomainMargin):
         op.second_bundle(f, near)
 
 
 def _lap_siegel(n, m, name, p):
-    f = op.named_field("upper", n, m, name)
+    f = op.named_field("upper", n, m, name, 0)
     return op.lap_siegel(op.second_bundle(f, p, mat_only=True), p)
 
 
@@ -30,17 +30,17 @@ def test_lap_siegel_examples():
 
 def test_lap_disk_n_example():
     p = geo.random_point("disk", 1, 1, 5)
-    f = op.named_field("disk", 1, 1, "absW2")
+    f = op.named_field("disk", 1, 1, "absW2", 0)
     expect = (1 - abs(p.w[0, 0]) ** 2) ** 2
     sb = op.second_bundle(f, p, mat_only=True)
     assert op.lap_disk_n(sb, p) == pytest.approx(expect, rel=1e-7)
 
 
 def test_lap_disk_closed_values():
-    f_w = op.named_field("disk", 1, 1, "absW2")
+    f_w = op.named_field("disk", 1, 1, "absW2", 0)
     p = geo.DiskPoint([[0.0]], [[0.4 + 0.2j]])
     assert op.lap_disk(op.second_bundle(f_w, p), p, UNIT) == pytest.approx(1.0, rel=1e-7)
-    f_e = op.named_field("disk", 1, 1, "absEta2")
+    f_e = op.named_field("disk", 1, 1, "absEta2", 0)
     origin = geo.DiskPoint([[0.0]], [[0.0]])
     assert op.lap_disk(op.second_bundle(f_e, origin), origin, UNIT) == \
         pytest.approx(1.0, rel=1e-7)
@@ -136,5 +136,5 @@ def test_field_suite_properties():
         assert np.isfinite(f(p))
     assert suite[0](p) == 1.0
     with pytest.raises(KeyError):
-        op.named_field("disk", 1, 1, "no-such-field")
+        op.named_field("disk", 1, 1, "no-such-field", 0)
     assert "absW2" in op.field_registry_ids("disk")
