@@ -94,10 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_common(args) -> str | None:
     if getattr(args, "n", 1) < 1 or getattr(args, "m", 1) < 1:
         return "n and m must be >= 1"
-    # written so that NaN fails too
-    if not (0.0 < getattr(args, "a", 1.0) < math.inf
-            and 0.0 < getattr(args, "b", 1.0) < math.inf):
-        return "A and B must be finite and positive"
+    a, b = getattr(args, "a", 1.0), getattr(args, "b", 1.0)
+    # written so that NaN fails too; the operators scale by 4/A and 4/B
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf
+            and math.isfinite(4.0 / a) and math.isfinite(4.0 / b)):
+        return "A and B must be finite and positive, with 4/A and 4/B finite"
     if getattr(args, "samples", 1) < 1:
         return "samples must be >= 1"
     if getattr(args, "seed", 0) < 0:

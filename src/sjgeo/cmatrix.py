@@ -4,7 +4,8 @@ Small, self-contained helpers for the matrix sizes this library actually
 meets (everything is <= 10x10): inversion with an explicit pivot guard,
 block assembly, the Hermitian positive-definite margin, the max-norm and
 the symmetry defect, each of one matrix or of every matrix of a stack,
-and the JSON wire format shared by all higher layers.  Backed by numpy
+the seeded draws every random_* builds on, and the JSON wire format
+shared by all higher layers.  Backed by numpy
 alone, with one algorithm per operation for one matrix and for a stack;
 the contracts (shapes, error conditions, tolerances) are what the rest
 of the library relies on.
@@ -18,6 +19,7 @@ __all__ = [
     "SingularMatrix",
     "as_cmatrix",
     "frozen",
+    "seeded",
     "block",
     "mat_inverse",
     "hermitian_pd_margin",
@@ -37,17 +39,13 @@ class SingularMatrix(Exception):
     """Raised when a matrix required to be invertible is numerically singular."""
 
 
-def as_cmatrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+def as_cmatrix(data) -> np.ndarray:
     """Return a complex128 2-D array, validating shape and finiteness."""
     m = np.asarray(data, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"matrix dimensions must be >= 1, got {m.shape}")
-    if rows is not None and m.shape[0] != rows:
-        raise ValueError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ValueError(f"expected {cols} cols, got {m.shape[1]}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -68,6 +66,21 @@ def frozen(a, dtype, shape: tuple | None = None) -> np.ndarray:
     if shape is not None and a.shape != shape:
         raise ValueError(f"expected shape {shape}, got {a.shape}")
     return a
+
+
+def seeded(seed, draw):
+    """The tuple of arrays ``draw(rng)`` returns for a generator of ``seed``;
+    for an array of seeds, each seed's arrays stacked along a leading axis,
+    so that member k is, to the last bit, what seed k draws alone."""
+    seeds = np.asarray(seed)
+    if seeds.ndim > 1 or not seeds.size:
+        raise ValueError(f"expected a seed or a 1-D array of seeds, got shape {seeds.shape}")
+    if not (seeds.dtype.kind in "iu" or isinstance(seed, int)):   # no generator, no None
+        raise TypeError(f"a seed is an integer, got {type(seed).__name__}")
+    if seeds.ndim == 0:
+        return draw(np.random.default_rng(seed))
+    draws = [draw(np.random.default_rng(s)) for s in seeds.tolist()]
+    return tuple(np.stack(arrays) for arrays in zip(*draws))
 
 
 def max_abs(m) -> float:

@@ -24,6 +24,7 @@ from .cmatrix import (
     mat_inverse,
     mat_max_abs,
     mat_to_json,
+    seeded,
     sym_defect,
 )
 from .groups import (
@@ -105,17 +106,9 @@ class UpperPoint:
         return self.omega.shape[:-2]
 
     @property
-    def x(self) -> np.ndarray:
-        return self.omega.real
-
-    @property
     def y(self) -> np.ndarray:
         """Im Omega, the positive-definite part."""
         return self.omega.imag
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.z.real
 
     @property
     def v(self) -> np.ndarray:
@@ -293,26 +286,26 @@ def hc_pplus_component(g: JacobiStarElement, p: DiskPoint) -> DiskPoint:
 # Random points
 
 
-def _random_disk(n: int, m: int, rng: np.random.Generator) -> DiskPoint:
+def _disk_blocks(n: int, m: int, rng: np.random.Generator) -> tuple:
     s = rng.uniform(-1.0, 1.0, size=(n, n)) + 1j * rng.uniform(-1.0, 1.0, size=(n, n))
     s = 0.5 * (s + s.T)
     # Scaling by 0.45 / max(1, ||S||) keeps I - conj(W) W comfortably positive.
     norm = np.linalg.norm(s, 2)
     w = 0.45 * s / max(1.0, norm)
     eta = rng.uniform(-2.0, 2.0, size=(m, n)) + 1j * rng.uniform(-2.0, 2.0, size=(m, n))
-    return DiskPoint(w, eta)
+    return w, eta
 
 
-def random_point(model: str, n: int, m: int, seed: int):
-    """Deterministic in-domain sample; disk points keep a spectral margin >= 0.1."""
+def random_point(model: str, n: int, m: int, seed):
+    """Deterministic in-domain sample, or the stack of an array of seeds'
+    (cmatrix.seeded); disk points keep a spectral margin >= 0.1, and an upper
+    point is the Cayley image of its seed's disk point, so it is inside exactly."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    rng = np.random.default_rng(seed)
-    disk = _random_disk(n, m, rng)
+    disk = DiskPoint(*seeded(seed, lambda rng: _disk_blocks(n, m, rng)))
     if model == "disk":
         return disk
     if model == "upper":
-        # Mapping a disk sample guarantees membership exactly.
         return cayley(disk)
     raise ValueError(f"unknown model {model!r}")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import block, frozen, mat_max_abs, sym_defect
+from .cmatrix import block, frozen, mat_max_abs, seeded, sym_defect
 
 __all__ = [
     "HeisenbergElement",
@@ -461,17 +461,11 @@ def star_matrix(g: JacobiStarElement) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Random generation (deterministic in the seed)
+# Random generation (deterministic in the seed; an array of seeds draws the
+# stack whose member k is what seed k draws alone, see cmatrix.seeded)
 
 
-def random_sp(n: int, rng: np.random.Generator) -> SpElement:
-    """Product of 4-8 exact symplectic generators: shears [[I,B],[0,I]] with
-    B symmetric, block-diagonal [[A,0],[0,tA^-1]] with A near I, and J.
-
-    Each generator is applied to the column blocks [L, R] of the running
-    product: the shear gives [L, L B + R], the block-diagonal one
-    [L A, R tA^-1] and J gives [-R, L].
-    """
+def _sp_blocks(n: int, rng: np.random.Generator) -> tuple:
     count = int(rng.integers(4, 9))
     left = np.eye(2 * n, n)
     right = np.eye(2 * n, n, -n)
@@ -485,26 +479,41 @@ def random_sp(n: int, rng: np.random.Generator) -> SpElement:
             left, right = left @ a, right @ np.linalg.inv(a).T
         else:
             left, right = -right, left
-    return SpElement(left[:n], right[:n], left[n:], right[n:])
+    return left[:n], right[:n], left[n:], right[n:]
 
 
-def random_heisenberg(n: int, m: int, rng: np.random.Generator) -> HeisenbergElement:
+def _heisenberg_blocks(n: int, m: int, rng: np.random.Generator) -> tuple:
     lam = rng.uniform(-1.0, 1.0, size=(m, n))
     mu = rng.uniform(-1.0, 1.0, size=(m, n))
     s = rng.uniform(-1.0, 1.0, size=(m, m))
     s = 0.5 * (s + s.T)
     # kappa = S - mu t(lambda) makes kappa + mu t(lambda) symmetric by construction.
-    return HeisenbergElement(lam, mu, s - mu @ lam.T)
+    return lam, mu, s - mu @ lam.T
 
 
-def random_jacobi(n: int, m: int, seed: int) -> JacobiElement:
+def random_sp(n: int, seed) -> SpElement:
+    """Product of 4-8 exact symplectic generators: shears [[I,B],[0,I]] with
+    B symmetric, block-diagonal [[A,0],[0,tA^-1]] with A near I, and J.
+
+    Each generator is applied to the column blocks [L, R] of the running
+    product: the shear gives [L, L B + R], the block-diagonal one
+    [L A, R tA^-1] and J gives [-R, L].
+    """
+    return SpElement(*seeded(seed, lambda rng: _sp_blocks(n, rng)))
+
+
+def random_heisenberg(n: int, m: int, seed) -> HeisenbergElement:
+    return HeisenbergElement(*seeded(seed, lambda rng: _heisenberg_blocks(n, m, rng)))
+
+
+def random_jacobi(n: int, m: int, seed) -> JacobiElement:
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    rng = np.random.default_rng(seed)
-    return JacobiElement(random_sp(n, rng), random_heisenberg(n, m, rng))
+    blocks = seeded(seed, lambda rng: _sp_blocks(n, rng) + _heisenberg_blocks(n, m, rng))
+    return JacobiElement(SpElement(*blocks[:4]), HeisenbergElement(*blocks[4:]))
 
 
-def random_jacobistar(n: int, m: int, seed: int) -> JacobiStarElement:
+def random_jacobistar(n: int, m: int, seed) -> JacobiStarElement:
     """Disk-model sample, drawn as the model image of an upper-model sample."""
     return theta_map(random_jacobi(n, m, seed))
 

@@ -34,6 +34,7 @@ from .cmatrix import (
     mat_inverse,
     mat_max_abs,
     mat_to_json,
+    seeded,
     sym_defect,
 )
 from .geometry import DiskPoint, UpperPoint, _frozen_pair
@@ -54,8 +55,8 @@ __all__ = [
     "tangent_from_json",
 ]
 
-# Transcription bugs in the self-conjugate trace sums show up as O(1)
-# imaginary parts; genuine round-off stays many orders below this.
+# Transcription bugs in the self-conjugate trace sums and the operators'
+# contractions show up as O(1) imaginary parts; round-off stays far below.
 _IMAG_GUARD = 1e-6
 
 
@@ -228,11 +229,14 @@ class Chart:
 _MAT, _VEC = 0, 1
 
 
-def _realize(q: np.ndarray, what: str) -> np.ndarray:
+def _realize(q, what: str):
+    """The real part of q (a float for one value); ArithmeticError unless
+    every value is real on its own scale, |imag| <= _IMAG_GUARD (1 + |real|)."""
+    q = np.asarray(q)
     defect = np.abs(q.imag) - _IMAG_GUARD * (1.0 + np.abs(q.real))
     if np.any(defect > 0):
         raise ArithmeticError(f"{what} lost realness (defect {float(defect.max()):.3e})")
-    return q.real
+    return float(q.real) if q.ndim == 0 else q.real
 
 
 def _siegel_terms(y: np.ndarray) -> list:
@@ -311,8 +315,7 @@ def _form_value(terms: list, dmat: np.ndarray, dvec: np.ndarray):
 
 def _form_at(terms: list, t: Tangent, what: str):
     """The real form value: a float, or one value per stacked tangent."""
-    q = _realize(np.asarray(_form_value(terms, t.dmat, t.dvec)), what)
-    return float(q) if q.ndim == 0 else q
+    return _realize(_form_value(terms, t.dmat, t.dvec), what)
 
 
 def _form_matrix(terms: list, dmats: np.ndarray, dvecs: np.ndarray) -> np.ndarray:
@@ -381,8 +384,7 @@ def q_disk_closed_11(p: DiskPoint, t: Tangent):
         + (eta * w.conjugate() - eta.conjugate()) / d ** 2 * dw * de.conjugate()
         + (eta.conjugate() * w - eta) / d ** 2 * dw.conjugate() * de
     )
-    q = _realize(np.asarray(4.0 * quarter), "closed disk form")
-    return float(q) if q.ndim == 0 else q
+    return _realize(4.0 * quarter, "closed disk form")
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +427,16 @@ def evaluate_form(kind: str, p, t: Tangent, params: MetricParams):
     return _form_at(_form_terms(kind, p, params), t, f"{kind} form")
 
 
-def random_tangent(model: str, n: int, m: int, rng: np.random.Generator) -> Tangent:
+def _tangent_blocks(n: int, m: int, rng: np.random.Generator) -> tuple:
     dmat = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
     dmat = 0.5 * (dmat + dmat.T)
     dvec = rng.uniform(-1, 1, (m, n)) + 1j * rng.uniform(-1, 1, (m, n))
-    return Tangent(model, dmat, dvec)
+    return dmat, dvec
+
+
+def random_tangent(model: str, n: int, m: int, seed) -> Tangent:
+    """One seed's tangent, or the stack of an array of seeds' (cmatrix.seeded)."""
+    return Tangent(model, *seeded(seed, lambda rng: _tangent_blocks(n, m, rng)))
 
 
 def tangent_to_json(t: Tangent) -> dict:

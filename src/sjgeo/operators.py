@@ -64,7 +64,7 @@ import numpy as np
 
 from .cmatrix import mat_inverse
 from .geometry import DiskPoint, UpperPoint, point_margin
-from .metrics import Chart
+from .metrics import Chart, _realize
 
 __all__ = [
     "DomainMargin",
@@ -84,10 +84,6 @@ __all__ = [
     "named_field",
     "field_registry_ids",
 ]
-
-# Imaginary defect bound for operator values on real fields.
-_OP_IMAG_GUARD = 1e-6
-
 
 class DomainMargin(Exception):
     """Raised when a point is too close to its domain boundary for the stencil."""
@@ -147,10 +143,11 @@ def default_step(p, chart: Chart, order: int = 2) -> float:
     return base * (1.0 + chart.point_scale(p))
 
 
-def _require_margin(p, needed):
-    """DomainMargin unless every point of p keeps a margin above its step budget."""
-    margin, needed = np.broadcast_arrays(point_margin(p), needed)
-    short = margin <= needed
+def _require_margin(p, needed, where=True):
+    """DomainMargin unless every point of p keeps a margin above its step
+    budget; ``where`` (one flag per point) exempts the points where it is false."""
+    margin, needed, where = np.broadcast_arrays(point_margin(p), needed, where)
+    short = where & (margin <= needed)
     if np.any(short):
         k = np.argmax(short)
         raise DomainMargin(f"boundary margin {margin.flat[k]:.3e} insufficient "
@@ -262,17 +259,6 @@ def _require_full(sb: SecondBundle):
                          "second_bundle(f, p, mat_only=False)")
 
 
-def _real_value(val, what: str):
-    """The real part of an operator value: a float, or one value per
-    point of a stack.  Each value must be real on its own scale."""
-    val = np.asarray(val)
-    lost = np.abs(val.imag) > _OP_IMAG_GUARD * (1.0 + np.abs(val.real))
-    if np.any(lost):
-        raise ArithmeticError(f"{what} lost realness "
-                              f"({np.ravel(val.imag)[np.argmax(lost)]:.3e})")
-    return float(val.real) if val.ndim == 0 else val.real
-
-
 # ---------------------------------------------------------------------------
 # The shifted-derivative tensor shared by both corrected Laplacians
 
@@ -356,14 +342,14 @@ def _upper_parts(p: UpperPoint, sb: SecondBundle):
 
 def lap_siegel(sb: SecondBundle, p: UpperPoint):
     """4 sigma(Y t(Y dOmegabar) dOmega) applied to a field of Omega alone."""
-    return _real_value(4.0 * _maass(p.y.astype(complex), sb.mat_mat), "siegel laplacian")
+    return _realize(4.0 * _maass(p.y.astype(complex), sb.mat_mat), "siegel laplacian")
 
 
 def lap_upper(sb: SecondBundle, p: UpperPoint, params):
     """Laplacian of the two-parameter family on the Siegel-Jacobi space."""
     part_a, part_b = _upper_parts(p, sb)
     val = (4.0 / params.a) * part_a + (4.0 / params.b) * part_b
-    return _real_value(val, "upper laplacian")
+    return _realize(val, "upper laplacian")
 
 
 def lap_upper_printed(sb: SecondBundle, p: UpperPoint, params):
@@ -374,7 +360,7 @@ def lap_upper_printed(sb: SecondBundle, p: UpperPoint, params):
     """
     t1, t2, t3, t4, t5 = _upper_terms_printed(p, sb)
     val = (4.0 / params.a) * (t1 + t2 + t3 + t4) + (4.0 / params.b) * t5
-    return _real_value(val, "upper laplacian (printed)")
+    return _realize(val, "upper laplacian (printed)")
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +405,14 @@ def _disk_parts(p: DiskPoint, sb: SecondBundle):
 def lap_disk_n(sb: SecondBundle, p: DiskPoint):
     """sigma((I-W Wbar) t((I-W Wbar) dWbar) dW) on a field of W alone."""
     lm = np.eye(p.n) - p.w @ p.w.conj()
-    return _real_value(_maass(lm, sb.mat_mat), "disk laplacian")
+    return _realize(_maass(lm, sb.mat_mat), "disk laplacian")
 
 
 def lap_disk(sb: SecondBundle, p: DiskPoint, params):
     """Laplacian of the two-parameter family on the Siegel-Jacobi disk."""
     part_a, part_b = _disk_parts(p, sb)
     val = (1.0 / params.a) * part_a + (1.0 / params.b) * part_b
-    return _real_value(val, "disk laplacian")
+    return _realize(val, "disk laplacian")
 
 
 def lap_disk_printed(sb: SecondBundle, p: DiskPoint, params):
@@ -434,7 +420,7 @@ def lap_disk_printed(sb: SecondBundle, p: DiskPoint, params):
     from the true Laplacian for n >= 2 (see lap_disk)."""
     t1, t2, t3, t_eta, t8 = _disk_terms_printed(p, sb)
     val = (1.0 / params.a) * (t1 + t2 + t3 + t_eta) + (1.0 / params.b) * t8
-    return _real_value(val, "disk laplacian (printed)")
+    return _realize(val, "disk laplacian (printed)")
 
 
 def lap_disk_closed_11(sb: SecondBundle, p: DiskPoint):
@@ -461,7 +447,7 @@ def lap_disk_closed_11(sb: SecondBundle, p: DiskPoint):
            + d * (eta.conjugate() - eta * w.conjugate()) * f_wbe
            - (w.conjugate() * eta ** 2 + w * eta.conjugate() ** 2) * f_eeb
            + (1.0 + abs(w) ** 2) * abs(eta) ** 2 * f_eeb)
-    return _real_value(val, "closed disk laplacian")
+    return _realize(val, "closed disk laplacian")
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +472,7 @@ def op_invariant(kind: str, sb: SecondBundle, p):
     if p.model != model:
         raise ValueError(f"operator {kind} needs a point of the {model} model")
     part_a, part_b = parts(p, sb)
-    return _real_value(part_b if kind in ("D", "Dtilde") else part_a, f"operator {kind}")
+    return _realize(part_b if kind in ("D", "Dtilde") else part_a, f"operator {kind}")
 
 
 # ---------------------------------------------------------------------------

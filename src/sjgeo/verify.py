@@ -19,18 +19,18 @@ logged in the report).
 Every sampler call returns one residual stack (_Stack): per sample, the
 worst relative residual over its parts and that part's name, per part
 its largest one, and one description of the samples whichever part is
-worst (their draws and values).  Every check draws each sample on its own,
-stacks the draws and evaluates each identity once on the stack; an
-upper-model point is drawn as its disk point, and the stack of them
-takes one Cayley transform.  The checks that build no second-order
-stencil take up to 256 samples per call; the stencil checks take as
-many as fit a fixed budget of chart coordinates (_STENCIL_COORDS): all
-50 of a run at (1, 1), one at a time at (3, 2).  There, each Richardson
-level of every sample's stencil is one field call, and each oracle one
-metric call.  A call that raises is run again one sample at a time, so
-only the failing sample reports the error.  run_check reduces the
-concatenated stack of all samples to the report: the worst sample's
-description becomes ``worst``, and the part maxima ``parts``.
+worst (their draws and values).  Every check draws its samples with one
+call per draw, given the samples' seeds, and evaluates each identity
+once on the stack; sample k of the stack is what its seed draws alone.
+The checks that build no second-order stencil take up to 256 samples per
+call; the stencil checks take as many as fit a fixed budget of chart
+coordinates (_STENCIL_COORDS): all 50 of a run at (1, 1), one at a time
+at (3, 2).  There, each Richardson level of every sample's stencil is one
+field call, and each oracle one metric call.  A call that raises is run
+again one sample at a time, so only the failing sample reports the error.
+run_check reduces the concatenated stack of all samples to the report:
+the worst sample's description becomes ``worst``, and the part maxima
+``parts``.
 """
 
 from __future__ import annotations
@@ -193,16 +193,13 @@ def map_differential(fn, p, t: Tangent, h=None) -> Tangent:
     chart = chart_for(p)
     if h is None:
         h = default_step(p, chart, order=1)
+    h = np.asarray(h, dtype=np.float64)
     tv = chart.tangent_to_vec(t)
     norm = np.linalg.norm(tv, axis=-1)
     target = fn(p)
     tchart = chart_for(target)
-    margin, h = np.broadcast_arrays(point_margin(p), np.asarray(h, dtype=np.float64))
     # a zero tangent has the zero image whatever the margin
-    short = (norm != 0.0) & (margin <= 2.0 * h)
-    if np.any(short):
-        k = np.argmax(short)
-        raise DomainMargin(f"margin {margin.flat[k]:.3e} too small for step {h.flat[k]:.3e}")
+    _require_margin(p, 2.0 * h, where=norm != 0.0)
     v0 = chart.point_to_vec(p)
     u = tv / np.where(norm == 0.0, 1.0, norm)[..., None]
     step = h[..., None] * u
@@ -371,17 +368,16 @@ def _member_json(value, k: int):
     return float(item)
 
 
-def _stack(items: list, join=np.stack):
-    """One stacked object from same-shaped draws: arrays gain a leading
-    sample axis; tuples and dataclasses are stacked member by member.
-    With ``join=np.concatenate`` it joins stacks along their sample axis."""
-    first = items[0]
+def _stack(stacks: list):
+    """One stacked object from stacks of draws, joined along their sample
+    axis; tuples and dataclasses are joined member by member."""
+    first = stacks[0]
     if isinstance(first, np.ndarray):
-        return join(items)
+        return np.concatenate(stacks)
     if isinstance(first, tuple):
-        return tuple(_stack(list(column), join) for column in zip(*items))
+        return tuple(_stack(list(column)) for column in zip(*stacks))
     if dataclasses.is_dataclass(first):
-        return type(first)(**{f.name: _stack([getattr(x, f.name) for x in items], join)
+        return type(first)(**{f.name: _stack([getattr(x, f.name) for x in stacks])
                               for f in dataclasses.fields(first)})
     return first    # shared by every sample, such as a tangent's model
 
@@ -400,25 +396,11 @@ def _at(x, k):
     return x
 
 
-def _draws(make, idx):
-    """make(i) for each sample index i, as one stack."""
-    return _stack([make(int(i)) for i in idx])
-
-
-def _points(model: str, n: int, m: int, seeds):
-    """random_point(model, n, m, s) for each seed s, as one stacked point.
-
-    An upper point is the Cayley image of the disk point its seed draws,
-    so the disk draws are stacked and mapped by one cayley call; member k
-    equals random_point("upper", n, m, seeds[k]) to the last bit.
-    """
-    disk = _stack([random_point("disk", n, m, s) for s in seeds])
-    return cayley(disk) if model == "upper" else disk
-
-
-def _tangents(model: str, n: int, m: int, master: int, idx):
-    return _draws(lambda i: random_tangent(
-        model, n, m, np.random.default_rng(sample_seed(master, i, "t"))), idx)
+def _seeds(*key) -> list:
+    """sample_seed(*key) per sample: the one list or array in ``key`` (the
+    sample indices, or the seeds of a redraw) is taken entry by entry."""
+    j = next(k for k, part in enumerate(key) if np.ndim(part))
+    return [sample_seed(*key[:j], part, *key[j + 1:]) for part in key[j]]
 
 
 def _redraw(make, accept, master: int, idx, tag: str):
@@ -433,7 +415,7 @@ def _redraw(make, accept, master: int, idx, tag: str):
     retries = np.zeros(len(idx), dtype=int)
     pending = np.arange(len(idx))
     for attempt in range(_MAX_RETRIES):
-        drawn = make([sample_seed(master, int(idx[k]), tag, attempt) for k in pending])
+        drawn = make(_seeds(master, idx[pending], tag, attempt))
         retries[pending] = attempt
         ok = np.atleast_1d(accept(drawn))
         accepted.append(_at(drawn, ok))
@@ -441,7 +423,7 @@ def _redraw(make, accept, master: int, idx, tag: str):
         pending = pending[~ok]
         if not pending.size:
             order = np.argsort(np.concatenate(owners))
-            return _at(_stack(accepted, np.concatenate), order), retries
+            return _at(_stack(accepted), order), retries
     raise DomainMargin(f"no admissible sample after {_MAX_RETRIES} draws ({tag})")
 
 
@@ -449,9 +431,9 @@ def _redraw(make, accept, master: int, idx, tag: str):
 # Check samplers
 #
 # A sampler takes an array of sample indices and returns one _Stack of
-# their residuals, in the same order.  It draws every sample on its own,
-# exactly as a one-sample run would, stacks the draws and evaluates each
-# identity once on the stack.
+# their residuals, in the same order.  Each draw is one call with the
+# samples' seeds: member k of the stack is what sample k draws alone, as
+# in a one-sample run, and each identity is evaluated once on the stack.
 
 
 def _grouped(count: int, idx, sampler) -> _Stack:
@@ -476,11 +458,8 @@ def _star_parts(s):
 
 def _chk_group_laws(n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
-    hs = [_draws(lambda i: random_heisenberg(
-        n, m, np.random.default_rng(sample_seed(master, i, "h", k))), idx)
-        for k in range(3)]
-    gs = [_draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", k)), idx)
-          for k in range(3)]
+    hs = [random_heisenberg(n, m, _seeds(master, idx, "h", k)) for k in range(3)]
+    gs = [random_jacobi(n, m, _seeds(master, idx, "g", k)) for k in range(3)]
     ss = [theta_map(g) for g in gs]
 
     h12 = heisenberg_mul(hs[0], hs[1])
@@ -523,8 +502,8 @@ def _chk_group_laws(n, m, params, master, idx) -> _Stack:
 
 def _chk_theta_hom(n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
-    g1 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 0)), idx)
-    g2 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 1)), idx)
+    g1 = random_jacobi(n, m, _seeds(master, idx, "g", 0))
+    g2 = random_jacobi(n, m, _seeds(master, idx, "g", 1))
     t12 = theta_map(jacobi_mul(g1, g2))
     tt = jacobistar_mul(theta_map(g1), theta_map(g2))
     out.add("theta-homomorphism", _star_parts(t12), _star_parts(tt))
@@ -545,10 +524,10 @@ def _chk_theta_hom(n, m, params, master, idx) -> _Stack:
 
 def _chk_action_axioms(n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
-    g1 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 0)), idx)
-    g2 = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g", 1)), idx)
-    pu = _points("upper", n, m, [sample_seed(master, i, "pu") for i in idx])
-    pd = _points("disk", n, m, [sample_seed(master, i, "pd") for i in idx])
+    g1 = random_jacobi(n, m, _seeds(master, idx, "g", 0))
+    g2 = random_jacobi(n, m, _seeds(master, idx, "g", 1))
+    pu = random_point("upper", n, m, _seeds(master, idx, "pu"))
+    pd = random_point("disk", n, m, _seeds(master, idx, "pd"))
 
     om_lhs = act_siegel(jacobi_mul(g1, g2).sp, pu.omega)
     om_rhs = act_siegel(g1.sp, act_siegel(g2.sp, pu.omega))
@@ -584,8 +563,8 @@ def _chk_action_axioms(n, m, params, master, idx) -> _Stack:
 
 def _chk_cayley_roundtrip(n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
-    pd = _points("disk", n, m, [sample_seed(master, i, "pd") for i in idx])
-    pu = _points("upper", n, m, [sample_seed(master, i, "pu") for i in idx])
+    pd = random_point("disk", n, m, _seeds(master, idx, "pd"))
+    pu = random_point("upper", n, m, _seeds(master, idx, "pu"))
     back = cayley_inv(cayley(pd))
     out.add("disk-roundtrip", (back.w, back.eta), (pd.w, pd.eta))
     fwd = cayley(cayley_inv(pu))
@@ -596,8 +575,8 @@ def _chk_cayley_roundtrip(n, m, params, master, idx) -> _Stack:
 
 def _chk_cayley_compat(n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
-    g = _draws(lambda i: random_jacobi(n, m, sample_seed(master, i, "g")), idx)
-    pd = _points("disk", n, m, [sample_seed(master, i, "pd") for i in idx])
+    g = random_jacobi(n, m, _seeds(master, idx, "g"))
+    pd = random_point("disk", n, m, _seeds(master, idx, "pd"))
     resid = check_cayley_compat(g, pd)
     lhs = act_upper(g, cayley(pd))
     out.add_residual("compat", resid,
@@ -617,15 +596,14 @@ def _chk_metric_invariance_upper(n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
 
     def make(seeds):
-        return (_stack([random_jacobi(n, m, s) for s in seeds]),
-                _points("upper", n, m, [sample_seed(s, "p") for s in seeds]))
+        return random_jacobi(n, m, seeds), random_point("upper", n, m, _seeds(seeds, "p"))
 
     def accept(pairs):
         g, p = pairs
         return point_margin(act_upper(g, p)) >= _MIN_MARGIN_METRIC
 
     (g, p), out.retries = _redraw(make, accept, master, idx, "mi-upper")
-    t = _tangents("upper", n, m, master, idx)
+    t = random_tangent("upper", n, m, _seeds(master, idx, "t"))
     _metric_invariance(out, "upper-family", lambda q: act_upper(g, q), p, t,
                        lambda q, s: q_upper(q, s, params))
     sp_only = JacobiElement(g.sp, heisenberg_identity(n, m))
@@ -639,8 +617,7 @@ def _chk_metric_invariance_disk(n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
 
     def make(seeds):
-        return (_stack([random_jacobi(n, m, s) for s in seeds]),
-                _points("disk", n, m, [sample_seed(s, "p") for s in seeds]))
+        return random_jacobi(n, m, seeds), random_point("disk", n, m, _seeds(seeds, "p"))
 
     def accept(pairs):
         g, p = pairs
@@ -648,7 +625,7 @@ def _chk_metric_invariance_disk(n, m, params, master, idx) -> _Stack:
 
     (g, p), out.retries = _redraw(make, accept, master, idx, "mi-disk")
     s = theta_map(g)
-    t = _tangents("disk", n, m, master, idx)
+    t = random_tangent("disk", n, m, _seeds(master, idx, "t"))
     _metric_invariance(out, "disk-family", lambda q: act_disk(s, q), p, t,
                        lambda q, v: q_disk(q, v, params))
     _metric_invariance(out, "disk-base", lambda q: act_disk(s, q), p, t,
@@ -659,8 +636,8 @@ def _chk_metric_invariance_disk(n, m, params, master, idx) -> _Stack:
 
 def _chk_cayley_isometry(n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
-    p = _points("disk", n, m, [sample_seed(master, i, "p") for i in idx])
-    t = _tangents("disk", n, m, master, idx)
+    p = random_point("disk", n, m, _seeds(master, idx, "p"))
+    t = random_tangent("disk", n, m, _seeds(master, idx, "t"))
     lhs = q_disk(p, t, params)
     rhs = q_upper(cayley(p), map_differential(cayley, p, t), params)
     out.add("isometry", lhs, rhs)
@@ -670,15 +647,14 @@ def _chk_cayley_isometry(n, m, params, master, idx) -> _Stack:
 
 def _tensor_pd(model, n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
-    p = _points(model, n, m, [sample_seed(master, i, "p") for i in idx])
+    p = random_point(model, n, m, _seeds(master, idx, "p"))
     g = metric_tensor(p, params)
     out.add_residual("tensor-symmetry", mat_max_abs(g - g.mT), mat_max_abs(g))
     eig = np.linalg.eigvalsh(g).min(axis=-1)
     out.add_residual("tensor-pd", 1.0 + np.abs(eig), where=eig <= 0.0)
     chart = chart_for(p)
-    rngs = [np.random.default_rng(sample_seed(master, int(i), "v")) for i in idx]
     for k in range(2):
-        t = _stack([random_tangent(model, n, m, rng) for rng in rngs])
+        t = random_tangent(model, n, m, _seeds(master, idx, "v", k))
         direct = q_upper(p, t, params) if model == "upper" else q_disk(p, t, params)
         v = chart.tangent_to_vec(t)
         via_tensor = (v[..., None, :] @ g @ v[..., :, None])[..., 0, 0]
@@ -695,8 +671,8 @@ def _chk_tensor_pd(n, m, params, master, idx) -> _Stack:
 
 def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
-    p = _points("disk", n, m, [sample_seed(master, i, "p") for i in idx])
-    t = _tangents("disk", n, m, master, idx)
+    p = random_point("disk", n, m, _seeds(master, idx, "p"))
+    t = random_tangent("disk", n, m, _seeds(master, idx, "t"))
     eye = np.eye(n)
     inv_w = mat_inverse(eye - p.w)
     inv_wc = mat_inverse(eye - p.w.conj())
@@ -735,7 +711,7 @@ def _lb_pair(kind, n, m, params, master, idx) -> _Stack:
 
     def sampler(j, sub):
         f = fields[j]
-        p = _points(model, n, m, [sample_seed(master, i, "p") for i in sub])
+        p = random_point(model, n, m, _seeds(master, sub, "p"))
         out = _Stack(sub)
         sb = second_bundle(f, p, mat_only=mat_only)
         printed = None
@@ -787,10 +763,10 @@ def _invariance_sample(n, m, master, idx, parts) -> _Stack:
     def make(seeds):
         # the draws carry their images: accept judges them, and they are the
         # stencil centres of the moved fields
-        g = _stack([random_jacobi(n, m, seed) for seed in seeds])
+        g = random_jacobi(n, m, seeds)
         s = theta_map(g)
-        pu = _points("upper", n, m, [sample_seed(seed, "pu") for seed in seeds])
-        pd = _points("disk", n, m, [sample_seed(seed, "pd") for seed in seeds])
+        pu = random_point("upper", n, m, _seeds(seeds, "pu"))
+        pd = random_point("disk", n, m, _seeds(seeds, "pd"))
         return g, s, pu, pd, act_upper(g, pu), act_disk(s, pd)
 
     def accept(draws):
@@ -850,8 +826,8 @@ def _chk_reduce_n1m1(n, m, params, master, idx) -> _Stack:
 
     def sampler(j, sub):
         out = _Stack(sub)
-        p = _points("disk", 1, 1, [sample_seed(master, i, "p") for i in sub])
-        t = _tangents("disk", 1, 1, master, sub)
+        p = random_point("disk", 1, 1, _seeds(master, sub, "p"))
+        t = random_tangent("disk", 1, 1, _seeds(master, sub, "t"))
         out.add("metric-closed-form", q_disk(p, t, unit), q_disk_closed_11(p, t))
         f = fields[1 + j]   # skip the constant field
         sb = second_bundle(f, p, mat_only=False)

@@ -17,7 +17,7 @@ from sjgeo import groups as G
 from sjgeo import operators as op
 from sjgeo import verify as V
 from sjgeo.cmatrix import SingularMatrix, mat_inverse, max_abs, sym_defect
-from sjgeo.metrics import Chart, MetricParams, metric_tensor
+from sjgeo.metrics import Chart, MetricParams, metric_tensor, random_tangent
 
 PARAMS = MetricParams(1.3, 0.7)
 SHAPES = [(1, 1), (2, 1), (3, 2)]
@@ -28,10 +28,11 @@ def _rel(a, b) -> float:
     return max_abs(a - b) / (1.0 + max(max_abs(a), max_abs(b)))
 
 
-def _stack(model, n, m, seeds):
-    chart = Chart(model, n, m)
-    points = [geo.random_point(model, n, m, s) for s in seeds]
-    return points, chart.vec_to_point(np.stack([chart.point_to_vec(p) for p in points]))
+def _points(model, n, m, seeds):
+    """The points of ``seeds`` one at a time, and their stacked draw."""
+    seeds = list(seeds)
+    return ([geo.random_point(model, n, m, s) for s in seeds],
+            geo.random_point(model, n, m, seeds))
 
 
 def _fields(model, n, m):
@@ -49,7 +50,7 @@ def _node_by_node(fn):
 @pytest.mark.parametrize("model", ["upper", "disk"])
 @pytest.mark.parametrize("n,m", SHAPES)
 def test_registry_fields_stacked_match_pointwise(model, n, m):
-    points, stacked = _stack(model, n, m, range(7))
+    points, stacked = _points(model, n, m, range(7))
     assert stacked.batch == (7,)
     fields = _fields(model, n, m) + op.test_field_suite(model, n, m, 5, mat_only=True)
     for f in fields:
@@ -59,7 +60,7 @@ def test_registry_fields_stacked_match_pointwise(model, n, m):
 
 
 def test_stack_safe_field_must_return_one_value_per_point():
-    _, stacked = _stack("disk", 2, 1, range(3))
+    _, stacked = _points("disk", 2, 1, range(3))
     summed = op.ScalarField("summed", "disk",
                             lambda q: float(np.sum(np.abs(q.eta) ** 2)))
     with pytest.raises(ValueError, match="summed"):
@@ -117,7 +118,7 @@ def test_laplace_beltrami_stacked_matches_node_by_node(kind, n, m):
 @pytest.mark.parametrize("kind", ["upper", "disk", "siegel", "diskn"])
 def test_metric_tensor_stacked_matches_pointwise(kind):
     model = "upper" if kind in ("upper", "siegel") else "disk"
-    points, stacked = _stack(model, 3, 2, range(5))
+    points, stacked = _points(model, 3, 2, range(5))
     tensors = metric_tensor(stacked, PARAMS, kind=kind)
     dim = tensors.shape[-1]
     assert tensors.shape == (5, dim, dim)
@@ -185,7 +186,7 @@ def test_actions_on_stacks_match_pointwise():
     g = G.random_jacobi(3, 2, 6)
     for model, act, elem in (("upper", geo.act_upper, g),
                              ("disk", geo.act_disk, G.theta_map(g))):
-        points, stacked = _stack(model, 3, 2, range(5))
+        points, stacked = _points(model, 3, 2, range(5))
         moved = act(elem, stacked)
         chart = Chart(model, 3, 2)
         for k, p in enumerate(points):
@@ -201,8 +202,8 @@ UNIT = MetricParams(1.0, 1.0)
 
 
 def _jacobis(n, m, seeds):
-    items = [G.random_jacobi(n, m, s) for s in seeds]
-    return items, V._stack(items)
+    seeds = list(seeds)
+    return [G.random_jacobi(n, m, s) for s in seeds], G.random_jacobi(n, m, seeds)
 
 
 def _flat(x) -> np.ndarray:
@@ -223,8 +224,8 @@ def _matches(stacked, singles, tol):
 def test_stacked_group_laws_match_per_element(n, m):
     g1s, g1 = _jacobis(n, m, range(6))
     g2s, g2 = _jacobis(n, m, range(10, 16))
-    hs = [G.random_heisenberg(n, m, np.random.default_rng(s)) for s in range(6)]
-    h = V._stack(hs)
+    hs = [G.random_heisenberg(n, m, s) for s in range(6)]
+    h = G.random_heisenberg(n, m, list(range(6)))
     s1s, s2s = [G.theta_map(g) for g in g1s], [G.theta_map(g) for g in g2s]
     s1, s2 = G.theta_map(g1), G.theta_map(g2)
     pairs = [
@@ -249,7 +250,7 @@ def test_stacked_group_laws_match_per_element(n, m):
     for stacked, singles in defects:
         assert stacked.shape == (6,)
         assert np.allclose(stacked, singles, rtol=0.0, atol=1e-14)
-    points, pd = _stack("disk", n, m, range(6))
+    points, pd = _points("disk", n, m, range(6))
     _matches(geo.hc_pplus_component(s1, pd),
              [geo.hc_pplus_component(a, p) for a, p in zip(s1s, points)], 1e-14)
     _matches(geo.act_upper(g1, geo.cayley(pd)),
@@ -258,11 +259,11 @@ def test_stacked_group_laws_match_per_element(n, m):
 
 @pytest.mark.parametrize("model", ["upper", "disk"])
 def test_stacked_forms_and_differential_match_per_point(model):
-    from sjgeo.metrics import q_disk, q_disk_n, q_siegel, q_upper, random_tangent
+    from sjgeo.metrics import q_disk, q_disk_n, q_siegel, q_upper
     n, m = 3, 2
-    points, p = _stack(model, n, m, range(5))
-    ts = [random_tangent(model, n, m, np.random.default_rng(s)) for s in range(5)]
-    t = V._stack(ts)
+    points, p = _points(model, n, m, range(5))
+    ts = [random_tangent(model, n, m, s) for s in range(5)]
+    t = random_tangent(model, n, m, list(range(5)))
     if model == "upper":
         forms = [lambda q, s: q_upper(q, s, PARAMS), lambda q, s: q_siegel(q.omega, s)]
         g = G.random_jacobi(n, m, 3)
@@ -277,8 +278,9 @@ def test_stacked_forms_and_differential_match_per_point(model):
     moved = V.map_differential(act, p, t)
     # a point alone, unstacked or as a stack of one, takes the same kernels with
     # the same step and stencil, so its differential is the same to the last bit
-    _matches(moved, [V.map_differential(act, V._stack([a]), V._stack([b]))
-                     for a, b in zip(points, ts)], 0.0)
+    _matches(moved, [V.map_differential(act, geo.random_point(model, n, m, [s]),
+                                        random_tangent(model, n, m, [s]))
+                     for s in range(5)], 0.0)
     _matches(moved, [V.map_differential(act, a, b) for a, b in zip(points, ts)], 0.0)
 
 
@@ -357,7 +359,7 @@ def test_stacked_operators_match_single_point(n, m):
     # same kernels round each point alike, so the values are equal
     for model, lap, kinds in (("upper", op.lap_upper, ("D", "L")),
                               ("disk", op.lap_disk, ("Dtilde", "Ltilde"))):
-        points, stacked = _stack(model, n, m, range(4))
+        points, stacked = _points(model, n, m, range(4))
         metric = lambda q: metric_tensor(q, PARAMS, kind=model)
         for f in op.test_field_suite(model, n, m, 5)[2::2]:   # trace-quad, cross
             sb = op.second_bundle(f, stacked)
@@ -442,11 +444,50 @@ def test_worst_sample_replays_whatever_part_wins(name, n, m, seed, draws):
 
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
 def test_upper_draw_is_a_member_of_the_stacked_draw(n, m):
-    # a check maps its stack of disk draws by one cayley call; a worst upper
-    # sample replays through random_point only if member k is that draw exactly
+    # a stack of upper draws takes one cayley call; a worst upper sample
+    # replays through random_point only if member k is that draw exactly
     seeds = [V.sample_seed(42, i, "p") for i in range(50)]
-    stacked = V._points("upper", n, m, seeds)
+    stacked = geo.random_point("upper", n, m, seeds)
     for k, seed in enumerate(seeds):
         one, member = geo.random_point("upper", n, m, seed), V._at(stacked, k)
         assert np.array_equal(one.omega, member.omega), k
         assert np.array_equal(one.z, member.z), k
+
+
+# The other draws, by name: one seed gives one draw, an array of seeds the stack.
+DRAWS = {
+    "point-disk": lambda n, m, seed: geo.random_point("disk", n, m, seed),
+    "jacobi": lambda n, m, seed: G.random_jacobi(n, m, seed),
+    "jacobistar": lambda n, m, seed: G.random_jacobistar(n, m, seed),
+    "heisenberg": lambda n, m, seed: G.random_heisenberg(n, m, seed),
+    "sp": lambda n, m, seed: G.random_sp(n, seed),
+    "tangent": lambda n, m, seed: random_tangent("disk", n, m, seed),
+}
+
+
+@pytest.mark.parametrize("draw", list(DRAWS))
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_seed_array_draw_members_are_single_draws(draw, n, m):
+    # a check draws its samples with one call of their seeds; a worst sample
+    # replays through the single-seed draw only if member k is that draw exactly
+    seeds = [V.sample_seed(42, i, "p") for i in range(50)]
+    stacked = DRAWS[draw](n, m, np.array(seeds))
+    assert len(_flat(stacked)) == len(seeds)
+    for k, seed in enumerate(seeds):
+        one, member = DRAWS[draw](n, m, seed), V._at(stacked, k)
+        assert type(one) is type(member)
+        assert np.array_equal(_flat(one), _flat(member)), k
+
+
+@pytest.mark.parametrize("seeds", [[], [[1, 2]]])
+def test_seed_array_must_be_one_dimensional_and_non_empty(seeds):
+    with pytest.raises(ValueError, match="seeds"):
+        geo.random_point("disk", 1, 1, seeds)
+
+
+@pytest.mark.parametrize("seed", [None, np.random.default_rng(0), 1.5])
+def test_a_seed_is_an_integer(seed):
+    # default_rng would take these too: None draws from fresh entropy, and a
+    # generator would make a draw depend on what it drew before
+    with pytest.raises(TypeError, match="integer"):
+        geo.random_point("disk", 1, 1, seed)

@@ -8,7 +8,9 @@ import pytest
 
 import sjgeo
 
+from sjgeo import verify
 from sjgeo.cli import main
+from sjgeo.cmatrix import SingularMatrix
 
 
 def run_cli(capsys, *argv):
@@ -91,10 +93,12 @@ def test_verify_csv_format(capsys, tmp_path):
     assert lines[1].startswith("group-laws,")
 
 
-def test_verify_json_is_strict(capsys):
-    # B = 1e-308 overflows the metric tensor: an infinite max_rel is null
-    code, out, err = run_cli(capsys, "verify", "lb-equivalence-upper",
-                             "--B", "1e-308", "--samples", "2")
+def test_verify_json_is_strict(capsys, monkeypatch):
+    # a sample whose oracle raises has an infinite residual: it is written as null
+    def singular(f, p, metric):
+        raise SingularMatrix("injected")
+    monkeypatch.setattr(verify, "laplace_beltrami", singular)
+    code, out, err = run_cli(capsys, "verify", "lb-equivalence-upper", "--samples", "2")
     assert code == 1
 
     def reject(token):
@@ -273,6 +277,23 @@ def test_eval_rejects_non_finite_parameters(capsys, tmp_path, flag, value):
     code, out, err = run_cli(capsys, "eval", "laplacian", "--point",
                              _write_origin_point(tmp_path), "--field", "absEta2",
                              flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    ["verify", "lb-equivalence-upper", "--samples", "2"],
+    ["eval", "laplacian", "--field", "absEta2"],
+])
+@pytest.mark.parametrize("flag", ["--A", "--B"])
+def test_weights_whose_reciprocal_overflows_are_refused(capsys, tmp_path, command, flag):
+    # 4/A and 4/B scale the operators: at 1e-308 they are infinite, and the
+    # operators would turn them into NaN
+    if command[0] == "eval":
+        command = command + ["--point", _write_origin_point(tmp_path)]
+    code, out, err = run_cli(capsys, *command, flag, "1e-308")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

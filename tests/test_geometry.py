@@ -53,8 +53,7 @@ def test_act_siegel_examples():
 
 def test_act_upper_translation():
     p = geo.random_point("upper", 2, 1, 0)
-    rng = np.random.default_rng(4)
-    h = G.random_heisenberg(2, 1, rng)
+    h = G.random_heisenberg(2, 1, 4)
     g = G.JacobiElement(G.sp_identity(2), h)
     moved = geo.act_upper(g, p)
     assert max_abs(moved.omega - p.omega) == 0.0

@@ -25,9 +25,8 @@ def test_siegel_form_values():
 
 def test_upper_form_at_base_point():
     # at Omega = iI, Z = 0 the cross terms vanish
-    rng = np.random.default_rng(0)
     p = geo.UpperPoint(1j * np.eye(2), np.zeros((2, 2)))
-    t = me.random_tangent("upper", 2, 2, rng)
+    t = me.random_tangent("upper", 2, 2, 0)
     params = me.MetricParams(1.7, 0.4)
     expect = 1.7 * np.trace(t.dmat @ t.dmat.conj()).real \
         + 0.4 * np.trace(t.dvec.T @ t.dvec.conj()).real
@@ -49,8 +48,7 @@ def test_disk_n_form():
 
 def test_b_to_zero_reduction():
     p = geo.random_point("disk", 2, 2, 3)
-    rng = np.random.default_rng(5)
-    t = me.Tangent("disk", me.random_tangent("disk", 2, 2, rng).dmat, np.zeros((2, 2)))
+    t = me.Tangent("disk", me.random_tangent("disk", 2, 2, 5).dmat, np.zeros((2, 2)))
     qa = me.q_disk(p, t, me.MetricParams(2.0, 1e-300))
     assert qa == pytest.approx(2.0 * me.q_disk_n(p.w, t), rel=1e-12)
 
@@ -58,7 +56,7 @@ def test_b_to_zero_reduction():
 def test_closed_form_n1m1():
     for seed in range(100):
         p = geo.random_point("disk", 1, 1, seed)
-        t = me.random_tangent("disk", 1, 1, np.random.default_rng(seed + 1))
+        t = me.random_tangent("disk", 1, 1, seed + 1)
         a = me.q_disk(p, t, UNIT)
         b = me.q_disk_closed_11(p, t)
         assert abs(a - b) <= 1e-12 * (1 + max(abs(a), abs(b)))
@@ -69,7 +67,7 @@ def test_cayley_isometry_exact_differential(n, m):
     params = me.MetricParams(1.3, 0.7)
     for seed in range(20):
         p = geo.random_point("disk", n, m, seed)
-        t = me.random_tangent("disk", n, m, np.random.default_rng(seed))
+        t = me.random_tangent("disk", n, m, seed)
         qd = me.q_disk(p, t, params)
         qu = me.q_upper(geo.cayley(p), _exact_cayley_differential(p, t), params)
         assert abs(qd - qu) <= 1e-12 * (1 + max(abs(qd), abs(qu)))
@@ -77,10 +75,9 @@ def test_cayley_isometry_exact_differential(n, m):
 
 def test_completed_square_identities():
     # the rectangular-block part of each family is a perfect square
-    rng = np.random.default_rng(9)
     for seed in range(20):
         pu = geo.random_point("upper", 2, 2, seed)
-        t = me.random_tangent("upper", 2, 2, rng)
+        t = me.random_tangent("upper", 2, 2, 100 + seed)
         yi = mat_inverse(pu.y.astype(complex))
         e = t.dvec - pu.v @ yi @ t.dmat
         square = np.trace(yi @ e.T @ e.conj()).real
@@ -89,7 +86,7 @@ def test_completed_square_identities():
         assert abs(b_part - square) < 1e-10 * (1 + abs(square))
 
         pd = geo.random_point("disk", 2, 2, seed)
-        td = me.random_tangent("disk", 2, 2, rng)
+        td = me.random_tangent("disk", 2, 2, 200 + seed)
         li = mat_inverse(np.eye(2) - pd.w @ pd.w.conj())
         fshift = td.dvec + (pd.eta @ pd.w.conj() - pd.eta.conj()) @ li @ td.dmat
         square_d = 4.0 * np.trace(li @ fshift.T @ fshift.conj()).real
@@ -110,9 +107,8 @@ def test_metric_tensor_consistency_and_pd():
             p = geo.random_point(model, 2, 1, seed)
             tensor = me.metric_tensor(p, UNIT)
             chart = me.chart_for(p)
-            rng = np.random.default_rng(seed)
-            for _ in range(5):
-                t = me.random_tangent(model, 2, 1, rng)
+            for k in range(5):
+                t = me.random_tangent(model, 2, 1, 10 * seed + k)
                 direct = me.evaluate_form(model, p, t, UNIT)
                 v = chart.tangent_to_vec(t)
                 via = v @ tensor @ v
@@ -134,8 +130,7 @@ def test_chart_roundtrips():
     p = geo.random_point("disk", 2, 2, 7)
     assert max_abs(chart.point_to_vec(chart.vec_to_point(chart.point_to_vec(p)))
                    - chart.point_to_vec(p)) == 0.0
-    rng = np.random.default_rng(2)
-    t = me.random_tangent("disk", 2, 2, rng)
+    t = me.random_tangent("disk", 2, 2, 2)
     v = chart.tangent_to_vec(t)
     back = chart.vec_to_tangent(v)
     assert max_abs(back.dmat - t.dmat) == 0.0
@@ -144,8 +139,7 @@ def test_chart_roundtrips():
 
 
 def test_tangent_json_roundtrip():
-    rng = np.random.default_rng(1)
-    t = me.random_tangent("upper", 2, 1, rng)
+    t = me.random_tangent("upper", 2, 1, 1)
     back = me.tangent_from_json(me.tangent_to_json(t))
     assert max_abs(back.dmat - t.dmat) == 0.0 and max_abs(back.dvec - t.dvec) == 0.0
 
