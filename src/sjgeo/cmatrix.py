@@ -4,8 +4,9 @@ Small, self-contained helpers for the matrix sizes this library actually
 meets (everything is <= 10x10): inversion with an explicit pivot guard,
 block assembly, the Hermitian positive-definite margin, the max-norm and
 the symmetry defect, each of one matrix or of every matrix of a stack,
-the seeded draws every random_* builds on, and the JSON wire format
-shared by all higher layers.  Backed by numpy
+the seeded draws every random_* builds on (one generator per seed for
+the raw draws; the arithmetic runs on the stack), and the JSON wire
+format shared by all higher layers.  Backed by numpy
 alone, with one algorithm per operation for one matrix and for a stack;
 the contracts (shapes, error conditions, tolerances) are what the rest
 of the library relies on.
@@ -68,19 +69,30 @@ def frozen(a, dtype, shape: tuple | None = None) -> np.ndarray:
     return a
 
 
-def seeded(seed, draw):
-    """The tuple of arrays ``draw(rng)`` returns for a generator of ``seed``;
-    for an array of seeds, each seed's arrays stacked along a leading axis,
-    so that member k is, to the last bit, what seed k draws alone."""
+def seeded(seed, sizes, draw, build) -> tuple:
+    """A seeded draw: ``draw(rng)`` makes one seed's raw ``integers`` and
+    ``uniform`` calls on a generator of that seed and returns them as
+    arrays of a fixed shape; ``build`` takes those arrays stacked along a
+    leading axis, one member per seed, and does all the arithmetic once on
+    the stack.
+
+    ``seed`` is an integer or a 1-D array of them, and a single seed is a
+    stack of one: the result is the tuple ``build`` returns, or member 0 of
+    each of its arrays.  Member k of a stacked draw is, to the last bit,
+    what seed k draws alone.  ``sizes`` are the draw's matrix dimensions
+    (n, and m where it has one); each must be >= 1.
+    """
+    if any(size < 1 for size in sizes):
+        raise ValueError("n and m must be >= 1")
     seeds = np.asarray(seed)
     if seeds.ndim > 1 or not seeds.size:
         raise ValueError(f"expected a seed or a 1-D array of seeds, got shape {seeds.shape}")
-    if not (seeds.dtype.kind in "iu" or isinstance(seed, int)):   # no generator, no None
+    # no generator, no None, no bool (a bool is an int to Python, not to numpy)
+    if seeds.dtype.kind == "b" or not (seeds.dtype.kind in "iu" or isinstance(seed, int)):
         raise TypeError(f"a seed is an integer, got {type(seed).__name__}")
-    if seeds.ndim == 0:
-        return draw(np.random.default_rng(seed))
-    draws = [draw(np.random.default_rng(s)) for s in seeds.tolist()]
-    return tuple(np.stack(arrays) for arrays in zip(*draws))
+    raws = [draw(np.random.default_rng(s)) for s in seeds.reshape(-1).tolist()]
+    built = build(*(np.stack(arrays) for arrays in zip(*raws)))
+    return built if seeds.ndim else tuple(a[0] for a in built)
 
 
 def max_abs(m) -> float:

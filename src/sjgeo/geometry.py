@@ -286,28 +286,27 @@ def hc_pplus_component(g: JacobiStarElement, p: DiskPoint) -> DiskPoint:
 # Random points
 
 
-def _disk_blocks(n: int, m: int, rng: np.random.Generator) -> tuple:
-    s = rng.uniform(-1.0, 1.0, size=(n, n)) + 1j * rng.uniform(-1.0, 1.0, size=(n, n))
-    s = 0.5 * (s + s.T)
+def _disk_draw(n: int, m: int, rng: np.random.Generator) -> tuple:
+    """One seed's Re and Im of S, stacked as (2, n, n), and of eta."""
+    return rng.uniform(-1.0, 1.0, size=(2, n, n)), rng.uniform(-2.0, 2.0, size=(2, m, n))
+
+
+def _disk_blocks(s: np.ndarray, eta: np.ndarray) -> tuple:
+    s = s[:, 0] + 1j * s[:, 1]
+    s = 0.5 * (s + s.mT)
     # Scaling by 0.45 / max(1, ||S||) keeps I - conj(W) W comfortably positive.
-    norm = np.linalg.norm(s, 2)
-    w = 0.45 * s / max(1.0, norm)
-    eta = rng.uniform(-2.0, 2.0, size=(m, n)) + 1j * rng.uniform(-2.0, 2.0, size=(m, n))
-    return w, eta
+    norm = np.linalg.svd(s, compute_uv=False)[:, 0]
+    return 0.45 * s / np.maximum(1.0, norm)[:, None, None], eta[:, 0] + 1j * eta[:, 1]
 
 
 def random_point(model: str, n: int, m: int, seed):
     """Deterministic in-domain sample, or the stack of an array of seeds'
     (cmatrix.seeded); disk points keep a spectral margin >= 0.1, and an upper
     point is the Cayley image of its seed's disk point, so it is inside exactly."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    disk = DiskPoint(*seeded(seed, lambda rng: _disk_blocks(n, m, rng)))
-    if model == "disk":
-        return disk
-    if model == "upper":
-        return cayley(disk)
-    raise ValueError(f"unknown model {model!r}")
+    if model not in ("upper", "disk"):
+        raise ValueError(f"unknown model {model!r}")
+    disk = DiskPoint(*seeded(seed, (n, m), lambda rng: _disk_draw(n, m, rng), _disk_blocks))
+    return disk if model == "disk" else cayley(disk)
 
 
 # ---------------------------------------------------------------------------

@@ -465,51 +465,73 @@ def star_matrix(g: JacobiStarElement) -> np.ndarray:
 # stack whose member k is what seed k draws alone, see cmatrix.seeded)
 
 
-def _sp_blocks(n: int, rng: np.random.Generator) -> tuple:
-    count = int(rng.integers(4, 9))
-    left = np.eye(2 * n, n)
-    right = np.eye(2 * n, n, -n)
-    for _ in range(count):
-        kind = int(rng.integers(0, 3))
-        if kind == 0:
-            b = rng.uniform(-1.0, 1.0, size=(n, n))
-            right = left @ (0.5 * (b + b.T)) + right
-        elif kind == 1:
-            a = np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, size=(n, n))
-            left, right = left @ a, right @ np.linalg.inv(a).T
-        else:
-            left, right = -right, left
-    return left[:n], right[:n], left[n:], right[n:]
+# Generators in a random_sp product: 4 to 8, so the raw draw pads to 8.
+_SP_STEPS = 8
 
 
-def _heisenberg_blocks(n: int, m: int, rng: np.random.Generator) -> tuple:
-    lam = rng.uniform(-1.0, 1.0, size=(m, n))
-    mu = rng.uniform(-1.0, 1.0, size=(m, n))
-    s = rng.uniform(-1.0, 1.0, size=(m, m))
-    s = 0.5 * (s + s.T)
+def _sp_draw(n: int, rng: np.random.Generator) -> tuple:
+    """One seed's generator kinds (0 shear, 1 block-diagonal, 2 J; -1 pads
+    past its count) and the uniforms of its shears and block-diagonals."""
+    kinds = np.full(_SP_STEPS, -1)
+    u = np.zeros((_SP_STEPS, n, n))
+    for t in range(int(rng.integers(4, _SP_STEPS + 1))):
+        kinds[t] = rng.integers(0, 3)
+        if kinds[t] != 2:
+            u[t] = rng.uniform(-1.0, 1.0, size=(n, n))
+    return kinds, u
+
+
+def _sp_blocks(kinds: np.ndarray, u: np.ndarray) -> tuple:
+    """A, B, C, D of each product of a stack of _sp_draw's, step by step,
+    one mask per generator kind."""
+    k, n = u.shape[0], u.shape[-1]
+    left = np.tile(np.eye(2 * n, n), (k, 1, 1))
+    right = np.tile(np.eye(2 * n, n, -n), (k, 1, 1))
+    for step, uniforms in zip(kinds.T, u.swapaxes(0, 1)):
+        shear, diag, j = (step == kind for kind in range(3))
+        if shear.any():
+            b = uniforms[shear]
+            right[shear] = left[shear] @ (0.5 * (b + b.mT)) + right[shear]
+        if diag.any():
+            a = np.eye(n) + 0.3 * uniforms[diag]
+            left[diag], right[diag] = left[diag] @ a, right[diag] @ np.linalg.inv(a).mT
+        if j.any():
+            left[j], right[j] = -right[j], left[j]
+    return left[:, :n], right[:, :n], left[:, n:], right[:, n:]
+
+
+def _heisenberg_draw(n: int, m: int, rng: np.random.Generator) -> tuple:
+    """One seed's lambda and mu, stacked as (2, m, n), and S."""
+    return rng.uniform(-1.0, 1.0, size=(2, m, n)), rng.uniform(-1.0, 1.0, size=(m, m))
+
+
+def _heisenberg_blocks(lam_mu: np.ndarray, s: np.ndarray) -> tuple:
+    lam, mu = lam_mu[:, 0], lam_mu[:, 1]
+    s = 0.5 * (s + s.mT)
     # kappa = S - mu t(lambda) makes kappa + mu t(lambda) symmetric by construction.
-    return lam, mu, s - mu @ lam.T
+    return lam, mu, s - mu @ lam.mT
 
 
 def random_sp(n: int, seed) -> SpElement:
     """Product of 4-8 exact symplectic generators: shears [[I,B],[0,I]] with
     B symmetric, block-diagonal [[A,0],[0,tA^-1]] with A near I, and J.
 
-    Each generator is applied to the column blocks [L, R] of the running
-    product: the shear gives [L, L B + R], the block-diagonal one
+    Each seed's generators are drawn on its own generator and applied on
+    the stack, to the column blocks [L, R] of every running product at
+    once: the shear gives [L, L B + R], the block-diagonal one
     [L A, R tA^-1] and J gives [-R, L].
     """
-    return SpElement(*seeded(seed, lambda rng: _sp_blocks(n, rng)))
+    return SpElement(*seeded(seed, (n,), lambda rng: _sp_draw(n, rng), _sp_blocks))
 
 
 def random_heisenberg(n: int, m: int, seed) -> HeisenbergElement:
-    return HeisenbergElement(*seeded(seed, lambda rng: _heisenberg_blocks(n, m, rng)))
+    return HeisenbergElement(*seeded(seed, (n, m), lambda rng: _heisenberg_draw(n, m, rng),
+                                     _heisenberg_blocks))
 
 
 def random_jacobi(n: int, m: int, seed) -> JacobiElement:
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    blocks = seeded(seed, lambda rng: _sp_blocks(n, rng) + _heisenberg_blocks(n, m, rng))
+    blocks = seeded(seed, (n, m), lambda rng: _sp_draw(n, rng) + _heisenberg_draw(n, m, rng),
+                    lambda kinds, u, *h: _sp_blocks(kinds, u) + _heisenberg_blocks(*h))
     return JacobiElement(SpElement(*blocks[:4]), HeisenbergElement(*blocks[4:]))
 
 

@@ -427,16 +427,20 @@ def evaluate_form(kind: str, p, t: Tangent, params: MetricParams):
     return _form_at(_form_terms(kind, p, params), t, f"{kind} form")
 
 
-def _tangent_blocks(n: int, m: int, rng: np.random.Generator) -> tuple:
-    dmat = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
-    dmat = 0.5 * (dmat + dmat.T)
-    dvec = rng.uniform(-1, 1, (m, n)) + 1j * rng.uniform(-1, 1, (m, n))
-    return dmat, dvec
+def _tangent_draw(n: int, m: int, rng: np.random.Generator) -> tuple:
+    """One seed's Re and Im of dmat, stacked as (2, n, n), and of dvec."""
+    return rng.uniform(-1, 1, (2, n, n)), rng.uniform(-1, 1, (2, m, n))
+
+
+def _tangent_blocks(dmat: np.ndarray, dvec: np.ndarray) -> tuple:
+    dmat = dmat[:, 0] + 1j * dmat[:, 1]
+    return 0.5 * (dmat + dmat.mT), dvec[:, 0] + 1j * dvec[:, 1]
 
 
 def random_tangent(model: str, n: int, m: int, seed) -> Tangent:
     """One seed's tangent, or the stack of an array of seeds' (cmatrix.seeded)."""
-    return Tangent(model, *seeded(seed, lambda rng: _tangent_blocks(n, m, rng)))
+    return Tangent(model, *seeded(seed, (n, m), lambda rng: _tangent_draw(n, m, rng),
+                                  _tangent_blocks))
 
 
 def tangent_to_json(t: Tangent) -> dict:

@@ -8,6 +8,7 @@ a stack on its own.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -479,15 +480,86 @@ def test_seed_array_draw_members_are_single_draws(draw, n, m):
         assert np.array_equal(_flat(one), _flat(member)), k
 
 
+# The bytes of each draw from np.arange(64) and from the seed 7, as drawn
+# when each seed's draw still did its own arithmetic (blake2b of _flat): a
+# reordered or merged generator call, or arithmetic that moved a bit, shows
+# here even where a single draw and a stacked one agree with each other.
+GOLDEN_DRAWS = DRAWS | {
+    "point-upper": lambda n, m, seed: geo.random_point("upper", n, m, seed),
+}
+GOLDEN_DIGESTS = {
+    ("sp", 1, 1): ("99b5ed7d4141b51440d7a5c021c6fa17", "bd5dfe8a8cb6489db8991ffb8fb63117"),
+    ("sp", 2, 1): ("aba1f526ae024dcccebd5064ecdb3d6a", "f0dafcdc9a5505c6ecf2bf46329ddee4"),
+    ("sp", 2, 2): ("aba1f526ae024dcccebd5064ecdb3d6a", "f0dafcdc9a5505c6ecf2bf46329ddee4"),
+    ("sp", 3, 2): ("c7e5e00ac05ed7433f31a9d3043c460c", "06fa315b07da0b3af6d7cc97d0cebe5f"),
+    ("heisenberg", 1, 1): ("e838b8f6b089fbc081005835b38c0ef8", "91e3af6ca7a964917a1a75053346ab18"),
+    ("heisenberg", 2, 1): ("bab687366532f5f4608bf41798fc4b32", "aafdb24d16088998fff142453d6da76b"),
+    ("heisenberg", 2, 2): ("1c7df88c5856b46b28d0646f9cbda181", "dd5fde67949febcb7ab93c950599ad23"),
+    ("heisenberg", 3, 2): ("74ec71207feca28b1c4ef7f0fa2d8149", "4eb5f54d48be511e3a666c1d7705f3e7"),
+    ("jacobi", 1, 1): ("280c7d36eb3ca47e4aed5d510ab148c9", "14c51bc60790a51c02dafcab57c00529"),
+    ("jacobi", 2, 1): ("9df4e6e3bb394364141dc080271bedde", "9b008c73cf8f1e18333ea250df8a65f4"),
+    ("jacobi", 2, 2): ("49c670ec07bde9b1dc91d49409cf543f", "7008faa85c8ad06a4b05dd85cf0e6c3b"),
+    ("jacobi", 3, 2): ("aad3bc902be2731decea5630bd135fd7", "c2aaacf3a1085e3d64cc63015c26dd0d"),
+    ("point-upper", 1, 1): ("22896f7be0d8be040ae628f7965de63b", "c8439a49d6598f5fba891bdde47a671c"),
+    ("point-upper", 2, 1): ("1b0b142d210d3b003c4739f4cfff01d7", "dfbb5bc5d16183aadb912375f2f90c6c"),
+    ("point-upper", 2, 2): ("c09c1ede6b8f1230842ac5a3b1e1c270", "2c27182d1c181d67d947eca8af5b2dca"),
+    ("point-upper", 3, 2): ("d69b2e8390e990df2509815fd3d6d7cd", "d211dcf6d9b92e2975ebbc4fb7db1fab"),
+    ("point-disk", 1, 1): ("256950c7b0f3477bdf00e8f3a9ca0e91", "877b5cebc95cbe71a50a2f13fe0b5e95"),
+    ("point-disk", 2, 1): ("55eecd6bef64d9509caaab27600761bf", "ab87d953e5f40eaee1d24ee9ff3e3d70"),
+    ("point-disk", 2, 2): ("537713bb3d2bb8b97e9204364e7e8c6e", "bab98fe72cb20828eed45a29c9074b73"),
+    ("point-disk", 3, 2): ("a98f923931266f7a0cb3eba29c28aea6", "c365a8af6a4b064411c18631c2f2737e"),
+    ("tangent", 1, 1): ("d6baf62cb62bd8285d843a10f83a1b70", "3e8c4ecc3a6cbc0e74ca43ea72bdf73b"),
+    ("tangent", 2, 1): ("ff5233d68340164e55e2050ae2ce09fa", "b2ab7aad4c94518499e4753296b8bf8d"),
+    ("tangent", 2, 2): ("178fe730792ea04256af9f6a817e46c3", "af2e67a4171ecbc3db968b7a380b381c"),
+    ("tangent", 3, 2): ("86976efd01ebe42637bd99ea9b978fa5", "71896ab6dfdc6b4ee30a0a7c90815242"),
+}
+
+
+def _digest(x) -> str:
+    return hashlib.blake2b(np.ascontiguousarray(_flat(x)).tobytes(), digest_size=16).hexdigest()
+
+
+@pytest.mark.parametrize("draw,n,m", list(GOLDEN_DIGESTS))
+def test_draws_keep_their_golden_streams(draw, n, m):
+    stacked, single = GOLDEN_DIGESTS[draw, n, m]
+    assert _digest(GOLDEN_DRAWS[draw](n, m, np.arange(64))) == stacked
+    assert _digest(GOLDEN_DRAWS[draw](n, m, 7)) == single
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_golden_sp_stack_holds_every_count_and_kind(n):
+    # so the pinned random_sp digests cover every branch of the stacked product
+    kinds = np.stack([G._sp_draw(n, np.random.default_rng(s))[0] for s in range(64)])
+    assert set((kinds >= 0).sum(axis=1)) == set(range(4, 9))
+    for t in range(8):
+        assert {0, 1, 2} <= set(kinds[:, t]), t
+
+
+@pytest.mark.parametrize("draw,n,m", [(draw, n, m) for draw in GOLDEN_DRAWS
+                                      for n, m in [(0, 1), (1, 0), (0, 0)]
+                                      if (draw, n) != ("sp", 1)])   # random_sp has no m
+def test_every_draw_needs_positive_sizes(draw, n, m):
+    for seed in (1, [1, 2]):
+        with pytest.raises(ValueError, match="n and m must be >= 1"):
+            GOLDEN_DRAWS[draw](n, m, seed)
+
+
+def test_unknown_model_is_refused_before_the_draw():
+    with pytest.raises(ValueError, match="unknown model"):
+        geo.random_point("klein", 1, 1, None)
+
+
 @pytest.mark.parametrize("seeds", [[], [[1, 2]]])
 def test_seed_array_must_be_one_dimensional_and_non_empty(seeds):
     with pytest.raises(ValueError, match="seeds"):
         geo.random_point("disk", 1, 1, seeds)
 
 
-@pytest.mark.parametrize("seed", [None, np.random.default_rng(0), 1.5])
+@pytest.mark.parametrize("seed", [None, np.random.default_rng(0), 1.5, True, np.bool_(False),
+                                  np.array([True, False])])
 def test_a_seed_is_an_integer(seed):
     # default_rng would take these too: None draws from fresh entropy, and a
-    # generator would make a draw depend on what it drew before
+    # generator would make a draw depend on what it drew before; a bool is an
+    # int to Python but not to numpy, so neither form of it is a seed
     with pytest.raises(TypeError, match="integer"):
         geo.random_point("disk", 1, 1, seed)
