@@ -9,10 +9,18 @@ reports write the same bytes:
 
     PYTHONPATH=src python scripts/reference_reports.py --out new.json
     cmp old.json new.json
+
+``--compare OLD.json`` computes the reports and prints one line per report
+that differs from OLD.json's (check, n, m, seed, max_rel and pass before
+and after), then a one-line summary; the exit code is 1 when a report's
+pass/fail result flipped, or when OLD.json does not hold the same runs:
+
+    PYTHONPATH=src python scripts/reference_reports.py --compare old.json
 """
 
 import argparse
 import json
+import math
 import sys
 
 from sjgeo import verify
@@ -24,24 +32,91 @@ SAMPLES = 50
 STENCIL_SAMPLES = 8
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", required=True, help="write the reports here")
-    args = ap.parse_args()
+def _runs() -> list:
+    """(check, n, m, seed) of every reference report, in the file's order."""
+    return [(name, n, m, seed) for name in verify.CHECK_NAMES
+            for n, m in CELLS for seed in SEEDS]
+
+
+def reference_reports() -> list:
     params = MetricParams(1.0, 1.0)
     reports = []
-    for name in verify.CHECK_NAMES:
+    for name, n, m, seed in _runs():
         samples = STENCIL_SAMPLES if verify._CHECKS[name].stencil else SAMPLES
-        for n, m in CELLS:
-            for seed in SEEDS:
-                rep = verify.run_check(name, n, m, params, samples, seed).to_json()
-                del rep["ms"]
-                reports.append(rep)
-    with open(args.out, "w") as fh:
-        json.dump(reports, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    print(f"{len(reports)} reports -> {args.out}", file=sys.stderr)
-    return 0
+        rep = verify.run_check(name, n, m, params, samples, seed).to_json()
+        del rep["ms"]
+        reports.append(rep)
+    return reports
+
+
+def _decades(before, after) -> float:
+    """log10(after / before); 0 when both are equal, +-inf when one is 0."""
+    if before == after:
+        return 0.0
+    if not before or not after:
+        return math.inf if after else -math.inf
+    return math.log10(after / before)
+
+
+def _headroom(rep: dict) -> float:
+    return math.inf if not rep["max_rel"] else math.log10(rep["tol"] / rep["max_rel"])
+
+
+def compare(old: list, new: list) -> tuple[list[str], bool]:
+    """One line per report that differs, a summary line last, and whether
+    the comparison failed: a flipped pass/fail result, or files that do not
+    hold the same runs in the same order.
+
+    Reports are paired by position and labelled with the cell they were
+    asked at (``reduce-n1m1`` labels its reports n = m = 1 at every cell).
+    """
+    runs = _runs()
+    if [(r["check"], r["seed"]) for r in old] != [(c, s) for c, _, _, s in runs]:
+        return [f"the old file does not hold the {len(runs)} reference runs "
+                f"in this script's order"], True
+    lines, flips, rise = [], 0, (-math.inf, None)
+    for run, b, a in zip(runs, old, new):
+        if a == b:
+            continue
+        label = "{} n={} m={} seed={}".format(*run)
+        flipped = a["pass"] != b["pass"]
+        flips += flipped
+        change = _decades(b["max_rel"], a["max_rel"])
+        rise = max(rise, (change, label), key=lambda r: r[0])
+        lines.append(f"{label}: max_rel {b['max_rel']:.3e} -> {a['max_rel']:.3e} "
+                     f"({change:+.2f} dec), pass {b['pass']} -> {a['pass']}"
+                     + ("  FLIPPED" if flipped else ""))
+    worst = "none" if rise[1] is None else f"{rise[0]:+.2f} dec ({rise[1]})"
+    lines.append(f"{len(lines)} of {len(new)} reports differ, {flips} pass/fail flipped; "
+                 f"largest max_rel rise {worst}; min headroom "
+                 f"{min(map(_headroom, old)):.4f} -> {min(map(_headroom, new)):.4f}")
+    return lines, bool(flips)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", help="write the reports here")
+    ap.add_argument("--compare", metavar="OLD.json",
+                    help="print the reports that differ from OLD.json's")
+    args = ap.parse_args()
+    if not (args.out or args.compare):
+        ap.error("give --out FILE, --compare OLD.json or both")
+    old = None
+    if args.compare:
+        with open(args.compare) as fh:
+            old = json.load(fh)
+    reports = reference_reports()
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(reports, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+        print(f"{len(reports)} reports -> {args.out}", file=sys.stderr)
+    if old is None:
+        return 0
+    # compare in the written form, so a float or a key reads as it would from the file
+    lines, failed = compare(old, json.loads(json.dumps(reports)))
+    print("\n".join(lines))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from .cmatrix import SingularMatrix
@@ -39,6 +40,31 @@ _EVAL_TARGETS = ("metric", "laplacian", "D", "L", "Dtilde", "Ltilde", "field")
 
 def _log(msg: str):
     print(msg, file=sys.stderr)
+
+
+def _error(exc: Exception) -> int:
+    """Report an input error on one line; exit code 2."""
+    # str() of a KeyError is the repr of its message, quotes included
+    msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    _log(f"error: {msg}")
+    return 2
+
+
+def _unwritable(path: str) -> str | None:
+    """Why a report cannot be written to ``path``, or None when it can.
+
+    The file is opened for appending, which changes no existing file; one
+    that this creates is removed again.
+    """
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        return f"cannot write the report to {path}: {exc.strerror}"
+    if not existed:
+        os.remove(path)
+    return None
 
 
 def _tolerance_table() -> str:
@@ -134,7 +160,7 @@ def _reports_to_csv(reports: list[dict]) -> str:
 
 
 def _cmd_verify(args) -> int:
-    problem = _validate_common(args)
+    problem = _validate_common(args) or (args.out and _unwritable(args.out))
     if problem:
         _log(f"error: {problem}")
         return 2
@@ -197,8 +223,7 @@ def _cmd_eval(args) -> int:
     try:
         point = _load_point(args.point)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        _log(f"error: {exc}")
-        return 2
+        return _error(exc)
     model = point.model
     params = MetricParams(args.a, args.b)
     try:
@@ -230,8 +255,7 @@ def _cmd_eval(args) -> int:
                     value = lap_disk(sb, point, params)
     except (KeyError, ValueError, DomainMargin, SingularMatrix, ArithmeticError,
             OSError, json.JSONDecodeError) as exc:
-        _log(f"error: {exc}")
-        return 2
+        return _error(exc)
     print(f"{value:.15g}")
     return 0
 

@@ -1,7 +1,10 @@
 """Dense complex matrix kernel.
 
 Small, self-contained helpers for the matrix sizes this library actually
-meets (everything is <= 10x10): inversion with an explicit pivot guard,
+meets (everything is <= 10x10): the product of small matrices or of
+stacks of them (mat_mul: the actions, the metric forms and the fields
+multiply a stack of stencil nodes or oracle points with it, not with one
+BLAS call per matrix), inversion with an explicit pivot guard,
 block assembly, the Hermitian positive-definite margin, the max-norm and
 the symmetry defect, each of one matrix or of every matrix of a stack,
 the seeded draws every random_* builds on (one generator per seed for
@@ -22,6 +25,7 @@ __all__ = [
     "frozen",
     "seeded",
     "block",
+    "mat_mul",
     "mat_inverse",
     "hermitian_pd_margin",
     "max_abs",
@@ -130,6 +134,31 @@ def block(rows) -> np.ndarray:
                 out[..., top: top + height, left: left + width] = b
             left += width
         top += height
+    return out
+
+
+def mat_mul(a, b) -> np.ndarray:
+    """The product a @ b of two matrices, or of the matrices of stacks
+    whose leading axes broadcast as they do for ``@``.
+
+    The inner index is summed in a fixed order, term k added to the sum of
+    terms 0..k-1, with elementwise products only: no BLAS call and no
+    einsum, whose rounding may depend on the size or layout of the stack.
+    So a matrix gets the same product, to the last bit, alone or in a
+    stack of any size.  On a stack of small matrices this is also much
+    faster than ``@``, which makes one BLAS call per matrix.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"mat_mul needs matrices with matching inner sizes, "
+                         f"got {a.shape} and {b.shape}")
+    out = a[..., :, :1] * b[..., :1, :]
+    if a.shape[-1] > 1:
+        term = np.empty_like(out)   # one temporary, reused for every k
+        for k in range(1, a.shape[-1]):
+            np.multiply(a[..., :, k: k + 1], b[..., k: k + 1, :], out=term)
+            out += term
     return out
 
 

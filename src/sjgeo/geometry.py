@@ -23,6 +23,7 @@ from .cmatrix import (
     mat_from_json,
     mat_inverse,
     mat_max_abs,
+    mat_mul,
     mat_to_json,
     seeded,
     sym_defect,
@@ -150,7 +151,7 @@ def _margin_matrix(p) -> np.ndarray:
     """The matrix that must be positive definite: Im Omega, or I - conj(W) W."""
     if p.model == "upper":
         return p.y.astype(complex)
-    return np.eye(p.n) - p.w.conj() @ p.w
+    return np.eye(p.n) - mat_mul(p.w.conj(), p.w)
 
 
 def point_margin(p):
@@ -185,8 +186,8 @@ def act_siegel(m: SpElement, omega: np.ndarray) -> np.ndarray:
     actions below.
     """
     omega = np.asarray(omega, dtype=np.complex128)
-    denom = m.c @ omega + m.d
-    res = (m.a @ omega + m.b) @ mat_inverse(denom)
+    denom = mat_mul(m.c, omega) + m.d
+    res = mat_mul(mat_mul(m.a, omega) + m.b, mat_inverse(denom))
     return _symmetrized(res, "siegel action")
 
 
@@ -198,9 +199,10 @@ def act_upper(g: JacobiElement, p: UpperPoint) -> UpperPoint:
     """
     if (g.n, g.m) != (p.n, p.m):
         raise ValueError("element and point sizes differ")
-    denom_inv = mat_inverse(g.sp.c @ p.omega + g.sp.d)
-    omega = _symmetrized((g.sp.a @ p.omega + g.sp.b) @ denom_inv, "siegel action")
-    z = (p.z + g.h.lam @ p.omega + g.h.mu) @ denom_inv
+    denom_inv = mat_inverse(mat_mul(g.sp.c, p.omega) + g.sp.d)
+    omega = _symmetrized(mat_mul(mat_mul(g.sp.a, p.omega) + g.sp.b, denom_inv),
+                         "siegel action")
+    z = mat_mul(p.z + mat_mul(g.h.lam, p.omega) + g.h.mu, denom_inv)
     return UpperPoint(omega, z)
 
 
@@ -213,9 +215,9 @@ def act_disk(g: JacobiStarElement, p: DiskPoint) -> DiskPoint:
     """
     if (g.n, g.m) != (p.n, p.m):
         raise ValueError("element and point sizes differ")
-    denom_inv = mat_inverse(g.g.q.conj() @ p.w + g.g.p.conj())
-    w = _symmetrized((g.g.p @ p.w + g.g.q) @ denom_inv, "disk action")
-    eta = (p.eta + g.xi @ p.w + g.xi.conj()) @ denom_inv
+    denom_inv = mat_inverse(mat_mul(g.g.q.conj(), p.w) + g.g.p.conj())
+    w = _symmetrized(mat_mul(mat_mul(g.g.p, p.w) + g.g.q, denom_inv), "disk action")
+    eta = mat_mul(p.eta + mat_mul(g.xi, p.w) + g.xi.conj(), denom_inv)
     return DiskPoint(w, eta)
 
 

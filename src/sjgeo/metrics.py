@@ -25,6 +25,7 @@ off-diagonal symmetric entries set both mirrored matrix entries to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .cmatrix import (
     mat_from_json,
     mat_inverse,
     mat_max_abs,
+    mat_mul,
     mat_to_json,
     seeded,
     sym_defect,
@@ -239,6 +241,11 @@ def _realize(q, what: str):
     return float(q.real) if q.ndim == 0 else q.real
 
 
+def _chain(*factors) -> np.ndarray:
+    """The product of the factors, multiplied left to right by mat_mul."""
+    return reduce(mat_mul, factors)
+
+
 def _siegel_terms(y: np.ndarray) -> list:
     yi = mat_inverse(y.astype(complex))
     return [(1.0, yi, _MAT, yi, _MAT)]
@@ -246,8 +253,8 @@ def _siegel_terms(y: np.ndarray) -> list:
 
 def _upper_terms(y: np.ndarray, v: np.ndarray, a: float, b: float) -> list:
     yi = mat_inverse(y.astype(complex))
-    vyi = v @ yi
-    c_vv = yi @ v.mT @ vyi
+    vyi = mat_mul(v, yi)
+    c_vv = _chain(yi, v.mT, vyi)
     return [
         (a, yi, _MAT, yi, _MAT),
         (b, c_vv, _MAT, yi, _MAT),
@@ -259,8 +266,8 @@ def _upper_terms(y: np.ndarray, v: np.ndarray, a: float, b: float) -> list:
 
 def _disk_n_terms(w: np.ndarray) -> list:
     n = w.shape[-1]
-    li = mat_inverse(np.eye(n) - w @ w.conj())
-    ri = mat_inverse(np.eye(n) - w.conj() @ w)
+    li = mat_inverse(np.eye(n) - mat_mul(w, w.conj()))
+    ri = mat_inverse(np.eye(n) - mat_mul(w.conj(), w))
     return [(4.0, li, _MAT, ri, _MAT)]
 
 
@@ -269,27 +276,27 @@ def _disk_terms(w: np.ndarray, eta: np.ndarray, a: float, b: float) -> list:
     eye = np.eye(n)
     wc = w.conj()
     ec = eta.conj()
-    li = mat_inverse(eye - w @ wc)
-    ri = mat_inverse(eye - wc @ w)
+    li = mat_inverse(eye - mat_mul(w, wc))
+    ri = mat_inverse(eye - mat_mul(wc, w))
     one_minus_w_inv = mat_inverse(eye - w)
     one_minus_wc_inv = mat_inverse(eye - wc)
-    e1 = eta @ wc - ec
-    e2 = ec @ w - eta
+    e1 = mat_mul(eta, wc) - ec
+    e2 = mat_mul(ec, w) - eta
     # dW/conj(dW) coefficient, summed over the six eta-quadratic terms.
     c_mid = (
-        - li @ eta.mT @ eta @ ri @ wc
-        - w @ ri @ ec.mT @ ec @ li
-        + li @ eta.mT @ ec @ li
-        + one_minus_wc_inv @ ec.mT @ eta @ wc @ li
-        + one_minus_wc_inv @ (eye - w) @ ri @ ec.mT @ eta @ ri @ (eye - wc) @ one_minus_w_inv
-        - li @ (eye - w) @ one_minus_wc_inv @ ec.mT @ eta @ one_minus_w_inv
+        - _chain(li, eta.mT, eta, ri, wc)
+        - _chain(w, ri, ec.mT, ec, li)
+        + _chain(li, eta.mT, ec, li)
+        + _chain(one_minus_wc_inv, ec.mT, eta, wc, li)
+        + _chain(one_minus_wc_inv, eye - w, ri, ec.mT, eta, ri, eye - wc, one_minus_w_inv)
+        - _chain(li, eye - w, one_minus_wc_inv, ec.mT, eta, one_minus_w_inv)
     )
     a4, b4 = 4.0 * a, 4.0 * b
     return [
         (a4, li, _MAT, ri, _MAT),
         (b4, np.eye(eta.shape[-2]), _VEC, li.mT, _VEC),
-        (b4, e1 @ li, _MAT, ri, _VEC),
-        (b4, (e2 @ ri).mT, _VEC, li.mT, _MAT),
+        (b4, mat_mul(e1, li), _MAT, ri, _VEC),
+        (b4, mat_mul(e2, ri).mT, _VEC, li.mT, _MAT),
         (b4, c_mid, _MAT, ri, _MAT),
     ]
 
@@ -309,7 +316,7 @@ def _form_terms(kind: str, p, params: MetricParams) -> list:
 def _form_value(terms: list, dmat: np.ndarray, dvec: np.ndarray):
     """The form at one tangent, or at tangent k and point k of stacks."""
     slots = (dmat, dvec)
-    return sum(w * np.sum(left @ slots[x] @ right * slots[y].conj(), axis=(-2, -1))
+    return sum(w * np.sum(_chain(left, slots[x], right) * slots[y].conj(), axis=(-2, -1))
                for w, left, x, right, y in terms)
 
 
@@ -327,8 +334,9 @@ def _form_matrix(terms: list, dmats: np.ndarray, dvecs: np.ndarray) -> np.ndarra
                                  for block in (left, right)))
     total = np.zeros(lead + (count, count), dtype=np.complex128)
     for w, left, x, right, y in terms:
-        lxr = (w * left)[..., None, :, :] @ slots[x] @ right[..., None, :, :]
-        total += lxr.reshape(*lxr.shape[:-2], -1) @ slots[y].conj().reshape(count, -1).T
+        lxr = _chain((w * left)[..., None, :, :], slots[x], right[..., None, :, :])
+        total += mat_mul(lxr.reshape(*lxr.shape[:-2], -1),
+                         slots[y].conj().reshape(count, -1).T)
     return total
 
 

@@ -51,8 +51,9 @@ tensors gain a leading axis of length K.  The operators contract such a
 bundle with the K points' coefficients and return one value per point;
 for a single point they return a float.  A point's bundle and operator
 values are the same, to the last bit, alone or in a stack of any size:
-the suite fields, the contractions and mat_inverse round each point
-alike wherever it sits.
+the suite fields, the contractions, mat_inverse and cmatrix.mat_mul (the
+product of a stack's matrices, used by the actions, the metric forms and
+the fields) round each point alike wherever it sits.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cmatrix import mat_inverse
+from .cmatrix import mat_inverse, mat_mul
 from .geometry import DiskPoint, UpperPoint, point_margin
 from .metrics import Chart, _realize
 
@@ -517,7 +518,7 @@ def test_field_suite(model: str, n: int, m: int, seed: int,
             return np.sum(p.y * p.y, axis=(-2, -1))
     else:
         def quad(p):
-            return _tr(p.w.conj() @ p.w).real
+            return _tr(mat_mul(p.w.conj(), p.w)).real
 
     def gauss(p):
         d = chart.point_to_vec(p)
@@ -527,11 +528,11 @@ def test_field_suite(model: str, n: int, m: int, seed: int,
     if mat_only:
         def cross(p):
             mat, _ = blocks(p)
-            return _tr(mat).real * _tr(a0 @ mat).imag
+            return _tr(mat).real * _tr(mat_mul(a0, mat)).imag
     else:
         def cross(p):
             mat, vec = blocks(p)
-            return _tr(mat).real * _tr(vec @ lam0.T).imag
+            return _tr(mat).real * _tr(mat_mul(vec, lam0.T)).imag
 
     fns = (lambda p: np.ones(p.batch), lin, quad, gauss, cross)
     return [ScalarField(name, model, fn, mat_only) for name, fn in zip(_SUITE_IDS, fns)]
@@ -549,7 +550,8 @@ _FIXED = {
         "absW2": _abs_w2,
         "absEta2": lambda p: np.sum(np.abs(p.eta) ** 2, axis=(-2, -1)),
         "reSigmaW": lambda p: _tr(p.w).real,
-        "logDetIWW": lambda p: np.log(np.linalg.det(np.eye(p.n) - p.w.conj() @ p.w).real),
+        "logDetIWW": lambda p: np.log(np.linalg.det(np.eye(p.n)
+                                                    - mat_mul(p.w.conj(), p.w)).real),
     },
     "upper": {
         "absZ2": lambda p: np.sum(np.abs(p.z) ** 2, axis=(-2, -1)),

@@ -71,6 +71,23 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_verify_unwritable_out_exits_2_before_any_check(capsys, tmp_path, monkeypatch,
+                                                        where):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran before --out was checked")
+    monkeypatch.setattr("sjgeo.cli.run_check", no_check)
+    path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, "verify", "group-laws", "--samples", "2",
+                             "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: cannot write the report to {path}: "
+                                + ("No such file or directory" if where == "missing-dir"
+                                   else "Is a directory")]
+    assert os.listdir(tmp_path) == []   # and nothing was created
+
+
 def test_verify_has_no_threads_flag(capsys):
     code, out, err = run_cli(capsys, "verify", "group-laws", "--threads", "2")
     assert code == 2
@@ -138,6 +155,14 @@ def test_eval_field_value(capsys, tmp_path):
                              "--point", point, "--field", "absEta2")
     assert code == 0
     assert float(out.strip()) == 0.0
+
+
+def test_eval_unknown_field_id_is_one_plain_line(capsys, tmp_path):
+    point = _write_origin_point(tmp_path)
+    code, out, err = run_cli(capsys, "eval", "field", "--point", point, "--field", "nope")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown field id 'nope' for model disk\n"
 
 
 def test_eval_operator(capsys, tmp_path):

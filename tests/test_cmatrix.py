@@ -8,6 +8,7 @@ from sjgeo.cmatrix import (
     hermitian_pd_margin,
     mat_from_json,
     mat_inverse,
+    mat_mul,
     mat_to_json,
     max_abs,
 )
@@ -88,6 +89,60 @@ def test_transpose_shuffle_identity(seed):
     lhs = (a @ (b @ c).T).T
     rhs = b @ (a @ c.T).T
     assert max_abs(lhs - rhs) < 1e-13 * (1 + max_abs(lhs))
+
+
+def _rel_to_matmul(a, b) -> float:
+    want = a @ b
+    return max_abs(mat_mul(a, b) - want) / max_abs(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mat_mul_square_matches_matmul(n):
+    rng = np.random.default_rng(n)
+    assert _rel_to_matmul(_rand_complex(rng, n, n), _rand_complex(rng, n, n)) < 1e-14
+
+
+def test_mat_mul_rectangular_matches_matmul():
+    rng = np.random.default_rng(4)
+    n, m = 3, 2
+    vec, sq = _rand_complex(rng, m, n), _rand_complex(rng, n, n)
+    assert _rel_to_matmul(vec, sq) < 1e-14          # m x n by n x n
+    assert _rel_to_matmul(sq, vec.mT) < 1e-14       # n x n by n x m
+    assert mat_mul(sq, vec.mT).shape == (n, m)
+
+
+def test_mat_mul_broadcasts_one_matrix_against_a_stack():
+    rng = np.random.default_rng(5)
+    one = _rand_complex(rng, 3, 3)
+    stack = np.stack([_rand_complex(rng, 3, 3) for _ in range(7)])
+    assert mat_mul(one, stack).shape == mat_mul(stack, one).shape == (7, 3, 3)
+    assert _rel_to_matmul(one, stack) < 1e-14
+    assert _rel_to_matmul(stack, one) < 1e-14
+
+
+def test_mat_mul_real_times_complex():
+    rng = np.random.default_rng(6)
+    real = rng.uniform(-1, 1, (2, 3))
+    cplx = _rand_complex(rng, 3, 3)
+    assert mat_mul(real, cplx).dtype == np.complex128
+    assert _rel_to_matmul(real, cplx) < 1e-14
+    assert _rel_to_matmul(cplx, real.T) < 1e-14
+
+
+def test_mat_mul_rejects_mismatched_inner_sizes():
+    with pytest.raises(ValueError, match="inner sizes"):
+        mat_mul(np.ones((2, 3)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 17, 1153])
+def test_mat_mul_member_of_a_stack_is_its_product_alone(size):
+    rng = np.random.default_rng(size)
+    a = rng.uniform(-1, 1, (size, 3, 3)) + 1j * rng.uniform(-1, 1, (size, 3, 3))
+    b = rng.uniform(-1, 1, (size, 3, 2)) + 1j * rng.uniform(-1, 1, (size, 3, 2))
+    stacked = mat_mul(a, b)
+    for k in {0, size // 2, size - 1}:
+        assert np.array_equal(stacked[k], mat_mul(a[k], b[k]))
+        assert np.array_equal(stacked[k], mat_mul(a[k: k + 1], b[k: k + 1])[0])
 
 
 def test_hermitian_pd():

@@ -1,0 +1,51 @@
+import copy
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "reference_reports.py"
+
+
+@pytest.fixture(scope="module")
+def script():
+    spec = importlib.util.spec_from_file_location("reference_reports", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reports(script):
+    # reduce-n1m1 reports n = m = 1 whatever cell it was asked at
+    return [{"check": c, "n": 1 if c == "reduce-n1m1" else n,
+             "m": 1 if c == "reduce-n1m1" else m, "seed": s,
+             "max_rel": 1e-12, "tol": 1e-9, "pass": True}
+            for c, n, m, s in script._runs()]
+
+
+def test_compare_lists_each_differing_report_and_sums_up(script):
+    old = _reports(script)
+    new = copy.deepcopy(old)
+    lines, failed = script.compare(old, new)
+    assert not failed and lines[0].startswith(f"0 of {len(old)} reports differ")
+    k = next(i for i, r in enumerate(new) if r["check"] == "reduce-n1m1" and r["seed"] == 7)
+    new[k + 2]["max_rel"] = 1e-11   # the next cell's seed-7 report
+    lines, failed = script.compare(old, new)
+    assert not failed
+    cell = script.CELLS[1]
+    assert lines[0] == (f"reduce-n1m1 n={cell[0]} m={cell[1]} seed=7: "
+                        f"max_rel 1.000e-12 -> 1.000e-11 (+1.00 dec), pass True -> True")
+    assert lines[1].startswith(f"1 of {len(old)} reports differ, 0 pass/fail flipped; "
+                               f"largest max_rel rise +1.00 dec")
+    assert lines[1].endswith("min headroom 3.0000 -> 2.0000")
+
+
+def test_compare_fails_on_a_flip_or_a_different_layout(script):
+    old = _reports(script)
+    new = copy.deepcopy(old)
+    new[0].update(max_rel=1.0, **{"pass": False})
+    lines, failed = script.compare(old, new)
+    assert failed and lines[0].endswith("pass True -> False  FLIPPED")
+    assert "1 pass/fail flipped" in lines[-1]
+    lines, failed = script.compare(old[1:], old[1:])
+    assert failed and len(lines) == 1
