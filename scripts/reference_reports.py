@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Write the 136 reference reports, for comparing two commits byte by byte.
+"""Write the 130 reference reports, for comparing two commits byte by byte.
 
 Every check runs at (n, m) = (1, 1), (2, 1), (2, 2) and (3, 2), with seeds
 42 and 7, 50 samples (8 for the checks that build second-order stencils)
-and unit weights.  The reports go to one JSON file with sorted keys and
+and unit weights; a check defined at one cell only (reduce-n1m1, at
+(1, 1)) runs there once per seed.  So each report has its own
+(check, n, m, seed).  The reports go to one JSON file with sorted keys and
 without the timing field ``ms``, so two commits that compute the same
 reports write the same bytes:
 
     PYTHONPATH=src python scripts/reference_reports.py --out new.json
     cmp old.json new.json
 
-``--compare OLD.json`` computes the reports and prints one line per report
-that differs from OLD.json's (check, n, m, seed, max_rel and pass before
-and after), then a one-line summary; the exit code is 1 when a report's
-pass/fail result flipped, or when OLD.json does not hold the same runs:
+``--compare OLD.json`` computes the reports, pairs them with OLD.json's by
+(check, n, m, seed) and prints one line per report that differs (its key,
+max_rel and pass before and after), then a one-line summary; the exit code
+is 1 when a report's pass/fail result flipped, or when OLD.json does not
+hold the same runs:
 
     PYTHONPATH=src python scripts/reference_reports.py --compare old.json
 """
@@ -32,10 +35,16 @@ SAMPLES = 50
 STENCIL_SAMPLES = 8
 
 
+def _cells(name: str) -> list:
+    """The cells a check runs at: its own cell, when it has one."""
+    cell = verify._CHECKS[name].cell
+    return [cell] if cell else CELLS
+
+
 def _runs() -> list:
     """(check, n, m, seed) of every reference report, in the file's order."""
     return [(name, n, m, seed) for name in verify.CHECK_NAMES
-            for n, m in CELLS for seed in SEEDS]
+            for n, m in _cells(name) for seed in SEEDS]
 
 
 def reference_reports() -> list:
@@ -62,23 +71,25 @@ def _headroom(rep: dict) -> float:
     return math.inf if not rep["max_rel"] else math.log10(rep["tol"] / rep["max_rel"])
 
 
+def _key(rep: dict) -> tuple:
+    return rep["check"], rep["n"], rep["m"], rep["seed"]
+
+
 def compare(old: list, new: list) -> tuple[list[str], bool]:
     """One line per report that differs, a summary line last, and whether
     the comparison failed: a flipped pass/fail result, or files that do not
-    hold the same runs in the same order.
-
-    Reports are paired by position and labelled with the cell they were
-    asked at (``reduce-n1m1`` labels its reports n = m = 1 at every cell).
+    hold the same runs.  Reports are paired by (check, n, m, seed).
     """
-    runs = _runs()
-    if [(r["check"], r["seed"]) for r in old] != [(c, s) for c, _, _, s in runs]:
-        return [f"the old file does not hold the {len(runs)} reference runs "
-                f"in this script's order"], True
+    before = {_key(rep): rep for rep in old}
+    if len(before) != len(old) or set(before) != {_key(rep) for rep in new}:
+        return [f"the old file does not hold the {len(new)} runs of the new one, "
+                f"one report each"], True
     lines, flips, rise = [], 0, (-math.inf, None)
-    for run, b, a in zip(runs, old, new):
+    for a in new:
+        b = before[_key(a)]
         if a == b:
             continue
-        label = "{} n={} m={} seed={}".format(*run)
+        label = "{} n={} m={} seed={}".format(*_key(a))
         flipped = a["pass"] != b["pass"]
         flips += flipped
         change = _decades(b["max_rel"], a["max_rel"])

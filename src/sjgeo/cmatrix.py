@@ -4,15 +4,18 @@ Small, self-contained helpers for the matrix sizes this library actually
 meets (everything is <= 10x10): the product of small matrices or of
 stacks of them (mat_mul: the actions, the metric forms and the fields
 multiply a stack of stencil nodes or oracle points with it, not with one
-BLAS call per matrix), inversion with an explicit pivot guard,
-block assembly, the Hermitian positive-definite margin, the max-norm and
-the symmetry defect, each of one matrix or of every matrix of a stack,
-the seeded draws every random_* builds on (one generator per seed for
-the raw draws; the arithmetic runs on the stack), and the JSON wire
-format shared by all higher layers.  Backed by numpy
-alone, with one algorithm per operation for one matrix and for a stack;
-the contracts (shapes, error conditions, tolerances) are what the rest
-of the library relies on.
+BLAS call per matrix), inversion with an explicit pivot guard
+(mat_inverse: Gauss-Jordan on one (n, 2n, K) working array with the
+stack axis last and contiguous, so each row operation is one contiguous
+pass over a stack of K stencil nodes), block assembly, the Hermitian
+positive-definite margin, the max-norm and the symmetry defect, each of
+one matrix or of every matrix of a stack, the seeded draws every
+random_* builds on (one generator per seed for the raw draws; the
+arithmetic runs on the stack), and the JSON wire format shared by all
+higher layers.  Backed by numpy alone, with one algorithm per operation
+for one matrix and for a stack, so a matrix gets the same bits alone or
+in any stack; the contracts (shapes, error conditions, tolerances) are
+what the rest of the library relies on.
 """
 
 from __future__ import annotations
@@ -62,7 +65,10 @@ def frozen(a, dtype, shape: tuple | None = None) -> np.ndarray:
 
     An array that is already read-only, of ``dtype`` and owns its data is
     taken as it is, without a copy (stacked points can be large); any
-    other input is copied, so a caller's array never changes flags.
+    other input is copied, so a caller's array never changes flags.  The
+    library's own producers (the chart's unpacking, act_upper, act_disk)
+    mark the arrays they have just made, and alone hold, read-only before
+    they hand them over, so a fresh point is built without a second copy.
     """
     if not (isinstance(a, np.ndarray) and a.dtype == dtype
             and a.flags.owndata and not a.flags.writeable):
@@ -166,12 +172,18 @@ def mat_inverse(m: np.ndarray) -> np.ndarray:
     """Invert a square matrix, or each matrix of a (K, n, n) stack, by
     Gauss-Jordan elimination with partial pivoting.
 
-    One matrix is inverted as a stack of one, so a matrix gets the same
-    inverse, to the last bit, alone or in a stack of any size.  Pivots are
-    chosen by |Re| + |Im|.  Raises SingularMatrix when the smallest pivot
-    of a matrix falls below PIVOT_RTOL times that matrix's largest entry,
-    and when an entry is not finite; callers treat that as "the point or
-    group element is outside its domain".
+    The elimination runs on one (n, 2n, K) working array, [m | I] with the
+    stack axis last and contiguous, so each row operation is one pass over
+    contiguous memory for the whole stack.  Step k updates only columns
+    k + 1 onward, the only ones a later step reads, and swaps rows under
+    a mask per candidate row.  One matrix is inverted as a stack of one,
+    and every entry sees the same operations in the same order wherever
+    its matrix sits, so a matrix gets the same inverse, to the last bit,
+    alone or in a stack of any size.  Pivots are chosen by |Re| + |Im|.
+    Raises SingularMatrix when the smallest pivot of a matrix falls below
+    PIVOT_RTOL times that matrix's largest entry, and when an entry is not
+    finite; callers treat that as "the point or group element is outside
+    its domain".
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
@@ -179,40 +191,45 @@ def mat_inverse(m: np.ndarray) -> np.ndarray:
                          f"got {m.shape}")
     n = m.shape[-1]
     stack = m.reshape(-1, n, n)
-    scale = np.max(np.abs(stack), axis=(-2, -1))
+    k_count = len(stack)
+    aug = np.zeros((n, 2 * n, k_count), dtype=np.complex128)
+    aug[:, :n] = stack.transpose(1, 2, 0)
+    scale = np.max(np.abs(aug[:, :n]), axis=(0, 1))
     if np.any(scale == 0.0):
         raise SingularMatrix("zero matrix")
     if not np.all(np.isfinite(scale)):
         raise SingularMatrix("matrix entry is not finite")
-    k_count = len(stack)
-    aug = np.zeros((k_count, n, 2 * n), dtype=np.complex128)
-    aug[:, :, :n] = stack
-    aug[:, np.arange(n), n + np.arange(n)] = 1.0
-    rows = np.arange(k_count)
-    pivots = np.empty((k_count, n))
+    aug[np.arange(n), n + np.arange(n)] = 1.0
+    pivots = np.empty((n, k_count))
     for k in range(n):
-        col = aug[:, k:, k]
-        r = k + np.argmax(np.abs(col.real) + np.abs(col.imag), axis=1)
-        if np.any(r != k):   # row swaps; often none in a small stack
-            top = aug[rows, k].copy()
-            aug[rows, k] = aug[rows, r]
-            aug[rows, r] = top
-        p = aug[:, k, k].copy()
-        pivots[:, k] = np.abs(p)
+        last = k == n - 1   # no row below the pivot: no search, no swap
+        if not last:
+            col = aug[k:, k]
+            r = k + np.argmax(np.abs(col.real) + np.abs(col.imag), axis=0)
+            for i in range(k + 1, n):   # swap rows k and i where row i holds the pivot
+                swap = r == i
+                if swap.any():
+                    top = aug[k, k:].copy()
+                    np.copyto(aug[k, k:], aug[i, k:], where=swap)
+                    np.copyto(aug[i, k:], top, where=swap)
+        p = aug[k, k]
+        pivots[k] = np.abs(p)
         # A zero pivot fails the guard below; dividing by 1 keeps the rest finite.
-        aug[:, k] /= np.where(p == 0.0, 1.0, p)[:, None]
-        # Row by row, so the temporaries stay one row of the stack in size.
-        for i in range(n):
-            if i != k:
-                aug[:, i] -= aug[:, i, k, None] * aug[:, k]
-    low = pivots.min(axis=-1)
+        aug[k, k + 1:] /= np.where(p == 0.0, 1.0, p)
+        # The rows above and below the pivot.  Column k is not written, so
+        # the multipliers stay as they were.
+        if k:
+            aug[:k, k + 1:] -= aug[:k, k, None] * aug[k, k + 1:]
+        if not last:
+            aug[k + 1:, k + 1:] -= aug[k + 1:, k, None] * aug[k, k + 1:]
+    low = pivots.min(axis=0)
     # written so that a NaN pivot (an overflow in the elimination) fails too
     failed = ~(low >= PIVOT_RTOL * scale)
     worst = np.argmax(failed)
     if failed[worst]:
         raise SingularMatrix(f"pivot {low[worst]:.3e} below {PIVOT_RTOL:.0e} "
                              f"* {scale[worst]:.3e}")
-    return np.ascontiguousarray(aug[:, :, n:]).reshape(m.shape)
+    return np.ascontiguousarray(aug[:, n:].transpose(2, 0, 1)).reshape(m.shape)
 
 
 def hermitian_pd_margin(m: np.ndarray):

@@ -203,6 +203,7 @@ def act_upper(g: JacobiElement, p: UpperPoint) -> UpperPoint:
     omega = _symmetrized(mat_mul(mat_mul(g.sp.a, p.omega) + g.sp.b, denom_inv),
                          "siegel action")
     z = mat_mul(p.z + mat_mul(g.h.lam, p.omega) + g.h.mu, denom_inv)
+    omega.flags.writeable = z.flags.writeable = False   # new: the point takes them as they are
     return UpperPoint(omega, z)
 
 
@@ -218,6 +219,7 @@ def act_disk(g: JacobiStarElement, p: DiskPoint) -> DiskPoint:
     denom_inv = mat_inverse(mat_mul(g.g.q.conj(), p.w) + g.g.p.conj())
     w = _symmetrized(mat_mul(mat_mul(g.g.p, p.w) + g.g.q, denom_inv), "disk action")
     eta = mat_mul(p.eta + mat_mul(g.xi, p.w) + g.xi.conj(), denom_inv)
+    w.flags.writeable = eta.flags.writeable = False   # new: the point takes them as they are
     return DiskPoint(w, eta)
 
 

@@ -25,12 +25,11 @@ off-diagonal symmetric entries set both mirrored matrix entries to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
 from .cmatrix import (
-    frozen,
     mat_from_json,
     mat_inverse,
     mat_max_abs,
@@ -45,6 +44,7 @@ __all__ = [
     "Tangent",
     "MetricParams",
     "Chart",
+    "chart_of",
     "q_siegel",
     "q_upper",
     "q_disk_n",
@@ -108,7 +108,9 @@ class Chart:
     """Canonical real chart of either model (optionally the matrix part only).
 
     Points and tangents share one packing; the unpacking methods also take
-    a (K, dim) array of coordinate rows and return K stacked points.
+    a (K, dim) array of coordinate rows and return K stacked points.  A
+    chart's index arrays are read-only, so one chart serves every caller:
+    the library takes its charts from chart_of, which builds each once.
     """
 
     def __init__(self, model: str, n: int, m: int, include_vec: bool = True):
@@ -151,6 +153,9 @@ class Chart:
             for k in range(m):
                 for l in range(n):
                     self.vec_entry_slots[l, k] = self.n_mat_slots + k * n + l
+        for index in vars(self).values():
+            if isinstance(index, np.ndarray):
+                index.flags.writeable = False
 
     # -- packing shared by points and tangents -------------------------
 
@@ -179,6 +184,9 @@ class Chart:
             off = 2 * ns
             vec.real = v[..., off: off + nv].reshape(vec.shape)
             vec.imag = v[..., off + nv:].reshape(vec.shape)
+        # new arrays that nothing else holds: a point or tangent takes them
+        # as they are (cmatrix.frozen), without a copy
+        mat.flags.writeable = vec.flags.writeable = False
         return mat, vec
 
     # -- points --------------------------------------------------------
@@ -423,11 +431,20 @@ def metric_tensor(p, params: MetricParams, kind: str | None = None) -> np.ndarra
     g[..., y[:, None], y] = same
     g[..., x[:, None], y] = cross
     g[..., y[:, None], x] = cross.mT
-    return frozen(g, np.float64)
+    g.flags.writeable = False
+    return g
+
+
+@cache
+def chart_of(model: str, n: int, m: int, include_vec: bool = True) -> Chart:
+    """The chart of (model, n, m, include_vec), built on the first call and
+    shared by every later one."""
+    return Chart(model, n, m, include_vec)
 
 
 def chart_for(p, kind: str | None = None) -> Chart:
-    return Chart(p.model, p.n, p.m, include_vec=kind not in ("siegel", "diskn"))
+    """The chart of the form ``kind`` (default: the point's model) at p."""
+    return chart_of(p.model, p.n, p.m, kind not in ("siegel", "diskn"))
 
 
 def evaluate_form(kind: str, p, t: Tangent, params: MetricParams):

@@ -59,13 +59,14 @@ the fields) round each point alike wherever it sits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .cmatrix import mat_inverse, mat_mul
 from .geometry import DiskPoint, UpperPoint, point_margin
-from .metrics import Chart, _realize
+from .metrics import Chart, _realize, chart_of
 
 __all__ = [
     "DomainMargin",
@@ -159,7 +160,7 @@ def _field_at_nodes(f, chart: Chart, nodes: np.ndarray) -> np.ndarray:
     """Values of f at the rows of a (N, dim) array of chart coordinates,
     from one call of f on the N stacked points."""
     points = chart.vec_to_point(nodes)
-    del nodes   # callers pass a temporary: free it before the field runs
+    del nodes   # a temporary the caller passed is freed before the field runs
     name = getattr(f, "name", getattr(f, "__name__", type(f).__name__))
     return _one_per_point(f(points), points, name)
 
@@ -180,24 +181,45 @@ def _grad_real(f, chart: Chart, v0: np.ndarray, h) -> np.ndarray:
     return (vals[0] - vals[1]) / (2.0 * h[..., 0])
 
 
+@cache
+def _hess_offsets(d: int) -> tuple:
+    """The node offsets of _hess_real in units of the step, one read-only
+    (1 + 2d + 2d(d-1), d) table per chart dimension d, and the (i, j),
+    i < j, of its mixed rows.
+
+    The rows are the centre, +-2 e_i, then e_i + e_j, e_i - e_j,
+    -(e_i - e_j) and -(e_i + e_j) for i < j.  Every entry is 0, +-1 or +-2,
+    so h * offset is exact, and a zero offset of a subtracted node is -0.0
+    (the centre's too): c + h * offset is, to the last bit and the sign of
+    zero, c - h * e for a subtracted node and c itself at the centre.
+    """
+    e = np.eye(d)
+    iu, ju = np.triu_indices(d, 1)
+    both = e[iu] + e[ju]
+    skew = e[iu] - e[ju]
+    table = np.concatenate([np.full((1, d), -0.0), 2.0 * e, -(2.0 * e),
+                            both, skew, -skew, -both])
+    for a in (table, iu, ju):
+        a.flags.writeable = False
+    return table, iu, ju
+
+
 def _hess_real(f, chart: Chart, v0: np.ndarray, h) -> np.ndarray:
     """Nested central differences; mixed entries reduce to the 4-point stencil.
 
     At each row of v0, shape (..., dim), with the matching step of h
     (shape v0.shape[:-1]), the nodes are the centre, v0 +- 2h e_i, and
-    v0 +- h e_i +- h e_j for i < j; the nodes of all rows are evaluated
-    in one _field_at_nodes call.
+    v0 +- h e_i +- h e_j for i < j: c + h * offsets, with the chart
+    dimension's offset table (_hess_offsets), built in place as one array,
+    the only one of its size.  The nodes of all rows are evaluated in one
+    _field_at_nodes call.
     """
     d = chart.dim
-    e = np.eye(d)
-    iu, ju = np.triu_indices(d, 1)
-    both = e[iu] + e[ju]
-    skew = e[iu] - e[ju]
+    offsets, iu, ju = _hess_offsets(d)
     h = np.asarray(h, dtype=np.float64)[..., None, None]
-    c = v0[..., None, :]
-    vals = _field_at_nodes(f, chart, np.concatenate([
-        c, c + 2.0 * h * e, c - 2.0 * h * e,
-        c + h * both, c + h * skew, c - h * skew, c - h * both], axis=-2).reshape(-1, d))
+    nodes = h * offsets
+    nodes += v0[..., None, :]
+    vals = _field_at_nodes(f, chart, nodes.reshape(-1, d))
     vals = vals.reshape(v0.shape[:-1] + (-1,))
     f0, fp, fm = vals[..., :1], vals[..., 1: 1 + d], vals[..., 1 + d: 1 + 2 * d]
     corners = vals[..., 1 + 2 * d:].reshape(v0.shape[:-1] + (4, -1))
@@ -231,7 +253,7 @@ def second_bundle(f, p, mat_only: bool | None = None) -> SecondBundle:
     """
     if mat_only is None:
         mat_only = getattr(f, "mat_only", False)
-    chart = Chart(p.model, p.n, p.m, include_vec=not mat_only)
+    chart = chart_of(p.model, p.n, p.m, not mat_only)
     h = np.asarray(default_step(p, chart, order=2))
     _require_margin(p, 4.0 * h)
     v0 = chart.point_to_vec(p)
@@ -496,7 +518,7 @@ def test_field_suite(model: str, n: int, m: int, seed: int,
     if model not in ("upper", "disk"):
         raise ValueError(f"unknown model {model!r}")
     rng = np.random.default_rng(seed)
-    chart = Chart(model, n, m, include_vec=not mat_only)
+    chart = chart_of(model, n, m, not mat_only)
     coeff = rng.uniform(-1.0, 1.0, chart.dim)
     center = rng.uniform(-0.5, 0.5, chart.dim)
     lam0 = rng.uniform(-1.0, 1.0, (m, n))

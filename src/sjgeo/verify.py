@@ -84,10 +84,10 @@ from .groups import (
     tstar,
 )
 from .metrics import (
-    Chart,
     MetricParams,
     Tangent,
     chart_for,
+    chart_of,
     metric_tensor,
     q_disk,
     q_disk_closed_11,
@@ -224,7 +224,7 @@ def laplace_beltrami(f, p, metric):
     steps: the tensors at all K points and their flux points come from one
     metric call, and the gradient stencils from one field call.
     """
-    chart = Chart(p.model, p.n, p.m, include_vec=not getattr(f, "mat_only", False))
+    chart = chart_of(p.model, p.n, p.m, not getattr(f, "mat_only", False))
     d = chart.dim
     # Smaller than the generic nested step: the outer derivative acts on
     # the smooth metric field, where round-off is negligible and the
@@ -771,12 +771,10 @@ def _invariance_sample(n, m, master, idx, parts) -> _Stack:
 
     def accept(draws):
         qu, qd = draws[4:]
-        cu = Chart("upper", n, m)
-        cd = Chart("disk", n, m)
         return ((point_margin(qu) >= _MIN_MARGIN_NESTED)
                 & (point_margin(qd) >= _MIN_MARGIN_NESTED)
-                & (cu.point_scale(qu) <= _MAX_SCALE_NESTED)
-                & (cd.point_scale(qd) <= _MAX_SCALE_NESTED))
+                & (chart_for(qu).point_scale(qu) <= _MAX_SCALE_NESTED)
+                & (chart_for(qd).point_scale(qd) <= _MAX_SCALE_NESTED))
 
     def sampler(j, sub):
         out = _Stack(sub)
@@ -861,7 +859,7 @@ class _CheckDef:
         """Samples per sampler call at (n, m)."""
         if not self.stencil:
             return _STACK
-        dim = Chart("upper", n, m).dim
+        dim = chart_of("upper", n, m, True).dim
         return max(1, _STENCIL_COORDS // (4 * dim ** 3))
 
 

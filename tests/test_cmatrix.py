@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,3 +166,64 @@ def test_json_roundtrip():
 def test_json_rejects_bad_count():
     with pytest.raises(ValueError):
         mat_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
+
+
+# ---------------------------------------------------------------------------
+# The bits of mat_inverse, pinned: a reordered elimination or a change of
+# layout that moves a bit shows here even where a matrix alone and in a
+# stack still agree with each other.
+
+
+def _inverse_stack(n: int) -> np.ndarray:
+    """Every row permutation of three random matrices (12 random row
+    permutations of each at n = 5), so at n = 3 every pattern of row swaps
+    occurs at every step."""
+    rng = np.random.default_rng(50 + n)
+    bases = [_rand_complex(rng, n, n) for _ in range(3)]
+    perms = (list(itertools.permutations(range(n))) if n <= 3
+             else [rng.permutation(n) for _ in range(12)])
+    return np.stack([b[list(perm)] for b in bases for perm in perms])
+
+
+def _bits(x: np.ndarray) -> str:
+    return hashlib.blake2b(np.ascontiguousarray(x).tobytes(), digest_size=16).hexdigest()
+
+
+# blake2b of mat_inverse(_inverse_stack(n)), computed before the elimination
+# moved to its (n, 2n, K) working array
+INVERSE_DIGESTS = {
+    1: "32f5ed4bf687b5c43743e93f174cb88f",
+    2: "1b9208ed6ccd42f6501639fbebfb6efd",
+    3: "d0d26e2f4fbd3f7266a6752415593ff7",
+    5: "15c92dfce64c1913d522bec19a7b61ec",
+}
+
+
+@pytest.mark.parametrize("n", sorted(INVERSE_DIGESTS))
+def test_inverse_bits_are_pinned_alone_and_in_the_stack(n):
+    stack = _inverse_stack(n)
+    inv = mat_inverse(stack)
+    assert _bits(inv) == INVERSE_DIGESTS[n]
+    for k, one in enumerate(stack):
+        assert mat_inverse(one).tobytes() == inv[k].tobytes()
+
+
+def test_inverse_stack_holds_every_row_permutation():
+    stack = _inverse_stack(3)
+    for start in range(0, len(stack), 6):
+        base = stack[start]
+        assert ({bytes(m) for m in stack[start: start + 6]}
+                == {bytes(base[list(perm)]) for perm in itertools.permutations(range(3))})
+
+
+@pytest.mark.parametrize("m,message", [
+    (np.array([[1.0, 2.0], [2.0, 4.0]]), "pivot 0.000e+00 below 1e-12 * 4.000e+00"),
+    (np.zeros((2, 2)), "zero matrix"),
+    (np.full((1, 2, 2), np.nan + 0j), "matrix entry is not finite"),
+    (np.array([np.eye(2), [[1.0, np.nan], [0.0, 1.0]], np.eye(2)]),
+     "matrix entry is not finite"),
+])
+def test_singular_messages(m, message):
+    with pytest.raises(SingularMatrix) as info:
+        mat_inverse(m)
+    assert str(info.value) == message

@@ -4,6 +4,7 @@ import pytest
 from sjgeo import geometry as geo
 from sjgeo import groups as G
 from sjgeo.cmatrix import PIVOT_RTOL, SingularMatrix, mat_inverse, max_abs
+from sjgeo.metrics import Chart
 
 
 def _pt_flat(p):
@@ -148,3 +149,36 @@ def test_point_json_roundtrip():
         p = geo.random_point(model, 2, 1, 4)
         back = geo.point_from_json(geo.point_to_json(p))
         assert _rel(back, p) == 0.0
+
+
+def _blocks(p):
+    return (p.omega, p.z) if isinstance(p, geo.UpperPoint) else (p.w, p.eta)
+
+
+@pytest.mark.parametrize("model", ["upper", "disk"])
+def test_fresh_points_are_read_only_and_own_their_blocks(model):
+    # the chart and the actions hand their new arrays to the point, which
+    # takes them without a copy; they share no memory with the inputs
+    chart = Chart(model, 2, 1)
+    p = geo.random_point(model, 2, 1, np.arange(3))
+    v = chart.point_to_vec(p)
+    g = G.random_jacobi(2, 1, np.arange(3))
+    if model == "upper":
+        moved, inputs = geo.act_upper(g, p), (p.omega, p.z, g.sp.a, g.h.lam)
+    else:
+        s = G.theta_map(g)
+        moved, inputs = geo.act_disk(s, p), (p.w, p.eta, s.g.p, s.xi)
+    for q, sources in ((chart.vec_to_point(v), (v,)), (moved, inputs)):
+        for block in _blocks(q):
+            assert not block.flags.writeable
+            assert not any(np.shares_memory(block, src) for src in sources)
+
+
+@pytest.mark.parametrize("point", [geo.UpperPoint, geo.DiskPoint])
+def test_points_copy_a_callers_writable_arrays(point):
+    mat = np.array([[0.1 + 0.5j, 0.0], [0.0, 0.2 + 0.5j]])
+    vec = np.array([[0.3 + 0.1j, 0.4]])
+    p = point(mat, vec)
+    for block, src in zip(_blocks(p), (mat, vec)):
+        assert not block.flags.writeable and not np.shares_memory(block, src)
+    assert mat.flags.writeable and vec.flags.writeable

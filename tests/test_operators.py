@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from sjgeo import geometry as geo
 from sjgeo import operators as op
-from sjgeo.metrics import MetricParams
+from sjgeo.metrics import MetricParams, metric_tensor
+from sjgeo.verify import laplace_beltrami
 
 UNIT = MetricParams(1.0, 1.0)
 
@@ -138,3 +141,55 @@ def test_field_suite_properties():
     with pytest.raises(KeyError):
         op.named_field("disk", 1, 1, "no-such-field", 0)
     assert "absW2" in op.field_registry_ids("disk")
+
+
+# ---------------------------------------------------------------------------
+# The bits of the stencil path, pinned: blake2b of the four tensors of
+# second_bundle and of the flux-form oracle, for the gauss and cross fields
+# at a stack of three points, computed before the node-offset table and the
+# cached charts.  A node that moved a bit changes these digests.
+
+BUNDLE_DIGESTS = {
+    ("upper", 1, 1, False): ("9628fb67f107da4cd15e903679ada104",
+                            "68a2b2cafaaa69c7f05eefda0c6c71c9"),
+    ("upper", 1, 1, True): ("556c967c010d583987a1864385e5839e",
+                           "86dd251765719dca72ec53522b314322"),
+    ("upper", 2, 1, False): ("ce4ec6bb3233b0e9a39ef9cd3fd5bbae",
+                            "fd9390974f9b9d504fd7162982057922"),
+    ("upper", 2, 1, True): ("e7cd80feb21ee264be6a1e593fedbf91",
+                           "fe2b69e47bd601ff9ba4c8c01d672b9d"),
+    ("upper", 3, 2, False): ("a626429c138d7e77c16a1ee31fadc209",
+                            "043aa52fba1430a1fa1a9394c22a74c8"),
+    ("upper", 3, 2, True): ("b2a2261fb0ed1240c402ab1811bdffef",
+                           "dfc85bf583d39cdf8e00ff7360019dbc"),
+    ("disk", 1, 1, False): ("8c430e534307fd06631b9ac5e30f175d",
+                           "c9df590aa5f5abd5a9cd5c1f6147960f"),
+    ("disk", 1, 1, True): ("a81fd3abded4dd997e5f205bf6b736fd",
+                          "5aa017e6112cf77bcb2b0a1662c9b060"),
+    ("disk", 2, 1, False): ("f6c15a0d4fccae3e6ca858d5e227704e",
+                           "f42d9d3c251155c152c422c098f64f6e"),
+    ("disk", 2, 1, True): ("6dad0ed95223f4d51111decd5b68b213",
+                          "119d1e79814cbdce9f470c6d56cb5d47"),
+    ("disk", 3, 2, False): ("ca014fcc3ee025166102b4ae8e39ea80",
+                           "858d28c17a10bfa49b2b8fc5f09e043c"),
+    ("disk", 3, 2, True): ("c0bcd4df8447a64ba4c2152d30071c3f",
+                          "6a0c6c66532d243409ed7546a54794bd"),
+}
+
+
+def _stencil_bits(model, n, m, mat_only) -> tuple:
+    kind = {"upper": "siegel", "disk": "diskn"}[model] if mat_only else model
+    p = geo.random_point(model, n, m, np.arange(3))
+    bundle, oracle = hashlib.blake2b(digest_size=16), hashlib.blake2b(digest_size=16)
+    for f in op.test_field_suite(model, n, m, 5, mat_only=mat_only)[3:]:
+        sb = op.second_bundle(f, p)
+        for tensor in (sb.mat_mat, sb.vec_vec, sb.mat_vec, sb.vec_mat):
+            bundle.update(b"-" if tensor is None else np.ascontiguousarray(tensor).tobytes())
+        lb = laplace_beltrami(f, p, lambda q: metric_tensor(q, UNIT, kind))
+        oracle.update(np.ascontiguousarray(lb).tobytes())
+    return bundle.hexdigest(), oracle.hexdigest()
+
+
+@pytest.mark.parametrize("model,n,m,mat_only", list(BUNDLE_DIGESTS))
+def test_stencil_bits_are_pinned(model, n, m, mat_only):
+    assert _stencil_bits(model, n, m, mat_only) == BUNDLE_DIGESTS[model, n, m, mat_only]

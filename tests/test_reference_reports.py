@@ -16,11 +16,16 @@ def script():
 
 
 def _reports(script):
-    # reduce-n1m1 reports n = m = 1 whatever cell it was asked at
-    return [{"check": c, "n": 1 if c == "reduce-n1m1" else n,
-             "m": 1 if c == "reduce-n1m1" else m, "seed": s,
+    return [{"check": c, "n": n, "m": m, "seed": s,
              "max_rel": 1e-12, "tol": 1e-9, "pass": True}
             for c, n, m, s in script._runs()]
+
+
+def test_runs_have_unique_keys_and_a_one_cell_check_runs_once_per_seed(script):
+    runs = script._runs()
+    assert len(runs) == len(set(runs)) == 130
+    assert [r for r in runs if r[0] == "reduce-n1m1"] == [
+        ("reduce-n1m1", 1, 1, seed) for seed in script.SEEDS]
 
 
 def test_compare_lists_each_differing_report_and_sums_up(script):
@@ -29,12 +34,11 @@ def test_compare_lists_each_differing_report_and_sums_up(script):
     lines, failed = script.compare(old, new)
     assert not failed and lines[0].startswith(f"0 of {len(old)} reports differ")
     k = next(i for i, r in enumerate(new) if r["check"] == "reduce-n1m1" and r["seed"] == 7)
-    new[k + 2]["max_rel"] = 1e-11   # the next cell's seed-7 report
-    lines, failed = script.compare(old, new)
+    new[k]["max_rel"] = 1e-11
+    lines, failed = script.compare(old[::-1], new)   # the order of the old file is free
     assert not failed
-    cell = script.CELLS[1]
-    assert lines[0] == (f"reduce-n1m1 n={cell[0]} m={cell[1]} seed=7: "
-                        f"max_rel 1.000e-12 -> 1.000e-11 (+1.00 dec), pass True -> True")
+    assert lines[0] == ("reduce-n1m1 n=1 m=1 seed=7: "
+                        "max_rel 1.000e-12 -> 1.000e-11 (+1.00 dec), pass True -> True")
     assert lines[1].startswith(f"1 of {len(old)} reports differ, 0 pass/fail flipped; "
                                f"largest max_rel rise +1.00 dec")
     assert lines[1].endswith("min headroom 3.0000 -> 2.0000")
@@ -47,5 +51,7 @@ def test_compare_fails_on_a_flip_or_a_different_layout(script):
     lines, failed = script.compare(old, new)
     assert failed and lines[0].endswith("pass True -> False  FLIPPED")
     assert "1 pass/fail flipped" in lines[-1]
-    lines, failed = script.compare(old[1:], old[1:])
+    lines, failed = script.compare(old[1:], old)   # a run missing
+    assert failed and len(lines) == 1
+    lines, failed = script.compare(old + old[:1], old)   # a run twice
     assert failed and len(lines) == 1
