@@ -2,20 +2,28 @@
 
 Small, self-contained helpers for the matrix sizes this library actually
 meets (everything is <= 10x10): the product of small matrices or of
-stacks of them (mat_mul: the actions, the metric forms and the fields
-multiply a stack of stencil nodes or oracle points with it, not with one
-BLAS call per matrix), inversion with an explicit pivot guard
-(mat_inverse: Gauss-Jordan on one (n, 2n, K) working array with the
-stack axis last and contiguous, so each row operation is one contiguous
-pass over a stack of K stencil nodes), block assembly, the Hermitian
-positive-definite margin, the max-norm and the symmetry defect, each of
-one matrix or of every matrix of a stack, the seeded draws every
-random_* builds on (one generator per seed for the raw draws; the
-arithmetic runs on the stack), and the JSON wire format shared by all
-higher layers.  Backed by numpy alone, with one algorithm per operation
-for one matrix and for a stack, so a matrix gets the same bits alone or
-in any stack; the contracts (shapes, error conditions, tolerances) are
-what the rest of the library relies on.
+stacks of them (mat_mul: the metric forms and the fields multiply a
+stack of stencil nodes or oracle points with it, not with one BLAS call
+per matrix), inversion with an explicit pivot guard (mat_inverse), block
+assembly, the Hermitian positive-definite margin, the max-norm and the
+symmetry defect, each of one matrix or of every matrix of a stack, the
+seeded draws every random_* builds on (one generator per seed for the
+raw draws; the arithmetic runs on the stack), and the JSON wire format
+shared by all higher layers.
+
+A private stack-last core holds a stack of K matrices of shape (r, c) as
+one (r, c, K) array, the stack axis last and contiguous, so that every
+elementwise operation is one contiguous pass over the stack: _mul_last
+is mat_mul's product on that layout, and _inverse_last is the one
+Gauss-Jordan elimination, which mat_inverse wraps in a transpose in and
+out.  The group actions (geometry) convert their operands to this
+layout once and back once, and run their products and their inverse
+there.
+
+Backed by numpy alone, with one algorithm per operation for one matrix
+and for a stack, in either layout, so a matrix gets the same bits alone
+or in any stack; the contracts (shapes, error conditions, tolerances)
+are what the rest of the library relies on.
 """
 
 from __future__ import annotations
@@ -168,32 +176,41 @@ def mat_mul(a, b) -> np.ndarray:
     return out
 
 
-def mat_inverse(m: np.ndarray) -> np.ndarray:
-    """Invert a square matrix, or each matrix of a (K, n, n) stack, by
-    Gauss-Jordan elimination with partial pivoting.
+# ---------------------------------------------------------------------------
+# The stack-last core (see the module docstring): (r, c, K) arrays.
 
-    The elimination runs on one (n, 2n, K) working array, [m | I] with the
-    stack axis last and contiguous, so each row operation is one pass over
-    contiguous memory for the whole stack.  Step k updates only columns
-    k + 1 onward, the only ones a later step reads, and swaps rows under
-    a mask per candidate row.  One matrix is inverted as a stack of one,
-    and every entry sees the same operations in the same order wherever
-    its matrix sits, so a matrix gets the same inverse, to the last bit,
-    alone or in a stack of any size.  Pivots are chosen by |Re| + |Im|.
-    Raises SingularMatrix when the smallest pivot of a matrix falls below
-    PIVOT_RTOL times that matrix's largest entry, and when an entry is not
-    finite; callers treat that as "the point or group element is outside
-    its domain".
+
+def _mul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """mat_mul of stack-last operands: (r, n, K) times (n, c, K), where
+    either K may be 1 and broadcast.
+
+    The same elementwise products and the same k-ordered sum as mat_mul,
+    so every entry gets the bits mat_mul gives it.
     """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"mat_inverse needs a square matrix or a stack of them, "
-                         f"got {m.shape}")
-    n = m.shape[-1]
-    stack = m.reshape(-1, n, n)
-    k_count = len(stack)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"mat_mul needs matrices with matching inner sizes, "
+                         f"got {a.shape[:2]} and {b.shape[:2]}")
+    out = a[:, :1] * b[:1]
+    if a.shape[1] > 1:
+        term = np.empty_like(out)   # one temporary, reused for every k
+        for k in range(1, a.shape[1]):
+            np.multiply(a[:, k: k + 1], b[k: k + 1], out=term)
+            out += term
+    return out
+
+
+def _inverse_last(m: np.ndarray) -> np.ndarray:
+    """The inverse of each matrix of an (n, n, K) stack-last array, as an
+    (n, n, K) array: mat_inverse's elimination, pivot rule and guard.
+
+    The elimination runs on one (n, 2n, K) working array, [m | I].  Step
+    k updates only columns k + 1 onward, the only ones a later step
+    reads, and swaps rows under a mask per candidate row.  Raises
+    SingularMatrix as mat_inverse does.
+    """
+    n, k_count = m.shape[0], m.shape[-1]
     aug = np.zeros((n, 2 * n, k_count), dtype=np.complex128)
-    aug[:, :n] = stack.transpose(1, 2, 0)
+    aug[:, :n] = m
     scale = np.max(np.abs(aug[:, :n]), axis=(0, 1))
     if np.any(scale == 0.0):
         raise SingularMatrix("zero matrix")
@@ -229,7 +246,31 @@ def mat_inverse(m: np.ndarray) -> np.ndarray:
     if failed[worst]:
         raise SingularMatrix(f"pivot {low[worst]:.3e} below {PIVOT_RTOL:.0e} "
                              f"* {scale[worst]:.3e}")
-    return np.ascontiguousarray(aug[:, n:].transpose(2, 0, 1)).reshape(m.shape)
+    return aug[:, n:]
+
+
+def mat_inverse(m: np.ndarray) -> np.ndarray:
+    """Invert a square matrix, or each matrix of a (K, n, n) stack, by
+    Gauss-Jordan elimination with partial pivoting.
+
+    The stack is transposed to the stack-last layout, eliminated there
+    (_inverse_last) and transposed back, so each row operation is one
+    pass over contiguous memory for the whole stack.  One matrix is
+    inverted as a stack of one, and every entry sees the same operations
+    in the same order wherever its matrix sits, so a matrix gets the same
+    inverse, to the last bit, alone or in a stack of any size.  Pivots
+    are chosen by |Re| + |Im|.  Raises SingularMatrix when the smallest
+    pivot of a matrix falls below PIVOT_RTOL times that matrix's largest
+    entry, and when an entry is not finite; callers treat that as "the
+    point or group element is outside its domain".
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"mat_inverse needs a square matrix or a stack of them, "
+                         f"got {m.shape}")
+    n = m.shape[-1]
+    inv = _inverse_last(m.reshape(-1, n, n).transpose(1, 2, 0))
+    return np.ascontiguousarray(inv.transpose(2, 0, 1)).reshape(m.shape)
 
 
 def hermitian_pd_margin(m: np.ndarray):

@@ -17,6 +17,8 @@ import numpy as np
 
 from .cmatrix import (
     PIVOT_RTOL,
+    _inverse_last,
+    _mul_last,
     block,
     frozen,
     hermitian_pd_margin,
@@ -163,48 +165,102 @@ def point_margin(p):
     return hermitian_pd_margin(_margin_matrix(p))
 
 
-def _symmetrized(mat: np.ndarray, what: str) -> np.ndarray:
+def _symmetrized(mat: np.ndarray, what: str, rows: int = -2, cols: int = -1) -> np.ndarray:
     """Average out round-off asymmetry, rejecting anything beyond tolerance.
 
-    Each matrix of a stack is judged against its own scale.
+    ``rows`` and ``cols`` are the matrix axes (0 and 1 for a stack-last
+    array); each matrix of a stack is judged against its own scale.
     """
-    defect = sym_defect(mat)
-    if np.any(defect > _ACTION_SYM_TOL * (1.0 + np.max(np.abs(mat), axis=(-2, -1)))):
+    swapped = np.swapaxes(mat, rows, cols)
+    work = mat - swapped
+    defect = np.max(np.abs(work), axis=(rows, cols))
+    if np.any(defect > _ACTION_SYM_TOL * (1.0 + np.max(np.abs(mat), axis=(rows, cols)))):
         raise ValueError(f"{what} produced an asymmetric result "
                          f"(defect {np.max(defect):.3e})")
-    return 0.5 * (mat + mat.mT)
+    np.add(mat, swapped, out=work)
+    work *= 0.5
+    return work
 
 
 # ---------------------------------------------------------------------------
 # Actions
 
 
+def _stack_last(x) -> np.ndarray:
+    """One (r, c) matrix as (r, c, 1), a (K, r, c) stack as a contiguous
+    (r, c, K) array: the layout of cmatrix's stack-last core."""
+    x = np.asarray(x)
+    return x[..., None] if x.ndim == 2 else np.ascontiguousarray(x.transpose(1, 2, 0))
+
+
+def _stack_first(x: np.ndarray, stacked: bool) -> np.ndarray:
+    """Back from _stack_last, as a new read-only array that owns its data,
+    so that the point it is handed to takes it without a copy."""
+    out = (x.transpose(2, 0, 1) if stacked else x[..., 0]).copy()
+    out.flags.writeable = False
+    return out
+
+
+def _mul_add(a, x, b) -> np.ndarray:
+    """A X + B of stack-last operands, the sum taken in place (an addition
+    has the same bits either way round)."""
+    out = _mul_last(a, x)
+    out += b
+    return out
+
+
+def _moebius(what: str, x, a, b, c, d, vec: tuple = ()) -> tuple:
+    """The Moebius image (A X + B)(C X + D)^-1 of X, symmetrised, and, when
+    ``vec`` is (V, Lam, S), the vector image (V + Lam X + S)(C X + D)^-1.
+
+    Every block is one matrix or a stack of K, and a single matrix
+    broadcasts against the stacks.  The operands are converted to the
+    stack-last layout once, every product and the one elimination run
+    there (cmatrix._mul_last, cmatrix._inverse_last) in mat_mul's and
+    mat_inverse's order, so every entry keeps its bits, and the images
+    are converted back once.  Raises SingularMatrix when a denominator is
+    singular, and ValueError, naming ``what``, when an image is not
+    symmetric to within _ACTION_SYM_TOL.
+    """
+    operands = (x, a, b, c, d) + tuple(vec)
+    stacked = any(np.ndim(op) == 3 for op in operands)
+    x, a, b, c, d, *vec = (_stack_last(op) for op in operands)
+    # copied out of the (n, 2n, K) working array, which is then freed: a
+    # smaller heap peak per call, and fewer pages taken afresh
+    denom_inv = _inverse_last(_mul_add(c, x, d)).copy()
+    images = [_stack_first(_symmetrized(_mul_last(_mul_add(a, x, b), denom_inv), what, 0, 1),
+                           stacked)]
+    if vec:
+        v, lam, shift = vec
+        num = _mul_add(lam, x, v)
+        num += shift
+        images.append(_stack_first(_mul_last(num, denom_inv), stacked))
+    return tuple(images)
+
+
 def act_siegel(m: SpElement, omega: np.ndarray) -> np.ndarray:
     """Moebius action (A Omega + B)(C Omega + D)^-1 on the upper half space.
 
     Stacked elements and stacked Omega act matrix by matrix, as in the
-    actions below.
+    actions below.  The image is a new read-only array (see _moebius).
     """
     omega = np.asarray(omega, dtype=np.complex128)
-    denom = mat_mul(m.c, omega) + m.d
-    res = mat_mul(mat_mul(m.a, omega) + m.b, mat_inverse(denom))
-    return _symmetrized(res, "siegel action")
+    return _moebius("siegel action", omega, m.a, m.b, m.c, m.d)[0]
 
 
 def act_upper(g: JacobiElement, p: UpperPoint) -> UpperPoint:
     """Jacobi action: (M . Omega, (Z + lambda Omega + mu)(C Omega + D)^-1).
 
     A stacked point is moved point by point in one call, by one element
-    or by a stack of as many elements.
+    or by a stack of as many elements; both blocks go through one
+    stack-last Moebius computation (_moebius), and the moved point takes
+    its new read-only blocks without a copy.
     """
     if (g.n, g.m) != (p.n, p.m):
         raise ValueError("element and point sizes differ")
-    denom_inv = mat_inverse(mat_mul(g.sp.c, p.omega) + g.sp.d)
-    omega = _symmetrized(mat_mul(mat_mul(g.sp.a, p.omega) + g.sp.b, denom_inv),
-                         "siegel action")
-    z = mat_mul(p.z + mat_mul(g.h.lam, p.omega) + g.h.mu, denom_inv)
-    omega.flags.writeable = z.flags.writeable = False   # new: the point takes them as they are
-    return UpperPoint(omega, z)
+    sp = g.sp
+    return UpperPoint(*_moebius("siegel action", p.omega, sp.a, sp.b, sp.c, sp.d,
+                                (p.z, g.h.lam, g.h.mu)))
 
 
 def act_disk(g: JacobiStarElement, p: DiskPoint) -> DiskPoint:
@@ -212,15 +268,15 @@ def act_disk(g: JacobiStarElement, p: DiskPoint) -> DiskPoint:
     (eta + xi W + conj(xi))(conj(Q)W + conj(P))^-1).
 
     A stacked point is moved point by point in one call, by one element
-    or by a stack of as many elements.
+    or by a stack of as many elements; both blocks go through one
+    stack-last Moebius computation (_moebius), and the moved point takes
+    its new read-only blocks without a copy.
     """
     if (g.n, g.m) != (p.n, p.m):
         raise ValueError("element and point sizes differ")
-    denom_inv = mat_inverse(mat_mul(g.g.q.conj(), p.w) + g.g.p.conj())
-    w = _symmetrized(mat_mul(mat_mul(g.g.p, p.w) + g.g.q, denom_inv), "disk action")
-    eta = mat_mul(p.eta + mat_mul(g.xi, p.w) + g.xi.conj(), denom_inv)
-    w.flags.writeable = eta.flags.writeable = False   # new: the point takes them as they are
-    return DiskPoint(w, eta)
+    pq = g.g
+    return DiskPoint(*_moebius("disk action", p.w, pq.p, pq.q, pq.q.conj(), pq.p.conj(),
+                               (p.eta, g.xi, g.xi.conj())))
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,9 @@ tensors gain a leading axis of length K.  The operators contract such a
 bundle with the K points' coefficients and return one value per point;
 for a single point they return a float.  A point's bundle and operator
 values are the same, to the last bit, alone or in a stack of any size:
-the suite fields, the contractions, mat_inverse and cmatrix.mat_mul (the
-product of a stack's matrices, used by the actions, the metric forms and
-the fields) round each point alike wherever it sits.
+the suite fields, the contractions, mat_inverse, cmatrix.mat_mul (the
+product of a stack's matrices, used by the metric forms and the fields)
+and the actions' stack-last core round each point alike wherever it sits.
 """
 
 from __future__ import annotations
@@ -355,12 +355,18 @@ def _upper_terms_printed(p: UpperPoint, sb: SecondBundle):
     return t1, t2, t3, t4, t5
 
 
-def _upper_parts(p: UpperPoint, sb: SecondBundle):
-    """Corrected second-order blocks: the shifted Maass part and the dZ part."""
+def _upper_l(p: UpperPoint, sb: SecondBundle):
+    """The corrected Maass-type block L: the shifted Maass part."""
     y = p.y.astype(complex)
     v = p.v.astype(complex)
     hat = _hat_mat_mat(sb, v @ mat_inverse(y), +1.0)
-    return _maass(y, hat), _vec_part(y, sb)
+    return _maass(y, hat)
+
+
+def _upper_d(p: UpperPoint, sb: SecondBundle):
+    """The dZ block D: sigma(Y dZ t(dZbar)), with no inversion."""
+    _require_full(sb)
+    return _vec_part(p.y.astype(complex), sb)
 
 
 def lap_siegel(sb: SecondBundle, p: UpperPoint):
@@ -370,8 +376,7 @@ def lap_siegel(sb: SecondBundle, p: UpperPoint):
 
 def lap_upper(sb: SecondBundle, p: UpperPoint, params):
     """Laplacian of the two-parameter family on the Siegel-Jacobi space."""
-    part_a, part_b = _upper_parts(p, sb)
-    val = (4.0 / params.a) * part_a + (4.0 / params.b) * part_b
+    val = (4.0 / params.a) * _upper_l(p, sb) + (4.0 / params.b) * _upper_d(p, sb)
     return _realize(val, "upper laplacian")
 
 
@@ -414,15 +419,18 @@ def _disk_terms_printed(p: DiskPoint, sb: SecondBundle):
     return t1, t2, t3, t_eta, t8
 
 
-def _disk_parts(p: DiskPoint, sb: SecondBundle):
-    """Corrected blocks: shifted Maass-type part and the deta part."""
-    n = p.n
-    eye = np.eye(n)
-    lm = eye - p.w @ p.w.conj()
-    rm = eye - p.w.conj() @ p.w
+def _disk_l(p: DiskPoint, sb: SecondBundle):
+    """The corrected Maass-type block Ltilde: the shifted Maass part."""
+    lm = np.eye(p.n) - p.w @ p.w.conj()
     twist = (p.eta @ p.w.conj() - p.eta.conj()) @ mat_inverse(lm)
     hat = _hat_mat_mat(sb, twist, -1.0)
-    return _maass(lm, hat), _vec_part(rm, sb)
+    return _maass(lm, hat)
+
+
+def _disk_d(p: DiskPoint, sb: SecondBundle):
+    """The deta block Dtilde: sigma((I-Wbar W) deta t(detabar)), with no inversion."""
+    _require_full(sb)
+    return _vec_part(np.eye(p.n) - p.w.conj() @ p.w, sb)
 
 
 def lap_disk_n(sb: SecondBundle, p: DiskPoint):
@@ -433,8 +441,7 @@ def lap_disk_n(sb: SecondBundle, p: DiskPoint):
 
 def lap_disk(sb: SecondBundle, p: DiskPoint, params):
     """Laplacian of the two-parameter family on the Siegel-Jacobi disk."""
-    part_a, part_b = _disk_parts(p, sb)
-    val = (1.0 / params.a) * part_a + (1.0 / params.b) * part_b
+    val = (1.0 / params.a) * _disk_l(p, sb) + (1.0 / params.b) * _disk_d(p, sb)
     return _realize(val, "disk laplacian")
 
 
@@ -477,6 +484,11 @@ def lap_disk_closed_11(sb: SecondBundle, p: DiskPoint):
 # The four named invariant operators
 
 
+# Each operator's model and the one block that computes it.
+_INVARIANT = {"D": ("upper", _upper_d), "L": ("upper", _upper_l),
+              "Dtilde": ("disk", _disk_d), "Ltilde": ("disk", _disk_l)}
+
+
 def op_invariant(kind: str, sb: SecondBundle, p):
     """Apply one of the first-class invariant operators.
 
@@ -485,17 +497,18 @@ def op_invariant(kind: str, sb: SecondBundle, p):
             at unit weights
     Dtilde  sigma((I-Wbar W) deta t(detabar))          (disk model)
     Ltilde  the shifted Maass part, = lap - Dtilde     (disk model)
+
+    Only the named block is computed: D and Dtilde are one contraction
+    of the bundle's vector block; L and Ltilde build the shifted tensor
+    and invert one matrix per point.  lap_upper and lap_disk are the
+    weighted sums of the same blocks.
     """
-    if kind in ("D", "L"):
-        model, parts = "upper", _upper_parts
-    elif kind in ("Dtilde", "Ltilde"):
-        model, parts = "disk", _disk_parts
-    else:
+    if kind not in _INVARIANT:
         raise ValueError(f"unknown operator kind {kind!r}")
+    model, part = _INVARIANT[kind]
     if p.model != model:
         raise ValueError(f"operator {kind} needs a point of the {model} model")
-    part_a, part_b = parts(p, sb)
-    return _realize(part_b if kind in ("D", "Dtilde") else part_a, f"operator {kind}")
+    return _realize(part(p, sb), f"operator {kind}")
 
 
 # ---------------------------------------------------------------------------

@@ -802,18 +802,16 @@ def _chk_remark_invariance(n, m, params, master, idx) -> _Stack:
     unit = MetricParams(1.0, 1.0)
 
     def parts(out, upper, disk):
+        moved = {}   # each operator at the moved points
         for (sb_moved, p, sb, q), kinds in ((upper, ("D", "L")), (disk, ("Dtilde", "Ltilde"))):
             for kind in kinds:
-                out.add(kind, op_invariant(kind, sb_moved, p), op_invariant(kind, sb, q))
+                moved[kind] = op_invariant(kind, sb, q)
+                out.add(kind, op_invariant(kind, sb_moved, p), moved[kind])
         # the defining splits at the moved points: a quarter of the
         # unit-weight Laplacian minus D is L, the disk Laplacian minus
         # Dtilde is Ltilde
-        sb, q = upper[2:]
-        out.add("L-split", 0.25 * lap_upper(sb, q, unit) - op_invariant("D", sb, q),
-                op_invariant("L", sb, q))
-        sb, q = disk[2:]
-        out.add("Ltilde-split", lap_disk(sb, q, unit) - op_invariant("Dtilde", sb, q),
-                op_invariant("Ltilde", sb, q))
+        out.add("L-split", 0.25 * lap_upper(*upper[2:], unit) - moved["D"], moved["L"])
+        out.add("Ltilde-split", lap_disk(*disk[2:], unit) - moved["Dtilde"], moved["Ltilde"])
     return _invariance_sample(n, m, master, idx, parts)
 
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from sjgeo.cmatrix import (
     SingularMatrix,
+    _inverse_last,
+    _mul_last,
     frozen,
     hermitian_pd_margin,
     mat_from_json,
@@ -146,6 +148,39 @@ def test_mat_mul_member_of_a_stack_is_its_product_alone(size):
     for k in {0, size // 2, size - 1}:
         assert np.array_equal(stacked[k], mat_mul(a[k], b[k]))
         assert np.array_equal(stacked[k], mat_mul(a[k: k + 1], b[k: k + 1])[0])
+
+
+def _last(x):
+    return x[..., None] if x.ndim == 2 else np.ascontiguousarray(x.transpose(1, 2, 0))
+
+
+# Every broadcast the actions make: one element (K = 1) against a stack of
+# points, a stack against a stack, one against one, a stack of elements
+# against one point; real blocks (A, C, lambda) times complex ones, complex
+# times complex, and the sum times the inverse's strided (n, n, K) view.
+@pytest.mark.parametrize("ka,kb", [(None, 1153), (7, 7), (None, None), (7, None), (1, 7)])
+@pytest.mark.parametrize("rows,n", [(3, 3), (2, 3), (2, 2), (1, 2), (1, 1)])
+@pytest.mark.parametrize("real_left", [True, False])
+def test_mul_last_is_mat_mul_bit_for_bit(ka, kb, rows, n, real_left):
+    rng = np.random.default_rng(rows * 10 + n)
+    a_shape = (rows, n) if ka is None else (ka, rows, n)
+    b_shape = (n, n) if kb is None else (kb, n, n)
+    a = rng.uniform(-1, 1, a_shape) + (0 if real_left else 1j * rng.uniform(-1, 1, a_shape))
+    b = rng.uniform(-1, 1, b_shape) + 1j * rng.uniform(-1, 1, b_shape)
+    want = mat_mul(a, b)
+    got = _mul_last(_last(a), _last(b))
+    got = got[..., 0] if want.ndim == 2 else got.transpose(2, 0, 1)
+    assert got.dtype == want.dtype and got.tobytes() == np.ascontiguousarray(want).tobytes()
+    # the right factor as the (n, n, K) view an elimination returns
+    inv = _inverse_last(np.eye(n)[..., None] + 0.1 * _last(b))
+    want = mat_mul(a, np.ascontiguousarray(inv.transpose(2, 0, 1)))
+    got = _mul_last(_last(a), inv).transpose(2, 0, 1)
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_mul_last_rejects_mismatched_inner_sizes():
+    with pytest.raises(ValueError, match="inner sizes"):
+        _mul_last(np.ones((2, 3, 1)), np.ones((2, 3, 1)))
 
 
 def test_hermitian_pd():

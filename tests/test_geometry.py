@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,159 @@ def test_points_copy_a_callers_writable_arrays(point):
     for block, src in zip(_blocks(p), (mat, vec)):
         assert not block.flags.writeable and not np.shares_memory(block, src)
     assert mat.flags.writeable and vec.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# The bits of the three actions, pinned: blake2b of the moved blocks at
+# (1,1), (2,1) and (3,2), computed before the actions moved to their
+# stack-last Moebius core.  Three cases: one element moving a stack of
+# 1153 points (the composed-field case: one element moves every stencil
+# node of a sample at (3,2)), a stack of elements against a stack of as
+# many points, and one element moving one point.
+
+def _action_case(case: str):
+    """The element's seed and the points' seed of a case."""
+    if case == "stencil":
+        return 3, 1000 + np.arange(1153)
+    if case == "stacked":
+        return np.arange(5), 100 + np.arange(5)
+    return 3, 7
+
+
+def _action_bits(action: str, case: str, n: int, m: int) -> str:
+    g_seed, p_seed = _action_case(case)
+    g = G.random_jacobi(n, m, g_seed)
+    if action == "siegel":
+        blocks = (geo.act_siegel(g.sp, geo.random_point("upper", n, m, p_seed).omega),)
+    elif action == "upper":
+        blocks = _blocks(geo.act_upper(g, geo.random_point("upper", n, m, p_seed)))
+    else:
+        blocks = _blocks(geo.act_disk(G.theta_map(g), geo.random_point("disk", n, m, p_seed)))
+    digest = hashlib.blake2b(digest_size=16)
+    for block in blocks:
+        digest.update(np.ascontiguousarray(block).tobytes())
+    return digest.hexdigest()
+
+
+ACTION_DIGESTS = {
+    ("siegel", "stencil", 1, 1): "6532c1b2d24050aaf31b911f84a60ea2",
+    ("siegel", "stencil", 2, 1): "9130d445bd7464d1456f91b8e5d4e496",
+    ("siegel", "stencil", 3, 2): "1436dee0f5711a167c00411569704fee",
+    ("siegel", "stacked", 1, 1): "6b5f57789b1bb40c10e860d1a85e68dc",
+    ("siegel", "stacked", 2, 1): "216a019f5b09b84a095f5a6e0107a5b3",
+    ("siegel", "stacked", 3, 2): "7684bb9d3957f1ce448cd5fe552c9d35",
+    ("siegel", "single", 1, 1): "4b2a187a3b377f9bde5340575a10e0cf",
+    ("siegel", "single", 2, 1): "951c29d7f6cc672b57219cbb2093c026",
+    ("siegel", "single", 3, 2): "a16636c7fce477913e20cf39ac096bed",
+    ("upper", "stencil", 1, 1): "bac7a95d5b1db8b558956141089e6f91",
+    ("upper", "stencil", 2, 1): "5133e258927b7ded8e4421fc8b72e28e",
+    ("upper", "stencil", 3, 2): "e52befba4952aa5edc36bfa848e6bf2f",
+    ("upper", "stacked", 1, 1): "2030ae859590f77b6589940fe34ff085",
+    ("upper", "stacked", 2, 1): "59f6a34557ec5fdb7dc378faf9f2a048",
+    ("upper", "stacked", 3, 2): "c4b95125c70677ca82212257b7456982",
+    ("upper", "single", 1, 1): "c90f0a314d875913e4ce9f378467385f",
+    ("upper", "single", 2, 1): "2467189b229ee8d3006fe5ed28bd1667",
+    ("upper", "single", 3, 2): "cd96ab29ab28e69ec8d945b9dd0cb6a3",
+    ("disk", "stencil", 1, 1): "c0fa80782cd797b85452ae3839bdea4d",
+    ("disk", "stencil", 2, 1): "bc738edfc0463501cc2e6b60da3a279e",
+    ("disk", "stencil", 3, 2): "f11e73220fe91705f7f344ca4b773e6f",
+    ("disk", "stacked", 1, 1): "3bc5e83f34b826856048256875a667a5",
+    ("disk", "stacked", 2, 1): "6130567e5a59dce1d2e7ccf33d18a1ce",
+    ("disk", "stacked", 3, 2): "01cb08d41b92723165c8357b7c513190",
+    ("disk", "single", 1, 1): "b8b99d41e1e8c42eeed37129704dcdb2",
+    ("disk", "single", 2, 1): "3508df6bc61a66a555823b113842d29c",
+    ("disk", "single", 3, 2): "be18eb89d22d1eda88e7528e2e8975ec",
+}
+
+
+@pytest.mark.parametrize("action,case,n,m", list(ACTION_DIGESTS))
+def test_action_bits_are_pinned(action, case, n, m):
+    assert _action_bits(action, case, n, m) == ACTION_DIGESTS[action, case, n, m]
+
+
+# ---------------------------------------------------------------------------
+# The actions' contracts
+
+
+def _moved_with_inputs(action: str, g_seed, p_seed):
+    """The blocks of an action's image and the arrays it was computed from."""
+    g = G.random_jacobi(2, 1, g_seed)
+    if action == "siegel":
+        omega = geo.random_point("upper", 2, 1, p_seed).omega
+        return (geo.act_siegel(g.sp, omega),), (omega, g.sp.a, g.sp.b, g.sp.c, g.sp.d)
+    if action == "upper":
+        p = geo.random_point("upper", 2, 1, p_seed)
+        return _blocks(geo.act_upper(g, p)), (p.omega, p.z, g.sp.a, g.sp.b, g.sp.c,
+                                                g.sp.d, g.h.lam, g.h.mu)
+    s = G.theta_map(g)
+    p = geo.random_point("disk", 2, 1, p_seed)
+    return _blocks(geo.act_disk(s, p)), (p.w, p.eta, s.g.p, s.g.q, s.xi)
+
+
+@pytest.mark.parametrize("action", ["siegel", "upper", "disk"])
+@pytest.mark.parametrize("g_seed,p_seed", [(1, 2), (1, np.arange(4)), (np.arange(4), np.arange(4))])
+def test_moved_blocks_are_read_only_own_their_data_and_share_nothing(action, g_seed, p_seed):
+    blocks, inputs = _moved_with_inputs(action, g_seed, p_seed)
+    for block in blocks:
+        assert not block.flags.writeable and block.flags.owndata
+        assert block.flags.c_contiguous
+        assert not any(np.shares_memory(block, src) for src in inputs)
+
+
+def _heisenberg_zero(n, m, batch=()):
+    return G.HeisenbergElement(np.zeros(batch + (m, n)), np.zeros(batch + (m, n)),
+                               np.zeros(batch + (m, m)))
+
+
+def _singular_cases():
+    """Each action with a denominator C X + D that is exactly singular:
+    diag(0, i) for the upper actions, diag(0, 0.1) for the disk."""
+    sp = G.SpElement(np.zeros((2, 2)), np.eye(2), np.eye(2), np.diag([-1.0, 0.0]))
+    omega = np.diag([1.0, 1j])
+    star = G.JacobiStarElement(G.GStarElement(-np.diag([0.5, 0.1]), np.eye(2)),
+                               np.zeros((1, 2)), np.zeros((1, 1)))
+    w = np.diag([0.5, 0.2]).astype(complex)
+    return {
+        "siegel": lambda: geo.act_siegel(sp, omega),
+        "upper": lambda: geo.act_upper(G.JacobiElement(sp, _heisenberg_zero(2, 1)),
+                                       geo.UpperPoint(omega, np.zeros((1, 2)))),
+        "disk": lambda: geo.act_disk(star, geo.DiskPoint(w, np.zeros((1, 2)))),
+        # a stack whose middle point is the singular one
+        "upper-stacked": lambda: geo.act_upper(
+            G.JacobiElement(sp, _heisenberg_zero(2, 1)),
+            geo.UpperPoint(np.stack([1j * np.eye(2), omega, 2j * np.eye(2)]),
+                           np.zeros((3, 1, 2)))),
+        "disk-stacked": lambda: geo.act_disk(star, geo.DiskPoint(
+            np.stack([np.zeros((2, 2)), w, 0.1 * np.eye(2)]), np.zeros((3, 1, 2)))),
+    }
+
+
+@pytest.mark.parametrize("case,message", [
+    ("siegel", "pivot 0.000e+00 below 1e-12 * 1.000e+00"),
+    ("upper", "pivot 0.000e+00 below 1e-12 * 1.000e+00"),
+    ("disk", "pivot 0.000e+00 below 1e-12 * 1.000e-01"),
+    ("upper-stacked", "pivot 0.000e+00 below 1e-12 * 1.000e+00"),
+    ("disk-stacked", "pivot 0.000e+00 below 1e-12 * 1.000e-01"),
+])
+def test_singular_denominator_message(case, message):
+    with pytest.raises(SingularMatrix) as info:
+        _singular_cases()[case]()
+    assert str(info.value) == message
+
+
+def test_asymmetric_image_message():
+    # not symplectic, so the image (A Omega + B)(C Omega + D)^-1 is not symmetric
+    sp = G.SpElement(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros((2, 2)),
+                     np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(ValueError) as info:
+        geo.act_siegel(sp, 1j * np.eye(2))
+    assert str(info.value) == "siegel action produced an asymmetric result (defect 1.000e+00)"
+    g = G.JacobiElement(sp, _heisenberg_zero(2, 1))
+    with pytest.raises(ValueError) as info:
+        geo.act_upper(g, geo.UpperPoint(1j * np.eye(2), np.zeros((1, 2))))
+    assert str(info.value) == "siegel action produced an asymmetric result (defect 1.000e+00)"
+    star = G.JacobiStarElement(G.GStarElement(np.eye(2), [[0.0, 1.0], [0.0, 0.0]]),
+                               np.zeros((1, 2)), np.zeros((1, 1)))
+    with pytest.raises(ValueError) as info:
+        geo.act_disk(star, geo.DiskPoint(0.5 * np.eye(2), np.zeros((1, 2))))
+    assert str(info.value) == "disk action produced an asymmetric result (defect 7.500e-01)"

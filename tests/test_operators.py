@@ -193,3 +193,31 @@ def _stencil_bits(model, n, m, mat_only) -> tuple:
 @pytest.mark.parametrize("model,n,m,mat_only", list(BUNDLE_DIGESTS))
 def test_stencil_bits_are_pinned(model, n, m, mat_only):
     assert _stencil_bits(model, n, m, mat_only) == BUNDLE_DIGESTS[model, n, m, mat_only]
+
+
+# The bits of the four invariant operators, pinned: blake2b of
+# op_invariant of every kind on the bundles of the gauss and cross fields
+# at a stack of three points, computed before D and Dtilde stopped
+# building the shifted Maass part.
+
+INVARIANT_DIGESTS = {
+    (1, 1): "9a6e819ccfb1702431fc01f4c5c06c78",
+    (2, 1): "ee0e0e6277fa92d5a70a2c5326f68083",
+    (3, 2): "94efc07b04acdb08f8a5da5497bea8e0",
+}
+
+
+def _invariant_bits(n, m) -> str:
+    digest = hashlib.blake2b(digest_size=16)
+    for model, kinds in (("upper", ("D", "L")), ("disk", ("Dtilde", "Ltilde"))):
+        p = geo.random_point(model, n, m, 20 + np.arange(3))
+        for f in op.test_field_suite(model, n, m, 9)[3:]:
+            sb = op.second_bundle(f, p, mat_only=False)
+            for kind in kinds:
+                digest.update(np.ascontiguousarray(op.op_invariant(kind, sb, p)).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("n,m", list(INVARIANT_DIGESTS))
+def test_invariant_bits_are_pinned(n, m):
+    assert _invariant_bits(n, m) == INVARIANT_DIGESTS[n, m]
