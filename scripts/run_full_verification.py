@@ -14,18 +14,24 @@ import json
 import sys
 import time
 
+from sjgeo import verify
 from sjgeo.metrics import MetricParams
-from sjgeo.verify import CHECK_NAMES, run_check
 
-CHEAP = {"group-laws", "theta-hom", "action-axioms", "cayley-roundtrip",
-         "cayley-compat", "metric-invariance-upper", "metric-invariance-disk",
-         "cayley-isometry", "tensor-pd", "pushforward-identities"}
-GRID_CHEAP = [(1, 1), (2, 1), (2, 2), (3, 2)]
-GRID_HEAVY = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]
-HEAVY_SAMPLES = {"lb-equivalence-upper": 25, "lb-equivalence-disk": 25,
-                 "lb-equivalence-siegel": 25, "lb-equivalence-diskn": 25,
-                 "laplacian-invariance": 8, "remark41-invariance": 8,
-                 "reduce-n1m1": 50}
+GRID = [(1, 1), (2, 1), (2, 2), (3, 2)]
+GRID_STENCIL = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]
+SAMPLES = 100
+# the checks that build second-order stencils run 25 samples, but for these
+STENCIL_SAMPLES = {"laplacian-invariance": 8, "remark41-invariance": 8, "reduce-n1m1": 50}
+
+
+def _plan(name: str) -> tuple:
+    """The cells a check runs at and its sample count: a check defined at
+    one cell only runs there, and the checks that build second-order
+    stencils run fewer samples over a wider grid."""
+    check = verify._CHECKS[name]
+    grid = GRID_STENCIL if check.stencil else GRID
+    samples = STENCIL_SAMPLES.get(name, 25) if check.stencil else SAMPLES
+    return ([check.cell] if check.cell else grid), samples
 
 
 def main() -> int:
@@ -40,16 +46,10 @@ def main() -> int:
     reports = []
     all_pass = True
     t0 = time.time()
-    for name in CHECK_NAMES:
-        if name == "reduce-n1m1":
-            grid = [(1, 1)]
-        elif name in CHEAP:
-            grid = GRID_CHEAP
-        else:
-            grid = GRID_HEAVY
-        samples = 100 if name in CHEAP else HEAVY_SAMPLES.get(name, 25)
+    for name in verify.CHECK_NAMES:
+        grid, samples = _plan(name)
         for (n, m) in grid:
-            rep = run_check(name, n, m, params, samples, args.seed)
+            rep = verify.run_check(name, n, m, params, samples, args.seed)
             reports.append(rep.to_json())
             all_pass &= rep.passed
             extra = ""

@@ -23,7 +23,7 @@ import sys
 from .cmatrix import SingularMatrix
 from .geometry import point_from_json, point_to_json, random_point, validate_point
 from .groups import element_to_json, random_jacobi, random_jacobistar
-from .metrics import MetricParams, evaluate_form, tangent_from_json
+from .metrics import MetricParams, q_disk, q_upper, tangent_from_json
 from .operators import (
     DomainMargin,
     field_registry_ids,
@@ -235,7 +235,12 @@ def _cmd_eval(args) -> int:
             if tangent.model != model:
                 _log("error: tangent model does not match the point")
                 return 2
-            value = evaluate_form(model, point, tangent, params)
+            if (tangent.n, tangent.m) != (point.n, point.m):
+                _log(f"error: tangent size (n, m) = ({tangent.n}, {tangent.m}) does not "
+                     f"match the point's ({point.n}, {point.m})")
+                return 2
+            form = q_upper if model == "upper" else q_disk
+            value = form(point, tangent, params)
         else:   # the other targets all act on a field
             if not args.field:
                 _log(f"error: eval {args.target} needs --field "

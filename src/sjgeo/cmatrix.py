@@ -11,18 +11,14 @@ seeded draws every random_* builds on (one generator per seed for the
 raw draws; the arithmetic runs on the stack), and the JSON wire format
 shared by all higher layers.
 
-A private stack-last core holds a stack of K matrices of shape (r, c) as
-one (r, c, K) array, the stack axis last and contiguous, so that every
-elementwise operation is one contiguous pass over the stack: _mul_last
-is mat_mul's product on that layout, and _inverse_last is the one
-Gauss-Jordan elimination, which mat_inverse wraps in a transpose in and
-out.  The group actions (geometry) convert their operands to this
-layout once and back once, and run their products and their inverse
-there.
+mat_mul and mat_inverse keep their operands' memory order, so a stack
+laid out stack-last, as (K, r, c) views of (r, c, K) memory, stays so
+through the group actions (geometry), and every elementwise pass runs
+over contiguous memory.
 
 Backed by numpy alone, with one algorithm per operation for one matrix
-and for a stack, in either layout, so a matrix gets the same bits alone
-or in any stack; the contracts (shapes, error conditions, tolerances)
+and for a stack, in any memory order, so a matrix gets the same bits
+alone or in any stack; the contracts (shapes, error conditions, tolerances)
 are what the rest of the library relies on.
 """
 
@@ -176,48 +172,40 @@ def mat_mul(a, b) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# The stack-last core (see the module docstring): (r, c, K) arrays.
+def mat_inverse(m: np.ndarray) -> np.ndarray:
+    """Invert a square matrix, or each matrix of a (K, n, n) stack, by
+    Gauss-Jordan elimination with partial pivoting.
 
-
-def _mul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """mat_mul of stack-last operands: (r, n, K) times (n, c, K), where
-    either K may be 1 and broadcast.
-
-    The same elementwise products and the same k-ordered sum as mat_mul,
-    so every entry gets the bits mat_mul gives it.
+    The elimination runs on one (n, 2n, K) working array, [m | I], with
+    the stack axis last, so each row operation is one pass over
+    contiguous memory for the whole stack.  Step k updates only columns
+    k + 1 onward, the only ones a later step reads, and swaps rows under
+    a mask per candidate row.  One matrix is inverted as a stack of one,
+    and every entry sees the same operations in the same order wherever
+    its matrix sits, so a matrix gets the same inverse, to the last bit,
+    alone or in a stack of any size.  The inverse is a new array in the
+    memory order of ``m``: a C-contiguous stack gets a C-contiguous
+    inverse, and a (K, n, n) view of stack-last memory a stack-last one.
+    Pivots are chosen by |Re| + |Im|.  Raises SingularMatrix when the
+    smallest pivot of a matrix falls below PIVOT_RTOL times that matrix's
+    largest entry, and when an entry is not finite; callers treat that as
+    "the point or group element is outside its domain".
     """
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"mat_mul needs matrices with matching inner sizes, "
-                         f"got {a.shape[:2]} and {b.shape[:2]}")
-    out = a[:, :1] * b[:1]
-    if a.shape[1] > 1:
-        term = np.empty_like(out)   # one temporary, reused for every k
-        for k in range(1, a.shape[1]):
-            np.multiply(a[:, k: k + 1], b[k: k + 1], out=term)
-            out += term
-    return out
-
-
-def _inverse_last(m: np.ndarray) -> np.ndarray:
-    """The inverse of each matrix of an (n, n, K) stack-last array, as an
-    (n, n, K) array: mat_inverse's elimination, pivot rule and guard.
-
-    The elimination runs on one (n, 2n, K) working array, [m | I].  Step
-    k updates only columns k + 1 onward, the only ones a later step
-    reads, and swaps rows under a mask per candidate row.  Raises
-    SingularMatrix as mat_inverse does.
-    """
-    n, k_count = m.shape[0], m.shape[-1]
-    aug = np.zeros((n, 2 * n, k_count), dtype=np.complex128)
-    aug[:, :n] = m
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"mat_inverse needs a square matrix or a stack of them, "
+                         f"got {m.shape}")
+    n = m.shape[-1]
+    stack = m.reshape(-1, n, n)
+    aug = np.zeros((n, 2 * n, len(stack)), dtype=np.complex128)
+    aug[:, :n] = stack.transpose(1, 2, 0)
     scale = np.max(np.abs(aug[:, :n]), axis=(0, 1))
     if np.any(scale == 0.0):
         raise SingularMatrix("zero matrix")
     if not np.all(np.isfinite(scale)):
         raise SingularMatrix("matrix entry is not finite")
     aug[np.arange(n), n + np.arange(n)] = 1.0
-    pivots = np.empty((n, k_count))
+    pivots = np.empty((n, len(stack)))
     for k in range(n):
         last = k == n - 1   # no row below the pivot: no search, no swap
         if not last:
@@ -246,31 +234,9 @@ def _inverse_last(m: np.ndarray) -> np.ndarray:
     if failed[worst]:
         raise SingularMatrix(f"pivot {low[worst]:.3e} below {PIVOT_RTOL:.0e} "
                              f"* {scale[worst]:.3e}")
-    return aug[:, n:]
-
-
-def mat_inverse(m: np.ndarray) -> np.ndarray:
-    """Invert a square matrix, or each matrix of a (K, n, n) stack, by
-    Gauss-Jordan elimination with partial pivoting.
-
-    The stack is transposed to the stack-last layout, eliminated there
-    (_inverse_last) and transposed back, so each row operation is one
-    pass over contiguous memory for the whole stack.  One matrix is
-    inverted as a stack of one, and every entry sees the same operations
-    in the same order wherever its matrix sits, so a matrix gets the same
-    inverse, to the last bit, alone or in a stack of any size.  Pivots
-    are chosen by |Re| + |Im|.  Raises SingularMatrix when the smallest
-    pivot of a matrix falls below PIVOT_RTOL times that matrix's largest
-    entry, and when an entry is not finite; callers treat that as "the
-    point or group element is outside its domain".
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"mat_inverse needs a square matrix or a stack of them, "
-                         f"got {m.shape}")
-    n = m.shape[-1]
-    inv = _inverse_last(m.reshape(-1, n, n).transpose(1, 2, 0))
-    return np.ascontiguousarray(inv.transpose(2, 0, 1)).reshape(m.shape)
+    out = np.empty_like(m)
+    out[...] = aug[:, n:].transpose(2, 0, 1).reshape(m.shape)
+    return out
 
 
 def hermitian_pd_margin(m: np.ndarray):

@@ -17,8 +17,6 @@ import numpy as np
 
 from .cmatrix import (
     PIVOT_RTOL,
-    _inverse_last,
-    _mul_last,
     block,
     frozen,
     hermitian_pd_margin,
@@ -165,16 +163,15 @@ def point_margin(p):
     return hermitian_pd_margin(_margin_matrix(p))
 
 
-def _symmetrized(mat: np.ndarray, what: str, rows: int = -2, cols: int = -1) -> np.ndarray:
+def _symmetrized(mat: np.ndarray, what: str) -> np.ndarray:
     """Average out round-off asymmetry, rejecting anything beyond tolerance.
 
-    ``rows`` and ``cols`` are the matrix axes (0 and 1 for a stack-last
-    array); each matrix of a stack is judged against its own scale.
+    Each matrix of a stack is judged against its own scale.
     """
-    swapped = np.swapaxes(mat, rows, cols)
+    swapped = mat.mT
     work = mat - swapped
-    defect = np.max(np.abs(work), axis=(rows, cols))
-    if np.any(defect > _ACTION_SYM_TOL * (1.0 + np.max(np.abs(mat), axis=(rows, cols)))):
+    defect = np.max(np.abs(work), axis=(-2, -1))
+    if np.any(defect > _ACTION_SYM_TOL * (1.0 + np.max(np.abs(mat), axis=(-2, -1)))):
         raise ValueError(f"{what} produced an asymmetric result "
                          f"(defect {np.max(defect):.3e})")
     np.add(mat, swapped, out=work)
@@ -187,25 +184,17 @@ def _symmetrized(mat: np.ndarray, what: str, rows: int = -2, cols: int = -1) -> 
 
 
 def _stack_last(x) -> np.ndarray:
-    """One (r, c) matrix as (r, c, 1), a (K, r, c) stack as a contiguous
-    (r, c, K) array: the layout of cmatrix's stack-last core."""
+    """One matrix as it is; a (K, r, c) stack as a (K, r, c) view of
+    contiguous (r, c, K) memory, the stack axis last (see cmatrix)."""
     x = np.asarray(x)
-    return x[..., None] if x.ndim == 2 else np.ascontiguousarray(x.transpose(1, 2, 0))
+    return x if x.ndim == 2 else np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
-def _stack_first(x: np.ndarray, stacked: bool) -> np.ndarray:
-    """Back from _stack_last, as a new read-only array that owns its data,
-    so that the point it is handed to takes it without a copy."""
-    out = (x.transpose(2, 0, 1) if stacked else x[..., 0]).copy()
+def _owned(image: np.ndarray) -> np.ndarray:
+    """An image copied once into a new read-only, C-contiguous array that
+    owns its data, so that the point it is handed to takes it without a copy."""
+    out = np.array(image, order="C")
     out.flags.writeable = False
-    return out
-
-
-def _mul_add(a, x, b) -> np.ndarray:
-    """A X + B of stack-last operands, the sum taken in place (an addition
-    has the same bits either way round)."""
-    out = _mul_last(a, x)
-    out += b
     return out
 
 
@@ -214,27 +203,29 @@ def _moebius(what: str, x, a, b, c, d, vec: tuple = ()) -> tuple:
     ``vec`` is (V, Lam, S), the vector image (V + Lam X + S)(C X + D)^-1.
 
     Every block is one matrix or a stack of K, and a single matrix
-    broadcasts against the stacks.  The operands are converted to the
-    stack-last layout once, every product and the one elimination run
-    there (cmatrix._mul_last, cmatrix._inverse_last) in mat_mul's and
-    mat_inverse's order, so every entry keeps its bits, and the images
-    are converted back once.  Raises SingularMatrix when a denominator is
-    singular, and ValueError, naming ``what``, when an image is not
-    symmetric to within _ACTION_SYM_TOL.
+    broadcasts against the stacks.  The stacks are laid out stack-last
+    once (_stack_last); mat_mul, the in-place sums and mat_inverse keep
+    that memory order, and each image is copied back once (_owned).
+    Raises SingularMatrix when a denominator is singular, and ValueError,
+    naming ``what``, when an image is not symmetric to within
+    _ACTION_SYM_TOL.
     """
-    operands = (x, a, b, c, d) + tuple(vec)
-    stacked = any(np.ndim(op) == 3 for op in operands)
-    x, a, b, c, d, *vec = (_stack_last(op) for op in operands)
-    # copied out of the (n, 2n, K) working array, which is then freed: a
-    # smaller heap peak per call, and fewer pages taken afresh
-    denom_inv = _inverse_last(_mul_add(c, x, d)).copy()
-    images = [_stack_first(_symmetrized(_mul_last(_mul_add(a, x, b), denom_inv), what, 0, 1),
-                           stacked)]
+    x, a, b, c, d, *vec = (_stack_last(op) for op in (x, a, b, c, d) + tuple(vec))
+    # one name for every temporary, so each is freed as soon as the next
+    # is made: a smaller heap peak per call, and fewer pages taken afresh
+    num = mat_mul(c, x)
+    num += d
+    denom_inv = mat_inverse(num)
+    num = mat_mul(a, x)
+    num += b
+    num = mat_mul(num, denom_inv)
+    images = [_owned(_symmetrized(num, what))]
     if vec:
         v, lam, shift = vec
-        num = _mul_add(lam, x, v)
+        num = mat_mul(lam, x)
+        num += v
         num += shift
-        images.append(_stack_first(_mul_last(num, denom_inv), stacked))
+        images.append(_owned(mat_mul(num, denom_inv)))
     return tuple(images)
 
 
@@ -242,7 +233,8 @@ def act_siegel(m: SpElement, omega: np.ndarray) -> np.ndarray:
     """Moebius action (A Omega + B)(C Omega + D)^-1 on the upper half space.
 
     Stacked elements and stacked Omega act matrix by matrix, as in the
-    actions below.  The image is a new read-only array (see _moebius).
+    actions below, through the same Moebius computation (_moebius).  The
+    image is a new read-only, C-contiguous array that owns its data.
     """
     omega = np.asarray(omega, dtype=np.complex128)
     return _moebius("siegel action", omega, m.a, m.b, m.c, m.d)[0]
@@ -253,8 +245,9 @@ def act_upper(g: JacobiElement, p: UpperPoint) -> UpperPoint:
 
     A stacked point is moved point by point in one call, by one element
     or by a stack of as many elements; both blocks go through one
-    stack-last Moebius computation (_moebius), and the moved point takes
-    its new read-only blocks without a copy.
+    Moebius computation (_moebius), whose stacks stay stack-last through
+    mat_mul and mat_inverse, and the moved point takes its new read-only
+    blocks without a copy.
     """
     if (g.n, g.m) != (p.n, p.m):
         raise ValueError("element and point sizes differ")
@@ -269,8 +262,9 @@ def act_disk(g: JacobiStarElement, p: DiskPoint) -> DiskPoint:
 
     A stacked point is moved point by point in one call, by one element
     or by a stack of as many elements; both blocks go through one
-    stack-last Moebius computation (_moebius), and the moved point takes
-    its new read-only blocks without a copy.
+    Moebius computation (_moebius), whose stacks stay stack-last through
+    mat_mul and mat_inverse, and the moved point takes its new read-only
+    blocks without a copy.
     """
     if (g.n, g.m) != (p.n, p.m):
         raise ValueError("element and point sizes differ")

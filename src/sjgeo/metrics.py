@@ -51,7 +51,6 @@ __all__ = [
     "q_disk",
     "q_disk_closed_11",
     "metric_tensor",
-    "evaluate_form",
     "random_tangent",
     "tangent_to_json",
     "tangent_from_json",
@@ -445,11 +444,6 @@ def chart_of(model: str, n: int, m: int, include_vec: bool = True) -> Chart:
 def chart_for(p, kind: str | None = None) -> Chart:
     """The chart of the form ``kind`` (default: the point's model) at p."""
     return chart_of(p.model, p.n, p.m, kind not in ("siegel", "diskn"))
-
-
-def evaluate_form(kind: str, p, t: Tangent, params: MetricParams):
-    """The form of the given kind at point p and tangent t."""
-    return _form_at(_form_terms(kind, p, params), t, f"{kind} form")
 
 
 def _tangent_draw(n: int, m: int, rng: np.random.Generator) -> tuple:

@@ -51,9 +51,9 @@ tensors gain a leading axis of length K.  The operators contract such a
 bundle with the K points' coefficients and return one value per point;
 for a single point they return a float.  A point's bundle and operator
 values are the same, to the last bit, alone or in a stack of any size:
-the suite fields, the contractions, mat_inverse, cmatrix.mat_mul (the
-product of a stack's matrices, used by the metric forms and the fields)
-and the actions' stack-last core round each point alike wherever it sits.
+the suite fields, the contractions, mat_inverse and cmatrix.mat_mul (the
+product of a stack's matrices, used by the metric forms, the fields and
+the actions) round each point alike wherever it sits, in any memory order.
 """
 
 from __future__ import annotations

@@ -254,6 +254,26 @@ def test_eval_singular_point_exits_2(capsys, tmp_path):
     assert err == "error: invalid point: Im Omega is not positive definite\n"
 
 
+def test_eval_metric_rejects_a_tangent_of_other_sizes(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "sample", "point", "--model", "upper",
+                           "--n", "2", "--m", "1")
+    assert code == 0
+    point = tmp_path / "p.json"
+    point.write_text(out)
+    tangent = tmp_path / "t.json"
+    tangent.write_text(json.dumps({
+        "model": "upper", "n": 1, "m": 1,
+        "dmat": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]},
+        "dvec": {"rows": 1, "cols": 1, "data": [[0.0, 0.0]]},
+    }))
+    code, out, err = run_cli(capsys, "eval", "metric", "--point", str(point),
+                             "--tangent", str(tangent))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: tangent size (n, m) = (1, 1) does not match "
+                   "the point's (2, 1)\n")
+
+
 def test_sample_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "sample", "point", "--model", "disk",
                              "--seed", "5")

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from sjgeo.cmatrix import (
     SingularMatrix,
-    _inverse_last,
-    _mul_last,
     frozen,
     hermitian_pd_margin,
     mat_from_json,
@@ -150,14 +148,20 @@ def test_mat_mul_member_of_a_stack_is_its_product_alone(size):
         assert np.array_equal(stacked[k], mat_mul(a[k: k + 1], b[k: k + 1])[0])
 
 
-def _last(x):
-    return x[..., None] if x.ndim == 2 else np.ascontiguousarray(x.transpose(1, 2, 0))
+def _stack_last(x):
+    """One matrix as it is, a (K, r, c) stack as a view of (r, c, K) memory."""
+    return x if x.ndim == 2 else np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
+def _is_stack_last(x):
+    return x.ndim == 2 or x.transpose(1, 2, 0).flags.c_contiguous
+
+
+# Products of stack-last operands ("mul_last"), as the actions make them.
 # Every broadcast the actions make: one element (K = 1) against a stack of
 # points, a stack against a stack, one against one, a stack of elements
 # against one point; real blocks (A, C, lambda) times complex ones, complex
-# times complex, and the sum times the inverse's strided (n, n, K) view.
+# times complex, and the sum times the inverse of a stack-last stack.
 @pytest.mark.parametrize("ka,kb", [(None, 1153), (7, 7), (None, None), (7, None), (1, 7)])
 @pytest.mark.parametrize("rows,n", [(3, 3), (2, 3), (2, 2), (1, 2), (1, 1)])
 @pytest.mark.parametrize("real_left", [True, False])
@@ -168,19 +172,26 @@ def test_mul_last_is_mat_mul_bit_for_bit(ka, kb, rows, n, real_left):
     a = rng.uniform(-1, 1, a_shape) + (0 if real_left else 1j * rng.uniform(-1, 1, a_shape))
     b = rng.uniform(-1, 1, b_shape) + 1j * rng.uniform(-1, 1, b_shape)
     want = mat_mul(a, b)
-    got = _mul_last(_last(a), _last(b))
-    got = got[..., 0] if want.ndim == 2 else got.transpose(2, 0, 1)
-    assert got.dtype == want.dtype and got.tobytes() == np.ascontiguousarray(want).tobytes()
-    # the right factor as the (n, n, K) view an elimination returns
-    inv = _inverse_last(np.eye(n)[..., None] + 0.1 * _last(b))
-    want = mat_mul(a, np.ascontiguousarray(inv.transpose(2, 0, 1)))
-    got = _mul_last(_last(a), inv).transpose(2, 0, 1)
-    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    got = mat_mul(_stack_last(a), _stack_last(b))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if kb is not None:   # a stack on the right keeps the product stack-last
+        assert _is_stack_last(got)
+    m = np.eye(n) + 0.1 * b
+    want_inv = mat_inverse(m)
+    assert want_inv.flags.c_contiguous and want_inv.flags.owndata
+    view = _stack_last(m)
+    inv = mat_inverse(view)
+    assert inv.tobytes() == want_inv.tobytes()
+    assert inv.flags.owndata and inv.strides == view.strides
+    got = mat_mul(_stack_last(a), inv)
+    assert got.tobytes() == mat_mul(a, want_inv).tobytes()
 
 
 def test_mul_last_rejects_mismatched_inner_sizes():
+    # stack-last views of (2, 3) matrices: the inner sizes 3 and 2 differ
+    a = _stack_last(np.ones((1, 2, 3)))
     with pytest.raises(ValueError, match="inner sizes"):
-        _mul_last(np.ones((2, 3, 1)), np.ones((2, 3, 1)))
+        mat_mul(a, a)
 
 
 def test_hermitian_pd():
