@@ -44,6 +44,7 @@ __all__ = [
     "act_siegel",
     "act_upper",
     "act_disk",
+    "action_differential",
     "cayley",
     "cayley_inv",
     "check_cayley_compat",
@@ -229,6 +230,29 @@ def _moebius(what: str, x, a, b, c, d, vec: tuple = ()) -> tuple:
     return tuple(images)
 
 
+def _moebius_differential(x, a, c, d, lam, image: tuple, dx, dv) -> tuple:
+    """The differential of _moebius's map at (X, V) along tangent blocks:
+    with (X', V') = ``image``, the image of (X, V),
+
+        dX' = (A - X'C) dX (CX + D)^-1,
+        dV' = (dV + (Lam - V'C) dX)(CX + D)^-1,
+
+    the exact derivative of the holomorphic map, not a difference quotient.
+    dx and dv carry an axis of tangents before their matrix axes, shapes
+    (..., T, n, n) and (..., T, m, n), whose leading axes broadcast against
+    the point's and the element's stacks.  Built from mat_mul and
+    mat_inverse only, so a point's tangents get the same bits alone or in
+    a stack of any size.
+    """
+    image_x, image_v = image
+    right = mat_inverse(mat_mul(c, x) + d)
+    left = a - mat_mul(image_x, c)
+    shift = lam - mat_mul(image_v, c)
+    right, left, shift = (op[..., None, :, :] for op in (right, left, shift))
+    return (mat_mul(mat_mul(left, dx), right),
+            mat_mul(dv + mat_mul(shift, dx), right))
+
+
 def act_siegel(m: SpElement, omega: np.ndarray) -> np.ndarray:
     """Moebius action (A Omega + B)(C Omega + D)^-1 on the upper half space.
 
@@ -271,6 +295,25 @@ def act_disk(g: JacobiStarElement, p: DiskPoint) -> DiskPoint:
     pq = g.g
     return DiskPoint(*_moebius("disk action", p.w, pq.p, pq.q, pq.q.conj(), pq.p.conj(),
                                (p.eta, g.xi, g.xi.conj())))
+
+
+def action_differential(g, p, q, dmat, dvec) -> tuple:
+    """The differential of the Jacobi action at p, applied to tangent blocks.
+
+    ``g`` is a JacobiElement acting on an upper point (act_upper) or a
+    JacobiStarElement on a disk point (act_disk), and q is the moved point
+    g . p as that action returns it.  dmat and dvec hold T tangents per
+    point, (..., T, n, n) and (..., T, m, n) (see _moebius_differential);
+    returns their images (dmat', dvec') at q.  The action is holomorphic,
+    so on complex slot coordinates this is the complex Jacobian of the map.
+    """
+    if p.model == "upper":
+        sp = g.sp
+        return _moebius_differential(p.omega, sp.a, sp.c, sp.d, g.h.lam, (q.omega, q.z),
+                                     dmat, dvec)
+    pq = g.g
+    return _moebius_differential(p.w, pq.p, pq.q.conj(), pq.p.conj(), g.xi, (q.w, q.eta),
+                                 dmat, dvec)
 
 
 # ---------------------------------------------------------------------------

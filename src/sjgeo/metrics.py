@@ -215,8 +215,18 @@ class Chart:
     def slot_basis(self):
         """Stacked dmat / dvec arrays of one basis tangent per complex slot:
         the tangent of the slot's Re coordinate.  The tangent of its Im
-        coordinate is i times it."""
+        coordinate is i times it.  metric_tensor evaluates its forms on
+        these tangents; the invariance checks (verify) push them through
+        the action's differential to get its complex Jacobian."""
         return self._unpack(np.eye(self.dim)[self.x_indices])
+
+    def slot_coords(self, mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """The complex slot coordinates of tangent blocks, one row per
+        tangent of a stack: slot_basis's tangents give the identity."""
+        coords = mat[..., self.mat_rows, self.mat_cols]
+        if self.include_vec:
+            coords = np.concatenate([coords, vec.reshape(vec.shape[:-2] + (-1,))], axis=-1)
+        return coords
 
     def point_scale(self, p):
         """Largest coordinate magnitude; one per point of a stacked point."""

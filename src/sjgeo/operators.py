@@ -11,8 +11,12 @@ all trace contractions.
 Each operator takes the SecondBundle of a field at the point, built by
 second_bundle(f, p), and contracts it with coefficients evaluated at the
 point; no operator differentiates, so one bundle serves every operator
-at its point.  lap_siegel and lap_disk_n read the matrix block only and
-also take a matrix-only bundle; the others need the full-chart one:
+at its point.  A bundle is the mixed Wirtinger matrix of the chart's
+complex slots, gathered into four tensors by bundle_of(mixed, chart),
+which second_bundle ends in; any Hermitian slot matrix makes a bundle,
+such as one moved by the chain rule (see verify's invariance checks).
+lap_siegel and lap_disk_n read the matrix block only and also take a
+matrix-only bundle; the others need the full-chart one:
 
   * lap_siegel    4 sigma(Y t(Y dOmegabar) dOmega)
   * lap_upper     (4/A) sigma(Y t(Y hatbar) hat) + (4/B) sigma(Y dZ t(dZbar))
@@ -74,6 +78,7 @@ __all__ = [
     "SecondBundle",
     "default_step",
     "second_bundle",
+    "bundle_of",
     "lap_siegel",
     "lap_upper",
     "lap_upper_printed",
@@ -130,9 +135,11 @@ class SecondBundle:
 
     mat_mat[k,e,c,a] pairs the conjugate matrix derivative at (k,e) with
     the plain one at (c,a); vec_vec, mat_vec, vec_mat follow the same
-    barred-first convention.
+    barred-first convention.  ``mixed`` is the slot matrix the tensors
+    are gathered from (see bundle_of, the one constructor).
     """
 
+    mixed: np.ndarray
     mat_mat: np.ndarray
     vec_vec: np.ndarray | None
     mat_vec: np.ndarray | None
@@ -259,7 +266,18 @@ def second_bundle(f, p, mat_only: bool | None = None) -> SecondBundle:
     v0 = chart.point_to_vec(p)
     coarse = _hess_real(f, chart, v0, h)
     fine = _hess_real(f, chart, v0, 0.5 * h)
-    mixed = _mixed_wirtinger((4.0 * fine - coarse) / 3.0, chart)
+    return bundle_of(_mixed_wirtinger((4.0 * fine - coarse) / 3.0, chart), chart)
+
+
+def bundle_of(mixed: np.ndarray, chart: Chart) -> SecondBundle:
+    """The bundle of a mixed slot matrix over ``chart``'s complex slots,
+    mixed[..., t, s] = d/dconj(c_t) d/dc_s, one matrix or a stack.
+
+    Any such matrix makes a bundle: a field's (second_bundle), or one
+    moved by the chain rule or drawn at random (the invariance checks).
+    The matrix derivative pairs carry the weights of the symmetric entries
+    (chart.mat_weights); the bundle keeps ``mixed`` as it is.
+    """
     ms, mw = chart.mat_entry_slots, chart.mat_weights
     # barred index pair first: tensor[k,e,c,a] = w(k,e) w(c,a) mixed[slot(k,e), slot(c,a)]
     mat_mat = (mw[:, :, None, None] * mw[None, None, :, :]
@@ -273,7 +291,7 @@ def second_bundle(f, p, mat_only: bool | None = None) -> SecondBundle:
                    * mixed[..., vs[:, :, None, None], ms[None, None, :, :]])
     else:
         vec_vec = mat_vec = vec_mat = None
-    return SecondBundle(mat_mat, vec_vec, mat_vec, vec_mat)
+    return SecondBundle(mixed, mat_mat, vec_vec, mat_vec, vec_mat)
 
 
 def _require_full(sb: SecondBundle):

@@ -44,13 +44,14 @@ from functools import partial
 
 import numpy as np
 
-from .cmatrix import SingularMatrix, mat_inverse, mat_max_abs
+from .cmatrix import SingularMatrix, mat_inverse, mat_max_abs, mat_mul, seeded
 from .geometry import (
     DiskPoint,
     UpperPoint,
     act_disk,
     act_siegel,
     act_upper,
+    action_differential,
     cayley,
     cayley_inv,
     check_cayley_compat,
@@ -98,9 +99,9 @@ from .metrics import (
 )
 from .operators import (
     DomainMargin,
-    ScalarField,
     _grad_real,
     _require_margin,
+    bundle_of,
     default_step,
     lap_disk,
     lap_disk_closed_11,
@@ -585,11 +586,22 @@ def _chk_cayley_compat(n, m, params, master, idx) -> _Stack:
     return out
 
 
-def _metric_invariance(out, tag, action_fn, p, t, evaluate):
-    moved = map_differential(action_fn, p, t)
-    lhs = evaluate(p, t)
-    rhs = evaluate(action_fn(p), moved)
-    out.add(tag, lhs, rhs)
+def _metric_invariance(out, act, g, p, t, forms: dict) -> tuple:
+    """Each form of ``forms`` (label -> form(point, tangent)) at p on t
+    against the same form at q = act(g, p) on t pushed by map_differential;
+    returns q and the pushed tangent."""
+    moved = map_differential(lambda x: act(g, x), p, t)
+    q = act(g, p)
+    for label, form in forms.items():
+        out.add(label, form(p, t), form(q, moved))
+    return q, moved
+
+
+def _differential_part(out, label, g, p, q, t, moved):
+    """The tangent map_differential pushed against the action's closed-form
+    differential (geometry.action_differential) on the same tangent."""
+    exact = action_differential(g, p, q, t.dmat[..., None, :, :], t.dvec[..., None, :, :])
+    out.add(label, (moved.dmat, moved.dvec), tuple(x[..., 0, :, :] for x in exact))
 
 
 def _chk_metric_invariance_upper(n, m, params, master, idx) -> _Stack:
@@ -604,11 +616,12 @@ def _chk_metric_invariance_upper(n, m, params, master, idx) -> _Stack:
 
     (g, p), out.retries = _redraw(make, accept, master, idx, "mi-upper")
     t = random_tangent("upper", n, m, _seeds(master, idx, "t"))
-    _metric_invariance(out, "upper-family", lambda q: act_upper(g, q), p, t,
-                       lambda q, s: q_upper(q, s, params))
+    q, moved = _metric_invariance(out, act_upper, g, p, t,
+                                  {"upper-family": lambda x, s: q_upper(x, s, params)})
+    _differential_part(out, "upper-differential", g, p, q, t, moved)
     sp_only = JacobiElement(g.sp, heisenberg_identity(n, m))
-    _metric_invariance(out, "siegel", lambda q: act_upper(sp_only, q), p, t,
-                       lambda q, s: q_siegel(q.omega, s))
+    _metric_invariance(out, act_upper, sp_only, p, t,
+                       {"siegel": lambda x, s: q_siegel(x.omega, s)})
     out.describe(point=p, element=g)
     return out
 
@@ -626,10 +639,10 @@ def _chk_metric_invariance_disk(n, m, params, master, idx) -> _Stack:
     (g, p), out.retries = _redraw(make, accept, master, idx, "mi-disk")
     s = theta_map(g)
     t = random_tangent("disk", n, m, _seeds(master, idx, "t"))
-    _metric_invariance(out, "disk-family", lambda q: act_disk(s, q), p, t,
-                       lambda q, v: q_disk(q, v, params))
-    _metric_invariance(out, "disk-base", lambda q: act_disk(s, q), p, t,
-                       lambda q, v: q_disk_n(q.w, v))
+    q, moved = _metric_invariance(out, act_disk, s, p, t,
+                                  {"disk-family": lambda x, v: q_disk(x, v, params),
+                                   "disk-base": lambda x, v: q_disk_n(x.w, v)})
+    _differential_part(out, "disk-differential", s, p, q, t, moved)
     out.describe(point=p)
     return out
 
@@ -738,31 +751,56 @@ def _rel_gap(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
-def _compose(f, action, elements, count: int) -> ScalarField:
-    """f after the action of a stack of ``count`` elements, as a field.
+def _hermitian(seeds, size: int) -> np.ndarray:
+    """A seeded Hermitian size x size matrix per seed: A + A^H, with the
+    real and imaginary parts of A uniform in [-1, 1]."""
+    def build(a):
+        a = a[:, 0] + 1j * a[:, 1]
+        return (a + a.conj().mT,)
+    return seeded(seeds, (size,), lambda rng: (rng.uniform(-1.0, 1.0, (2, size, size)),),
+                  build)[0]
 
-    It takes a stacked point whose points come in ``count`` equal runs,
-    such as the stencil nodes of that many samples, and moves run k by
-    element k, so the whole stencil stays one field call.  A stack of one
-    element broadcasts against the points as it is."""
-    return ScalarField(f.name, f.model, lambda q: f(action(
-        elements if count == 1
-        else _at(elements, np.repeat(np.arange(count), q.batch[0] // count)), q)),
-        f.mat_only)
+
+def _slot_jacobian(g, p, q) -> np.ndarray:
+    """J[..., s', s] = dc'_s' / dc_s: the complex Jacobian of the action of
+    g at p in the full chart's complex slot coordinates, where q = g . p;
+    column s is the action's exact differential on slot s's basis tangent."""
+    chart = chart_for(p)
+    return chart.slot_coords(*action_differential(g, p, q, *chart.slot_basis())).mT
+
+
+def _pullbacks(f, g, p, q, herm) -> dict:
+    """Suffix -> ((bundle at p, p), (bundle at q, q)) for the field f
+    (suffix "") and for the Hermitian slot matrices ``herm`` (suffix
+    "[hermitian]"), where q = g . p.
+
+    Each bundle at q is pulled back to p by the holomorphic chain rule: the
+    mixed matrix of a function after the action is J^H M J, where M is the
+    function's at q and J the action's complex Jacobian (_slot_jacobian).
+    An invariant operator gives the same value on both bundles."""
+    chart = chart_for(p)
+    jac = _slot_jacobian(g, p, q)
+
+    def pair(at_q):
+        pulled = bundle_of(mat_mul(mat_mul(jac.conj().mT, at_q.mixed), jac), chart)
+        return (pulled, p), (at_q, q)
+    return {"": pair(second_bundle(f, q, mat_only=False)),
+            "[hermitian]": pair(bundle_of(herm, chart))}
 
 
 def _invariance_sample(n, m, master, idx, parts) -> _Stack:
     """The residuals ``parts(out, upper, disk)`` adds for each stack of
-    samples, where each model's argument is (sb_moved, p, sb, q): the bundle
-    of the field after the action at the drawn point p, and the bundle of
-    the field at the moved point q.  Sample k uses the non-constant field
-    1 + k % 4 of each model's suite."""
+    samples, where each model's argument is its _pullbacks at the drawn
+    point p and the moved point q = g . p.  Sample k uses the non-constant
+    field 1 + k % 4 of each model's suite, and both models one seeded
+    Hermitian slot matrix."""
     suite_u = test_field_suite("upper", n, m, sample_seed(master, "fu"))
     suite_d = test_field_suite("disk", n, m, sample_seed(master, "fd"))
+    slots = chart_of("upper", n, m).n_slots
 
     def make(seeds):
-        # the draws carry their images: accept judges them, and they are the
-        # stencil centres of the moved fields
+        # the draws carry their images: accept judges them, and the bundles
+        # are built there
         g = random_jacobi(n, m, seeds)
         s = theta_map(g)
         pu = random_point("upper", n, m, _seeds(seeds, "pu"))
@@ -780,11 +818,8 @@ def _invariance_sample(n, m, master, idx, parts) -> _Stack:
         out = _Stack(sub)
         (g, s, pu, pd, qu, qd), out.retries = _redraw(make, accept, master, sub, "op-inv")
         f_u, f_d = suite_u[1 + j], suite_d[1 + j]   # skip the constant field
-        upper = (second_bundle(_compose(f_u, act_upper, g, len(sub)), pu, mat_only=False), pu,
-                 second_bundle(f_u, qu, mat_only=False), qu)
-        disk = (second_bundle(_compose(f_d, act_disk, s, len(sub)), pd, mat_only=False), pd,
-                second_bundle(f_d, qd, mat_only=False), qd)
-        parts(out, upper, disk)
+        herm = _hermitian(_seeds(master, sub, "herm"), slots)
+        parts(out, _pullbacks(f_u, g, pu, qu, herm), _pullbacks(f_d, s, pd, qd, herm))
         out.describe(field=f_u.name, point=pu, disk_point=pd)
         return out
     return _grouped(len(suite_u) - 1, idx, sampler)
@@ -792,9 +827,10 @@ def _invariance_sample(n, m, master, idx, parts) -> _Stack:
 
 def _chk_laplacian_invariance(n, m, params, master, idx) -> _Stack:
     def parts(out, upper, disk):
-        for name, lap, (sb_moved, p, sb, q) in (("upper-laplacian", lap_upper, upper),
-                                                ("disk-laplacian", lap_disk, disk)):
-            out.add(name, lap(sb_moved, p, params), lap(sb, q, params))
+        for name, lap, pairs in (("upper-laplacian", lap_upper, upper),
+                                 ("disk-laplacian", lap_disk, disk)):
+            for suffix, (at_p, at_q) in pairs.items():
+                out.add(name + suffix, lap(*at_p, params), lap(*at_q, params))
     return _invariance_sample(n, m, master, idx, parts)
 
 
@@ -803,15 +839,17 @@ def _chk_remark_invariance(n, m, params, master, idx) -> _Stack:
 
     def parts(out, upper, disk):
         moved = {}   # each operator at the moved points
-        for (sb_moved, p, sb, q), kinds in ((upper, ("D", "L")), (disk, ("Dtilde", "Ltilde"))):
+        for pairs, kinds in ((upper, ("D", "L")), (disk, ("Dtilde", "Ltilde"))):
             for kind in kinds:
-                moved[kind] = op_invariant(kind, sb, q)
-                out.add(kind, op_invariant(kind, sb_moved, p), moved[kind])
-        # the defining splits at the moved points: a quarter of the
-        # unit-weight Laplacian minus D is L, the disk Laplacian minus
-        # Dtilde is Ltilde
-        out.add("L-split", 0.25 * lap_upper(*upper[2:], unit) - moved["D"], moved["L"])
-        out.add("Ltilde-split", lap_disk(*disk[2:], unit) - moved["Dtilde"], moved["Ltilde"])
+                for suffix, (at_p, at_q) in pairs.items():
+                    moved[kind + suffix] = op_invariant(kind, *at_q)
+                    out.add(kind + suffix, op_invariant(kind, *at_p), moved[kind + suffix])
+        # the defining splits of the field's bundles at the moved points: a
+        # quarter of the unit-weight Laplacian minus D is L, the disk
+        # Laplacian minus Dtilde is Ltilde
+        out.add("L-split", 0.25 * lap_upper(*upper[""][1], unit) - moved["D"], moved["L"])
+        out.add("Ltilde-split", lap_disk(*disk[""][1], unit) - moved["Dtilde"],
+                moved["Ltilde"])
     return _invariance_sample(n, m, master, idx, parts)
 
 

@@ -137,14 +137,20 @@ def test_criterion_09_laplace_beltrami_equivalence():
 
 
 def test_criterion_10_operator_invariance():
-    worst = 0.0
+    worst = worst_hermitian = 0.0
     for (n, m, samples) in [(1, 1, 20), (2, 1, 10), (2, 2, 8), (3, 2, 8)]:
         for name in ("laplacian-invariance", "remark41-invariance"):
             rep = _run(name, n, m, samples, 1e-3)
             worst = max(worst, rep.max_rel)
             assert rep.passed, f"{name} ({n},{m}): {rep.max_rel}"
+            # each operator on a seeded Hermitian bundle, with no field at all
+            hermitian = {k: v for k, v in rep.parts.items() if k.endswith("[hermitian]")}
+            assert len(hermitian) == (2 if name == "laplacian-invariance" else 4)
+            worst_hermitian = max([worst_hermitian, *hermitian.values()])
     _line("criterion-10 operator-invariance", f"max_rel={worst:.2e} tol=1e-3",
           worst <= 1e-3)
+    _line("criterion-10 hermitian-bundle invariance",
+          f"max_rel={worst_hermitian:.2e} tol=1e-7", worst_hermitian <= 1e-7)
 
 
 def test_criterion_11_n1m1_reduction():

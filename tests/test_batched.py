@@ -87,7 +87,7 @@ def test_second_bundle_stacked_matches_node_by_node(model, n, m):
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 2)])
 def test_composed_fields_stacked_match_node_by_node(n, m):
-    # the invariance checks differentiate f after an action, on stacks
+    # a field after an action, differentiated on a stack of stencil nodes
     g = G.random_jacobi(n, m, 4)
     s = G.theta_map(g)
     for model, act, elem in (("upper", geo.act_upper, g), ("disk", geo.act_disk, s)):

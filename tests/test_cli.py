@@ -88,6 +88,15 @@ def test_verify_unwritable_out_exits_2_before_any_check(capsys, tmp_path, monkey
     assert os.listdir(tmp_path) == []   # and nothing was created
 
 
+def test_verify_invariance_passes_at_tiny_weights(capsys):
+    # the operators scale as 1/A and 1/B, but both sides of each invariance
+    # residual are built from one mixed matrix, so none is noise against noise
+    code, out, err = run_cli(capsys, "verify", "laplacian-invariance",
+                             "--A", "1e-20", "--B", "1e-20", "--samples", "4")
+    assert code == 0
+    assert json.loads(out)["max_rel"] <= 1e-12
+
+
 def test_verify_has_no_threads_flag(capsys):
     code, out, err = run_cli(capsys, "verify", "group-laws", "--threads", "2")
     assert code == 2

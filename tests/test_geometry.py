@@ -190,10 +190,9 @@ def test_points_copy_a_callers_writable_arrays(point):
 # The bits of the three actions, pinned: blake2b of the moved blocks at
 # (1,1), (2,1) and (3,2), computed before the actions ran on stack-last
 # memory, so they pin that the memory order changes no bit.  Three cases:
-# one element moving a stack of 1153 points (the composed-field case: one
-# element moves every stencil node of a sample at (3,2)), a stack of
-# elements against a stack of as many points, and one element moving one
-# point.
+# one element moving a stack of 1153 points (the size of one sample's
+# stencil at (3,2)), a stack of elements against a stack of as many
+# points, and one element moving one point.
 
 def _action_case(case: str):
     """The element's seed and the points' seed of a case."""

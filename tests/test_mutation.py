@@ -1,5 +1,6 @@
 """Mutation tests: each injects one known defect into a Laplacian, a
-group law, a metric form or a map, and asserts that the matching check fails.
+group law, a metric form, a map or its differential, and asserts that the
+matching check fails.
 
 A check that still passes with the defect in place cannot tell the
 defective operator from the correct one.
@@ -10,6 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sjgeo import geometry as geo
 from sjgeo import groups as G
 from sjgeo import metrics as M
 from sjgeo import operators as op
@@ -102,4 +104,70 @@ def test_scaled_disk_cmid_weight_fails(monkeypatch, name):
         return terms + [(1.01 * weight, left, x, right, y)]
     monkeypatch.setattr(M, "_disk_terms", scaled)
     rep = _run22(name)
+    assert not rep.passed, f"max_rel={rep.max_rel}"
+
+
+# Invariance by the chain rule (laplacian-invariance, remark41-invariance):
+# an operator on a bundle at q = g . p must equal the operator at p on the
+# bundle pulled back by the action's Jacobian, for the suite fields and for
+# a seeded Hermitian slot matrix.  The printed displays are not invariant
+# for n >= 2, and agree with the corrected forms at n = 1.
+
+PRINTED = [("lap_upper", op.lap_upper_printed), ("lap_disk", op.lap_disk_printed)]
+
+
+@pytest.mark.parametrize("name, printed", PRINTED)
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (3, 2)])
+def test_printed_laplacian_fails_invariance(monkeypatch, name, printed, n, m):
+    monkeypatch.setattr(V, name, printed)
+    rep = V.run_check("laplacian-invariance", n, m, UNIT, 8, 42)
+    assert not rep.passed, f"max_rel={rep.max_rel}"
+
+
+@pytest.mark.parametrize("name, printed", PRINTED)
+def test_printed_laplacian_is_invariant_at_n1(monkeypatch, name, printed):
+    monkeypatch.setattr(V, name, printed)
+    rep = V.run_check("laplacian-invariance", 1, 1, UNIT, 8, 42)
+    assert rep.passed, f"max_rel={rep.max_rel}"
+
+
+def _scaled_shifted_maass(monkeypatch):
+    """_hat_mat_mat with 0.01 of the unshifted tensor added: the L blocks
+    of both Laplacians (and L, Ltilde) are then no longer invariant."""
+    correct = op._hat_mat_mat
+    monkeypatch.setattr(op, "_hat_mat_mat",
+                        lambda sb, twist, sign: correct(sb, twist, sign) + 0.01 * sb.mat_mat)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2)])
+def test_shifted_maass_mutant_fails_remark41_invariance(monkeypatch, n, m):
+    _scaled_shifted_maass(monkeypatch)
+    rep = V.run_check("remark41-invariance", n, m, UNIT, 8, 42)
+    assert not rep.passed, f"max_rel={rep.max_rel}"
+
+
+def test_invariance_holds_at_tiny_weights_and_still_catches_a_mutant(monkeypatch):
+    # both sides share one mixed matrix, so the 1/A and 1/B scaling of the
+    # operators leaves no finite-difference noise to compare with itself
+    tiny = MetricParams(1e-20, 1e-20)
+    for n, m in [(1, 1), (2, 1)]:
+        rep = V.run_check("laplacian-invariance", n, m, tiny, 4, 42)
+        assert rep.passed, f"({n},{m}) max_rel={rep.max_rel}"
+    _scaled_shifted_maass(monkeypatch)
+    for n, m in [(1, 1), (2, 1)]:
+        rep = V.run_check("laplacian-invariance", n, m, tiny, 4, 42)
+        assert not rep.passed, f"({n},{m}) max_rel={rep.max_rel}"
+
+
+def test_differential_without_its_shift_term_fails(monkeypatch):
+    # drop -V'C dX from dV' = (dV + (Lam - V'C) dX)(CX + D)^-1: with V' = 0
+    # the helper computes exactly that
+    correct = geo._moebius_differential
+
+    def dropped(x, a, c, d, lam, image, dx, dv):
+        return correct(x, a, c, d, lam, (image[0], np.zeros_like(image[1])), dx, dv)
+    monkeypatch.setattr(geo, "_moebius_differential", dropped)
+    rep = _run("metric-invariance-upper")
+    assert not rep.passed and rep.worst["part"] == "upper-differential", rep.parts
+    rep = _run("laplacian-invariance")
     assert not rep.passed, f"max_rel={rep.max_rel}"

@@ -5,7 +5,7 @@ import pytest
 
 from sjgeo import geometry as geo
 from sjgeo import operators as op
-from sjgeo.metrics import MetricParams, metric_tensor
+from sjgeo.metrics import MetricParams, chart_of, metric_tensor
 from sjgeo.verify import laplace_beltrami
 
 UNIT = MetricParams(1.0, 1.0)
@@ -221,3 +221,16 @@ def _invariant_bits(n, m) -> str:
 @pytest.mark.parametrize("n,m", list(INVARIANT_DIGESTS))
 def test_invariant_bits_are_pinned(n, m):
     assert _invariant_bits(n, m) == INVARIANT_DIGESTS[n, m]
+
+
+@pytest.mark.parametrize("model,n,m,mat_only", list(BUNDLE_DIGESTS))
+def test_bundle_of_rebuilds_the_bundle_bit_for_bit(model, n, m, mat_only):
+    p = geo.random_point(model, n, m, np.arange(3))
+    chart = chart_of(model, n, m, not mat_only)
+    for f in op.test_field_suite(model, n, m, 5, mat_only=mat_only)[3:]:
+        sb = op.second_bundle(f, p)
+        rebuilt = op.bundle_of(sb.mixed, chart)
+        assert rebuilt.mixed is sb.mixed
+        for name in ("mat_mat", "vec_vec", "mat_vec", "vec_mat"):
+            a, b = getattr(sb, name), getattr(rebuilt, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name

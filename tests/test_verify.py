@@ -169,3 +169,55 @@ def test_nonunit_parameters():
         assert rep.passed
     rep = V.run_check("lb-equivalence-disk", 1, 1, params, 10, 3)
     assert rep.passed and rep.constant == pytest.approx(1.0, abs=1e-4)
+
+
+# The action's complex Jacobian in slot coordinates, from its exact
+# differential (geometry.action_differential on the chart's slot basis).
+
+def _element(model, n, m, seed):
+    g = G.random_jacobi(n, m, seed)
+    return g if model == "upper" else G.theta_map(g)
+
+
+def _act(model):
+    return geo.act_upper if model == "upper" else geo.act_disk
+
+
+@pytest.mark.parametrize("model", ["upper", "disk"])
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
+def test_identity_element_has_the_identity_jacobian(model, n, m):
+    e = G.jacobi_identity(n, m) if model == "upper" else G.jacobistar_identity(n, m)
+    p = geo.random_point(model, n, m, [3, 4])
+    jac = V._slot_jacobian(e, p, _act(model)(e, p))
+    slots = Chart(model, n, m).n_slots
+    assert jac.shape == (2, slots, slots)
+    assert np.array_equal(jac, np.broadcast_to(np.eye(slots), jac.shape))
+
+
+@pytest.mark.parametrize("model", ["upper", "disk"])
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 2)])
+def test_stacked_jacobian_has_each_samples_bytes(model, n, m):
+    seeds = [11, 12, 13, 14, 15]
+    g = _element(model, n, m, seeds)
+    p = geo.random_point(model, n, m, seeds)
+    jac = V._slot_jacobian(g, p, _act(model)(g, p))
+    for k, seed in enumerate(seeds):
+        gk = _element(model, n, m, seed)
+        pk = geo.random_point(model, n, m, seed)
+        alone = V._slot_jacobian(gk, pk, _act(model)(gk, pk))
+        assert jac[k].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("model", ["upper", "disk"])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_jacobian_matches_map_differential_on_the_slot_basis(model, n, m):
+    chart = Chart(model, n, m)
+    basis = Tangent(model, *chart.slot_basis())
+    for seed in range(3):
+        g = _element(model, n, m, 20 + seed)
+        p = geo.random_point(model, n, m, 30 + seed)
+        act = _act(model)
+        moved = V.map_differential(lambda q: act(g, q), p, basis)
+        fd = chart.slot_coords(moved.dmat, moved.dvec).T
+        exact = V._slot_jacobian(g, p, act(g, p))
+        assert max_abs(exact - fd) / (1.0 + max_abs(exact)) <= 1e-7
