@@ -60,6 +60,9 @@ __all__ = [
 # contractions show up as O(1) imaginary parts; round-off stays far below.
 _IMAG_GUARD = 1e-6
 
+# The two blocks of a tangent: the symmetric dmat and the rectangular dvec.
+_MAT, _VEC = 0, 1
+
 
 @dataclass(frozen=True)
 class Tangent:
@@ -152,9 +155,42 @@ class Chart:
             for k in range(m):
                 for l in range(n):
                     self.vec_entry_slots[l, k] = self.n_mat_slots + k * n + l
-        for index in vars(self).values():
-            if isinstance(index, np.ndarray):
-                index.flags.writeable = False
+        # The index tables of _form_matrix, one per pair of blocks.
+        self.slot_ranges = (slice(0, self.n_mat_slots), slice(self.n_mat_slots, self.n_slots))
+        blocks = (_MAT, _VEC) if include_vec else (_MAT,)
+        self.form_gathers = {(x, y): self._form_gather(x, y) for x in blocks for y in blocks}
+        arrays = [a for a in vars(self).values() if isinstance(a, np.ndarray)]
+        for index in arrays + [a for table in self.form_gathers.values() for a in table]:
+            index.flags.writeable = False
+
+    def _unit_entries(self, block: int):
+        """The unit entries of each basis tangent of a block's slots, in
+        row-major order: (slots, 2) arrays of rows and of columns, and a
+        flag per slot whose tangent has one unit entry (a diagonal dmat
+        slot or a dvec slot), which the arrays then repeat."""
+        if block == _MAT:
+            i, j = self.mat_rows, self.mat_cols     # i <= j: entries (i, j) and (j, i)
+            return np.stack([i, j], axis=-1), np.stack([j, i], axis=-1), i == j
+        k, l = np.divmod(np.arange(self.n_vec_slots), self.n)     # dvec[k, l]
+        return np.stack([k, k], axis=-1), np.stack([l, l], axis=-1), np.ones(k.shape, dtype=bool)
+
+    def _form_gather(self, x: int, y: int) -> tuple:
+        """Read-only tables of the products of a form term whose linear slot
+        is in block x and conjugate slot in block y (see _form_matrix):
+        flat indices into left and into right, and the padding mask, each
+        (S_x, S_y, 2, 2) over (s, t, entry a of E_t, entry b of E_s)."""
+        s_rows, s_cols, s_single = self._unit_entries(x)
+        t_rows, t_cols, t_single = self._unit_entries(y)
+        # E_s's entries by column, as a product's inner sum meets them: the
+        # reverse of row-major for a dmat slot, (j, i) in column i first
+        r, k = s_rows[:, None, None, ::-1], s_cols[:, None, None, ::-1]
+        c, d = t_rows[None, :, :, None], t_cols[None, :, :, None]
+        left = c * (self.n if x == _MAT else self.m) + r     # left[c, r], left row-major
+        right = k * self.n + d                               # right[k, d]
+        second = np.arange(2) == 1
+        pad = ((s_single[:, None, None, None] & second)
+               | (t_single[None, :, None, None] & second[:, None]))
+        return tuple(np.ascontiguousarray(a) for a in np.broadcast_arrays(left, right, pad))
 
     # -- packing shared by points and tangents -------------------------
 
@@ -215,9 +251,8 @@ class Chart:
     def slot_basis(self):
         """Stacked dmat / dvec arrays of one basis tangent per complex slot:
         the tangent of the slot's Re coordinate.  The tangent of its Im
-        coordinate is i times it.  metric_tensor evaluates its forms on
-        these tangents; the invariance checks (verify) push them through
-        the action's differential to get its complex Jacobian."""
+        coordinate is i times it.  The invariance checks (verify) push them
+        through the action's differential to get its complex Jacobian."""
         return self._unpack(np.eye(self.dim)[self.x_indices])
 
     def slot_coords(self, mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -244,9 +279,19 @@ class Chart:
 # the printed line elements take this shape because dM is symmetric.
 # The coefficient blocks left / right depend on the point only, so one
 # list serves every tangent, and on a stacked point they are stacked.
-
-_MAT, _VEC = 0, 1
-
+#
+# metric_tensor pairs the chart's basis tangents E_s and E_t through each
+# term.  A basis tangent has one or two unit entries (E_s[i, j] =
+# E_s[j, i] = 1 for a dmat slot with i != j), so a term's entry is at
+# most four products w left[c, r] right[k, d], with (r, k) a unit entry of
+# E_s and (c, d) one of E_t.  _form_matrix gathers them by index tables
+# that each chart builds once (Chart.form_gathers) and adds them in the
+# order in which the matrix products ((w left) E_s) right, paired with
+# E_t, would add them.  Those products' other summands are zeros, and a
+# zero leaves a nonzero sum unchanged, so the tensor has their bits, and
+# each point's bits do not depend on its stack.  A chart with S complex
+# slots (S = n(n+1)/2 + mn) holds 4 S^2 table entries per array, and a
+# term gathers 4 S^2 complex products per point.
 
 def _realize(q, what: str):
     """The real part of q (a float for one value); ArithmeticError unless
@@ -295,18 +340,21 @@ def _disk_terms(w: np.ndarray, eta: np.ndarray, a: float, b: float) -> list:
     ec = eta.conj()
     li = mat_inverse(eye - mat_mul(w, wc))
     ri = mat_inverse(eye - mat_mul(wc, w))
-    one_minus_w_inv = mat_inverse(eye - w)
-    one_minus_wc_inv = mat_inverse(eye - wc)
+    one_minus_w = eye - w
+    one_minus_wc = eye - wc
+    one_minus_w_inv = mat_inverse(one_minus_w)
+    one_minus_wc_inv = mat_inverse(one_minus_wc)
+    li_et = mat_mul(li, eta.mT)     # the prefix of the first and third chains
     e1 = mat_mul(eta, wc) - ec
     e2 = mat_mul(ec, w) - eta
     # dW/conj(dW) coefficient, summed over the six eta-quadratic terms.
     c_mid = (
-        - _chain(li, eta.mT, eta, ri, wc)
+        - _chain(li_et, eta, ri, wc)
         - _chain(w, ri, ec.mT, ec, li)
-        + _chain(li, eta.mT, ec, li)
+        + _chain(li_et, ec, li)
         + _chain(one_minus_wc_inv, ec.mT, eta, wc, li)
-        + _chain(one_minus_wc_inv, eye - w, ri, ec.mT, eta, ri, eye - wc, one_minus_w_inv)
-        - _chain(li, eye - w, one_minus_wc_inv, ec.mT, eta, one_minus_w_inv)
+        + _chain(one_minus_wc_inv, one_minus_w, ri, ec.mT, eta, ri, one_minus_wc, one_minus_w_inv)
+        - _chain(li, one_minus_w, one_minus_wc_inv, ec.mT, eta, one_minus_w_inv)
     )
     a4, b4 = 4.0 * a, 4.0 * b
     return [
@@ -342,18 +390,28 @@ def _form_at(terms: list, t: Tangent, what: str):
     return _realize(_form_value(terms, t.dmat, t.dvec), what)
 
 
-def _form_matrix(terms: list, dmats: np.ndarray, dvecs: np.ndarray) -> np.ndarray:
-    """H[..., s, t]: the terms with tangent s of the stacks in the linear
-    slot and tangent t in the conjugate slot; leading axes follow the point."""
-    slots = (dmats, dvecs)
-    count = len(dmats)
+def _form_matrix(terms: list, chart: Chart) -> np.ndarray:
+    """H[..., s, t]: the terms with the chart's basis tangent E_s in the
+    linear slot and E_t in the conjugate slot; leading axes follow the point.
+
+    Per term, one gather of (w left) and of right by the chart's tables of
+    its block pair gives p[..., s, t, a, b] = w left[c_a, r_b] right[k_b, d_a]
+    for entry b of E_s (by column) and entry a of E_t (row-major); padding
+    combinations are +0.  The term adds (p00 + p01) + (p10 + p11) to its
+    block of H, the terms in list order, as the products
+    ((w left) E_s) right paired with E_t would sum them.
+    """
     lead = np.broadcast_shapes(*(block.shape[:-2] for _, left, _, right, _ in terms
                                  for block in (left, right)))
-    total = np.zeros(lead + (count, count), dtype=np.complex128)
+    total = np.zeros(lead + (chart.n_slots, chart.n_slots), dtype=np.complex128)
     for w, left, x, right, y in terms:
-        lxr = _chain((w * left)[..., None, :, :], slots[x], right[..., None, :, :])
-        total += mat_mul(lxr.reshape(*lxr.shape[:-2], -1),
-                         slots[y].conj().reshape(count, -1).T)
+        at_left, at_right, pad = chart.form_gathers[x, y]
+        wl = w * left
+        p = (np.take(wl.reshape(wl.shape[:-2] + (-1,)), at_left, axis=-1)
+             * np.take(right.reshape(right.shape[:-2] + (-1,)), at_right, axis=-1))
+        p[..., pad] = 0.0
+        inner = p[..., 0] + p[..., 1]
+        total[..., chart.slot_ranges[x], chart.slot_ranges[y]] += inner[..., 0] + inner[..., 1]
     return total
 
 
@@ -430,7 +488,7 @@ def metric_tensor(p, params: MetricParams, kind: str | None = None) -> np.ndarra
     if kind is None:
         kind = p.model
     chart = chart_for(p, kind)
-    h = _form_matrix(_form_terms(kind, p, params), *chart.slot_basis())
+    h = _form_matrix(_form_terms(kind, p, params), chart)
     what = f"{kind} tensor"
     same = _realize(0.5 * (h + h.mT), what)
     cross = _realize(-0.5j * (h - h.mT), what)
@@ -444,10 +502,14 @@ def metric_tensor(p, params: MetricParams, kind: str | None = None) -> np.ndarra
     return g
 
 
-@cache
 def chart_of(model: str, n: int, m: int, include_vec: bool = True) -> Chart:
     """The chart of (model, n, m, include_vec), built on the first call and
-    shared by every later one."""
+    shared by every later one, however the arguments are spelled."""
+    return _cached_chart(model, n, m, include_vec)
+
+
+@cache
+def _cached_chart(model: str, n: int, m: int, include_vec: bool) -> Chart:
     return Chart(model, n, m, include_vec)
 
 

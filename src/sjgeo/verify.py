@@ -197,14 +197,18 @@ def map_differential(fn, p, t: Tangent, h=None) -> Tangent:
     h = np.asarray(h, dtype=np.float64)
     tv = chart.tangent_to_vec(t)
     norm = np.linalg.norm(tv, axis=-1)
-    target = fn(p)
-    tchart = chart_for(target)
-    # a zero tangent has the zero image whatever the margin
-    _require_margin(p, 2.0 * h, where=norm != 0.0)
+    try:
+        # a zero tangent has the zero image whatever the margin
+        _require_margin(p, 2.0 * h, where=norm != 0.0)
+    except DomainMargin:
+        fn(p)   # where fn itself fails at p, its own error is the one raised
+        raise
     v0 = chart.point_to_vec(p)
     u = tv / np.where(norm == 0.0, 1.0, norm)[..., None]
     step = h[..., None] * u
-    plus = tchart.point_to_vec(fn(chart.vec_to_point(v0 + step)))
+    plus = fn(chart.vec_to_point(v0 + step))
+    tchart = chart_for(plus)    # the chart of fn's image
+    plus = tchart.point_to_vec(plus)
     minus = tchart.point_to_vec(fn(chart.vec_to_point(v0 - step)))
     return tchart.vec_to_tangent((plus - minus) * (norm / (2.0 * h))[..., None])
 
@@ -586,15 +590,14 @@ def _chk_cayley_compat(n, m, params, master, idx) -> _Stack:
     return out
 
 
-def _metric_invariance(out, act, g, p, t, forms: dict) -> tuple:
+def _metric_invariance(out, act, g, p, q, t, forms: dict):
     """Each form of ``forms`` (label -> form(point, tangent)) at p on t
     against the same form at q = act(g, p) on t pushed by map_differential;
-    returns q and the pushed tangent."""
+    returns the pushed tangent."""
     moved = map_differential(lambda x: act(g, x), p, t)
-    q = act(g, p)
     for label, form in forms.items():
         out.add(label, form(p, t), form(q, moved))
-    return q, moved
+    return moved
 
 
 def _differential_part(out, label, g, p, q, t, moved):
@@ -608,19 +611,21 @@ def _chk_metric_invariance_upper(n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
 
     def make(seeds):
-        return random_jacobi(n, m, seeds), random_point("upper", n, m, _seeds(seeds, "p"))
+        # the draws carry their images: accept judges them, and the forms use them
+        g = random_jacobi(n, m, seeds)
+        p = random_point("upper", n, m, _seeds(seeds, "p"))
+        return g, p, act_upper(g, p)
 
-    def accept(pairs):
-        g, p = pairs
-        return point_margin(act_upper(g, p)) >= _MIN_MARGIN_METRIC
+    def accept(draws):
+        return point_margin(draws[2]) >= _MIN_MARGIN_METRIC
 
-    (g, p), out.retries = _redraw(make, accept, master, idx, "mi-upper")
+    (g, p, q), out.retries = _redraw(make, accept, master, idx, "mi-upper")
     t = random_tangent("upper", n, m, _seeds(master, idx, "t"))
-    q, moved = _metric_invariance(out, act_upper, g, p, t,
-                                  {"upper-family": lambda x, s: q_upper(x, s, params)})
+    moved = _metric_invariance(out, act_upper, g, p, q, t,
+                               {"upper-family": lambda x, s: q_upper(x, s, params)})
     _differential_part(out, "upper-differential", g, p, q, t, moved)
     sp_only = JacobiElement(g.sp, heisenberg_identity(n, m))
-    _metric_invariance(out, act_upper, sp_only, p, t,
+    _metric_invariance(out, act_upper, sp_only, p, act_upper(sp_only, p), t,
                        {"siegel": lambda x, s: q_siegel(x.omega, s)})
     out.describe(point=p, element=g)
     return out
@@ -630,18 +635,18 @@ def _chk_metric_invariance_disk(n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
 
     def make(seeds):
-        return random_jacobi(n, m, seeds), random_point("disk", n, m, _seeds(seeds, "p"))
+        s = theta_map(random_jacobi(n, m, seeds))
+        p = random_point("disk", n, m, _seeds(seeds, "p"))
+        return s, p, act_disk(s, p)
 
-    def accept(pairs):
-        g, p = pairs
-        return point_margin(act_disk(theta_map(g), p)) >= _MIN_MARGIN_METRIC
+    def accept(draws):
+        return point_margin(draws[2]) >= _MIN_MARGIN_METRIC
 
-    (g, p), out.retries = _redraw(make, accept, master, idx, "mi-disk")
-    s = theta_map(g)
+    (s, p, q), out.retries = _redraw(make, accept, master, idx, "mi-disk")
     t = random_tangent("disk", n, m, _seeds(master, idx, "t"))
-    q, moved = _metric_invariance(out, act_disk, s, p, t,
-                                  {"disk-family": lambda x, v: q_disk(x, v, params),
-                                   "disk-base": lambda x, v: q_disk_n(x.w, v)})
+    moved = _metric_invariance(out, act_disk, s, p, q, t,
+                               {"disk-family": lambda x, v: q_disk(x, v, params),
+                                "disk-base": lambda x, v: q_disk_n(x.w, v)})
     _differential_part(out, "disk-differential", s, p, q, t, moved)
     out.describe(point=p)
     return out

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,81 @@ def test_metric_tensor_consistency_and_pd():
                 via = v @ tensor @ v
                 assert abs(direct - via) <= 1e-9 * (1 + abs(direct))
             assert np.linalg.eigvalsh(tensor).min() > 0.0
+
+
+# The bits of metric_tensor, pinned: blake2b of the tensors of every form
+# kind on a stack of 49 points and on one point, at (A, B) = (1.3, 0.7),
+# computed before the slot-basis products became an index gather.  A
+# tensor entry that moved a bit changes these digests.
+
+TENSOR_DIGESTS = {
+    ("upper", 1, 1): ("2f6a1806e4173777b4897ab4d2ab822b",
+                       "6c79a107d42d7c51ef85db9ce12e4424"),
+    ("upper", 2, 1): ("bc9bf66ffbc35886fff5bfa88e77cef5",
+                       "fcfbec715a02b65893056e552d987de6"),
+    ("upper", 2, 2): ("c669c518b28cee48c429f2dc8692a35b",
+                       "cfc9ec3e7f8277a574ed8d295c02ced0"),
+    ("upper", 3, 2): ("53168454930a606ae341fe66c40cc219",
+                       "1c407351de95d48e7aceab6d90c86e9e"),
+    ("disk", 1, 1): ("0111ea92cc84771fad821ae180ee2eb3",
+                      "326d8af7b335328c0991c69f5028b9bd"),
+    ("disk", 2, 1): ("0f894cda9993ba19d4803fba26537185",
+                      "547140cbc931a1c1b279bc94ba9f707c"),
+    ("disk", 2, 2): ("25b2fece6bb6467b6646dea7df52057e",
+                      "00980def0ea3f1d880ea26a682442ff5"),
+    ("disk", 3, 2): ("e76bdc4c3138dd851ef5712bcf73c777",
+                      "5dbe1f605c1b175a47c5e0c130bfd73b"),
+    ("siegel", 1, 1): ("dce668230b2b045659c20e855c4a22a7",
+                        "d4a6d103ddf1eab21d770b28a6db821f"),
+    ("siegel", 2, 1): ("3afc596a0d59ec7a55a291d9bb074d8b",
+                        "e5315255f7bc45a0b3608b6558cb76fb"),
+    ("siegel", 2, 2): ("3afc596a0d59ec7a55a291d9bb074d8b",
+                        "e5315255f7bc45a0b3608b6558cb76fb"),
+    ("siegel", 3, 2): ("4676a80c92171aa02152c166bcf10454",
+                        "908b6892751c2283cc22b5c250701d19"),
+    ("diskn", 1, 1): ("3fdf701eaa83f0e0a44472f01fa09584",
+                       "94fa4893719d2b597d4f157b8795ed6f"),
+    ("diskn", 2, 1): ("cffe5416ad4d6970fc94af139db45e0b",
+                       "f9295f784536e1c56fb1dac64b4de047"),
+    ("diskn", 2, 2): ("cffe5416ad4d6970fc94af139db45e0b",
+                       "f9295f784536e1c56fb1dac64b4de047"),
+    ("diskn", 3, 2): ("a7fb8667c683258e5304befb0c7e7ffc",
+                       "aba2e79f42c1275b27fc85309899e867"),
+}
+
+
+@pytest.mark.parametrize("kind,n,m", sorted(TENSOR_DIGESTS))
+def test_metric_tensor_bits_are_pinned(kind, n, m):
+    model = "upper" if kind in ("upper", "siegel") else "disk"
+    params = me.MetricParams(1.3, 0.7)
+    got = tuple(
+        hashlib.blake2b(np.ascontiguousarray(me.metric_tensor(p, params, kind)).tobytes(),
+                        digest_size=16).hexdigest()
+        for p in (geo.random_point(model, n, m, 100 + np.arange(49)),
+                  geo.random_point(model, n, m, 7)))
+    assert got == TENSOR_DIGESTS[kind, n, m]
+
+
+def test_form_gathers_are_read_only_and_built_once_per_chart(monkeypatch):
+    built = []
+    inner = me.Chart._form_gather
+    monkeypatch.setattr(me.Chart, "_form_gather",
+                        lambda self, x, y: built.append((x, y)) or inner(self, x, y))
+    chart = me.Chart("disk", 3, 2)
+    mat_only = me.Chart("disk", 3, 2, include_vec=False)
+    assert built == [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0)]
+    p = geo.random_point("disk", 3, 2, 100 + np.arange(4))
+    for _ in range(2):
+        me._form_matrix(me._form_terms("disk", p, UNIT), chart)
+        me._form_matrix(me._form_terms("diskn", p, UNIT), mat_only)
+    assert len(built) == 5
+    assert me.chart_for(p) is me.chart_of("disk", 3, 2)    # metric_tensor's, cached
+    for table in [*chart.form_gathers.values(), *mat_only.form_gathers.values()]:
+        assert [a.shape[2:] for a in table] == [(2, 2)] * 3
+        for a in table:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
 
 
 def test_mat_only_tensors():

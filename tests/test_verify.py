@@ -6,9 +6,9 @@ import pytest
 from sjgeo import geometry as geo
 from sjgeo import groups as G
 from sjgeo import verify as V
-from sjgeo.cmatrix import max_abs
+from sjgeo.cmatrix import SingularMatrix, max_abs
 from sjgeo.metrics import Chart, MetricParams, Tangent, random_tangent
-from sjgeo.operators import ScalarField
+from sjgeo.operators import DomainMargin, ScalarField
 
 UNIT = MetricParams(1.0, 1.0)
 
@@ -221,3 +221,43 @@ def test_jacobian_matches_map_differential_on_the_slot_basis(model, n, m):
         fd = chart.slot_coords(moved.dmat, moved.dvec).T
         exact = V._slot_jacobian(g, p, act(g, p))
         assert max_abs(exact - fd) / (1.0 + max_abs(exact)) <= 1e-7
+
+
+@pytest.mark.parametrize("name,action,calls", [
+    ("metric-invariance-upper", "act_upper", 6),
+    ("metric-invariance-disk", "act_disk", 3),
+    ("cayley-isometry", "cayley", 3),
+    ("pushforward-identities", "cayley", 3),
+])
+def test_metric_checks_move_each_stack_once(monkeypatch, name, action, calls):
+    # one image per stack of draws and two per map_differential (its
+    # stencil sides); metric-invariance-upper also moves p by g's Sp part
+    count = []
+    inner = getattr(V, action)
+
+    def counted(*args):
+        count.append(action)
+        return inner(*args)
+
+    monkeypatch.setattr(V, action, counted)
+    report = V.run_check(name, 3, 2, UNIT, 200, 42)
+    assert report.passed and report.retries == 0
+    assert len(count) == calls
+
+
+@pytest.mark.parametrize("model,point,tangent_is_zero,error", [
+    ("disk", geo.DiskPoint(np.eye(2), np.zeros((1, 2))), False, SingularMatrix),
+    ("disk", geo.DiskPoint(np.eye(2), np.zeros((1, 2))), True, SingularMatrix),
+    ("disk", geo.DiskPoint(1.5j * np.eye(2), np.zeros((1, 2))), False, DomainMargin),
+    ("upper", geo.UpperPoint(-1j * np.eye(2), np.zeros((1, 2))), False, DomainMargin),
+    ("upper", geo.UpperPoint(np.full((2, 2), np.nan), np.zeros((1, 2))), False,
+     SingularMatrix),
+])
+def test_pushforward_outside_the_domain_raises(model, point, tangent_is_zero, error):
+    # fn's own error where fn fails at p, DomainMargin where only the margin does
+    t = random_tangent(model, 2, 1, 0)
+    if tangent_is_zero:
+        t = Tangent(model, np.zeros((2, 2)), np.zeros((1, 2)))
+    fn = geo.cayley if model == "disk" else (lambda q: geo.act_upper(G.random_jacobi(2, 1, 3), q))
+    with pytest.raises(error):
+        V.map_differential(fn, point, t)
