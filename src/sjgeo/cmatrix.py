@@ -11,10 +11,9 @@ seeded draws every random_* builds on (one generator per seed for the
 raw draws; the arithmetic runs on the stack), and the JSON wire format
 shared by all higher layers.
 
-mat_mul and mat_inverse keep their operands' memory order, so a stack
-laid out stack-last, as (K, r, c) views of (r, c, K) memory, stays so
-through the group actions (geometry), and every elementwise pass runs
-over contiguous memory.
+mat_mul and mat_inverse take stacks in any memory order and keep it: a
+stack laid out stack-last, as (K, r, c) views of (r, c, K) memory, gets
+stack-last products and inverses, with the bits of a C-contiguous stack.
 
 Backed by numpy alone, with one algorithm per operation for one matrix
 and for a stack, in any memory order, so a matrix gets the same bits

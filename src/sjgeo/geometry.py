@@ -34,6 +34,7 @@ from .groups import (
     JacobiElement,
     JacobiStarElement,
     SpElement,
+    _to_cjacobi,
     cjacobi_mul,
     theta_map,
 )
@@ -184,50 +185,49 @@ def _symmetrized(mat: np.ndarray, what: str) -> np.ndarray:
 # Actions
 
 
-def _stack_last(x) -> np.ndarray:
-    """One matrix as it is; a (K, r, c) stack as a (K, r, c) view of
-    contiguous (r, c, K) memory, the stack axis last (see cmatrix)."""
-    x = np.asarray(x)
-    return x if x.ndim == 2 else np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
-
-
-def _owned(image: np.ndarray) -> np.ndarray:
-    """An image copied once into a new read-only, C-contiguous array that
-    owns its data, so that the point it is handed to takes it without a copy."""
-    out = np.array(image, order="C")
-    out.flags.writeable = False
-    return out
-
-
 def _moebius(what: str, x, a, b, c, d, vec: tuple = ()) -> tuple:
     """The Moebius image (A X + B)(C X + D)^-1 of X, symmetrised, and, when
     ``vec`` is (V, Lam, S), the vector image (V + Lam X + S)(C X + D)^-1.
 
     Every block is one matrix or a stack of K, and a single matrix
-    broadcasts against the stacks.  The stacks are laid out stack-last
-    once (_stack_last); mat_mul, the in-place sums and mat_inverse keep
-    that memory order, and each image is copied back once (_owned).
-    Raises SingularMatrix when a denominator is singular, and ValueError,
-    naming ``what``, when an image is not symmetric to within
+    broadcasts against the stacks.  The images are new arrays, marked
+    read-only, that nothing else holds, so a point takes them without a
+    copy.  Raises SingularMatrix when a denominator is singular, and
+    ValueError, naming ``what``, when an image is not symmetric to within
     _ACTION_SYM_TOL.
     """
-    x, a, b, c, d, *vec = (_stack_last(op) for op in (x, a, b, c, d) + tuple(vec))
-    # one name for every temporary, so each is freed as soon as the next
-    # is made: a smaller heap peak per call, and fewer pages taken afresh
-    num = mat_mul(c, x)
-    num += d
-    denom_inv = mat_inverse(num)
-    num = mat_mul(a, x)
-    num += b
-    num = mat_mul(num, denom_inv)
-    images = [_owned(_symmetrized(num, what))]
+    denom_inv = mat_inverse(mat_mul(c, x) + d)
+    images = [_symmetrized(mat_mul(mat_mul(a, x) + b, denom_inv), what)]
     if vec:
         v, lam, shift = vec
-        num = mat_mul(lam, x)
-        num += v
-        num += shift
-        images.append(_owned(mat_mul(num, denom_inv)))
+        images.append(mat_mul(mat_mul(lam, x) + v + shift, denom_inv))
+    for image in images:
+        image.flags.writeable = False
     return tuple(images)
+
+
+def _point_blocks(p) -> tuple:
+    """(Omega, Z) of an upper point, (W, eta) of a disk point."""
+    return (p.omega, p.z) if p.model == "upper" else (p.w, p.eta)
+
+
+def _moebius_table(g, p) -> tuple:
+    """The Moebius map by which the Jacobi element g moves the point p, as
+    the blocks X, A, B, C, D and (V, Lam, S) of _moebius:
+
+        upper, g = (M, (lambda, mu; kappa)) with M = [[A, B], [C, D]]:
+            Omega, A, B, C, D and (Z, lambda, mu);
+        disk, g = ((P, Q), (xi; kappa)):
+            W, P, Q, conj(Q), conj(P) and (eta, xi, conj(xi)).
+    """
+    if (g.n, g.m) != (p.n, p.m):
+        raise ValueError("element and point sizes differ")
+    x, v = _point_blocks(p)
+    if p.model == "upper":
+        sp = g.sp
+        return x, sp.a, sp.b, sp.c, sp.d, (v, g.h.lam, g.h.mu)
+    pq = g.g
+    return x, pq.p, pq.q, pq.q.conj(), pq.p.conj(), (v, g.xi, g.xi.conj())
 
 
 def _moebius_differential(x, a, c, d, lam, image: tuple, dx, dv) -> tuple:
@@ -258,7 +258,7 @@ def act_siegel(m: SpElement, omega: np.ndarray) -> np.ndarray:
 
     Stacked elements and stacked Omega act matrix by matrix, as in the
     actions below, through the same Moebius computation (_moebius).  The
-    image is a new read-only, C-contiguous array that owns its data.
+    image is a new read-only array that owns its data.
     """
     omega = np.asarray(omega, dtype=np.complex128)
     return _moebius("siegel action", omega, m.a, m.b, m.c, m.d)[0]
@@ -269,15 +269,10 @@ def act_upper(g: JacobiElement, p: UpperPoint) -> UpperPoint:
 
     A stacked point is moved point by point in one call, by one element
     or by a stack of as many elements; both blocks go through one
-    Moebius computation (_moebius), whose stacks stay stack-last through
-    mat_mul and mat_inverse, and the moved point takes its new read-only
-    blocks without a copy.
+    Moebius computation (_moebius, on the blocks _moebius_table reads),
+    and the moved point takes its new read-only blocks without a copy.
     """
-    if (g.n, g.m) != (p.n, p.m):
-        raise ValueError("element and point sizes differ")
-    sp = g.sp
-    return UpperPoint(*_moebius("siegel action", p.omega, sp.a, sp.b, sp.c, sp.d,
-                                (p.z, g.h.lam, g.h.mu)))
+    return UpperPoint(*_moebius("siegel action", *_moebius_table(g, p)))
 
 
 def act_disk(g: JacobiStarElement, p: DiskPoint) -> DiskPoint:
@@ -286,15 +281,10 @@ def act_disk(g: JacobiStarElement, p: DiskPoint) -> DiskPoint:
 
     A stacked point is moved point by point in one call, by one element
     or by a stack of as many elements; both blocks go through one
-    Moebius computation (_moebius), whose stacks stay stack-last through
-    mat_mul and mat_inverse, and the moved point takes its new read-only
-    blocks without a copy.
+    Moebius computation (_moebius, on the blocks _moebius_table reads),
+    and the moved point takes its new read-only blocks without a copy.
     """
-    if (g.n, g.m) != (p.n, p.m):
-        raise ValueError("element and point sizes differ")
-    pq = g.g
-    return DiskPoint(*_moebius("disk action", p.w, pq.p, pq.q, pq.q.conj(), pq.p.conj(),
-                               (p.eta, g.xi, g.xi.conj())))
+    return DiskPoint(*_moebius("disk action", *_moebius_table(g, p)))
 
 
 def action_differential(g, p, q, dmat, dvec) -> tuple:
@@ -307,13 +297,8 @@ def action_differential(g, p, q, dmat, dvec) -> tuple:
     returns their images (dmat', dvec') at q.  The action is holomorphic,
     so on complex slot coordinates this is the complex Jacobian of the map.
     """
-    if p.model == "upper":
-        sp = g.sp
-        return _moebius_differential(p.omega, sp.a, sp.c, sp.d, g.h.lam, (q.omega, q.z),
-                                     dmat, dvec)
-    pq = g.g
-    return _moebius_differential(p.w, pq.p, pq.q.conj(), pq.p.conj(), g.xi, (q.w, q.eta),
-                                 dmat, dvec)
+    x, a, _, c, d, (_, lam, _) = _moebius_table(g, p)
+    return _moebius_differential(x, a, c, d, lam, _point_blocks(q), dmat, dvec)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +354,7 @@ def hc_pplus_component(g: JacobiStarElement, p: DiskPoint) -> DiskPoint:
     if (g.n, g.m) != (p.n, p.m):
         raise ValueError("element and point sizes differ")
     n = g.n
-    h = ComplexHeisenbergElement(g.xi, g.xi.conj(), 1j * g.kappa)
-    full = cjacobi_mul(ComplexJacobiElement(g.g.matrix(), h), _point_element(p))
+    full = cjacobi_mul(_to_cjacobi(g), _point_element(p))
     s_block = full.mat[..., n:, n:]
     q_block = full.mat[..., :n, n:]
     s_inv = mat_inverse(s_block)

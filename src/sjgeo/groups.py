@@ -58,7 +58,6 @@ __all__ = [
     "heisenberg_defect",
     "jacobistar_defect",
     "cheisenberg_defect",
-    "random_sp",
     "random_heisenberg",
     "random_jacobi",
     "random_jacobistar",
@@ -465,7 +464,7 @@ def star_matrix(g: JacobiStarElement) -> np.ndarray:
 # stack whose member k is what seed k draws alone, see cmatrix.seeded)
 
 
-# Generators in a random_sp product: 4 to 8, so the raw draw pads to 8.
+# Generators in a random Sp product: 4 to 8, so the raw draw pads to 8.
 _SP_STEPS = 8
 
 
@@ -482,8 +481,15 @@ def _sp_draw(n: int, rng: np.random.Generator) -> tuple:
 
 
 def _sp_blocks(kinds: np.ndarray, u: np.ndarray) -> tuple:
-    """A, B, C, D of each product of a stack of _sp_draw's, step by step,
-    one mask per generator kind."""
+    """A, B, C, D of each product of a stack of _sp_draw's: 4-8 exact
+    symplectic generators, shears [[I,B],[0,I]] with B symmetric,
+    block-diagonal [[A,0],[0,tA^-1]] with A near I, and J.
+
+    The generators are applied step by step, one mask per generator kind,
+    to the column blocks [L, R] of every running product at once: the
+    shear gives [L, L B + R], the block-diagonal one [L A, R tA^-1] and J
+    gives [-R, L].
+    """
     k, n = u.shape[0], u.shape[-1]
     left = np.tile(np.eye(2 * n, n), (k, 1, 1))
     right = np.tile(np.eye(2 * n, n, -n), (k, 1, 1))
@@ -510,18 +516,6 @@ def _heisenberg_blocks(lam_mu: np.ndarray, s: np.ndarray) -> tuple:
     s = 0.5 * (s + s.mT)
     # kappa = S - mu t(lambda) makes kappa + mu t(lambda) symmetric by construction.
     return lam, mu, s - mu @ lam.mT
-
-
-def random_sp(n: int, seed) -> SpElement:
-    """Product of 4-8 exact symplectic generators: shears [[I,B],[0,I]] with
-    B symmetric, block-diagonal [[A,0],[0,tA^-1]] with A near I, and J.
-
-    Each seed's generators are drawn on its own generator and applied on
-    the stack, to the column blocks [L, R] of every running product at
-    once: the shear gives [L, L B + R], the block-diagonal one
-    [L A, R tA^-1] and J gives [-R, L].
-    """
-    return SpElement(*seeded(seed, (n,), lambda rng: _sp_draw(n, rng), _sp_blocks))
 
 
 def random_heisenberg(n: int, m: int, seed) -> HeisenbergElement:

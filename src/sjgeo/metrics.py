@@ -38,7 +38,7 @@ from .cmatrix import (
     seeded,
     sym_defect,
 )
-from .geometry import DiskPoint, UpperPoint, _frozen_pair
+from .geometry import DiskPoint, UpperPoint, _frozen_pair, _point_blocks
 
 __all__ = [
     "Tangent",
@@ -229,7 +229,7 @@ class Chart:
     def _parts(self, p):
         if not isinstance(p, (UpperPoint, DiskPoint)) or p.model != self.model:
             raise TypeError(f"expected a point of the {self.model} model")
-        return (p.omega, p.z) if p.model == "upper" else (p.w, p.eta)
+        return _point_blocks(p)
 
     def point_to_vec(self, p) -> np.ndarray:
         return self._pack(*self._parts(p))

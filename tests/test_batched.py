@@ -462,7 +462,8 @@ DRAWS = {
     "jacobi": lambda n, m, seed: G.random_jacobi(n, m, seed),
     "jacobistar": lambda n, m, seed: G.random_jacobistar(n, m, seed),
     "heisenberg": lambda n, m, seed: G.random_heisenberg(n, m, seed),
-    "sp": lambda n, m, seed: G.random_sp(n, seed),
+    # random_jacobi draws its Sp part first, so that part is the Sp draw alone
+    "sp": lambda n, m, seed: G.random_jacobi(n, 1, seed).sp,
     "tangent": lambda n, m, seed: random_tangent("disk", n, m, seed),
 }
 
@@ -529,7 +530,7 @@ def test_draws_keep_their_golden_streams(draw, n, m):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_golden_sp_stack_holds_every_count_and_kind(n):
-    # so the pinned random_sp digests cover every branch of the stacked product
+    # so the pinned sp digests cover every branch of the stacked product
     kinds = np.stack([G._sp_draw(n, np.random.default_rng(s))[0] for s in range(64)])
     assert set((kinds >= 0).sum(axis=1)) == set(range(4, 9))
     for t in range(8):
@@ -538,7 +539,7 @@ def test_golden_sp_stack_holds_every_count_and_kind(n):
 
 @pytest.mark.parametrize("draw,n,m", [(draw, n, m) for draw in GOLDEN_DRAWS
                                       for n, m in [(0, 1), (1, 0), (0, 0)]
-                                      if (draw, n) != ("sp", 1)])   # random_sp has no m
+                                      if (draw, n) != ("sp", 1)])   # the sp draw has no m
 def test_every_draw_needs_positive_sizes(draw, n, m):
     for seed in (1, [1, 2]):
         with pytest.raises(ValueError, match="n and m must be >= 1"):

@@ -157,11 +157,12 @@ def _is_stack_last(x):
     return x.ndim == 2 or x.transpose(1, 2, 0).flags.c_contiguous
 
 
-# Products of stack-last operands ("mul_last"), as the actions make them.
-# Every broadcast the actions make: one element (K = 1) against a stack of
-# points, a stack against a stack, one against one, a stack of elements
-# against one point; real blocks (A, C, lambda) times complex ones, complex
-# times complex, and the sum times the inverse of a stack-last stack.
+# Products of stack-last operands ("mul_last"): mat_mul and mat_inverse
+# give any memory order the bits of C-contiguous stacks.  Every broadcast
+# of a Moebius map: one element (K = 1) against a stack of points, a stack
+# against a stack, one against one, a stack of elements against one
+# point; real blocks (A, C, lambda) times complex ones, complex times
+# complex, and the sum times the inverse of a stack-last stack.
 @pytest.mark.parametrize("ka,kb", [(None, 1153), (7, 7), (None, None), (7, None), (1, 7)])
 @pytest.mark.parametrize("rows,n", [(3, 3), (2, 3), (2, 2), (1, 2), (1, 1)])
 @pytest.mark.parametrize("real_left", [True, False])

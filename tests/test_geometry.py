@@ -188,11 +188,14 @@ def test_points_copy_a_callers_writable_arrays(point):
 
 # ---------------------------------------------------------------------------
 # The bits of the three actions, pinned: blake2b of the moved blocks at
-# (1,1), (2,1) and (3,2), computed before the actions ran on stack-last
-# memory, so they pin that the memory order changes no bit.  Three cases:
-# one element moving a stack of 1153 points (the size of one sample's
-# stencil at (3,2)), a stack of elements against a stack of as many
-# points, and one element moving one point.
+# (1,1), (2,1) and (3,2).  Each digest was taken on an earlier memory
+# layout of the actions (the first three cases before they laid stacks out
+# stack-last, the 200-element cases on that layout), so they pin that the
+# memory order changes no bit.  Five cases: one element moving a stack of
+# 1153 points (the size of one sample's stencil at (3,2)), a stack of
+# elements against a stack of as many points, one element moving one
+# point, and the traffic of the stacked checks: 200 elements against 200
+# points, and 200 elements moving one point (a broadcast).
 
 def _action_case(case: str):
     """The element's seed and the points' seed of a case."""
@@ -200,7 +203,18 @@ def _action_case(case: str):
         return 3, 1000 + np.arange(1153)
     if case == "stacked":
         return np.arange(5), 100 + np.arange(5)
+    if case == "stacked-200":
+        return np.arange(200), 300 + np.arange(200)
+    if case == "one-point-200":
+        return np.arange(200), 7
     return 3, 7
+
+
+def _digest(blocks) -> str:
+    digest = hashlib.blake2b(digest_size=16)
+    for block in blocks:
+        digest.update(np.ascontiguousarray(block).tobytes())
+    return digest.hexdigest()
 
 
 def _action_bits(action: str, case: str, n: int, m: int) -> str:
@@ -212,10 +226,7 @@ def _action_bits(action: str, case: str, n: int, m: int) -> str:
         blocks = _blocks(geo.act_upper(g, geo.random_point("upper", n, m, p_seed)))
     else:
         blocks = _blocks(geo.act_disk(G.theta_map(g), geo.random_point("disk", n, m, p_seed)))
-    digest = hashlib.blake2b(digest_size=16)
-    for block in blocks:
-        digest.update(np.ascontiguousarray(block).tobytes())
-    return digest.hexdigest()
+    return _digest(blocks)
 
 
 ACTION_DIGESTS = {
@@ -246,12 +257,68 @@ ACTION_DIGESTS = {
     ("disk", "single", 1, 1): "b8b99d41e1e8c42eeed37129704dcdb2",
     ("disk", "single", 2, 1): "3508df6bc61a66a555823b113842d29c",
     ("disk", "single", 3, 2): "be18eb89d22d1eda88e7528e2e8975ec",
+    ("siegel", "stacked-200", 1, 1): "b079d8eebd71e35a8ccc08f6b769acc1",
+    ("siegel", "stacked-200", 2, 1): "a683404220b23b6f96a8d8377a95b588",
+    ("siegel", "stacked-200", 3, 2): "94da279426a1c8f93a276ab9db8cc0db",
+    ("siegel", "one-point-200", 1, 1): "8dafdbf3136ca95d3547d0b3cafd6200",
+    ("siegel", "one-point-200", 2, 1): "1817100d50254a312e6c6588e559d2cf",
+    ("siegel", "one-point-200", 3, 2): "d556d7bcacff9647c8252c9e71b70951",
+    ("upper", "stacked-200", 1, 1): "7c007ff81a615979cdbd6d856117039b",
+    ("upper", "stacked-200", 2, 1): "12c0cee82966c97fb8feadbf34c93b89",
+    ("upper", "stacked-200", 3, 2): "fee505054109841ab879acdc125cf388",
+    ("upper", "one-point-200", 1, 1): "9c5d8a671d248d34a38a236e5accdf77",
+    ("upper", "one-point-200", 2, 1): "ca0741c83a3352e2bfd8f412d3ccc486",
+    ("upper", "one-point-200", 3, 2): "846c491d858e09b2387a4d91a24e9386",
+    ("disk", "stacked-200", 1, 1): "a05566d2f96472ccdf7165da94909f1c",
+    ("disk", "stacked-200", 2, 1): "66ce3845acef2f7682499ebb4b3bb697",
+    ("disk", "stacked-200", 3, 2): "5034ca8f6e58d4b7351ecacdae5a3b54",
+    ("disk", "one-point-200", 1, 1): "b63d167c70ddad70f4110b65bfb09bf4",
+    ("disk", "one-point-200", 2, 1): "f7e5277a08cf1482be53d3707e057f17",
+    ("disk", "one-point-200", 3, 2): "d3c4a3b86dd2beb32765a5c20092825b",
 }
 
 
 @pytest.mark.parametrize("action,case,n,m", list(ACTION_DIGESTS))
 def test_action_bits_are_pinned(action, case, n, m):
     assert _action_bits(action, case, n, m) == ACTION_DIGESTS[action, case, n, m]
+
+
+# The bits of action_differential on the full chart's slot basis (the
+# complex Jacobian the invariance checks pull bundles back with), pinned
+# in both models for a stack of elements at as many points and for one
+# element at one point, taken on the stack-last layout as well.
+
+def _differential_bits(model: str, case: str, n: int, m: int) -> str:
+    g_seed, p_seed = _action_case(case)
+    g = G.random_jacobi(n, m, g_seed)
+    p = geo.random_point(model, n, m, p_seed)
+    if model == "upper":
+        q = geo.act_upper(g, p)
+    else:
+        g = G.theta_map(g)
+        q = geo.act_disk(g, p)
+    return _digest(geo.action_differential(g, p, q, *Chart(model, n, m).slot_basis()))
+
+
+DIFFERENTIAL_DIGESTS = {
+    ("upper", "stacked", 1, 1): "0e1cfb7ea32a2f448b429b119ebd8aed",
+    ("upper", "stacked", 2, 1): "dddbda59561149a1ca9aab18e1b0069f",
+    ("upper", "stacked", 3, 2): "b0e5ef55829dfa698fb8d65f4ecadc05",
+    ("upper", "single", 1, 1): "9c98815005b4626c56d031183911039a",
+    ("upper", "single", 2, 1): "196ff08dd523caf92bd4c1280c9c4feb",
+    ("upper", "single", 3, 2): "868126ac6f324cd2b1e3375f946fcbc3",
+    ("disk", "stacked", 1, 1): "db86b9166d9932de666c48e1ea8e6f46",
+    ("disk", "stacked", 2, 1): "626b3de8cfedaf6858af24d0e1bdd1d4",
+    ("disk", "stacked", 3, 2): "d423e0cddf95b7bfd4096b3074da2546",
+    ("disk", "single", 1, 1): "e099470e6bed41c8491b8d7f5c705b89",
+    ("disk", "single", 2, 1): "69aa16d821414466b8f5f7250d7caae3",
+    ("disk", "single", 3, 2): "737fa1e964c7b6c73dc54360d3430b91",
+}
+
+
+@pytest.mark.parametrize("model,case,n,m", list(DIFFERENTIAL_DIGESTS))
+def test_action_differential_bits_are_pinned(model, case, n, m):
+    assert _differential_bits(model, case, n, m) == DIFFERENTIAL_DIGESTS[model, case, n, m]
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def test_random_sp_matches_full_matrix_product():
     # of summation
     for n in (1, 2, 3):
         for seed in range(20):
-            got = G.random_sp(n, seed).matrix()
+            got = G.random_jacobi(n, 1, seed).sp.matrix()
             want = _random_sp_reference(n, np.random.default_rng(seed))
             scale = 1.0 + max_abs(want)
             assert max_abs(got - want) <= 1e-14 * scale

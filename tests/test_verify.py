@@ -162,6 +162,39 @@ def test_invariance_checks_pass_small(name):
     assert rep.passed, f"{name}: max_rel={rep.max_rel}"
 
 
+def test_invariance_redraws_a_sample_whose_image_is_near_the_boundary():
+    # at (2,1), seed 42, the first draw of sample 43 moves its disk point
+    # to margin 0.048, under _MIN_MARGIN_NESTED, so the sample is drawn
+    # once more; alone and in the stack of samples 40-47 it gets the same
+    # retry count and residual, and the stack comes back in sample order
+    seeds = V._seeds(42, np.array([43]), "op-inv", 0)
+    s = G.theta_map(G.random_jacobi(2, 1, seeds))
+    qd = geo.act_disk(s, geo.random_point("disk", 2, 1, V._seeds(seeds, "pd")))
+    assert geo.point_margin(qd)[0] < V._MIN_MARGIN_NESTED
+    stack = V._chk_laplacian_invariance(2, 1, UNIT, 42, np.arange(40, 48))
+    assert stack.samples.tolist() == list(range(40, 48))
+    assert stack.retries.tolist() == [0, 0, 0, 1, 0, 0, 0, 0]
+    for k, sample in enumerate(stack.samples):
+        alone = V._chk_laplacian_invariance(2, 1, UNIT, 42, np.array([sample]))
+        assert alone.retries[0] == stack.retries[k]
+        assert alone.max_rel[0] == stack.max_rel[k] and alone.labels[0] == stack.labels[k]
+
+
+def test_redraw_gives_up_after_max_retries():
+    drawn = []
+
+    def make(seeds):
+        drawn.append(seeds)
+        return np.zeros(len(seeds))
+
+    with pytest.raises(DomainMargin) as info:
+        V._redraw(make, lambda draws: np.zeros(len(draws), dtype=bool), 42, np.arange(3), "t")
+    assert str(info.value) == f"no admissible sample after {V._MAX_RETRIES} draws (t)"
+    # every attempt redraws every sample, each with a seed of its own
+    assert [len(seeds) for seeds in drawn] == [3] * V._MAX_RETRIES
+    assert len({seed for seeds in drawn for seed in seeds}) == 3 * V._MAX_RETRIES
+
+
 def test_nonunit_parameters():
     params = MetricParams(2.5, 0.3)
     for name in ("metric-invariance-disk", "cayley-isometry"):
