@@ -7,9 +7,14 @@ stack of stencil nodes or oracle points with it, not with one BLAS call
 per matrix), inversion with an explicit pivot guard (mat_inverse), block
 assembly, the Hermitian positive-definite margin, the max-norm and the
 symmetry defect, each of one matrix or of every matrix of a stack, the
-seeded draws every random_* builds on (one generator per seed for the
-raw draws; the arithmetic runs on the stack), and the JSON wire format
-shared by all higher layers.
+seeded draws every random_* builds on, and the JSON wire format shared by
+all higher layers.
+
+The seeded draws (seeded, SeedStream) compute what numpy's
+default_rng(seed) draws, to the last bit, for a whole stack of seeds at
+once: SeedSequence's hashing, PCG64's outputs as one product with a table
+of constants, and Generator's uniform and bounded integer draws.  No
+generator is built and numpy.random is never imported.
 
 mat_mul and mat_inverse take stacks in any memory order and keep it: a
 stack laid out stack-last, as (K, r, c) views of (r, c, K) memory, gets
@@ -23,9 +28,13 @@ are what the rest of the library relies on.
 
 from __future__ import annotations
 
+import math
+from functools import cache
+
 import numpy as np
 
 __all__ = [
+    "SeedStream",
     "SingularMatrix",
     "as_cmatrix",
     "frozen",
@@ -82,30 +91,346 @@ def frozen(a, dtype, shape: tuple | None = None) -> np.ndarray:
     return a
 
 
+# ---------------------------------------------------------------------------
+# Seeded draws: numpy's default_rng(seed) stream for a stack of seeds
+#
+# default_rng(seed) hashes the seed's 32-bit words into a pool of four with
+# SeedSequence, and the pool into a PCG64 seed x and stream number q, whose
+# increment is 2q + 1 (O'Neill, "PCG: A Family of Simple Fast
+# Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", 2014).  PCG64's state before output i is then
+# M^(i+2) x + (M^0 + ... + M^(i+2)) (2q + 1) mod 2**128, a linear form in
+# the 16-bit halves of the words of x and q, with constant coefficients:
+# one matrix product gives every output of every seed.
+
+_M32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list:
+    """SeedSequence's first ``count`` hash constants: its kth hash maps a
+    word v to h ^ (h >> 16), h = (v ^ xor) * mul mod 2**32, where (xor, mul)
+    is pair k."""
+    pairs = []
+    for _ in range(count):
+        pairs.append((init, init * mult & _M32))
+        init = pairs[-1][1]
+    return pairs
+
+
+def _hash32(v: int, pair: tuple) -> int:
+    h = (v ^ pair[0]) * pair[1] & _M32
+    return h ^ h >> 16
+
+
+_MIX = (0xCA01F9DD, 0x4973F715)
+
+
+def _mix32(into: int, h: int) -> int:
+    r = (_MIX[0] * into - _MIX[1] * h) & _M32
+    return r ^ r >> 16
+
+
+# The pool's hashes: one per entropy word, then three per pool word, one
+# mixed into each other pool word; a word past the fourth (a seed of
+# 2**128 or more) takes four more, mixed into each pool word.
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)
+_POOL_PAIRS = _hash_constants(*_POOL_HASH, 16)
+_ROUNDS = [(src, dst) for src in range(4) for dst in range(4) if dst != src]
+# generate_state(4, uint64) hashes the pool twice round into eight words:
+# x is words 2, 3, 0, 1 and q words 6, 7, 4, 5, least significant first.
+_STATE_PAIRS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_STATE_WORDS = [2, 3, 0, 1, 6, 7, 4, 5]
+# A stack of at most this many seeds is hashed one seed at a time in
+# Python integers, where numpy's cost per call would outweigh the work.
+_FEW_SEEDS = 3
+
+
+def _state_words_each(seeds: list) -> np.ndarray:
+    """(K, 8) uint32: the words of x and q of each seed, one seed at a time;
+    any seed >= 0, of any number of 32-bit words."""
+    rows = []
+    for seed in seeds:
+        words = [seed >> shift & _M32 for shift in range(0, max(128, seed.bit_length()), 32)]
+        pairs = _POOL_PAIRS if len(words) == 4 else _hash_constants(*_POOL_HASH, 4 * len(words))
+        pool = [_hash32(w, pair) for w, pair in zip(words, pairs)]
+        for (src, dst), pair in zip(_ROUNDS, pairs[4:]):
+            pool[dst] = _mix32(pool[dst], _hash32(pool[src], pair))
+        for k, w in enumerate(words[4:], start=4):
+            pool = [_mix32(into, _hash32(w, pair)) for into, pair in zip(pool, pairs[4 * k:])]
+        rows.append([_hash32(pool[k % 4], _STATE_PAIRS[k]) for k in _STATE_WORDS])
+    return np.array(rows, dtype=np.uint32)
+
+
+# _state_words_each on a stack: round r mixes the pool word r into the
+# three others, so its constants stand at the other words' places.
+_POOL_XOR, _POOL_MUL = np.array(_POOL_PAIRS, dtype=np.uint32).T
+_ROUND_OTHERS = ~np.eye(4, dtype=bool)
+_ROUND_XOR, _ROUND_MUL = np.zeros((2, 4, 4), dtype=np.uint32)
+_ROUND_XOR[_ROUND_OTHERS] = _POOL_XOR[4:]
+_ROUND_MUL[_ROUND_OTHERS] = _POOL_MUL[4:]
+_STATE_XOR, _STATE_MUL = np.array(_STATE_PAIRS, dtype=np.uint32)[_STATE_WORDS].T
+_STATE_POOL = np.array(_STATE_WORDS) % 4
+
+
+def _hashed(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    h = words ^ xor
+    h *= mul
+    h ^= h >> 16
+    return h
+
+
+def _state_words(seeds: np.ndarray) -> np.ndarray:
+    """_state_words_each of a stack of seeds below 2**64 (uint64), on the stack."""
+    words = np.zeros((len(seeds), 4), dtype=np.uint32)
+    words[:, 0] = seeds   # the low 32 bits
+    words[:, 1] = seeds >> 32
+    pool = _hashed(words, _POOL_XOR[:4], _POOL_MUL[:4])
+    for r in range(4):
+        h = _hashed(pool[:, r, None], _ROUND_XOR[r], _ROUND_MUL[r])
+        h *= np.uint32(_MIX[1])
+        mixed = pool * np.uint32(_MIX[0])
+        mixed -= h
+        mixed ^= mixed >> 16
+        np.copyto(pool, mixed, where=_ROUND_OTHERS[r])
+    return _hashed(pool[:, _STATE_POOL], _STATE_XOR, _STATE_MUL)
+
+
+@cache
+def _pcg_table(stop: int) -> np.ndarray:
+    """(17, 4, stop) float64, read-only: word j of the coefficients of
+    PCG64's state before each output i < stop, one row per coefficient:
+    the low and high 16-bit halves of each word of x and of q
+    (_seed_halves), and a constant.  Each entry is below 2**32, so with the
+    halves below 2**16 and the constant 1 every sum is an integer below
+    16 (2**16 - 1)(2**32 - 1) + 2**32 < 2**52, exact in float64."""
+    mod = 1 << 128
+    power, total, a, b = _PCG_MULT ** 2 % mod, 1 + _PCG_MULT, [], []
+    for _ in range(stop):
+        total = (total + power) % mod
+        a.append(power)
+        b.append(total)
+        power = power * _PCG_MULT % mod
+
+    def limbs(values):   # (8, stop) 16-bit halves, least significant first
+        return np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values),
+                             dtype="<u2").reshape(-1, 8).T.astype(np.float64)
+
+    rows = []
+    for coeffs in (limbs(a), limbs([2 * v % mod for v in b])):
+        for shift in range(8):   # the halves of words 0..3 of x (of q), times 2**(16 shift)
+            shifted = np.zeros_like(coeffs)
+            shifted[shift:] = coeffs[:8 - shift]
+            rows.append(shifted[0::2] + 65536.0 * shifted[1::2])
+    constant = limbs(b)
+    rows.append(constant[0::2] + 65536.0 * constant[1::2])
+    table = np.stack(rows)
+    table.flags.writeable = False
+    return table
+
+
+def _pcg_outputs(halves: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """(K, stop - start) uint64: outputs start..stop-1 of each seed, from its
+    (K, 17) row of _seed_halves."""
+    # built on the first draw that needs it, for 64, 128, 256, ... outputs
+    table = _pcg_table(max(64, 1 << (stop - 1).bit_length()))[:, :, start:stop]
+    # numpy's own loop, not BLAS: the sums are exact in any order, and BLAS
+    # would spread a large stack's product over threads, which then spin
+    # through the rest of the check
+    sums = np.einsum("kr,rjc->kjc", halves, table)
+    # an integer v < 2**52 has the bits of 2**52 + v less those of 2**52:
+    # the sums become uint64 in place
+    sums += 2.0 ** 52
+    words = sums.view(np.uint64)
+    words -= np.uint64(0x4330000000000000)
+    w0, w1, w2, w3 = words.transpose(1, 0, 2)
+    # the state's 64-bit halves from the sums of its 32-bit words
+    hi = w0 >> 32
+    hi += w1
+    hi >>= 32
+    hi += w2
+    w3 <<= 32
+    hi += w3
+    w1 <<= 32
+    w1 += w0   # the low half
+    # XSL-RR: hi ^ lo, rotated right by the state's top six bits
+    rot = np.right_shift(hi, 58, out=w2)
+    w1 ^= hi
+    out = w1 >> rot
+    np.subtract(64, rot, out=w3)
+    w3 &= 63
+    w1 <<= w3
+    out |= w1
+    return out
+
+
+def _seed_halves(seed) -> tuple:
+    """Each seed's 16-bit halves of the words of x and q and a one (K, 17),
+    and whether ``seed`` is a stack (a 1-D array) of seeds."""
+    seeds = np.asarray(seed)
+    if seeds.ndim > 1 or not seeds.size:
+        raise ValueError(f"expected a seed or a 1-D array of seeds, got shape {seeds.shape}")
+    flat = seeds.reshape(-1)
+    if seeds.dtype.kind in "iu" and len(flat) > _FEW_SEEDS:
+        if flat.min() < 0:
+            raise ValueError("a seed must be non-negative")
+        words = _state_words(flat.astype(np.uint64))
+    else:
+        # no generator, no None, no bool (a bool is an int to Python, not to
+        # numpy); Python integers of any size
+        values = flat.tolist()
+        if seeds.dtype.kind not in "iuO" or not all(
+                isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_))
+                for v in values):
+            raise TypeError(f"a seed is an integer, got {type(seed).__name__}")
+        values = [int(v) for v in values]
+        if min(values) < 0:
+            raise ValueError("a seed must be non-negative")
+        words = _state_words_each(values)
+    halves = np.ones((len(flat), 17))
+    halves[:, :16] = np.ascontiguousarray(words, dtype="<u4").view("<u2")
+    return halves, bool(seeds.ndim)
+
+
+class SeedStream:
+    """What ``numpy.random.default_rng(seed)`` draws, for each seed of a
+    stack at once, bit for bit: its raw 64-bit outputs, computed when first
+    needed, and the ``uniform`` and bounded ``integers`` calls that
+    Generator makes from them.
+
+    Every seed starts at output 0 and keeps its own place.  ``uniform``
+    takes whole outputs: ``low + (high - low) * ((r >> 11) * 2**-53)``.
+    ``integers`` takes 32-bit halves, the low half of an output first and
+    its high half at the next ``integers`` call (``uniform`` leaves that
+    half waiting), by Lemire's method ("Fast Random Integer Generation in
+    an Interval", ACM TOMACS 2019): a rejected draw, about one in 2**32,
+    is drawn again from the seed's next half.  A ``where`` mask makes only
+    the seeds it holds draw; the others get zeros and keep their place.
+    """
+
+    def __init__(self, seed):
+        self._halves, self.stacked = _seed_halves(seed)
+        self._raw = np.empty((len(self._halves), 0), dtype=np.uint64)
+        # each seed's next output, and whether a high half waits: one value
+        # for all seeds while they draw alike, else one per seed
+        self._next, self._half = 0, False
+        self._held = np.zeros(len(self._halves), dtype=np.uint64)   # the waiting half
+
+    def _outputs(self, stop: int) -> np.ndarray:
+        """The raw outputs, at least the first ``stop`` of every seed."""
+        have = self._raw.shape[1]
+        if stop > have:
+            more = _pcg_outputs(self._halves, have, stop)
+            self._raw = np.concatenate([self._raw, more], axis=1) if have else more
+        return self._raw
+
+    def _drawing(self, where):
+        """None when every seed draws, False when none does, else the mask."""
+        if where is None or where.all():
+            return None
+        return where if where.any() else False
+
+    def reserve(self, count: int):
+        """Compute each seed's next ``count`` outputs at once, for a draw
+        whose calls depend on what it draws."""
+        self._outputs(int(np.max(self._next)) + count)
+
+    def uniform(self, *parts, where=None) -> tuple:
+        """One array (K, *shape) per part (low, high, shape), drawn in order."""
+        shapes = [(shape,) if isinstance(shape, int) else shape for _, _, shape in parts]
+        sizes = [math.prod(shape) for shape in shapes]
+        total = sum(sizes)
+        where = self._drawing(where)
+        if where is False:
+            return tuple(np.zeros((len(self._held),) + shape) for shape in shapes)
+        if where is None and isinstance(self._next, int):
+            raw = self._outputs(self._next + total)[:, self._next: self._next + total]
+            self._next += total
+        else:
+            cols = np.add.outer(self._next, np.arange(total))
+            raw = self._outputs(int(cols.max()) + 1)
+            raw = raw[:, cols] if cols.ndim == 1 else raw[np.arange(len(raw))[:, None], cols]
+            self._next = self._next + (total if where is None else total * where)
+        bits = raw >> 11
+        out, at = [], 0
+        for (low, high, _), shape, size in zip(parts, shapes, sizes):
+            # (high - low) * 2**-53 is exact, so this rounds as Generator's
+            # low + (high - low) * (bits * 2**-53) does
+            values = bits[:, at: at + size] * ((high - low) * 2.0 ** -53)
+            values += low
+            if where is not None:
+                values[~where] = 0.0
+            out.append(values.reshape((-1,) + shape))
+            at += size
+        return tuple(out)
+
+    def integers(self, low: int, high: int, where=None) -> np.ndarray:
+        """(K,) int64 uniform in [low, high), 1 < high - low < 2**32."""
+        span = high - low
+        if not 1 < span < 2 ** 32:
+            raise ValueError(f"integers needs 1 < high - low < 2**32, got {span}")
+        where = self._drawing(where)
+        if where is False:
+            return np.zeros(len(self._held), dtype=np.int64)
+        scaled = self._next_half(where) * np.uint64(span)
+        value = (scaled >> 32).view(np.int64)
+        rejected = (scaled & _M32) < (2 ** 32 - span) % span
+        if where is not None:
+            rejected &= where
+        if rejected.any():
+            value[rejected] = self.integers(0, span, rejected)[rejected]
+        value += low
+        if where is not None:
+            value[~where] = 0
+        return value
+
+    def _next_half(self, where) -> np.ndarray:
+        """The next 32-bit half of each seed in ``where`` (None: every seed),
+        as uint64."""
+        if where is None and isinstance(self._next, int) and isinstance(self._half, bool):
+            self._half = not self._half
+            if not self._half:
+                return self._held
+            raw = self._outputs(self._next + 1)[:, self._next]
+            self._next += 1
+            self._held = raw >> 32
+            return raw & _M32
+        nxt = np.broadcast_to(self._next, self._held.shape)
+        half = np.broadcast_to(self._half, self._held.shape)
+        fresh = ~half if where is None else where & ~half   # these read a new output
+        raw = self._outputs(int(nxt.max()) + 1)[np.arange(len(nxt)), nxt]
+        out = np.where(half, self._held, raw & _M32)
+        self._held = np.where(fresh, raw >> 32, self._held)
+        self._next = nxt + fresh
+        self._half = fresh if where is None else half ^ where
+        return out
+
+
 def seeded(seed, sizes, draw, build) -> tuple:
-    """A seeded draw: ``draw(rng)`` makes one seed's raw ``integers`` and
-    ``uniform`` calls on a generator of that seed and returns them as
-    arrays of a fixed shape; ``build`` takes those arrays stacked along a
-    leading axis, one member per seed, and does all the arithmetic once on
-    the stack.
+    """A seeded draw: ``draw(stream)`` makes the raw ``uniform`` and
+    ``integers`` calls of ``default_rng(seed)`` for every seed at once on a
+    SeedStream and returns them as arrays stacked along a leading axis,
+    one member per seed; ``build`` does all the arithmetic once on the
+    stack.
 
     ``seed`` is an integer or a 1-D array of them, and a single seed is a
     stack of one: the result is the tuple ``build`` returns, or member 0 of
     each of its arrays.  Member k of a stacked draw is, to the last bit,
-    what seed k draws alone.  ``sizes`` are the draw's matrix dimensions
+    what ``numpy.random.default_rng(seed k)`` makes alone (the per-seed
+    generator is the tests' oracle; the library never builds one).  A
+    seed's 32-bit words, least significant first, are SeedSequence's
+    entropy: a seed below 2**128 fills at most its pool of four words
+    (the rest read as zero words), and each further word of a larger seed
+    goes through SeedSequence's extra mixing round.  A negative seed
+    raises ValueError, as default_rng does; a generator, None, a float or
+    a bool raises TypeError.  ``sizes`` are the draw's matrix dimensions
     (n, and m where it has one); each must be >= 1.
     """
     if any(size < 1 for size in sizes):
         raise ValueError("n and m must be >= 1")
-    seeds = np.asarray(seed)
-    if seeds.ndim > 1 or not seeds.size:
-        raise ValueError(f"expected a seed or a 1-D array of seeds, got shape {seeds.shape}")
-    # no generator, no None, no bool (a bool is an int to Python, not to numpy)
-    if seeds.dtype.kind == "b" or not (seeds.dtype.kind in "iu" or isinstance(seed, int)):
-        raise TypeError(f"a seed is an integer, got {type(seed).__name__}")
-    raws = [draw(np.random.default_rng(s)) for s in seeds.reshape(-1).tolist()]
-    built = build(*(np.stack(arrays) for arrays in zip(*raws)))
-    return built if seeds.ndim else tuple(a[0] for a in built)
+    stream = SeedStream(seed)
+    built = build(*draw(stream))
+    return built if stream.stacked else tuple(a[0] for a in built)
 
 
 def max_abs(m) -> float:

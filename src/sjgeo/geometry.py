@@ -17,6 +17,7 @@ import numpy as np
 
 from .cmatrix import (
     PIVOT_RTOL,
+    SeedStream,
     block,
     frozen,
     hermitian_pd_margin,
@@ -367,9 +368,9 @@ def hc_pplus_component(g: JacobiStarElement, p: DiskPoint) -> DiskPoint:
 # Random points
 
 
-def _disk_draw(n: int, m: int, rng: np.random.Generator) -> tuple:
-    """One seed's Re and Im of S, stacked as (2, n, n), and of eta."""
-    return rng.uniform(-1.0, 1.0, size=(2, n, n)), rng.uniform(-2.0, 2.0, size=(2, m, n))
+def _disk_draw(n: int, m: int, stream: SeedStream) -> tuple:
+    """Each seed's Re and Im of S, stacked as (2, n, n), and of eta."""
+    return stream.uniform((-1.0, 1.0, (2, n, n)), (-2.0, 2.0, (2, m, n)))
 
 
 def _disk_blocks(s: np.ndarray, eta: np.ndarray) -> tuple:
@@ -386,7 +387,7 @@ def random_point(model: str, n: int, m: int, seed):
     point is the Cayley image of its seed's disk point, so it is inside exactly."""
     if model not in ("upper", "disk"):
         raise ValueError(f"unknown model {model!r}")
-    disk = DiskPoint(*seeded(seed, (n, m), lambda rng: _disk_draw(n, m, rng), _disk_blocks))
+    disk = DiskPoint(*seeded(seed, (n, m), lambda s: _disk_draw(n, m, s), _disk_blocks))
     return disk if model == "disk" else cayley(disk)
 
 

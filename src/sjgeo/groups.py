@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmatrix import block, frozen, mat_max_abs, seeded, sym_defect
+from .cmatrix import SeedStream, block, frozen, mat_max_abs, seeded, sym_defect
 
 __all__ = [
     "HeisenbergElement",
@@ -468,15 +468,20 @@ def star_matrix(g: JacobiStarElement) -> np.ndarray:
 _SP_STEPS = 8
 
 
-def _sp_draw(n: int, rng: np.random.Generator) -> tuple:
-    """One seed's generator kinds (0 shear, 1 block-diagonal, 2 J; -1 pads
-    past its count) and the uniforms of its shears and block-diagonals."""
-    kinds = np.full(_SP_STEPS, -1)
-    u = np.zeros((_SP_STEPS, n, n))
-    for t in range(int(rng.integers(4, _SP_STEPS + 1))):
-        kinds[t] = rng.integers(0, 3)
-        if kinds[t] != 2:
-            u[t] = rng.uniform(-1.0, 1.0, size=(n, n))
+def _sp_draw(n: int, stream: SeedStream) -> tuple:
+    """Each seed's generator kinds (0 shear, 1 block-diagonal, 2 J; -1 pads
+    past its count) and the uniforms of its shears and block-diagonals,
+    zero for the other steps."""
+    # the count and 8 kinds take 32-bit halves, two to an output
+    stream.reserve(1 + _SP_STEPS // 2 + _SP_STEPS * n * n)
+    count = stream.integers(4, _SP_STEPS + 1)
+    live = count[:, None] > np.arange(_SP_STEPS)
+    kinds = np.full((len(count), _SP_STEPS), -1)
+    u = np.zeros((len(count), _SP_STEPS, n, n))
+    for t in range(count.max()):
+        kinds[:, t] = stream.integers(0, 3, where=live[:, t])
+        u[:, t], = stream.uniform((-1.0, 1.0, (n, n)), where=live[:, t] & (kinds[:, t] != 2))
+    kinds[~live] = -1
     return kinds, u
 
 
@@ -506,9 +511,9 @@ def _sp_blocks(kinds: np.ndarray, u: np.ndarray) -> tuple:
     return left[:, :n], right[:, :n], left[:, n:], right[:, n:]
 
 
-def _heisenberg_draw(n: int, m: int, rng: np.random.Generator) -> tuple:
-    """One seed's lambda and mu, stacked as (2, m, n), and S."""
-    return rng.uniform(-1.0, 1.0, size=(2, m, n)), rng.uniform(-1.0, 1.0, size=(m, m))
+def _heisenberg_draw(n: int, m: int, stream: SeedStream) -> tuple:
+    """Each seed's lambda and mu, stacked as (2, m, n), and S."""
+    return stream.uniform((-1.0, 1.0, (2, m, n)), (-1.0, 1.0, (m, m)))
 
 
 def _heisenberg_blocks(lam_mu: np.ndarray, s: np.ndarray) -> tuple:
@@ -519,12 +524,12 @@ def _heisenberg_blocks(lam_mu: np.ndarray, s: np.ndarray) -> tuple:
 
 
 def random_heisenberg(n: int, m: int, seed) -> HeisenbergElement:
-    return HeisenbergElement(*seeded(seed, (n, m), lambda rng: _heisenberg_draw(n, m, rng),
+    return HeisenbergElement(*seeded(seed, (n, m), lambda s: _heisenberg_draw(n, m, s),
                                      _heisenberg_blocks))
 
 
 def random_jacobi(n: int, m: int, seed) -> JacobiElement:
-    blocks = seeded(seed, (n, m), lambda rng: _sp_draw(n, rng) + _heisenberg_draw(n, m, rng),
+    blocks = seeded(seed, (n, m), lambda s: _sp_draw(n, s) + _heisenberg_draw(n, m, s),
                     lambda kinds, u, *h: _sp_blocks(kinds, u) + _heisenberg_blocks(*h))
     return JacobiElement(SpElement(*blocks[:4]), HeisenbergElement(*blocks[4:]))
 

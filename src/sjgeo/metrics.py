@@ -30,6 +30,7 @@ from functools import cache, reduce
 import numpy as np
 
 from .cmatrix import (
+    SeedStream,
     mat_from_json,
     mat_inverse,
     mat_max_abs,
@@ -518,9 +519,9 @@ def chart_for(p, kind: str | None = None) -> Chart:
     return chart_of(p.model, p.n, p.m, kind not in ("siegel", "diskn"))
 
 
-def _tangent_draw(n: int, m: int, rng: np.random.Generator) -> tuple:
-    """One seed's Re and Im of dmat, stacked as (2, n, n), and of dvec."""
-    return rng.uniform(-1, 1, (2, n, n)), rng.uniform(-1, 1, (2, m, n))
+def _tangent_draw(n: int, m: int, stream: SeedStream) -> tuple:
+    """Each seed's Re and Im of dmat, stacked as (2, n, n), and of dvec."""
+    return stream.uniform((-1.0, 1.0, (2, n, n)), (-1.0, 1.0, (2, m, n)))
 
 
 def _tangent_blocks(dmat: np.ndarray, dvec: np.ndarray) -> tuple:
@@ -530,7 +531,7 @@ def _tangent_blocks(dmat: np.ndarray, dvec: np.ndarray) -> tuple:
 
 def random_tangent(model: str, n: int, m: int, seed) -> Tangent:
     """One seed's tangent, or the stack of an array of seeds' (cmatrix.seeded)."""
-    return Tangent(model, *seeded(seed, (n, m), lambda rng: _tangent_draw(n, m, rng),
+    return Tangent(model, *seeded(seed, (n, m), lambda s: _tangent_draw(n, m, s),
                                   _tangent_blocks))
 
 

@@ -68,7 +68,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cmatrix import mat_inverse, mat_mul
+from .cmatrix import SeedStream, mat_inverse, mat_mul, seeded
 from .geometry import DiskPoint, UpperPoint, point_margin
 from .metrics import Chart, _realize, chart_of
 
@@ -542,18 +542,23 @@ def _tr(x: np.ndarray) -> np.ndarray:
 _SUITE_IDS = ("const", "linear", "trace-quad", "gauss", "cross")
 
 
+def _suite_draw(dim: int, n: int, m: int, stream: SeedStream) -> tuple:
+    """Each seed's linear coefficients and Gaussian center in a chart of
+    dimension ``dim``, and the product field's lambda_0 and A_0 (not yet
+    symmetrized)."""
+    return stream.uniform((-1.0, 1.0, dim), (-0.5, 0.5, dim),
+                          (-1.0, 1.0, (m, n)), (-1.0, 1.0, (n, n)))
+
+
 def test_field_suite(model: str, n: int, m: int, seed: int,
                      mat_only: bool = False) -> list:
     """Deterministic suite: constant, random linear, quadratic trace,
     Gaussian bump with random center, and a product field."""
     if model not in ("upper", "disk"):
         raise ValueError(f"unknown model {model!r}")
-    rng = np.random.default_rng(seed)
     chart = chart_of(model, n, m, not mat_only)
-    coeff = rng.uniform(-1.0, 1.0, chart.dim)
-    center = rng.uniform(-0.5, 0.5, chart.dim)
-    lam0 = rng.uniform(-1.0, 1.0, (m, n))
-    a0 = rng.uniform(-1.0, 1.0, (n, n))
+    coeff, center, lam0, a0 = seeded(seed, (n, m), lambda s: _suite_draw(chart.dim, n, m, s),
+                                     lambda *drawn: drawn)
     a0 = 0.5 * (a0 + a0.T)
 
     def blocks(p):

@@ -26,8 +26,10 @@ The checks that build no second-order stencil take up to 256 samples per
 call; the stencil checks take as many as fit a fixed budget of chart
 coordinates (_STENCIL_COORDS): all 50 of a run at (1, 1), one at a time
 at (3, 2).  There, each Richardson level of every sample's stencil is one
-field call, and each oracle one metric call.  A call that raises is run
-again one sample at a time, so only the failing sample reports the error.
+field call, and each oracle one metric call; their test fields are drawn
+once per run_check (_CheckDef.prepare), not once per sampler call.  A
+call that raises is run again one sample at a time, so only the failing
+sample reports the error.
 run_check reduces the concatenated stack of all samples to the report:
 the worst sample's description becomes ``worst``, and the part maxima
 ``parts``.
@@ -36,8 +38,8 @@ the worst sample's description becomes ``worst``, and the part maxima
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import time
+from _blake2 import blake2b   # hashlib's own blake2b, without loading OpenSSL
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -175,7 +177,7 @@ class CheckReport:
 def sample_seed(master: int, *parts) -> int:
     """Stable per-sample seed derivation."""
     text = ":".join([str(master)] + [str(p) for p in parts])
-    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+    digest = blake2b(text.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big") & 0x7FFFFFFF
 
 
@@ -435,7 +437,8 @@ def _redraw(make, accept, master: int, idx, tag: str):
 # ---------------------------------------------------------------------------
 # Check samplers
 #
-# A sampler takes an array of sample indices and returns one _Stack of
+# A sampler takes the run's (n, m, params, master), the test fields of a
+# stencil check, and an array of sample indices, and returns one _Stack of
 # their residuals, in the same order.  Each draw is one call with the
 # samples' seeds: member k of the stack is what sample k draws alone, as
 # in a one-sample run, and each identity is evaluated once on the stack.
@@ -715,14 +718,22 @@ def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
 # The checks below build second-order stencils (or, for reduce-n1m1, call
 # operators that do).  Each test field serves the samples whose index is
 # its position modulo the number of fields: a sampler differentiates
-# each field once on the stack of its samples (see _grouped).
+# each field once on the stack of its samples (see _grouped).  The fields
+# are drawn once per run (_CheckDef.fields), not once per sampler call.
 
 
-def _lb_pair(kind, n, m, params, master, idx) -> _Stack:
-    model = "upper" if kind in ("upper", "siegel") else "disk"
-    mat_only = kind in ("siegel", "diskn")
-    fields = test_field_suite(model, n, m, sample_seed(master, "fields"),
-                              mat_only=mat_only)
+def _lb_model(kind) -> tuple:
+    """The model and mat_only of the Laplacian ``kind``."""
+    return "upper" if kind in ("upper", "siegel") else "disk", kind in ("siegel", "diskn")
+
+
+def _lb_fields(kind, n, m, master) -> list:
+    model, mat_only = _lb_model(kind)
+    return test_field_suite(model, n, m, sample_seed(master, "fields"), mat_only=mat_only)
+
+
+def _lb_pair(kind, n, m, params, master, fields, idx) -> _Stack:
+    model, mat_only = _lb_model(kind)
 
     def metric(q):
         return metric_tensor(q, params, kind=kind)
@@ -762,8 +773,7 @@ def _hermitian(seeds, size: int) -> np.ndarray:
     def build(a):
         a = a[:, 0] + 1j * a[:, 1]
         return (a + a.conj().mT,)
-    return seeded(seeds, (size,), lambda rng: (rng.uniform(-1.0, 1.0, (2, size, size)),),
-                  build)[0]
+    return seeded(seeds, (size,), lambda s: s.uniform((-1.0, 1.0, (2, size, size))), build)[0]
 
 
 def _slot_jacobian(g, p, q) -> np.ndarray:
@@ -793,14 +803,18 @@ def _pullbacks(f, g, p, q, herm) -> dict:
             "[hermitian]": pair(bundle_of(herm, chart))}
 
 
-def _invariance_sample(n, m, master, idx, parts) -> _Stack:
+def _invariance_suites(n, m, master) -> tuple:
+    return (test_field_suite("upper", n, m, sample_seed(master, "fu")),
+            test_field_suite("disk", n, m, sample_seed(master, "fd")))
+
+
+def _invariance_sample(n, m, master, suites, idx, parts) -> _Stack:
     """The residuals ``parts(out, upper, disk)`` adds for each stack of
     samples, where each model's argument is its _pullbacks at the drawn
     point p and the moved point q = g . p.  Sample k uses the non-constant
-    field 1 + k % 4 of each model's suite, and both models one seeded
-    Hermitian slot matrix."""
-    suite_u = test_field_suite("upper", n, m, sample_seed(master, "fu"))
-    suite_d = test_field_suite("disk", n, m, sample_seed(master, "fd"))
+    field 1 + k % 4 of each model's suite (_invariance_suites), and both
+    models one seeded Hermitian slot matrix."""
+    suite_u, suite_d = suites
     slots = chart_of("upper", n, m).n_slots
 
     def make(seeds):
@@ -830,16 +844,16 @@ def _invariance_sample(n, m, master, idx, parts) -> _Stack:
     return _grouped(len(suite_u) - 1, idx, sampler)
 
 
-def _chk_laplacian_invariance(n, m, params, master, idx) -> _Stack:
+def _chk_laplacian_invariance(n, m, params, master, suites, idx) -> _Stack:
     def parts(out, upper, disk):
         for name, lap, pairs in (("upper-laplacian", lap_upper, upper),
                                  ("disk-laplacian", lap_disk, disk)):
             for suffix, (at_p, at_q) in pairs.items():
                 out.add(name + suffix, lap(*at_p, params), lap(*at_q, params))
-    return _invariance_sample(n, m, master, idx, parts)
+    return _invariance_sample(n, m, master, suites, idx, parts)
 
 
-def _chk_remark_invariance(n, m, params, master, idx) -> _Stack:
+def _chk_remark_invariance(n, m, params, master, suites, idx) -> _Stack:
     unit = MetricParams(1.0, 1.0)
 
     def parts(out, upper, disk):
@@ -855,13 +869,16 @@ def _chk_remark_invariance(n, m, params, master, idx) -> _Stack:
         out.add("L-split", 0.25 * lap_upper(*upper[""][1], unit) - moved["D"], moved["L"])
         out.add("Ltilde-split", lap_disk(*disk[""][1], unit) - moved["Dtilde"],
                 moved["Ltilde"])
-    return _invariance_sample(n, m, master, idx, parts)
+    return _invariance_sample(n, m, master, suites, idx, parts)
 
 
-def _chk_reduce_n1m1(n, m, params, master, idx) -> _Stack:
-    # always at n = m = 1 (its _CheckDef.cell)
+def _reduce_fields(n, m, master) -> list:
+    # always at n = m = 1 (the check's _CheckDef.cell)
+    return test_field_suite("disk", 1, 1, sample_seed(master, "f"))
+
+
+def _chk_reduce_n1m1(n, m, params, master, fields, idx) -> _Stack:
     unit = MetricParams(1.0, 1.0)
-    fields = test_field_suite("disk", 1, 1, sample_seed(master, "f"))
 
     def sampler(j, sub):
         out = _Stack(sub)
@@ -891,10 +908,19 @@ _STENCIL_COORDS = 4 * 24 ** 3
 
 @dataclass(frozen=True)
 class _CheckDef:
-    sampler: Callable   # (n, m, params, master, idx) -> _Stack of len(idx)
+    # (n, m, params, master, idx) -> _Stack of len(idx); with ``fields``,
+    # (n, m, params, master, fields(n, m, master), idx)
+    sampler: Callable
     default_tol: float
     stencil: bool = False   # builds second-order stencils (see stack)
     cell: tuple | None = None   # the (n, m) the check runs at, whatever is asked
+    fields: Callable | None = None   # the test fields of one run
+
+    def prepare(self, n: int, m: int, params: MetricParams, master: int) -> Callable:
+        """The sampler of one run, idx -> _Stack, with its fields drawn once."""
+        if self.fields is None:
+            return partial(self.sampler, n, m, params, master)
+        return partial(self.sampler, n, m, params, master, self.fields(n, m, master))
 
     def stack(self, n: int, m: int) -> int:
         """Samples per sampler call at (n, m)."""
@@ -914,14 +940,15 @@ _CHECKS: dict[str, _CheckDef] = {
     "metric-invariance-disk": _CheckDef(_chk_metric_invariance_disk, 1e-5),
     "cayley-isometry": _CheckDef(_chk_cayley_isometry, 1e-5),
     "tensor-pd": _CheckDef(_chk_tensor_pd, 1e-9),
-    "lb-equivalence-upper": _CheckDef(partial(_lb_pair, "upper"), 1e-3, stencil=True),
-    "lb-equivalence-disk": _CheckDef(partial(_lb_pair, "disk"), 1e-3, stencil=True),
-    "lb-equivalence-siegel": _CheckDef(partial(_lb_pair, "siegel"), 1e-3, stencil=True),
-    "lb-equivalence-diskn": _CheckDef(partial(_lb_pair, "diskn"), 1e-3, stencil=True),
-    "laplacian-invariance": _CheckDef(_chk_laplacian_invariance, 1e-3, stencil=True),
-    "remark41-invariance": _CheckDef(_chk_remark_invariance, 1e-3, stencil=True),
+    **{f"lb-equivalence-{kind}": _CheckDef(partial(_lb_pair, kind), 1e-3, stencil=True,
+                                           fields=partial(_lb_fields, kind))
+       for kind in ("upper", "disk", "siegel", "diskn")},
+    "laplacian-invariance": _CheckDef(_chk_laplacian_invariance, 1e-3, stencil=True,
+                                      fields=_invariance_suites),
+    "remark41-invariance": _CheckDef(_chk_remark_invariance, 1e-3, stencil=True,
+                                     fields=_invariance_suites),
     "reduce-n1m1": _CheckDef(_chk_reduce_n1m1, 1e-6, stencil=True,
-                             cell=(1, 1)),
+                             cell=(1, 1), fields=_reduce_fields),
     "pushforward-identities": _CheckDef(_chk_pushforward_identities, 1e-6),
 }
 
@@ -936,14 +963,15 @@ def _pairing_constant(lhs: np.ndarray, rhs: np.ndarray) -> float | None:
     return float(np.median(lhs[ok] / rhs[ok])) if ok.any() else None
 
 
-def _sample_stack(cdef: _CheckDef, n, m, params, seed, idx) -> _Stack:
-    """The samples ``idx`` in one sampler call.  When the call raises, each
-    sample runs again on its own, so only a failing sample reports the error."""
+def _sample_stack(sampler: Callable, idx) -> _Stack:
+    """The samples ``idx`` in one call of a run's sampler (_CheckDef.prepare).
+    When the call raises, each sample runs again on its own, so only a
+    failing sample reports the error."""
     try:
-        return cdef.sampler(n, m, params, seed, idx)
+        return sampler(idx)
     except (DomainMargin, SingularMatrix, ArithmeticError) as exc:
         if len(idx) > 1:
-            return _Stack.concat([_sample_stack(cdef, n, m, params, seed, idx[k: k + 1])
+            return _Stack.concat([_sample_stack(sampler, idx[k: k + 1])
                                   for k in range(len(idx))])
         error = f"{type(exc).__name__}: {exc}"
         bad = _Stack(idx)
@@ -957,10 +985,9 @@ def _all_samples(name: str, n: int, m: int, params: MetricParams,
     """Every sample of a check, in order, evaluated a stack at a time."""
     cdef = _CHECKS[name]
     stack = cdef.stack(n, m)
-    return _Stack.concat([
-        _sample_stack(cdef, n, m, params, seed,
-                      np.arange(start, min(start + stack, samples)))
-        for start in range(0, samples, stack)])
+    sampler = cdef.prepare(n, m, params, seed)
+    return _Stack.concat([_sample_stack(sampler, np.arange(start, min(start + stack, samples)))
+                          for start in range(0, samples, stack)])
 
 
 def run_check(name: str, n: int, m: int, params: MetricParams,

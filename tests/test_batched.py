@@ -17,7 +17,7 @@ from sjgeo import geometry as geo
 from sjgeo import groups as G
 from sjgeo import operators as op
 from sjgeo import verify as V
-from sjgeo.cmatrix import SingularMatrix, mat_inverse, max_abs, sym_defect
+from sjgeo.cmatrix import SeedStream, SingularMatrix, mat_inverse, max_abs, sym_defect
 from sjgeo.metrics import Chart, MetricParams, metric_tensor, random_tangent
 
 PARAMS = MetricParams(1.3, 0.7)
@@ -298,7 +298,7 @@ def test_residuals_do_not_depend_on_the_stack(name):
     assert V._STACK == 256
     full = _per_sample(name, 1, 1, 257, 3)
     assert full[:256] == _per_sample(name, 1, 1, 256, 3)
-    alone = V._sample_stack(V._CHECKS[name], 1, 1, UNIT, 3, np.array([256]))
+    alone = V._sample_stack(V._CHECKS[name].prepare(1, 1, UNIT, 3), np.array([256]))
     assert full[256] == (alone.max_rel[0], alone.labels[0])
 
 
@@ -336,10 +336,10 @@ STENCIL_CHECKS = ["lb-equivalence-upper", "lb-equivalence-disk", "laplacian-inva
 @pytest.mark.parametrize("name", STENCIL_CHECKS)
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 1)])
 def test_stencil_residuals_do_not_depend_on_the_stack(name, n, m):
-    cdef = V._CHECKS[name]
+    sampler = V._CHECKS[name].prepare(n, m, UNIT, 5)
     idx = np.arange(10)     # every test field, twice or more
-    stacked = V._sample_stack(cdef, n, m, UNIT, 5, idx)
-    alone = V._Stack.concat([V._sample_stack(cdef, n, m, UNIT, 5, idx[k: k + 1])
+    stacked = V._sample_stack(sampler, idx)
+    alone = V._Stack.concat([V._sample_stack(sampler, idx[k: k + 1])
                              for k in range(len(idx))])
     assert list(stacked.labels) == list(alone.labels)
     assert np.allclose(stacked.max_rel, alone.max_rel, rtol=1e-12, atol=0.0)
@@ -528,10 +528,57 @@ def test_draws_keep_their_golden_streams(draw, n, m):
     assert _digest(GOLDEN_DRAWS[draw](n, m, 7)) == single
 
 
+# The Hermitian slot matrices of the invariance checks, from np.arange(64)
+# and from the seed 7, by size (blake2b of the matrices' bytes).
+GOLDEN_HERMITIAN = {
+    2: ("c7a47623e048c524221f7bf03bbfcff1", "c00b4ea13f599aaa149151d61ee44b0d"),
+    5: ("98b064255a3c8b31b5a123fbfc3af9c4", "05d1f0aa2fa1a9b92576f76dbb3abb18"),
+    12: ("954f27e8cd439f62cb7b7967e407069f", "f3ba538f930221583d8e4685a28f6ba9"),
+}
+
+
+@pytest.mark.parametrize("size", list(GOLDEN_HERMITIAN))
+def test_hermitian_draw_keeps_its_golden_stream(size):
+    stacked, single = GOLDEN_HERMITIAN[size]
+    assert _digest(V._hermitian(np.arange(64), size)) == stacked
+    assert _digest(V._hermitian(7, size)) == single
+
+
+# The suite of seed 7 evaluated at the disk or upper draws of np.arange(8):
+# its linear, Gaussian and product fields read every coefficient the suite
+# draws (the vector coefficients of the product field without mat_only, the
+# matrix ones with it).
+GOLDEN_SUITES = {
+    ("upper", False, 1, 1): "55cf6d207d3127644d8e0e823d08c4ff",
+    ("upper", False, 2, 1): "56ea2ea3cf00504f40c92d75dac64025",
+    ("upper", False, 2, 2): "07d44b94d5801199f023389186e94977",
+    ("upper", False, 3, 2): "e6c2f30a835b962f7bca4267a298280a",
+    ("upper", True, 1, 1): "6474f2b26ec57c0916fe233142b59e0a",
+    ("upper", True, 2, 1): "8c7d7d3488f531e636a11ab7ea6aad87",
+    ("upper", True, 2, 2): "81a58b244fb0cd0b04c139e8baca6940",
+    ("upper", True, 3, 2): "40481b7d676b91b6356c1afc11d776ba",
+    ("disk", False, 1, 1): "f1b5c60b3c1f93fee74f5c535227432b",
+    ("disk", False, 2, 1): "592b165567f841bc6c0856cbef6b3c23",
+    ("disk", False, 2, 2): "e16b0c25760997292b8364e81e1c6069",
+    ("disk", False, 3, 2): "1f08da42f4b0bc03a1a8a1e47cbc6461",
+    ("disk", True, 1, 1): "c58dc99016abf49e8f91852c09c49cbc",
+    ("disk", True, 2, 1): "d482cb8d3fe0f11cd6b93dbd4641128f",
+    ("disk", True, 2, 2): "b04c2f5669a03b30e69e659e8389889e",
+    ("disk", True, 3, 2): "4b86b758b3498b16f1e3c8cca64a82c7",
+}
+
+
+@pytest.mark.parametrize("model,mat_only,n,m", list(GOLDEN_SUITES))
+def test_field_suite_keeps_its_golden_coefficients(model, mat_only, n, m):
+    p = geo.random_point(model, n, m, np.arange(8))
+    values = np.stack([f(p) for f in op.test_field_suite(model, n, m, 7, mat_only=mat_only)])
+    assert _digest(values) == GOLDEN_SUITES[model, mat_only, n, m]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_golden_sp_stack_holds_every_count_and_kind(n):
     # so the pinned sp digests cover every branch of the stacked product
-    kinds = np.stack([G._sp_draw(n, np.random.default_rng(s))[0] for s in range(64)])
+    kinds = G._sp_draw(n, SeedStream(np.arange(64)))[0]
     assert set((kinds >= 0).sum(axis=1)) == set(range(4, 9))
     for t in range(8):
         assert {0, 1, 2} <= set(kinds[:, t]), t

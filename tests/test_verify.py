@@ -171,11 +171,12 @@ def test_invariance_redraws_a_sample_whose_image_is_near_the_boundary():
     s = G.theta_map(G.random_jacobi(2, 1, seeds))
     qd = geo.act_disk(s, geo.random_point("disk", 2, 1, V._seeds(seeds, "pd")))
     assert geo.point_margin(qd)[0] < V._MIN_MARGIN_NESTED
-    stack = V._chk_laplacian_invariance(2, 1, UNIT, 42, np.arange(40, 48))
+    sampler = V._CHECKS["laplacian-invariance"].prepare(2, 1, UNIT, 42)
+    stack = sampler(np.arange(40, 48))
     assert stack.samples.tolist() == list(range(40, 48))
     assert stack.retries.tolist() == [0, 0, 0, 1, 0, 0, 0, 0]
     for k, sample in enumerate(stack.samples):
-        alone = V._chk_laplacian_invariance(2, 1, UNIT, 42, np.array([sample]))
+        alone = sampler(np.array([sample]))
         assert alone.retries[0] == stack.retries[k]
         assert alone.max_rel[0] == stack.max_rel[k] and alone.labels[0] == stack.labels[k]
 
