@@ -142,7 +142,9 @@ _ROUNDS = [(src, dst) for src in range(4) for dst in range(4) if dst != src]
 _STATE_PAIRS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 _STATE_WORDS = [2, 3, 0, 1, 6, 7, 4, 5]
 # A stack of at most this many seeds is hashed one seed at a time in
-# Python integers, where numpy's cost per call would outweigh the work.
+# Python integers: that takes about 13 us a seed, and _state_words about
+# 45 us for any stack of up to 8 (best of 25 rounds on a 2-core x86-64 VM:
+# 13, 26, 41, 65 us against 42, 45, 52, 49 us at 1, 2, 3, 4 seeds).
 _FEW_SEEDS = 3
 
 
@@ -292,29 +294,43 @@ def _seed_halves(seed) -> tuple:
     return halves, bool(seeds.ndim)
 
 
+def _uniform(raw: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Generator's uniform(low, high) from raw outputs."""
+    # (high - low) * 2**-53 is exact, so this rounds as Generator's
+    # low + (high - low) * ((raw >> 11) * 2**-53) does
+    values = (raw >> 11) * ((high - low) * 2.0 ** -53)
+    values += low
+    return values
+
+
+_HALVES = np.array([0, 32], dtype=np.uint64)   # the shifts of an output's low and high half
+
+
+def _lemire(half: np.ndarray, low: int, high: int) -> tuple:
+    """Generator's integers(low, high) from 32-bit halves (uint64), and
+    whether Lemire's method rejects each half."""
+    span = high - low
+    scaled = half * np.uint64(span)
+    return (scaled >> 32).astype(np.intp) + low, (scaled & _M32) < (2 ** 32 - span) % span
+
+
 class SeedStream:
     """What ``numpy.random.default_rng(seed)`` draws, for each seed of a
     stack at once, bit for bit: its raw 64-bit outputs, computed when first
-    needed, and the ``uniform`` and bounded ``integers`` calls that
-    Generator makes from them.
+    needed, and the ``uniform`` and ``steps`` draws Generator makes from
+    them.
 
     Every seed starts at output 0 and keeps its own place.  ``uniform``
     takes whole outputs: ``low + (high - low) * ((r >> 11) * 2**-53)``.
-    ``integers`` takes 32-bit halves, the low half of an output first and
-    its high half at the next ``integers`` call (``uniform`` leaves that
-    half waiting), by Lemire's method ("Fast Random Integer Generation in
-    an Interval", ACM TOMACS 2019): a rejected draw, about one in 2**32,
-    is drawn again from the seed's next half.  A ``where`` mask makes only
-    the seeds it holds draw; the others get zeros and keep their place.
+    ``steps`` makes the stream's integer draws, from 32-bit halves.
     """
 
     def __init__(self, seed):
         self._halves, self.stacked = _seed_halves(seed)
         self._raw = np.empty((len(self._halves), 0), dtype=np.uint64)
-        # each seed's next output, and whether a high half waits: one value
-        # for all seeds while they draw alike, else one per seed
-        self._next, self._half = 0, False
-        self._held = np.zeros(len(self._halves), dtype=np.uint64)   # the waiting half
+        self._next = np.zeros(len(self._halves), dtype=np.intp)   # each seed's next output
+        self._rows = np.arange(len(self._halves))[:, None]
+        self._stepped = False
 
     def _outputs(self, stop: int) -> np.ndarray:
         """The raw outputs, at least the first ``stop`` of every seed."""
@@ -324,93 +340,120 @@ class SeedStream:
             self._raw = np.concatenate([self._raw, more], axis=1) if have else more
         return self._raw
 
-    def _drawing(self, where):
-        """None when every seed draws, False when none does, else the mask."""
-        if where is None or where.all():
-            return None
-        return where if where.any() else False
+    def _take(self, cols: np.ndarray) -> np.ndarray:
+        """The outputs at each seed's ``cols`` (a row per seed)."""
+        return self._outputs(int(cols.max()) + 1)[self._rows, cols]
 
-    def reserve(self, count: int):
-        """Compute each seed's next ``count`` outputs at once, for a draw
-        whose calls depend on what it draws."""
-        self._outputs(int(np.max(self._next)) + count)
+    def _window(self, count: int) -> np.ndarray:
+        """(K, count): each seed's next ``count`` outputs."""
+        first, last = int(np.minimum.reduce(self._next)), int(np.maximum.reduce(self._next))
+        if first == last:   # every seed at the same output: one slice
+            return self._outputs(first + count)[:, first: first + count]
+        return self._take(self._next[:, None] + np.arange(count))
 
-    def uniform(self, *parts, where=None) -> tuple:
+    def uniform(self, *parts) -> tuple:
         """One array (K, *shape) per part (low, high, shape), drawn in order."""
         shapes = [(shape,) if isinstance(shape, int) else shape for _, _, shape in parts]
         sizes = [math.prod(shape) for shape in shapes]
-        total = sum(sizes)
-        where = self._drawing(where)
-        if where is False:
-            return tuple(np.zeros((len(self._held),) + shape) for shape in shapes)
-        if where is None and isinstance(self._next, int):
-            raw = self._outputs(self._next + total)[:, self._next: self._next + total]
-            self._next += total
-        else:
-            cols = np.add.outer(self._next, np.arange(total))
-            raw = self._outputs(int(cols.max()) + 1)
-            raw = raw[:, cols] if cols.ndim == 1 else raw[np.arange(len(raw))[:, None], cols]
-            self._next = self._next + (total if where is None else total * where)
-        bits = raw >> 11
+        raw = self._window(sum(sizes))
+        self._next += sum(sizes)
         out, at = [], 0
         for (low, high, _), shape, size in zip(parts, shapes, sizes):
-            # (high - low) * 2**-53 is exact, so this rounds as Generator's
-            # low + (high - low) * (bits * 2**-53) does
-            values = bits[:, at: at + size] * ((high - low) * 2.0 ** -53)
-            values += low
-            if where is not None:
-                values[~where] = 0.0
-            out.append(values.reshape((-1,) + shape))
+            out.append(_uniform(raw[:, at: at + size], low, high).reshape(raw.shape[:1] + shape))
             at += size
         return tuple(out)
 
-    def integers(self, low: int, high: int, where=None) -> np.ndarray:
-        """(K,) int64 uniform in [low, high), 1 < high - low < 2**32."""
-        span = high - low
-        if not 1 < span < 2 ** 32:
-            raise ValueError(f"integers needs 1 < high - low < 2**32, got {span}")
-        where = self._drawing(where)
-        if where is False:
-            return np.zeros(len(self._held), dtype=np.int64)
-        scaled = self._next_half(where) * np.uint64(span)
-        value = (scaled >> 32).view(np.int64)
-        rejected = (scaled & _M32) < (2 ** 32 - span) % span
-        if where is not None:
-            rejected &= where
-        if rejected.any():
-            value[rejected] = self.integers(0, span, rejected)[rejected]
-        value += low
-        if where is not None:
-            value[~where] = 0
-        return value
+    def steps(self, count: range, kinds: int, bare: int, shape: tuple) -> tuple:
+        """Generator's ``integers(count.start, count.stop)`` steps, each of
+        a kind ``integers(0, kinds)`` followed, unless it is ``bare``, by
+        ``uniform(-1.0, 1.0, shape)``: each seed's kinds (K, count.stop - 1),
+        -1 past its count, and uniforms (K, count.stop - 1, *shape), zero
+        where a step has none.
 
-    def _next_half(self, where) -> np.ndarray:
-        """The next 32-bit half of each seed in ``where`` (None: every seed),
-        as uint64."""
-        if where is None and isinstance(self._next, int) and isinstance(self._half, bool):
-            self._half = not self._half
-            if not self._half:
-                return self._held
-            raw = self._outputs(self._next + 1)[:, self._next]
-            self._next += 1
-            self._held = raw >> 32
-            return raw & _M32
-        nxt = np.broadcast_to(self._next, self._held.shape)
-        half = np.broadcast_to(self._half, self._held.shape)
-        fresh = ~half if where is None else where & ~half   # these read a new output
-        raw = self._outputs(int(nxt.max()) + 1)[np.arange(len(nxt)), nxt]
-        out = np.where(half, self._held, raw & _M32)
-        self._held = np.where(fresh, raw >> 32, self._held)
-        self._next = nxt + fresh
-        self._half = fresh if where is None else half ^ where
-        return out
+        Generator draws each integer from a 32-bit half by Lemire's method
+        ("Fast Random Integer Generation in an Interval", ACM TOMACS 2019):
+        the low half of a fresh output, or the high half of the last one,
+        which waits for the next integer draw while ``uniform`` takes whole
+        outputs.  So the count and kind 0 are the halves of the first
+        output, and kinds 2j + 1 and 2j + 2 those of the output after the
+        uniforms of kind 2j, all seeds at once.  A rejected half (about one
+        in 2**32) is drawn again from the next one and moves every later
+        draw of its seed, which is then drawn alone (_steps_one).  A
+        stream makes one ``steps`` draw: a second would first have to read
+        the half the first left waiting.
+        """
+        if count.start < 1 or len(count) < 2 or not 1 < kinds < 2 ** 32:
+            raise ValueError(f"steps needs a count range of 1 or more and at least "
+                             f"two counts and two kinds, got {count} and {kinds}")
+        if self._stepped:
+            raise RuntimeError("a SeedStream makes one steps draw")
+        self._stepped = True
+        size, most = math.prod(shape), count.stop - 1
+        rows = self._rows[:, 0]
+        window = self._window(1 + most // 2 + most * size)   # what the longest draw reads
+        word, at = window[:, 0], np.ones_like(rows)
+        number, rejected = _lemire(word & _M32, count.start, count.stop)
+        # kind t is half 1 - t % 2 of ``word``, its uniforms start at
+        # ``starts[t]`` and the next draw at ``ends[t]``: every step as if
+        # all were drawn
+        got, missed, starts, ends = [], [], [], []
+        for t in range(most):
+            if t % 2:   # kinds t and t + 1 are the halves of a fresh output
+                word, at = window[rows, at], at + 1
+            if t % 2 or not t:
+                kind, rejects = _lemire(word[:, None] >> _HALVES & _M32, 0, kinds)
+            got.append(kind[:, 1 - t % 2])
+            missed.append(rejects[:, 1 - t % 2])
+            starts.append(at)
+            at = at + size * (got[-1] != bare)
+            ends.append(at)
+        got, starts = np.stack(got, axis=1), np.stack(starts, axis=1) + self._next[:, None]
+        live = number[:, None] > np.arange(most)
+        rejected |= (np.stack(missed, axis=1) & live).any(axis=1)
+        got[~live] = -1
+        at = np.stack(ends, axis=1)[rows, number - 1] + self._next
+        for row in np.flatnonzero(rejected):
+            got[row], starts[row], at[row] = self._steps_one(row, count, kinds, bare, size)
+        cols = starts[:, :, None] + np.arange(size)
+        u = _uniform(self._take(cols.reshape(len(at), -1)), -1.0, 1.0).reshape(cols.shape)
+        u[(got < 0) | (got == bare)] = 0.0
+        self._next = at
+        return got, u.reshape(got.shape + tuple(shape))
+
+    def _steps_one(self, row: int, count: range, kinds: int, bare: int, size: int) -> tuple:
+        """``steps`` of the seed in ``row`` alone, one Generator call at a
+        time: its kinds, the first output of each step's uniforms, and its
+        next output."""
+        at, held = int(self._next[row]), None
+
+        def integer(low: int, high: int) -> int:
+            nonlocal at, held
+            span = high - low
+            while True:
+                if held is None:
+                    word = int(self._outputs(at + 1)[row, at])
+                    at += 1
+                    half, held = word & _M32, word >> 32
+                else:
+                    half, held = held, None
+                scaled = half * span
+                if scaled & _M32 >= (2 ** 32 - span) % span:
+                    return low + (scaled >> 32)
+
+        got, starts = np.full(count.stop - 1, -1), np.zeros(count.stop - 1, dtype=np.intp)
+        for k in range(integer(count.start, count.stop)):
+            got[k] = integer(0, kinds)
+            starts[k] = at
+            if got[k] != bare:
+                at += size
+        return got, starts, at
 
 
 def seeded(seed, sizes, draw, build) -> tuple:
     """A seeded draw: ``draw(stream)`` makes the raw ``uniform`` and
     ``integers`` calls of ``default_rng(seed)`` for every seed at once on a
-    SeedStream and returns them as arrays stacked along a leading axis,
-    one member per seed; ``build`` does all the arithmetic once on the
+    SeedStream (its ``uniform`` and ``steps``) and returns them as arrays
+    stacked along a leading axis, one member per seed; ``build`` does all the arithmetic once on the
     stack.
 
     ``seed`` is an integer or a 1-D array of them, and a single seed is a

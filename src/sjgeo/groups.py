@@ -472,17 +472,7 @@ def _sp_draw(n: int, stream: SeedStream) -> tuple:
     """Each seed's generator kinds (0 shear, 1 block-diagonal, 2 J; -1 pads
     past its count) and the uniforms of its shears and block-diagonals,
     zero for the other steps."""
-    # the count and 8 kinds take 32-bit halves, two to an output
-    stream.reserve(1 + _SP_STEPS // 2 + _SP_STEPS * n * n)
-    count = stream.integers(4, _SP_STEPS + 1)
-    live = count[:, None] > np.arange(_SP_STEPS)
-    kinds = np.full((len(count), _SP_STEPS), -1)
-    u = np.zeros((len(count), _SP_STEPS, n, n))
-    for t in range(count.max()):
-        kinds[:, t] = stream.integers(0, 3, where=live[:, t])
-        u[:, t], = stream.uniform((-1.0, 1.0, (n, n)), where=live[:, t] & (kinds[:, t] != 2))
-    kinds[~live] = -1
-    return kinds, u
+    return stream.steps(range(4, _SP_STEPS + 1), 3, 2, (n, n))
 
 
 def _sp_blocks(kinds: np.ndarray, u: np.ndarray) -> tuple:

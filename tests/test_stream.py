@@ -156,10 +156,8 @@ def test_field_suite_draws_its_coefficients_from_default_rng():
 def test_raw_outputs_are_pcg64_outputs():
     seeds = [0, 1, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 63, 2 ** 64 - 1, 2 ** 96, 2 ** 200 + 5]
     for stack in (np.array(seeds, dtype=object), np.array(seeds[:6], dtype=np.uint64)):
-        stream = SeedStream(stack)
-        stream.reserve(40)
         want = [np.random.default_rng(int(s)).bit_generator.random_raw(40) for s in stack]
-        assert np.array_equal(stream._raw[:, :40], want)
+        assert np.array_equal(SeedStream(stack)._outputs(40)[:, :40], want)
 
 
 @pytest.mark.parametrize("seed", [-1, [3, -2], np.array([5, -1]), -(2 ** 70), [2 ** 70, -1]])
@@ -174,17 +172,21 @@ def test_a_negative_seed_is_refused(seed):
 # Lemire's rejections, on constructed streams
 #
 # No practical seed draws a rejected 32-bit half (about one in 2**32), so
-# these streams come from PCG64 states chosen to output zeros: a zero half
-# is the one rejected value of integers(4, 9) and integers(0, 3).
+# these streams come from PCG64 states chosen to output zero halves: a zero
+# half is the one rejected value of integers(4, 9) and integers(0, 3).
 
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MOD = 1 << 128
+_M64 = (1 << 64) - 1
 
 
-def _zero_at(step: int, inc: int, fill: int) -> int:
-    """A PCG64 state whose output ``step`` is 0: the state after step + 1
-    LCG steps has equal halves, so XSL-RR gives 0."""
-    target = fill << 64 | fill
+def _state_for(step: int, inc: int, output: int, fill: int) -> int:
+    """A PCG64 state whose output ``step`` is ``output``: the state after
+    step + 1 LCG steps has high half ``fill`` and the low half that XSL-RR
+    (hi ^ lo rotated right by hi >> 58) turns into ``output``."""
+    rot = fill >> 58
+    lo = fill ^ ((output << rot | output >> (64 - rot)) & _M64 if rot else output)
+    target = fill << 64 | lo
     power, total = 1, 0
     for _ in range(step + 1):
         total = (total * _MULT + 1) % _MOD
@@ -209,42 +211,46 @@ def _constructed(states) -> tuple:
     return [_generator(*s) for s in states], stream
 
 
-def test_constructed_stream_is_rejected_where_numpy_rejects():
+def test_constructed_states_output_what_they_are_built_for():
     inc = 0x9E3779B97F4A7C15F39CC0605CEDC835 | 1
-    # output 0 is zero: integers(4, 9) rejects both of its halves and takes
-    # the low half of output 1
-    states = [(_zero_at(0, inc, 12345), inc), (_zero_at(3, inc, 7), inc)]
-    assert _generator(*states[0]).bit_generator.random_raw() == 0
-    gens, stream = _constructed(states)
-    want = [[g.integers(4, 9) for g in gens], [g.integers(0, 3) for g in gens]]
-    assert stream.integers(4, 9).tolist() == want[0]
-    assert stream.integers(0, 3).tolist() == want[1]
+    for step, output, fill in [(0, 0, 12345), (3, 0xABCDEF0100000000, 2 ** 63 + 7), (7, 5, 2 ** 62)]:
+        raw = _generator(_state_for(step, inc, output, fill), inc).bit_generator.random_raw(step + 1)
+        assert int(raw[step]) == output
+
+
+# (output, fill): both halves zero, only the low half, only the high half
+ZERO_HALVES = [(0, 99), (0xABCDEF0100000000, 2 ** 63 + 99), (0x00000000FEDCBA98, 2 ** 61 + 5)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("step", [0, 1, 2, 5, 10, 19])
-def test_sp_draw_redraws_a_rejected_kind(n, step):
-    # a zero output at ``step`` of one seed in a stack of three: wherever
-    # an integers call meets it, both its halves are rejected, and uniform
-    # takes it as 0.0
+@pytest.mark.parametrize("halves", range(len(ZERO_HALVES)))
+@pytest.mark.parametrize("before", [0, 3])
+def test_sp_draw_redraws_a_rejected_kind(n, step, halves, before):
+    # an output with zero halves at ``step`` of one seed in a stack of
+    # three, after ``before`` uniforms: wherever an integers call meets a
+    # zero half, it is rejected
     inc = (0x5851F42D4C957F2D14057B7EF767814F << 1) % _MOD | 1
-    states = [(_zero_at(step, inc, 99), inc), (1234567, inc), (_zero_at(0, inc + 2, 5), inc + 2)]
+    states = [(_state_for(step, inc, *ZERO_HALVES[halves]), inc), (1234567, inc),
+              (_state_for(0, inc + 2, 0, 5), inc + 2)]
     gens, stream = _constructed(states)
-    stacked = G._sp_draw(n, stream) + G._heisenberg_draw(n, 2, stream)
-    want = [_sp_rng(n, g) + _heisenberg_rng(n, 2, g) for g in gens]
+    stacked = stream.uniform((-1.0, 1.0, before)) + G._sp_draw(n, stream) + G._heisenberg_draw(n, 2, stream)
+    want = [(g.uniform(-1.0, 1.0, before),) + _sp_rng(n, g) + _heisenberg_rng(n, 2, g) for g in gens]
     _same_bits(stacked, tuple(np.stack(a) for a in zip(*want)))
 
 
-def test_masked_draws_leave_the_others_in_place():
+@pytest.mark.parametrize("count, kinds", [(range(0, 9), 3), (range(4, 5), 3), (range(4, 9), 1)])
+def test_steps_refuses_a_draw_generator_would_not_make_alike(count, kinds):
+    # integers(low, low + 1) draws nothing, and zero steps have no last one
+    with pytest.raises(ValueError, match="steps needs"):
+        SeedStream(7).steps(count, kinds, 2, (2, 2))
+
+
+def test_a_stream_makes_one_steps_draw():
     stream = SeedStream(np.array([11, 12, 13]))
-    gens = [np.random.default_rng(s) for s in (11, 12, 13)]
-    where = np.array([True, False, True])
-    got = stream.integers(0, 3, where=where)
-    assert got.tolist() == [gens[0].integers(0, 3), 0, gens[2].integers(0, 3)]
-    u, = stream.uniform((-1.0, 1.0, 2), where=~where)
-    assert np.array_equal(u, [[0.0, 0.0], gens[1].uniform(-1.0, 1.0, 2), [0.0, 0.0]])
-    after = stream.integers(0, 3)   # seed 11 and 13 read their waiting halves
-    assert after.tolist() == [g.integers(0, 3) for g in gens]
+    G._sp_draw(2, stream)
+    with pytest.raises(RuntimeError, match="one steps draw"):
+        G._sp_draw(2, stream)
 
 
 # ---------------------------------------------------------------------------
