@@ -141,11 +141,6 @@ _ROUNDS = [(src, dst) for src in range(4) for dst in range(4) if dst != src]
 # x is words 2, 3, 0, 1 and q words 6, 7, 4, 5, least significant first.
 _STATE_PAIRS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 _STATE_WORDS = [2, 3, 0, 1, 6, 7, 4, 5]
-# A stack of at most this many seeds is hashed one seed at a time in
-# Python integers: that takes about 13 us a seed, and _state_words about
-# 45 us for any stack of up to 8 (best of 25 rounds on a 2-core x86-64 VM:
-# 13, 26, 41, 65 us against 42, 45, 52, 49 us at 1, 2, 3, 4 seeds).
-_FEW_SEEDS = 3
 
 
 def _state_words_each(seeds: list) -> np.ndarray:
@@ -273,15 +268,15 @@ def _seed_halves(seed) -> tuple:
     if seeds.ndim > 1 or not seeds.size:
         raise ValueError(f"expected a seed or a 1-D array of seeds, got shape {seeds.shape}")
     flat = seeds.reshape(-1)
-    if seeds.dtype.kind in "iu" and len(flat) > _FEW_SEEDS:
+    if seeds.dtype.kind in "iu":
         if flat.min() < 0:
             raise ValueError("a seed must be non-negative")
         words = _state_words(flat.astype(np.uint64))
     else:
-        # no generator, no None, no bool (a bool is an int to Python, not to
-        # numpy); Python integers of any size
+        # seeds of 2**64 or more; no generator, no None, no bool (a bool is
+        # an int to Python, not to numpy)
         values = flat.tolist()
-        if seeds.dtype.kind not in "iuO" or not all(
+        if seeds.dtype.kind != "O" or not all(
                 isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_))
                 for v in values):
             raise TypeError(f"a seed is an integer, got {type(seed).__name__}")
@@ -342,13 +337,10 @@ class SeedStream:
 
     def _take(self, cols: np.ndarray) -> np.ndarray:
         """The outputs at each seed's ``cols`` (a row per seed)."""
-        return self._outputs(int(cols.max()) + 1)[self._rows, cols]
+        return self._outputs(int(cols.max(initial=-1)) + 1)[self._rows, cols]
 
     def _window(self, count: int) -> np.ndarray:
         """(K, count): each seed's next ``count`` outputs."""
-        first, last = int(np.minimum.reduce(self._next)), int(np.maximum.reduce(self._next))
-        if first == last:   # every seed at the same output: one slice
-            return self._outputs(first + count)[:, first: first + count]
         return self._take(self._next[:, None] + np.arange(count))
 
     def uniform(self, *parts) -> tuple:

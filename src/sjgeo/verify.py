@@ -22,13 +22,14 @@ its largest one, and one description of the samples whichever part is
 worst (their draws and values).  Every check draws its samples with one
 call per draw, given the samples' seeds, and evaluates each identity
 once on the stack; sample k of the stack is what its seed draws alone.
-The checks that build no second-order stencil take up to 256 samples per
-call; the stencil checks take as many as fit a fixed budget of chart
-coordinates (_STENCIL_COORDS): all 50 of a run at (1, 1), one at a time
-at (3, 2).  There, each Richardson level of every sample's stencil is one
-field call, and each oracle one metric call; their test fields are drawn
-once per run_check (_CheckDef.prepare), not once per sampler call.  A
-call that raises is run again one sample at a time, so only the failing
+Every sampler call takes a block of up to 256 samples (_STACK).  The
+stencil checks split each block by test field into sub-stacks of as
+many samples as fit a fixed budget of chart coordinates
+(_STENCIL_COORDS): all 50 of a run at (1, 1), one at a time at (3, 2).
+There, each Richardson level of every sample's stencil is one field
+call, and each oracle one metric call; their test fields are drawn once
+per run_check (_CheckDef.prepare), not once per sampler call.  A call
+that raises is run again one sample at a time, so only the failing
 sample reports the error.
 run_check reduces the concatenated stack of all samples to the report:
 the worst sample's description becomes ``worst``, and the part maxima
@@ -438,18 +439,24 @@ def _redraw(make, accept, master: int, idx, tag: str):
 # Check samplers
 #
 # A sampler takes the run's (n, m, params, master), the test fields of a
-# stencil check, and an array of sample indices, and returns one _Stack of
-# their residuals, in the same order.  Each draw is one call with the
-# samples' seeds: member k of the stack is what sample k draws alone, as
-# in a one-sample run, and each identity is evaluated once on the stack.
+# stencil check, and a block of sample indices (any index array), and
+# returns one _Stack of their residuals, in the same order.  Each draw is
+# one call with the samples' seeds: member k of the stack is what sample
+# k draws alone, as in a one-sample run, and each identity is evaluated
+# once on the stack.  A stencil check evaluates its block in sub-stacks
+# of one test field (_grouped); the invariance checks draw the whole
+# block first, the LB and reduce checks each sub-stack.
 
 
-def _grouped(count: int, idx, sampler) -> _Stack:
-    """The samples idx split by idx % count: sampler(j, sub) gives the stack
-    of the samples sub of class j, and the classes are joined back in
-    sample order."""
-    classes = [(j, idx[idx % count == j]) for j in range(count)]
-    return _Stack.concat([sampler(j, sub) for j, sub in classes if sub.size])
+def _grouped(count: int, idx, sampler, size: int) -> _Stack:
+    """The samples idx split by idx % count, each class into sub-stacks of
+    up to ``size`` samples: sampler(j, at) gives the stack of the samples
+    idx[at] of class j, and the sub-stacks are joined back in sample order."""
+    stacks = []
+    for j in range(count):
+        at = np.flatnonzero(idx % count == j)
+        stacks += [sampler(j, at[start: start + size]) for start in range(0, len(at), size)]
+    return _Stack.concat(stacks)
 
 
 def _heisenberg_parts(h):
@@ -686,8 +693,8 @@ def _tensor_pd(model, n, m, params, master, idx) -> _Stack:
 
 def _chk_tensor_pd(n, m, params, master, idx) -> _Stack:
     # even samples check the upper model, odd ones the disk
-    return _grouped(2, idx, lambda parity, sub: _tensor_pd(
-        ("upper", "disk")[parity], n, m, params, master, sub))
+    return _grouped(2, idx, lambda parity, at: _tensor_pd(
+        ("upper", "disk")[parity], n, m, params, master, idx[at]), _STACK)
 
 
 def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
@@ -718,8 +725,8 @@ def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
 # The checks below build second-order stencils (or, for reduce-n1m1, call
 # operators that do).  Each test field serves the samples whose index is
 # its position modulo the number of fields: a sampler differentiates
-# each field once on the stack of its samples (see _grouped).  The fields
-# are drawn once per run (_CheckDef.fields), not once per sampler call.
+# each field once per sub-stack of its samples (see _grouped).  The
+# fields are drawn once per run (_CheckDef.fields).
 
 
 def _lb_model(kind) -> tuple:
@@ -738,8 +745,8 @@ def _lb_pair(kind, n, m, params, master, fields, idx) -> _Stack:
     def metric(q):
         return metric_tensor(q, params, kind=kind)
 
-    def sampler(j, sub):
-        f = fields[j]
+    def sampler(j, at):
+        f, sub = fields[j], idx[at]
         p = random_point(model, n, m, _seeds(master, sub, "p"))
         out = _Stack(sub)
         sb = second_bundle(f, p, mat_only=mat_only)
@@ -759,7 +766,7 @@ def _lb_pair(kind, n, m, params, master, fields, idx) -> _Stack:
         gap = {} if printed is None else {"printed_rel_gap": _rel_gap(lhs, printed)}
         out.describe(field=f.name, point=p, laplacian=lhs, oracle=rhs, **gap)
         return out
-    return _grouped(len(fields), idx, sampler)
+    return _grouped(len(fields), idx, sampler, _stencil_stack(n, m))
 
 
 def _rel_gap(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -784,23 +791,32 @@ def _slot_jacobian(g, p, q) -> np.ndarray:
     return chart.slot_coords(*action_differential(g, p, q, *chart.slot_basis())).mT
 
 
-def _pullbacks(f, g, p, q, herm) -> dict:
-    """Suffix -> ((bundle at p, p), (bundle at q, q)) for the field f
-    (suffix "") and for the Hermitian slot matrices ``herm`` (suffix
-    "[hermitian]"), where q = g . p.
+def _pullbacks(f, g, p, q, herm) -> tuple:
+    """(bundle at p, p) and (bundle at q, q) for a stack of K samples,
+    where q = g . p.  Each bundle has 2K members, the field f's K and then
+    the K Hermitian slot matrices ``herm``, and each point is repeated to
+    match, so one operator call per point serves both (_both_parts).
 
-    Each bundle at q is pulled back to p by the holomorphic chain rule: the
+    The bundle at q is pulled back to p by the holomorphic chain rule: the
     mixed matrix of a function after the action is J^H M J, where M is the
     function's at q and J the action's complex Jacobian (_slot_jacobian).
     An invariant operator gives the same value on both bundles."""
     chart = chart_for(p)
     jac = _slot_jacobian(g, p, q)
+    jac = np.concatenate([jac, jac])
+    at_q = np.concatenate([second_bundle(f, q, mat_only=False).mixed, herm])
+    pulled = mat_mul(mat_mul(jac.conj().mT, at_q), jac)
+    return ((bundle_of(pulled, chart), _stack([p, p])),
+            (bundle_of(at_q, chart), _stack([q, q])))
 
-    def pair(at_q):
-        pulled = bundle_of(mat_mul(mat_mul(jac.conj().mT, at_q.mixed), jac), chart)
-        return (pulled, p), (at_q, q)
-    return {"": pair(second_bundle(f, q, mat_only=False)),
-            "[hermitian]": pair(bundle_of(herm, chart))}
+
+def _both_parts(out, label: str, at_p, at_q):
+    """Part ``label`` from the field's values of an operator on the
+    bundles of _pullbacks, and part label[hermitian] from the Hermitian
+    matrices' values."""
+    k = out.count
+    out.add(label, at_p[:k], at_q[:k])
+    out.add(label + "[hermitian]", at_p[k:], at_q[k:])
 
 
 def _invariance_suites(n, m, master) -> tuple:
@@ -808,48 +824,53 @@ def _invariance_suites(n, m, master) -> tuple:
             test_field_suite("disk", n, m, sample_seed(master, "fd")))
 
 
+def _invariance_admissible(draws) -> np.ndarray:
+    """Whether each draw's moved points leave the nested stencils room."""
+    qu, qd = draws[4:]
+    return ((point_margin(qu) >= _MIN_MARGIN_NESTED)
+            & (point_margin(qd) >= _MIN_MARGIN_NESTED)
+            & (chart_for(qu).point_scale(qu) <= _MAX_SCALE_NESTED)
+            & (chart_for(qd).point_scale(qd) <= _MAX_SCALE_NESTED))
+
+
 def _invariance_sample(n, m, master, suites, idx, parts) -> _Stack:
-    """The residuals ``parts(out, upper, disk)`` adds for each stack of
+    """The residuals ``parts(out, upper, disk)`` adds for each sub-stack of
     samples, where each model's argument is its _pullbacks at the drawn
-    point p and the moved point q = g . p.  Sample k uses the non-constant
-    field 1 + k % 4 of each model's suite (_invariance_suites), and both
-    models one seeded Hermitian slot matrix."""
+    point p and the moved point q = g . p.  The whole block is drawn first:
+    one _redraw of the elements, points and images, and one draw of the
+    Hermitian slot matrices, both models sharing sample k's.  Sample k
+    uses the non-constant field 1 + k % 4 of each model's suite
+    (_invariance_suites)."""
     suite_u, suite_d = suites
-    slots = chart_of("upper", n, m).n_slots
 
     def make(seeds):
-        # the draws carry their images: accept judges them, and the bundles
-        # are built there
+        # the draws carry their images: the redraw judges them, and the
+        # bundles are built there
         g = random_jacobi(n, m, seeds)
         s = theta_map(g)
         pu = random_point("upper", n, m, _seeds(seeds, "pu"))
         pd = random_point("disk", n, m, _seeds(seeds, "pd"))
         return g, s, pu, pd, act_upper(g, pu), act_disk(s, pd)
 
-    def accept(draws):
-        qu, qd = draws[4:]
-        return ((point_margin(qu) >= _MIN_MARGIN_NESTED)
-                & (point_margin(qd) >= _MIN_MARGIN_NESTED)
-                & (chart_for(qu).point_scale(qu) <= _MAX_SCALE_NESTED)
-                & (chart_for(qd).point_scale(qd) <= _MAX_SCALE_NESTED))
+    draws, retries = _redraw(make, _invariance_admissible, master, idx, "op-inv")
+    herm = _hermitian(_seeds(master, idx, "herm"), chart_of("upper", n, m).n_slots)
 
-    def sampler(j, sub):
-        out = _Stack(sub)
-        (g, s, pu, pd, qu, qd), out.retries = _redraw(make, accept, master, sub, "op-inv")
+    def sampler(j, at):
+        out = _Stack(idx[at])
+        out.retries = retries[at]
+        g, s, pu, pd, qu, qd = _at(draws, at)
         f_u, f_d = suite_u[1 + j], suite_d[1 + j]   # skip the constant field
-        herm = _hermitian(_seeds(master, sub, "herm"), slots)
-        parts(out, _pullbacks(f_u, g, pu, qu, herm), _pullbacks(f_d, s, pd, qd, herm))
+        parts(out, _pullbacks(f_u, g, pu, qu, herm[at]), _pullbacks(f_d, s, pd, qd, herm[at]))
         out.describe(field=f_u.name, point=pu, disk_point=pd)
         return out
-    return _grouped(len(suite_u) - 1, idx, sampler)
+    return _grouped(len(suite_u) - 1, idx, sampler, _stencil_stack(n, m))
 
 
 def _chk_laplacian_invariance(n, m, params, master, suites, idx) -> _Stack:
     def parts(out, upper, disk):
-        for name, lap, pairs in (("upper-laplacian", lap_upper, upper),
-                                 ("disk-laplacian", lap_disk, disk)):
-            for suffix, (at_p, at_q) in pairs.items():
-                out.add(name + suffix, lap(*at_p, params), lap(*at_q, params))
+        for name, lap, (at_p, at_q) in (("upper-laplacian", lap_upper, upper),
+                                         ("disk-laplacian", lap_disk, disk)):
+            _both_parts(out, name, lap(*at_p, params), lap(*at_q, params))
     return _invariance_sample(n, m, master, suites, idx, parts)
 
 
@@ -857,18 +878,19 @@ def _chk_remark_invariance(n, m, params, master, suites, idx) -> _Stack:
     unit = MetricParams(1.0, 1.0)
 
     def parts(out, upper, disk):
-        moved = {}   # each operator at the moved points
-        for pairs, kinds in ((upper, ("D", "L")), (disk, ("Dtilde", "Ltilde"))):
+        k = out.count
+        moved = {}   # each operator on the field's bundles at the moved points
+        for (at_p, at_q), kinds in ((upper, ("D", "L")), (disk, ("Dtilde", "Ltilde"))):
             for kind in kinds:
-                for suffix, (at_p, at_q) in pairs.items():
-                    moved[kind + suffix] = op_invariant(kind, *at_q)
-                    out.add(kind + suffix, op_invariant(kind, *at_p), moved[kind + suffix])
-        # the defining splits of the field's bundles at the moved points: a
-        # quarter of the unit-weight Laplacian minus D is L, the disk
-        # Laplacian minus Dtilde is Ltilde
-        out.add("L-split", 0.25 * lap_upper(*upper[""][1], unit) - moved["D"], moved["L"])
-        out.add("Ltilde-split", lap_disk(*disk[""][1], unit) - moved["Dtilde"],
-                moved["Ltilde"])
+                at_moved = op_invariant(kind, *at_q)
+                moved[kind] = at_moved[:k]
+                _both_parts(out, kind, op_invariant(kind, *at_p), at_moved)
+        # the defining splits of the field's bundles at the moved points (its
+        # first k members): a quarter of the unit-weight Laplacian minus D is
+        # L, the disk Laplacian minus Dtilde is Ltilde
+        field_u, field_d = (_at(at_q, slice(k)) for _, at_q in (upper, disk))
+        out.add("L-split", 0.25 * lap_upper(*field_u, unit) - moved["D"], moved["L"])
+        out.add("Ltilde-split", lap_disk(*field_d, unit) - moved["Dtilde"], moved["Ltilde"])
     return _invariance_sample(n, m, master, suites, idx, parts)
 
 
@@ -880,7 +902,8 @@ def _reduce_fields(n, m, master) -> list:
 def _chk_reduce_n1m1(n, m, params, master, fields, idx) -> _Stack:
     unit = MetricParams(1.0, 1.0)
 
-    def sampler(j, sub):
+    def sampler(j, at):
+        sub = idx[at]
         out = _Stack(sub)
         p = random_point("disk", 1, 1, _seeds(master, sub, "p"))
         t = random_tangent("disk", 1, 1, _seeds(master, sub, "t"))
@@ -890,20 +913,26 @@ def _chk_reduce_n1m1(n, m, params, master, fields, idx) -> _Stack:
         out.add("laplacian-closed-form", lap_disk(sb, p, unit), lap_disk_closed_11(sb, p))
         out.describe(field=f.name, point=p)
         return out
-    return _grouped(len(fields) - 1, idx, sampler)
+    return _grouped(len(fields) - 1, idx, sampler, _stencil_stack(1, 1))
 
 
 # ---------------------------------------------------------------------------
 # Check registry and run_check
 
-# Samples per sampler call: a constant, so a stack's memory stays bounded.
+# Samples per sampler call (a block): a constant, so memory stays bounded.
 _STACK = 256
 
-# Chart coordinates per sampler call of a stencil check.  Its largest
-# array is the oracle's gradient stencil, (2 dim)^2 nodes of dim chart
+# Chart coordinates per sub-stack of a stencil check.  Its largest array
+# is the oracle's gradient stencil, (2 dim)^2 nodes of dim chart
 # coordinates per sample, so one sample at the desk corner (3,2), chart
-# dimension 24, fills the budget: a call holds as many samples as fit.
+# dimension 24, fills the budget: a sub-stack holds as many samples as fit.
 _STENCIL_COORDS = 4 * 24 ** 3
+
+
+def _stencil_stack(n: int, m: int) -> int:
+    """Samples per sub-stack of a stencil check at (n, m)."""
+    dim = chart_of("upper", n, m, True).dim
+    return max(1, _STENCIL_COORDS // (4 * dim ** 3))
 
 
 @dataclass(frozen=True)
@@ -923,11 +952,9 @@ class _CheckDef:
         return partial(self.sampler, n, m, params, master, self.fields(n, m, master))
 
     def stack(self, n: int, m: int) -> int:
-        """Samples per sampler call at (n, m)."""
-        if not self.stencil:
-            return _STACK
-        dim = chart_of("upper", n, m, True).dim
-        return max(1, _STENCIL_COORDS // (4 * dim ** 3))
+        """Samples per evaluation at (n, m): a block of _STACK, or a stencil
+        check's sub-stack of one test field (_grouped)."""
+        return _stencil_stack(n, m) if self.stencil else _STACK
 
 
 _CHECKS: dict[str, _CheckDef] = {
@@ -960,7 +987,8 @@ def _pairing_constant(lhs: np.ndarray, rhs: np.ndarray) -> float | None:
     """Median lhs/rhs ratio over samples where the oracle value is
     informative; reported only, the residuals compare unscaled values."""
     ok = np.abs(rhs) > 1e-3 * (1.0 + np.abs(lhs))   # false where NaN
-    return float(np.median(lhs[ok] / rhs[ok])) if ok.any() else None
+    ratio = np.sort(lhs[ok] / rhs[ok])   # np.median's bits, without importing numpy.ma
+    return float(np.mean(ratio[(len(ratio) - 1) // 2: len(ratio) // 2 + 1])) if ok.any() else None
 
 
 def _sample_stack(sampler: Callable, idx) -> _Stack:
@@ -982,12 +1010,10 @@ def _sample_stack(sampler: Callable, idx) -> _Stack:
 
 def _all_samples(name: str, n: int, m: int, params: MetricParams,
                  samples: int, seed: int) -> _Stack:
-    """Every sample of a check, in order, evaluated a stack at a time."""
-    cdef = _CHECKS[name]
-    stack = cdef.stack(n, m)
-    sampler = cdef.prepare(n, m, params, seed)
-    return _Stack.concat([_sample_stack(sampler, np.arange(start, min(start + stack, samples)))
-                          for start in range(0, samples, stack)])
+    """Every sample of a check, in order, evaluated a block at a time."""
+    sampler = _CHECKS[name].prepare(n, m, params, seed)
+    return _Stack.concat([_sample_stack(sampler, np.arange(start, min(start + _STACK, samples)))
+                          for start in range(0, samples, _STACK)])
 
 
 def run_check(name: str, n: int, m: int, params: MetricParams,

@@ -270,15 +270,18 @@ import sys
 import sjgeo.cli
 from sjgeo.metrics import MetricParams
 from sjgeo.verify import run_check
-assert sjgeo.cli.main(["verify", "all", "--n", "1", "--m", "1", "--samples", "2"]) == 0
+# three samples reach the linear field, an informative LB sample, so the
+# LB checks' pairing constant is computed
+assert sjgeo.cli.main(["verify", "all", "--n", "1", "--m", "1", "--samples", "3"]) == 0
 run_check("group-laws", 3, 2, MetricParams(1.0, 1.0), 4, 42)
-print(sorted(m for m in ("numpy.random", "_hashlib") if m in sys.modules))
+print(sorted(m for m in ("numpy.random", "_hashlib", "numpy.ma") if m in sys.modules))
 """
 
 
 def test_library_runs_without_numpy_random_or_openssl():
     # numpy.random and hashlib (OpenSSL's libcrypto) cost every process
-    # about 6.5 MB of memory; the library needs neither
+    # about 6.5 MB of memory, and numpy.ma (which np.median imports) 1.3 MB;
+    # the library needs none of them
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", FOOTPRINT], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)

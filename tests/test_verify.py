@@ -196,6 +196,62 @@ def test_redraw_gives_up_after_max_retries():
     assert len({seed for seeds in drawn for seed in seeds}) == 3 * V._MAX_RETRIES
 
 
+@pytest.mark.parametrize("name,want", [
+    ("laplacian-invariance", {("lap_upper", 2): 8, ("lap_disk", 2): 8}),
+    ("remark41-invariance", {**{("op_invariant", kind, 2): 8
+                                for kind in ("D", "L", "Dtilde", "Ltilde")},
+                             ("lap_upper", 1): 4, ("lap_disk", 1): 4}),
+])
+def test_invariance_draws_once_per_block_and_applies_each_operator_once_per_point(
+        monkeypatch, name, want):
+    # at (3,2) the 4 samples are 4 sub-stacks of one sample, yet the block
+    # takes one _redraw; each sub-stack applies each operator once per model
+    # and side (p and q), to the field's and the Hermitian matrix's bundles
+    # together (2 members); the remark's splits take the field's alone
+    redraws, calls = [], []
+    redraw = V._redraw
+
+    def counted_redraw(make, accept, master, idx, tag):
+        redraws.append(len(idx))
+        return redraw(make, accept, master, idx, tag)
+
+    monkeypatch.setattr(V, "_redraw", counted_redraw)
+    for op_name in ("lap_upper", "lap_disk", "op_invariant"):
+        def counted(*args, _name=op_name, _inner=getattr(V, op_name)):
+            kind, point = (args[:1], args[2]) if _name == "op_invariant" else ((), args[1])
+            calls.append((_name, *kind, point.batch[0]))
+            return _inner(*args)
+        monkeypatch.setattr(V, op_name, counted)
+    assert V.run_check(name, 3, 2, UNIT, 4, 42).passed
+    assert redraws == [4]
+    assert {call: calls.count(call) for call in calls} == want
+
+
+@pytest.mark.parametrize("name", ["laplacian-invariance", "remark41-invariance"])
+def test_invariance_sample_never_admissible_fails_alone(monkeypatch, name):
+    # every draw of sample 3 is rejected, so the block's redraw gives up;
+    # each sample then runs alone, and only sample 3 reports the error
+    seed, bad, n, m = 42, 3, 2, 1
+    clean = V._all_samples(name, n, m, UNIT, 8, seed)
+    attempts = [V.sample_seed(seed, bad, "op-inv", a) for a in range(V._MAX_RETRIES)]
+    poisoned = geo.random_point("upper", n, m, V._seeds(attempts, "pu")).omega
+    admissible = V._invariance_admissible
+
+    def never_sample_3(draws):
+        drawn = draws[2].omega[:, None]
+        return admissible(draws) & ~np.any(np.all(drawn == poisoned, axis=(-2, -1)), axis=1)
+
+    monkeypatch.setattr(V, "_invariance_admissible", never_sample_3)
+    st = V._all_samples(name, n, m, UNIT, 8, seed)
+    assert list(st.labels).count("sample-error") == 1 and st.labels[bad] == "sample-error"
+    assert st.description(bad) == {
+        "error": f"DomainMargin: no admissible sample after {V._MAX_RETRIES} draws (op-inv)"}
+    for k in range(8):
+        if k != bad:
+            assert ((st.max_rel[k], st.max_abs[k], st.labels[k], st.retries[k])
+                    == (clean.max_rel[k], clean.max_abs[k], clean.labels[k], clean.retries[k]))
+
+
 def test_nonunit_parameters():
     params = MetricParams(2.5, 0.3)
     for name in ("metric-invariance-disk", "cayley-isometry"):
