@@ -29,8 +29,8 @@ def _plan(name: str) -> tuple:
     one cell only runs there, and the checks that build second-order
     stencils run fewer samples over a wider grid."""
     check = verify._CHECKS[name]
-    grid = GRID_STENCIL if check.stencil else GRID
-    samples = STENCIL_SAMPLES.get(name, 25) if check.stencil else SAMPLES
+    grid = GRID_STENCIL if check.fields is not None else GRID
+    samples = STENCIL_SAMPLES.get(name, 25) if check.fields is not None else SAMPLES
     return ([check.cell] if check.cell else grid), samples
 
 

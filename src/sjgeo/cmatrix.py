@@ -118,49 +118,20 @@ def _hash_constants(init: int, mult: int, count: int) -> list:
     return pairs
 
 
-def _hash32(v: int, pair: tuple) -> int:
-    h = (v ^ pair[0]) * pair[1] & _M32
-    return h ^ h >> 16
-
-
 _MIX = (0xCA01F9DD, 0x4973F715)
-
-
-def _mix32(into: int, h: int) -> int:
-    r = (_MIX[0] * into - _MIX[1] * h) & _M32
-    return r ^ r >> 16
-
 
 # The pool's hashes: one per entropy word, then three per pool word, one
 # mixed into each other pool word; a word past the fourth (a seed of
 # 2**128 or more) takes four more, mixed into each pool word.
 _POOL_HASH = (0x43B0D7E5, 0x931E8875)
 _POOL_PAIRS = _hash_constants(*_POOL_HASH, 16)
-_ROUNDS = [(src, dst) for src in range(4) for dst in range(4) if dst != src]
 # generate_state(4, uint64) hashes the pool twice round into eight words:
 # x is words 2, 3, 0, 1 and q words 6, 7, 4, 5, least significant first.
 _STATE_PAIRS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 _STATE_WORDS = [2, 3, 0, 1, 6, 7, 4, 5]
 
-
-def _state_words_each(seeds: list) -> np.ndarray:
-    """(K, 8) uint32: the words of x and q of each seed, one seed at a time;
-    any seed >= 0, of any number of 32-bit words."""
-    rows = []
-    for seed in seeds:
-        words = [seed >> shift & _M32 for shift in range(0, max(128, seed.bit_length()), 32)]
-        pairs = _POOL_PAIRS if len(words) == 4 else _hash_constants(*_POOL_HASH, 4 * len(words))
-        pool = [_hash32(w, pair) for w, pair in zip(words, pairs)]
-        for (src, dst), pair in zip(_ROUNDS, pairs[4:]):
-            pool[dst] = _mix32(pool[dst], _hash32(pool[src], pair))
-        for k, w in enumerate(words[4:], start=4):
-            pool = [_mix32(into, _hash32(w, pair)) for into, pair in zip(pool, pairs[4 * k:])]
-        rows.append([_hash32(pool[k % 4], _STATE_PAIRS[k]) for k in _STATE_WORDS])
-    return np.array(rows, dtype=np.uint32)
-
-
-# _state_words_each on a stack: round r mixes the pool word r into the
-# three others, so its constants stand at the other words' places.
+# Round r mixes the pool word r into the three others, so its constants
+# stand at the other words' places.
 _POOL_XOR, _POOL_MUL = np.array(_POOL_PAIRS, dtype=np.uint32).T
 _ROUND_OTHERS = ~np.eye(4, dtype=bool)
 _ROUND_XOR, _ROUND_MUL = np.zeros((2, 4, 4), dtype=np.uint32)
@@ -177,19 +148,30 @@ def _hashed(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     return h
 
 
-def _state_words(seeds: np.ndarray) -> np.ndarray:
-    """_state_words_each of a stack of seeds below 2**64 (uint64), on the stack."""
-    words = np.zeros((len(seeds), 4), dtype=np.uint32)
-    words[:, 0] = seeds   # the low 32 bits
-    words[:, 1] = seeds >> 32
-    pool = _hashed(words, _POOL_XOR[:4], _POOL_MUL[:4])
+def _mixed(pool: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Each hash of ``h`` mixed into its word p of ``pool``: r ^ (r >> 16),
+    r = (_MIX[0] p - _MIX[1] h) mod 2**32."""
+    h *= np.uint32(_MIX[1])
+    mixed = pool * np.uint32(_MIX[0])
+    mixed -= h
+    mixed ^= mixed >> 16
+    return mixed
+
+
+def _state_words(words: np.ndarray, counts) -> np.ndarray:
+    """(K, 8) uint32: the words of x and q of each seed, on the stack, from
+    its 32-bit words (K, W) uint32, W >= 4, least significant first and
+    zero past its word count ``counts`` (one per seed, or one all share)."""
+    pool = _hashed(words[:, :4], _POOL_XOR[:4], _POOL_MUL[:4])
     for r in range(4):
         h = _hashed(pool[:, r, None], _ROUND_XOR[r], _ROUND_MUL[r])
-        h *= np.uint32(_MIX[1])
-        mixed = pool * np.uint32(_MIX[0])
-        mixed -= h
-        mixed ^= mixed >> 16
-        np.copyto(pool, mixed, where=_ROUND_OTHERS[r])
+        np.copyto(pool, _mixed(pool, h), where=_ROUND_OTHERS[r])
+    if words.shape[1] > 4:   # a seed of 2**128 or more
+        pairs = np.array(_hash_constants(*_POOL_HASH, 4 * words.shape[1]), dtype=np.uint32)
+        xor, mul = pairs.T.reshape(2, -1, 4)   # word k's four hashes are row k
+        for k in range(4, words.shape[1]):
+            h = _hashed(words[:, k, None], xor[k], mul[k])
+            np.copyto(pool, _mixed(pool, h), where=(counts > k)[:, None])
     return _hashed(pool[:, _STATE_POOL], _STATE_XOR, _STATE_MUL)
 
 
@@ -271,7 +253,11 @@ def _seed_halves(seed) -> tuple:
     if seeds.dtype.kind in "iu":
         if flat.min() < 0:
             raise ValueError("a seed must be non-negative")
-        words = _state_words(flat.astype(np.uint64))
+        flat = flat.astype(np.uint64)
+        words = np.zeros((len(flat), 4), dtype=np.uint32)
+        words[:, 0] = flat   # the low 32 bits
+        words[:, 1] = flat >> 32
+        words = _state_words(words, 4)
     else:
         # seeds of 2**64 or more; no generator, no None, no bool (a bool is
         # an int to Python, not to numpy)
@@ -283,7 +269,9 @@ def _seed_halves(seed) -> tuple:
         values = [int(v) for v in values]
         if min(values) < 0:
             raise ValueError("a seed must be non-negative")
-        words = _state_words_each(values)
+        counts = [(max(128, v.bit_length()) + 31) // 32 for v in values]
+        words = _state_words(np.array([[v >> 32 * k & _M32 for k in range(max(counts))]
+                                       for v in values], dtype=np.uint32), np.array(counts))
     halves = np.ones((len(flat), 17))
     halves[:, :16] = np.ascontiguousarray(words, dtype="<u4").view("<u2")
     return halves, bool(seeds.ndim)

@@ -19,18 +19,18 @@ logged in the report).
 Every sampler call returns one residual stack (_Stack): per sample, the
 worst relative residual over its parts and that part's name, per part
 its largest one, and one description of the samples whichever part is
-worst (their draws and values).  Every check draws its samples with one
-call per draw, given the samples' seeds, and evaluates each identity
-once on the stack; sample k of the stack is what its seed draws alone.
-Every sampler call takes a block of up to 256 samples (_STACK).  The
-stencil checks split each block by test field into sub-stacks of as
-many samples as fit a fixed budget of chart coordinates
-(_STENCIL_COORDS): all 50 of a run at (1, 1), one at a time at (3, 2).
-There, each Richardson level of every sample's stencil is one field
-call, and each oracle one metric call; their test fields are drawn once
-per run_check (_CheckDef.prepare), not once per sampler call.  A call
-that raises is run again one sample at a time, so only the failing
-sample reports the error.
+worst (their draws and values).  Every sampler call takes a block of up
+to 256 samples (_STACK) and makes each of its draws once for the whole
+block, one call given the samples' seeds; sample k of the stack is what
+its seed draws alone.  Only the evaluation is split: the stencil checks
+cut each block by test field into sub-stacks of as many samples as fit
+a fixed budget of chart coordinates (_STENCIL_COORDS): all 50 of a run
+at (1, 1), one at a time at (3, 2).  _grouped hands each sub-stack its
+slice of the block's draws.  There, each Richardson level of every
+sample's stencil is one field call, and each oracle one metric call;
+their test fields are drawn once per run_check (_CheckDef.prepare), not
+once per sampler call.  A call that raises is run again one sample at a
+time, so only the failing sample reports the error.
 run_check reduces the concatenated stack of all samples to the report:
 the worst sample's description becomes ``worst``, and the part maxima
 ``parts``.
@@ -441,21 +441,29 @@ def _redraw(make, accept, master: int, idx, tag: str):
 # A sampler takes the run's (n, m, params, master), the test fields of a
 # stencil check, and a block of sample indices (any index array), and
 # returns one _Stack of their residuals, in the same order.  Each draw is
-# one call with the samples' seeds: member k of the stack is what sample
-# k draws alone, as in a one-sample run, and each identity is evaluated
-# once on the stack.  A stencil check evaluates its block in sub-stacks
-# of one test field (_grouped); the invariance checks draw the whole
-# block first, the LB and reduce checks each sub-stack.
+# one call with the whole block's seeds: member k of the stack is what
+# sample k draws alone, as in a one-sample run, and each identity is
+# evaluated once on the stack.  A stencil check (and tensor-pd, by model)
+# evaluates its block in sub-stacks of one class (_grouped), each on its
+# slice of the block's draws.
 
 
-def _grouped(count: int, idx, sampler, size: int) -> _Stack:
-    """The samples idx split by idx % count, each class into sub-stacks of
-    up to ``size`` samples: sampler(j, at) gives the stack of the samples
-    idx[at] of class j, and the sub-stacks are joined back in sample order."""
+def _grouped(count: int, idx, size: int, drawn, retries, evaluate) -> _Stack:
+    """The block idx split by idx % count, each class into sub-stacks of up
+    to ``size`` samples, joined back in sample order.  Each sub-stack's
+    _Stack starts with its samples' members of ``retries`` (an array over
+    the block, or a count all share), and evaluate(out, j, draws) adds the
+    residuals of class j, where ``draws`` are the sub-stack's members of
+    the block's ``drawn`` (_at)."""
     stacks = []
     for j in range(count):
         at = np.flatnonzero(idx % count == j)
-        stacks += [sampler(j, at[start: start + size]) for start in range(0, len(at), size)]
+        for start in range(0, len(at), size):
+            sub = at[start: start + size]
+            out = _Stack(idx[sub])
+            out.retries[:] = _at(retries, sub)
+            evaluate(out, j, _at(drawn, sub))
+            stacks.append(out)
     return _Stack.concat(stacks)
 
 
@@ -673,8 +681,8 @@ def _chk_cayley_isometry(n, m, params, master, idx) -> _Stack:
     return out
 
 
-def _tensor_pd(model, n, m, params, master, idx) -> _Stack:
-    out = _Stack(idx)
+def _tensor_pd(out, model, n, m, params, master):
+    idx = out.samples
     p = random_point(model, n, m, _seeds(master, idx, "p"))
     g = metric_tensor(p, params)
     out.add_residual("tensor-symmetry", mat_max_abs(g - g.mT), mat_max_abs(g))
@@ -688,13 +696,13 @@ def _tensor_pd(model, n, m, params, master, idx) -> _Stack:
         via_tensor = (v[..., None, :] @ g @ v[..., :, None])[..., 0, 0]
         out.add(f"polarization-{k}", direct, via_tensor)
     out.describe(point=p, min_eig=eig)
-    return out
 
 
 def _chk_tensor_pd(n, m, params, master, idx) -> _Stack:
-    # even samples check the upper model, odd ones the disk
-    return _grouped(2, idx, lambda parity, at: _tensor_pd(
-        ("upper", "disk")[parity], n, m, params, master, idx[at]), _STACK)
+    # even samples check the upper model, odd ones the disk; the draws
+    # depend on the model, so each class draws its own
+    return _grouped(2, idx, _STACK, None, 0, lambda out, parity, _: _tensor_pd(
+        out, ("upper", "disk")[parity], n, m, params, master))
 
 
 def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
@@ -724,9 +732,9 @@ def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
 
 # The checks below build second-order stencils (or, for reduce-n1m1, call
 # operators that do).  Each test field serves the samples whose index is
-# its position modulo the number of fields: a sampler differentiates
-# each field once per sub-stack of its samples (see _grouped).  The
-# fields are drawn once per run (_CheckDef.fields).
+# its position modulo the number of fields: a sampler draws its block,
+# then differentiates each field once per sub-stack of its samples (see
+# _grouped).  The fields are drawn once per run (_CheckDef.fields).
 
 
 def _lb_model(kind) -> tuple:
@@ -745,10 +753,8 @@ def _lb_pair(kind, n, m, params, master, fields, idx) -> _Stack:
     def metric(q):
         return metric_tensor(q, params, kind=kind)
 
-    def sampler(j, at):
-        f, sub = fields[j], idx[at]
-        p = random_point(model, n, m, _seeds(master, sub, "p"))
-        out = _Stack(sub)
+    def evaluate(out, j, p):
+        f = fields[j]
         sb = second_bundle(f, p, mat_only=mat_only)
         printed = None
         if kind == "upper":
@@ -765,8 +771,9 @@ def _lb_pair(kind, n, m, params, master, fields, idx) -> _Stack:
         out.add(f"lb-pair[{f.name}]", lhs, rhs)
         gap = {} if printed is None else {"printed_rel_gap": _rel_gap(lhs, printed)}
         out.describe(field=f.name, point=p, laplacian=lhs, oracle=rhs, **gap)
-        return out
-    return _grouped(len(fields), idx, sampler, _stencil_stack(n, m))
+
+    p = random_point(model, n, m, _seeds(master, idx, "p"))
+    return _grouped(len(fields), idx, _stencil_stack(n, m), p, 0, evaluate)
 
 
 def _rel_gap(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -836,8 +843,8 @@ def _invariance_admissible(draws) -> np.ndarray:
 def _invariance_sample(n, m, master, suites, idx, parts) -> _Stack:
     """The residuals ``parts(out, upper, disk)`` adds for each sub-stack of
     samples, where each model's argument is its _pullbacks at the drawn
-    point p and the moved point q = g . p.  The whole block is drawn first:
-    one _redraw of the elements, points and images, and one draw of the
+    point p and the moved point q = g . p.  The block's draws are one
+    _redraw of the elements, points and images, and one draw of the
     Hermitian slot matrices, both models sharing sample k's.  Sample k
     uses the non-constant field 1 + k % 4 of each model's suite
     (_invariance_suites)."""
@@ -855,15 +862,14 @@ def _invariance_sample(n, m, master, suites, idx, parts) -> _Stack:
     draws, retries = _redraw(make, _invariance_admissible, master, idx, "op-inv")
     herm = _hermitian(_seeds(master, idx, "herm"), chart_of("upper", n, m).n_slots)
 
-    def sampler(j, at):
-        out = _Stack(idx[at])
-        out.retries = retries[at]
-        g, s, pu, pd, qu, qd = _at(draws, at)
+    def evaluate(out, j, drawn):
+        (g, s, pu, pd, qu, qd), herm = drawn
         f_u, f_d = suite_u[1 + j], suite_d[1 + j]   # skip the constant field
-        parts(out, _pullbacks(f_u, g, pu, qu, herm[at]), _pullbacks(f_d, s, pd, qd, herm[at]))
+        parts(out, _pullbacks(f_u, g, pu, qu, herm), _pullbacks(f_d, s, pd, qd, herm))
         out.describe(field=f_u.name, point=pu, disk_point=pd)
-        return out
-    return _grouped(len(suite_u) - 1, idx, sampler, _stencil_stack(n, m))
+
+    return _grouped(len(suite_u) - 1, idx, _stencil_stack(n, m), (draws, herm), retries,
+                    evaluate)
 
 
 def _chk_laplacian_invariance(n, m, params, master, suites, idx) -> _Stack:
@@ -902,18 +908,17 @@ def _reduce_fields(n, m, master) -> list:
 def _chk_reduce_n1m1(n, m, params, master, fields, idx) -> _Stack:
     unit = MetricParams(1.0, 1.0)
 
-    def sampler(j, at):
-        sub = idx[at]
-        out = _Stack(sub)
-        p = random_point("disk", 1, 1, _seeds(master, sub, "p"))
-        t = random_tangent("disk", 1, 1, _seeds(master, sub, "t"))
+    def evaluate(out, j, drawn):
+        p, t = drawn
         out.add("metric-closed-form", q_disk(p, t, unit), q_disk_closed_11(p, t))
         f = fields[1 + j]   # skip the constant field
         sb = second_bundle(f, p, mat_only=False)
         out.add("laplacian-closed-form", lap_disk(sb, p, unit), lap_disk_closed_11(sb, p))
         out.describe(field=f.name, point=p)
-        return out
-    return _grouped(len(fields) - 1, idx, sampler, _stencil_stack(1, 1))
+
+    drawn = (random_point("disk", 1, 1, _seeds(master, idx, "p")),
+             random_tangent("disk", 1, 1, _seeds(master, idx, "t")))
+    return _grouped(len(fields) - 1, idx, _stencil_stack(1, 1), drawn, 0, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -941,20 +946,14 @@ class _CheckDef:
     # (n, m, params, master, fields(n, m, master), idx)
     sampler: Callable
     default_tol: float
-    stencil: bool = False   # builds second-order stencils (see stack)
     cell: tuple | None = None   # the (n, m) the check runs at, whatever is asked
-    fields: Callable | None = None   # the test fields of one run
+    fields: Callable | None = None   # the test fields of one run (a stencil check's)
 
     def prepare(self, n: int, m: int, params: MetricParams, master: int) -> Callable:
         """The sampler of one run, idx -> _Stack, with its fields drawn once."""
         if self.fields is None:
             return partial(self.sampler, n, m, params, master)
         return partial(self.sampler, n, m, params, master, self.fields(n, m, master))
-
-    def stack(self, n: int, m: int) -> int:
-        """Samples per evaluation at (n, m): a block of _STACK, or a stencil
-        check's sub-stack of one test field (_grouped)."""
-        return _stencil_stack(n, m) if self.stencil else _STACK
 
 
 _CHECKS: dict[str, _CheckDef] = {
@@ -967,14 +966,14 @@ _CHECKS: dict[str, _CheckDef] = {
     "metric-invariance-disk": _CheckDef(_chk_metric_invariance_disk, 1e-5),
     "cayley-isometry": _CheckDef(_chk_cayley_isometry, 1e-5),
     "tensor-pd": _CheckDef(_chk_tensor_pd, 1e-9),
-    **{f"lb-equivalence-{kind}": _CheckDef(partial(_lb_pair, kind), 1e-3, stencil=True,
+    **{f"lb-equivalence-{kind}": _CheckDef(partial(_lb_pair, kind), 1e-3,
                                            fields=partial(_lb_fields, kind))
        for kind in ("upper", "disk", "siegel", "diskn")},
-    "laplacian-invariance": _CheckDef(_chk_laplacian_invariance, 1e-3, stencil=True,
+    "laplacian-invariance": _CheckDef(_chk_laplacian_invariance, 1e-3,
                                       fields=_invariance_suites),
-    "remark41-invariance": _CheckDef(_chk_remark_invariance, 1e-3, stencil=True,
+    "remark41-invariance": _CheckDef(_chk_remark_invariance, 1e-3,
                                      fields=_invariance_suites),
-    "reduce-n1m1": _CheckDef(_chk_reduce_n1m1, 1e-6, stencil=True,
+    "reduce-n1m1": _CheckDef(_chk_reduce_n1m1, 1e-6,
                              cell=(1, 1), fields=_reduce_fields),
     "pushforward-identities": _CheckDef(_chk_pushforward_identities, 1e-6),
 }

@@ -349,10 +349,27 @@ def test_stencil_residuals_do_not_depend_on_the_stack(name, n, m):
 def test_stencil_stack_sizes():
     # a fixed budget of chart coordinates: the README run at (1,1) packs all
     # 50 samples, the desk corner (3,2) runs them one at a time
-    lb = V._CHECKS["lb-equivalence-disk"]
-    assert lb.stack(1, 1) >= 50
-    assert lb.stack(3, 2) == 1
-    assert V._CHECKS["group-laws"].stack(3, 2) == V._STACK
+    assert V._stencil_stack(1, 1) >= 50
+    assert V._stencil_stack(3, 2) == 1
+
+
+@pytest.mark.parametrize("name", [f"lb-equivalence-{kind}" for kind in
+                                  ("upper", "disk", "siegel", "diskn")] + ["reduce-n1m1"])
+def test_stencil_checks_draw_their_block_once(monkeypatch, name):
+    # each per-sample draw is one call for the whole block, whatever the
+    # number of test fields it is split into
+    draws = ["point", "tangent"] if name == "reduce-n1m1" else ["point"]
+    calls = []
+
+    def counted(kind, draw):
+        def wrapper(*args):
+            calls.append((kind, len(args[-1])))
+            return draw(*args)
+        return wrapper
+    monkeypatch.setattr(V, "random_point", counted("point", V.random_point))
+    monkeypatch.setattr(V, "random_tangent", counted("tangent", V.random_tangent))
+    V.run_check(name, 1, 1, UNIT, 10, 42)
+    assert calls == [(kind, 10) for kind in draws]
 
 
 @pytest.mark.parametrize("n,m", SHAPES)
@@ -380,7 +397,7 @@ def test_stacked_operators_match_single_point(n, m):
 
 def test_failing_stencil_sample_is_isolated(monkeypatch):
     seed, bad = 42, 3
-    assert V._CHECKS["lb-equivalence-disk"].stack(1, 1) >= 8   # one stacked call
+    assert V._stencil_stack(1, 1) >= 8   # one stacked call
     clean = V._all_samples("lb-equivalence-disk", 1, 1, UNIT, 8, seed)
     poisoned = geo.random_point("disk", 1, 1, V.sample_seed(seed, bad, "p"))
     correct = V.laplace_beltrami

@@ -26,8 +26,9 @@ from sjgeo import verify as V
 from sjgeo.cmatrix import SeedStream
 
 # Seeds every stack of the oracle test holds: both ends of one 32-bit
-# word, two words, three, and five (past SeedSequence's pool of four).
-EDGE_SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 128 + 12345]
+# word, two words, three, five and seven (past SeedSequence's pool of
+# four, so one stack mixes seeds with and without each extra word).
+EDGE_SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 128 + 12345, 2 ** 200 + 3]
 
 
 def _sp_rng(n, rng):
@@ -127,8 +128,8 @@ cells = st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
 @given(seeds=seed_stacks, cell=cells, kind=st.sampled_from(list(DRAWS)))
 def test_every_draw_is_default_rng_to_the_last_bit(seeds, cell, kind):
     n, m = cell
-    # small seeds as an int64 stack (hashed on the stack from four seeds
-    # on), and with the edge seeds as Python integers, one seed at a time
+    # small seeds as an int64 stack, and with the edge seeds as Python
+    # integers of one to seven words
     for stack in (np.array(seeds, dtype=np.int64), np.array(seeds + EDGE_SEEDS, dtype=object)):
         raw = _oracle(kind, n, m, stack)
         _same_bits(DRAWS[kind][0](n, m, SeedStream(stack)), raw)

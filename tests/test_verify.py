@@ -112,7 +112,7 @@ def test_check_names_match_spec_list():
 @pytest.fixture(scope="module")
 def small_runs():
     """Every check at (1,1) and (3,2), seeds 7 and 9, on a few samples."""
-    return {name: [V.run_check(name, n, m, UNIT, 2 if V._CHECKS[name].stencil else 10, seed)
+    return {name: [V.run_check(name, n, m, UNIT, 2 if V._CHECKS[name].fields is not None else 10, seed)
                    for (n, m) in [(1, 1), (3, 2)] for seed in (7, 9)]
             for name in V.CHECK_NAMES}
 
