@@ -48,6 +48,7 @@ __all__ = [
     "act_disk",
     "action_differential",
     "cayley",
+    "cayley_differential",
     "cayley_inv",
     "check_cayley_compat",
     "hc_pplus_component",
@@ -312,6 +313,14 @@ def cayley(p: DiskPoint) -> UpperPoint:
     inv = mat_inverse(np.eye(n) - p.w)
     omega = _symmetrized(1j * (np.eye(n) + p.w) @ inv, "cayley")
     return UpperPoint(omega, 2j * p.eta @ inv)
+
+
+def cayley_differential(p: DiskPoint, dmat, dvec) -> tuple:
+    """(dW, deta) at p -> (2i (I-W)^-1 dW (I-W)^-1, 2i (deta + eta (I-W)^-1 dW)(I-W)^-1)
+    at cayley(p), dOmega symmetrised; the blocks broadcast against p's."""
+    inv = mat_inverse(np.eye(p.n) - p.w)
+    d_omega = 2j * inv @ dmat @ inv
+    return 0.5 * (d_omega + d_omega.mT), 2j * (dvec + p.eta @ inv @ dmat) @ inv
 
 
 def cayley_inv(p: UpperPoint) -> DiskPoint:

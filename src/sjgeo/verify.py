@@ -3,7 +3,8 @@
 Oracles:
   * map_differential central-difference differential of a smooth point
                      map, such as a group action, exactly linear in the
-                     tangent by construction.
+                     tangent by construction: the FD oracle of the closed-form
+                     differentials, in the *-differential and differential-d* parts.
   * laplace_beltrami coordinate Laplacian |g|^(-1/2) d_i(|g|^(1/2) g^ij d_j f)
                      of an arbitrary metric-tensor field, by nested
                      central differences.
@@ -56,6 +57,7 @@ from .geometry import (
     act_upper,
     action_differential,
     cayley,
+    cayley_differential,
     cayley_inv,
     check_cayley_compat,
     hc_pplus_component,
@@ -65,7 +67,6 @@ from .geometry import (
     validate_point,
 )
 from .groups import (
-    JacobiElement,
     element_to_json,
     embed_sp,
     heisenberg_defect,
@@ -608,21 +609,15 @@ def _chk_cayley_compat(n, m, params, master, idx) -> _Stack:
     return out
 
 
-def _metric_invariance(out, act, g, p, q, t, forms: dict):
-    """Each form of ``forms`` (label -> form(point, tangent)) at p on t
-    against the same form at q = act(g, p) on t pushed by map_differential;
-    returns the pushed tangent."""
-    moved = map_differential(lambda x: act(g, x), p, t)
-    for label, form in forms.items():
-        out.add(label, form(p, t), form(q, moved))
-    return moved
-
-
-def _differential_part(out, label, g, p, q, t, moved):
-    """The tangent map_differential pushed against the action's closed-form
-    differential (geometry.action_differential) on the same tangent."""
+def _pushed(out, label, act, g, p, q, t) -> Tangent:
+    """t at p pushed to q = act(g, p) by the action's closed-form
+    differential (geometry.action_differential), after part ``label``:
+    map_differential's push of t against it."""
     exact = action_differential(g, p, q, t.dmat[..., None, :, :], t.dvec[..., None, :, :])
-    out.add(label, (moved.dmat, moved.dvec), tuple(x[..., 0, :, :] for x in exact))
+    exact = tuple(x[..., 0, :, :] for x in exact)
+    moved = map_differential(lambda x: act(g, x), p, t)
+    out.add(label, (moved.dmat, moved.dvec), exact)
+    return Tangent(t.model, *exact)
 
 
 def _chk_metric_invariance_upper(n, m, params, master, idx) -> _Stack:
@@ -639,12 +634,10 @@ def _chk_metric_invariance_upper(n, m, params, master, idx) -> _Stack:
 
     (g, p, q), out.retries = _redraw(make, accept, master, idx, "mi-upper")
     t = random_tangent("upper", n, m, _seeds(master, idx, "t"))
-    moved = _metric_invariance(out, act_upper, g, p, q, t,
-                               {"upper-family": lambda x, s: q_upper(x, s, params)})
-    _differential_part(out, "upper-differential", g, p, q, t, moved)
-    sp_only = JacobiElement(g.sp, heisenberg_identity(n, m))
-    _metric_invariance(out, act_upper, sp_only, p, act_upper(sp_only, p), t,
-                       {"siegel": lambda x, s: q_siegel(x.omega, s)})
+    moved = _pushed(out, "upper-differential", act_upper, g, p, q, t)
+    out.add("upper-family", q_upper(p, t, params), q_upper(q, moved, params))
+    # Omega moves by g's Sp part alone, so the push of dOmega is the same
+    out.add("siegel", q_siegel(p.omega, t), q_siegel(q.omega, moved))
     out.describe(point=p, element=g)
     return out
 
@@ -662,10 +655,9 @@ def _chk_metric_invariance_disk(n, m, params, master, idx) -> _Stack:
 
     (s, p, q), out.retries = _redraw(make, accept, master, idx, "mi-disk")
     t = random_tangent("disk", n, m, _seeds(master, idx, "t"))
-    moved = _metric_invariance(out, act_disk, s, p, q, t,
-                               {"disk-family": lambda x, v: q_disk(x, v, params),
-                                "disk-base": lambda x, v: q_disk_n(x.w, v)})
-    _differential_part(out, "disk-differential", s, p, q, t, moved)
+    moved = _pushed(out, "disk-differential", act_disk, s, p, q, t)
+    out.add("disk-family", q_disk(p, t, params), q_disk(q, moved, params))
+    out.add("disk-base", q_disk_n(p.w, t), q_disk_n(q.w, moved))
     out.describe(point=p)
     return out
 
@@ -674,9 +666,8 @@ def _chk_cayley_isometry(n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
     p = random_point("disk", n, m, _seeds(master, idx, "p"))
     t = random_tangent("disk", n, m, _seeds(master, idx, "t"))
-    lhs = q_disk(p, t, params)
-    rhs = q_upper(cayley(p), map_differential(cayley, p, t), params)
-    out.add("isometry", lhs, rhs)
+    moved = Tangent("upper", *cayley_differential(p, t.dmat, t.dvec))
+    out.add("isometry", q_disk(p, t, params), q_upper(cayley(p), moved, params))
     out.describe(point=p)
     return out
 
@@ -722,19 +713,33 @@ def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
     chart = chart_for(p)
     h = 1e-6 * (1.0 + chart.point_scale(p))
     moved = map_differential(cayley, p, t, h=h)
-    d_omega = 2j * inv_w @ t.dmat @ inv_w
-    d_z = 2j * (t.dvec + p.eta @ inv_w @ t.dmat) @ inv_w
-    out.add("differential-dOmega", moved.dmat, 0.5 * (d_omega + d_omega.mT))
+    d_omega, d_z = cayley_differential(p, t.dmat, t.dvec)
+    out.add("differential-dOmega", moved.dmat, d_omega)
     out.add("differential-dZ", moved.dvec, d_z)
     out.describe(point=p)
     return out
 
 
-# The checks below build second-order stencils (or, for reduce-n1m1, call
-# operators that do).  Each test field serves the samples whose index is
-# its position modulo the number of fields: a sampler draws its block,
-# then differentiates each field once per sub-stack of its samples (see
-# _grouped).  The fields are drawn once per run (_CheckDef.fields).
+def _chk_reduce_n1m1(n, m, params, master, idx) -> _Stack:
+    # the closed forms on one seeded Hermitian bundle (_hermitian), as in
+    # the invariance checks' [hermitian] parts: both sides are exact
+    out = _Stack(idx)
+    unit = MetricParams(1.0, 1.0)
+    p = random_point("disk", 1, 1, _seeds(master, idx, "p"))
+    t = random_tangent("disk", 1, 1, _seeds(master, idx, "t"))
+    out.add("metric-closed-form", q_disk(p, t, unit), q_disk_closed_11(p, t))
+    chart = chart_for(p)
+    sb = bundle_of(_hermitian(_seeds(master, idx, "herm"), chart.n_slots), chart)
+    out.add("laplacian-closed-form", lap_disk(sb, p, unit), lap_disk_closed_11(sb, p))
+    out.describe(point=p)
+    return out
+
+
+# The checks below build second-order stencils.  Each test field serves
+# the samples whose index is its position modulo the number of fields: a
+# sampler draws its block, then differentiates each field once per
+# sub-stack of its samples (see _grouped).  The fields are drawn once per
+# run (_CheckDef.fields).
 
 
 def _lb_model(kind) -> tuple:
@@ -900,27 +905,6 @@ def _chk_remark_invariance(n, m, params, master, suites, idx) -> _Stack:
     return _invariance_sample(n, m, master, suites, idx, parts)
 
 
-def _reduce_fields(n, m, master) -> list:
-    # always at n = m = 1 (the check's _CheckDef.cell)
-    return test_field_suite("disk", 1, 1, sample_seed(master, "f"))
-
-
-def _chk_reduce_n1m1(n, m, params, master, fields, idx) -> _Stack:
-    unit = MetricParams(1.0, 1.0)
-
-    def evaluate(out, j, drawn):
-        p, t = drawn
-        out.add("metric-closed-form", q_disk(p, t, unit), q_disk_closed_11(p, t))
-        f = fields[1 + j]   # skip the constant field
-        sb = second_bundle(f, p, mat_only=False)
-        out.add("laplacian-closed-form", lap_disk(sb, p, unit), lap_disk_closed_11(sb, p))
-        out.describe(field=f.name, point=p)
-
-    drawn = (random_point("disk", 1, 1, _seeds(master, idx, "p")),
-             random_tangent("disk", 1, 1, _seeds(master, idx, "t")))
-    return _grouped(len(fields) - 1, idx, _stencil_stack(1, 1), drawn, 0, evaluate)
-
-
 # ---------------------------------------------------------------------------
 # Check registry and run_check
 
@@ -964,7 +948,7 @@ _CHECKS: dict[str, _CheckDef] = {
     "cayley-compat": _CheckDef(_chk_cayley_compat, 1e-9),
     "metric-invariance-upper": _CheckDef(_chk_metric_invariance_upper, 1e-5),
     "metric-invariance-disk": _CheckDef(_chk_metric_invariance_disk, 1e-5),
-    "cayley-isometry": _CheckDef(_chk_cayley_isometry, 1e-5),
+    "cayley-isometry": _CheckDef(_chk_cayley_isometry, 1e-10),
     "tensor-pd": _CheckDef(_chk_tensor_pd, 1e-9),
     **{f"lb-equivalence-{kind}": _CheckDef(partial(_lb_pair, kind), 1e-3,
                                            fields=partial(_lb_fields, kind))
@@ -973,8 +957,7 @@ _CHECKS: dict[str, _CheckDef] = {
                                       fields=_invariance_suites),
     "remark41-invariance": _CheckDef(_chk_remark_invariance, 1e-3,
                                      fields=_invariance_suites),
-    "reduce-n1m1": _CheckDef(_chk_reduce_n1m1, 1e-6,
-                             cell=(1, 1), fields=_reduce_fields),
+    "reduce-n1m1": _CheckDef(_chk_reduce_n1m1, 1e-10, cell=(1, 1)),
     "pushforward-identities": _CheckDef(_chk_pushforward_identities, 1e-6),
 }
 

@@ -110,11 +110,11 @@ def test_criterion_07_disk_metric_invariance_and_positivity():
 def test_criterion_08_cayley_isometry():
     worst = 0.0
     for (n, m) in [(1, 1), (2, 1), (2, 2)]:
-        rep = _run("cayley-isometry", n, m, 100, 1e-5)
+        rep = _run("cayley-isometry", n, m, 100, 1e-10)
         worst = max(worst, rep.max_rel)
         assert rep.passed
-    _line("criterion-8 cayley-isometry", f"max_rel={worst:.2e} tol=1e-5",
-          worst <= 1e-5)
+    _line("criterion-8 cayley-isometry", f"max_rel={worst:.2e} tol=1e-10",
+          worst <= 1e-10)
 
 
 def test_criterion_09_laplace_beltrami_equivalence():
@@ -154,12 +154,12 @@ def test_criterion_10_operator_invariance():
 
 
 def test_criterion_11_n1m1_reduction():
-    parts = _run("reduce-n1m1", 1, 1, 100, 1e-6).parts
+    parts = _run("reduce-n1m1", 1, 1, 100, 1e-10).parts
     metric, lap = parts["metric-closed-form"], parts["laplacian-closed-form"]
     _line("criterion-11a n=m=1 metric reduction",
           f"max_rel={metric:.2e} tol=1e-12", metric <= 1e-12)
     _line("criterion-11b n=m=1 laplacian reduction",
-          f"max_rel={lap:.2e} tol=1e-6", lap <= 1e-6)
+          f"max_rel={lap:.2e} tol=1e-10", lap <= 1e-10)
 
 
 def test_criterion_12_pushforward_identities():

@@ -107,6 +107,32 @@ def test_scaled_disk_cmid_weight_fails(monkeypatch, name):
     assert not rep.passed, f"max_rel={rep.max_rel}"
 
 
+# cayley-isometry and reduce-n1m1 compare closed forms with no finite
+# difference between them, so a defect far below an FD floor shows.
+
+@pytest.mark.parametrize("name", ["_upper_terms", "_disk_terms"])
+@pytest.mark.parametrize("k", range(5))
+def test_metric_term_defect_fails_cayley_isometry(monkeypatch, name, k):
+    correct = getattr(M, name)
+
+    def scaled(*args):
+        terms = correct(*args)
+        weight, *rest = terms[k]
+        terms[k] = ((1.0 + 1e-8) * weight, *rest)
+        return terms
+    monkeypatch.setattr(M, name, scaled)
+    rep = V.run_check("cayley-isometry", 2, 1, UNIT, 50, 42)
+    assert not rep.passed, f"max_rel={rep.max_rel}"
+
+
+def test_closed_form_laplacian_defect_fails_reduce_n1m1(monkeypatch):
+    correct = V.lap_disk_closed_11
+    monkeypatch.setattr(V, "lap_disk_closed_11",
+                        lambda *a: (1.0 + 1e-7) * correct(*a))
+    rep = V.run_check("reduce-n1m1", 1, 1, UNIT, 50, 42)
+    assert not rep.passed, f"max_rel={rep.max_rel}"
+
+
 # Invariance by the chain rule (laplacian-invariance, remark41-invariance):
 # an operator on a bundle at q = g . p must equal the operator at p on the
 # bundle pulled back by the action's Jacobian, for the suite fields and for
