@@ -178,8 +178,9 @@ class Chart:
     def _form_gather(self, x: int, y: int) -> tuple:
         """Read-only tables of the products of a form term whose linear slot
         is in block x and conjugate slot in block y (see _form_matrix):
-        flat indices into left and into right, and the padding mask, each
-        (S_x, S_y, 2, 2) over (s, t, entry a of E_t, entry b of E_s)."""
+        flat indices into left and into right, each (S_x, S_y, 2, 2) over
+        (s, t, entry a of E_t, entry b of E_s); a padding product reads
+        index -1 of both, the +0 that _form_matrix appends to each."""
         s_rows, s_cols, s_single = self._unit_entries(x)
         t_rows, t_cols, t_single = self._unit_entries(y)
         # E_s's entries by column, as a product's inner sum meets them: the
@@ -191,7 +192,7 @@ class Chart:
         second = np.arange(2) == 1
         pad = ((s_single[:, None, None, None] & second)
                | (t_single[None, :, None, None] & second[:, None]))
-        return tuple(np.ascontiguousarray(a) for a in np.broadcast_arrays(left, right, pad))
+        return tuple(np.where(pad, -1, a) for a in (left, right))
 
     # -- packing shared by points and tangents -------------------------
 
@@ -285,7 +286,9 @@ class Chart:
 # term.  A basis tangent has one or two unit entries (E_s[i, j] =
 # E_s[j, i] = 1 for a dmat slot with i != j), so a term's entry is at
 # most four products w left[c, r] right[k, d], with (r, k) a unit entry of
-# E_s and (c, d) one of E_t.  _form_matrix gathers them by index tables
+# E_s and (c, d) one of E_t; where E_s or E_t has one unit entry, the
+# missing products are padding, which reads a +0 appended to both operands
+# (+0 * +0 = +0).  _form_matrix gathers them by index tables
 # that each chart builds once (Chart.form_gathers) and adds them in the
 # order in which the matrix products ((w left) E_s) right, paired with
 # E_t, would add them.  Those products' other summands are zeros, and a
@@ -330,8 +333,7 @@ def _upper_terms(y: np.ndarray, v: np.ndarray, a: float, b: float) -> list:
 def _disk_n_terms(w: np.ndarray) -> list:
     n = w.shape[-1]
     li = mat_inverse(np.eye(n) - mat_mul(w, w.conj()))
-    ri = mat_inverse(np.eye(n) - mat_mul(w.conj(), w))
-    return [(4.0, li, _MAT, ri, _MAT)]
+    return [(4.0, li, _MAT, li.conj(), _MAT)]
 
 
 def _disk_terms(w: np.ndarray, eta: np.ndarray, a: float, b: float) -> list:
@@ -340,11 +342,11 @@ def _disk_terms(w: np.ndarray, eta: np.ndarray, a: float, b: float) -> list:
     wc = w.conj()
     ec = eta.conj()
     li = mat_inverse(eye - mat_mul(w, wc))
-    ri = mat_inverse(eye - mat_mul(wc, w))
+    ri = li.conj()      # (I - conj(W) W)^-1; mat_inverse commutes with conj bit for bit
     one_minus_w = eye - w
     one_minus_wc = eye - wc
     one_minus_w_inv = mat_inverse(one_minus_w)
-    one_minus_wc_inv = mat_inverse(one_minus_wc)
+    one_minus_wc_inv = one_minus_w_inv.conj()
     li_et = mat_mul(li, eta.mT)     # the prefix of the first and third chains
     e1 = mat_mul(eta, wc) - ec
     e2 = mat_mul(ec, w) - eta
@@ -398,7 +400,8 @@ def _form_matrix(terms: list, chart: Chart) -> np.ndarray:
     Per term, one gather of (w left) and of right by the chart's tables of
     its block pair gives p[..., s, t, a, b] = w left[c_a, r_b] right[k_b, d_a]
     for entry b of E_s (by column) and entry a of E_t (row-major); padding
-    combinations are +0.  The term adds (p00 + p01) + (p10 + p11) to its
+    combinations multiply the +0 appended to each operand, +0 * +0 = +0.
+    The term adds (p00 + p01) + (p10 + p11) to its
     block of H, the terms in list order, as the products
     ((w left) E_s) right paired with E_t would sum them.
     """
@@ -406,11 +409,10 @@ def _form_matrix(terms: list, chart: Chart) -> np.ndarray:
                                  for block in (left, right)))
     total = np.zeros(lead + (chart.n_slots, chart.n_slots), dtype=np.complex128)
     for w, left, x, right, y in terms:
-        at_left, at_right, pad = chart.form_gathers[x, y]
-        wl = w * left
-        p = (np.take(wl.reshape(wl.shape[:-2] + (-1,)), at_left, axis=-1)
-             * np.take(right.reshape(right.shape[:-2] + (-1,)), at_right, axis=-1))
-        p[..., pad] = 0.0
+        wl, r = (np.concatenate([a.reshape(a.shape[:-2] + (-1,)), np.zeros(a.shape[:-2] + (1,))],
+                                axis=-1) for a in (w * left, right))
+        at_left, at_right = chart.form_gathers[x, y]
+        p = np.take(wl, at_left, axis=-1) * np.take(r, at_right, axis=-1)
         inner = p[..., 0] + p[..., 1]
         total[..., chart.slot_ranges[x], chart.slot_ranges[y]] += inner[..., 0] + inner[..., 1]
     return total

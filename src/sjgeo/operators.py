@@ -424,7 +424,7 @@ def _disk_terms_printed(p: DiskPoint, sb: SecondBundle):
     lm = eye - w @ wc
     rm = eye - wc @ w
     lm_inv = mat_inverse(lm)
-    rm_inv = mat_inverse(rm)
+    rm_inv = lm_inv.conj()      # rm is conj(lm)
     t1 = _maass(lm, sb.mat_mat)
     t2 = _contract(rm, eta - ec @ w, sb.vec_mat)
     t3 = _contract(lm.mT, (ec - eta @ wc).mT, sb.mat_vec)

@@ -232,6 +232,12 @@ def laplace_beltrami(f, p, metric):
     A stacked point of K points gives K values, each with its point's own
     steps: the tensors at all K points and their flux points come from one
     metric call, and the gradient stencils from one field call.
+
+    One Cholesky factorization of the tensors at all 2 dim + 1 nodes
+    requires g positive definite at every node (SingularMatrix otherwise)
+    and gives sqrt(det g) from the factor's diagonal, taken relative to the
+    point's, so the value is covariant in a scale of the metric: c g gives
+    the value / c, with no determinant to underflow or overflow.
     """
     chart = chart_of(p.model, p.n, p.m, not getattr(f, "mat_only", False))
     d = chart.dim
@@ -253,17 +259,17 @@ def laplace_beltrami(f, p, metric):
         raise ValueError(f"metric returned tensors of shape {g.shape} for {len(rows)} "
                          f"points of the field's chart of dimension {d}")
     g = g.reshape(nodes.shape + (d,))
-    det0 = np.linalg.det(g[..., 0, :, :])
-    if np.any(det0 <= 0.0) or np.any(np.linalg.eigvalsh(g[..., 0, :, :]).min(axis=-1) <= 0.0):
-        raise SingularMatrix("metric tensor is not positive definite at the point")
-    gq = g[..., 1:, :, :]
-    det = np.linalg.det(gq)
-    if np.any(det <= 0.0):
-        raise SingularMatrix("metric tensor degenerates inside the stencil")
-    flux = np.sqrt(det)[..., None] * np.linalg.solve(gq, grad[..., None])[..., 0]
+    try:
+        factor = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("metric tensor is not positive definite on the stencil") from None
+    # sqrt(det g) at each flux point over sqrt(det g) at the point, as a
+    # product of ratios of the factors' diagonals, which no scale of g overflows
+    pivots = np.diagonal(factor, axis1=-2, axis2=-1)
+    ratio = np.prod(pivots[..., 1:, :] / pivots[..., :1, :], axis=-1)
+    flux = ratio[..., None] * np.linalg.solve(g[..., 1:, :, :], grad[..., None])[..., 0]
     diag = np.arange(d)
-    total = np.sum(flux[..., diag, diag] - flux[..., d + diag, diag], axis=-1) / (2.0 * h)
-    val = total / np.sqrt(det0)
+    val = np.sum(flux[..., diag, diag] - flux[..., d + diag, diag], axis=-1) / (2.0 * h)
     return float(val) if val.ndim == 0 else val
 
 
@@ -702,7 +708,7 @@ def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
     t = random_tangent("disk", n, m, _seeds(master, idx, "t"))
     eye = np.eye(n)
     inv_w = mat_inverse(eye - p.w)
-    inv_wc = mat_inverse(eye - p.w.conj())
+    inv_wc = inv_w.conj()
     target = cayley(p)
 
     out.add("point-identity-Y", target.y,

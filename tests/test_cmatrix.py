@@ -255,6 +255,18 @@ def test_inverse_bits_are_pinned_alone_and_in_the_stack(n):
         assert mat_inverse(one).tobytes() == inv[k].tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 7, 200])
+def test_inverse_commutes_with_conjugation_bit_for_bit(n, k):
+    # the pivot rule |Re| + |Im| and every step are symmetric under
+    # conjugation, so the metric forms may conjugate one inverse for another
+    rng = np.random.default_rng(60 + n)
+    swaps = _inverse_stack(n)    # every pattern of row swaps at n <= 3
+    stack = np.concatenate([swaps, [_rand_complex(rng, n, n) for _ in range(k)]])[:k]
+    for a in (stack, stack[0]):
+        assert mat_inverse(a.conj()).tobytes() == mat_inverse(a).conj().tobytes()
+
+
 def test_inverse_stack_holds_every_row_permutation():
     stack = _inverse_stack(3)
     for start in range(0, len(stack), 6):

@@ -179,7 +179,7 @@ def test_form_gathers_are_read_only_and_built_once_per_chart(monkeypatch):
     assert len(built) == 5
     assert me.chart_for(p) is me.chart_of("disk", 3, 2)    # metric_tensor's, cached
     for table in [*chart.form_gathers.values(), *mat_only.form_gathers.values()]:
-        assert [a.shape[2:] for a in table] == [(2, 2)] * 3
+        assert [a.shape[2:] for a in table] == [(2, 2)] * 2
         for a in table:
             assert not a.flags.writeable
             with pytest.raises(ValueError):

@@ -147,33 +147,34 @@ def test_field_suite_properties():
 # The bits of the stencil path, pinned: blake2b of the four tensors of
 # second_bundle and of the flux-form oracle, for the gauss and cross fields
 # at a stack of three points, computed before the node-offset table and the
-# cached charts.  A node that moved a bit changes these digests.
+# cached charts (the oracle's since it takes sqrt(det g) from one Cholesky
+# factor per node, relative to the point's).  A node that moved a bit changes these digests.
 
 BUNDLE_DIGESTS = {
     ("upper", 1, 1, False): ("9628fb67f107da4cd15e903679ada104",
-                            "68a2b2cafaaa69c7f05eefda0c6c71c9"),
+                            "95b6b9cb7b2ee0c790f280e3c4c99b77"),
     ("upper", 1, 1, True): ("556c967c010d583987a1864385e5839e",
-                           "86dd251765719dca72ec53522b314322"),
+                           "2f60a41cc3c0a2d8bfaffac540bdbaba"),
     ("upper", 2, 1, False): ("ce4ec6bb3233b0e9a39ef9cd3fd5bbae",
-                            "fd9390974f9b9d504fd7162982057922"),
+                            "f96e6c8b2fcb8030b0c9ea780ee36232"),
     ("upper", 2, 1, True): ("e7cd80feb21ee264be6a1e593fedbf91",
-                           "fe2b69e47bd601ff9ba4c8c01d672b9d"),
+                           "87145402b83daf6b22ef2fa51dfa5fcf"),
     ("upper", 3, 2, False): ("a626429c138d7e77c16a1ee31fadc209",
-                            "043aa52fba1430a1fa1a9394c22a74c8"),
+                            "86c4c576842a24773c8dd5cdee18b468"),
     ("upper", 3, 2, True): ("b2a2261fb0ed1240c402ab1811bdffef",
-                           "dfc85bf583d39cdf8e00ff7360019dbc"),
+                           "a97c887600938ba5e3c2829b8ad4874e"),
     ("disk", 1, 1, False): ("8c430e534307fd06631b9ac5e30f175d",
-                           "c9df590aa5f5abd5a9cd5c1f6147960f"),
+                           "9ddde79764688c849fd7c3bd9693f704"),
     ("disk", 1, 1, True): ("a81fd3abded4dd997e5f205bf6b736fd",
-                          "5aa017e6112cf77bcb2b0a1662c9b060"),
+                          "9674280c9ab73875f35ac55e4e10855c"),
     ("disk", 2, 1, False): ("f6c15a0d4fccae3e6ca858d5e227704e",
-                           "f42d9d3c251155c152c422c098f64f6e"),
+                           "b9f927a79fa0608ca3df597dcaa76e17"),
     ("disk", 2, 1, True): ("6dad0ed95223f4d51111decd5b68b213",
-                          "119d1e79814cbdce9f470c6d56cb5d47"),
+                          "b5410c63b9e5ac768fba238da33ed84b"),
     ("disk", 3, 2, False): ("ca014fcc3ee025166102b4ae8e39ea80",
-                           "858d28c17a10bfa49b2b8fc5f09e043c"),
+                           "fe27a8009c273cbb9a2f779f2b9f81fb"),
     ("disk", 3, 2, True): ("c0bcd4df8447a64ba4c2152d30071c3f",
-                          "6a0c6c66532d243409ed7546a54794bd"),
+                          "e6e709d25423963aecd882da7f9c0b70"),
 }
 
 

@@ -5,9 +5,10 @@ import pytest
 
 from sjgeo import geometry as geo
 from sjgeo import groups as G
+from sjgeo import operators as op
 from sjgeo import verify as V
 from sjgeo.cmatrix import SingularMatrix, max_abs
-from sjgeo.metrics import Chart, MetricParams, Tangent, random_tangent
+from sjgeo.metrics import Chart, MetricParams, Tangent, metric_tensor, random_tangent
 from sjgeo.operators import DomainMargin, ScalarField
 
 UNIT = MetricParams(1.0, 1.0)
@@ -58,6 +59,43 @@ def test_laplace_beltrami_euclidean():
     assert V.laplace_beltrami(f, p, flat) == pytest.approx(2.0 * chart.dim, rel=1e-6)
     const = ScalarField("one", "disk", lambda q: np.ones(q.batch))
     assert V.laplace_beltrami(const, p, flat) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("model", ["upper", "disk"])
+@pytest.mark.parametrize("c", [1e-150, 1e-20, 1e20, 1e150])
+def test_laplace_beltrami_is_covariant_in_a_scale_of_the_metric(model, c):
+    # no determinant to underflow or overflow: c g gives the value / c,
+    # also where sqrt(det(c g)) itself is out of range (c^12 at dim 24)
+    p = geo.random_point(model, 3, 2, 30 + np.arange(3))
+    f = op.test_field_suite(model, 3, 2, 5)[3]
+    metric = lambda q: metric_tensor(q, UNIT, model)
+    base = V.laplace_beltrami(f, p, metric)
+    scaled = V.laplace_beltrami(f, p, lambda q: c * metric(q)) * c
+    assert np.max(np.abs(scaled - base) / np.abs(base)) < 1e-9
+
+
+def _flat_except(at_point, elsewhere):
+    """The disk (1, 1) chart's metric diag(at_point) at the point below and
+    diag(elsewhere) at every other point, and that point."""
+    chart = Chart("disk", 1, 1)
+    p = geo.DiskPoint([[0.05 + 0.1j]], [[0.2 - 0.3j]])
+    v0 = chart.point_to_vec(p)
+
+    def metric(q):
+        here = np.all(np.abs(chart.point_to_vec(q) - v0) < 1e-12, axis=-1)
+        return np.where(here[:, None, None], np.diag(at_point), np.diag(elsewhere))
+    return metric, p
+
+
+@pytest.mark.parametrize("at_point,elsewhere", [
+    ([1.0, 1.0, 1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]),    # det > 0 at every flux point
+    ([-1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]),
+])
+def test_laplace_beltrami_needs_a_positive_definite_metric_at_every_node(at_point, elsewhere):
+    metric, p = _flat_except(np.array(at_point), np.array(elsewhere))
+    f = ScalarField("sq", "disk", lambda q: np.sum(Chart("disk", 1, 1).point_to_vec(q) ** 2, axis=-1))
+    with pytest.raises(SingularMatrix):
+        V.laplace_beltrami(f, p, metric)
 
 
 def test_run_check_unknown_name():
