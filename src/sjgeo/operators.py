@@ -172,22 +172,6 @@ def _field_at_nodes(f, chart: Chart, nodes: np.ndarray) -> np.ndarray:
     return _one_per_point(f(points), points, name)
 
 
-def _grad_real(f, chart: Chart, v0: np.ndarray, h) -> np.ndarray:
-    """Central-difference gradient at each row of v0, shape (..., dim).
-
-    ``h`` is an array with the axes of v0.shape[:-1] that broadcasts
-    against them, such as one step per sample; every stencil node is
-    evaluated in one _field_at_nodes call.
-    """
-    d = chart.dim
-    h = np.asarray(h, dtype=np.float64)[..., None, None]
-    # nodes[0] = v0 + h e_i, nodes[1] = v0 - h e_i, built in one allocation
-    steps = h * np.eye(d) * np.array([1.0, -1.0]).reshape((2,) + (1,) * h.ndim)
-    vals = _field_at_nodes(f, chart, (v0[..., None, :] + steps).reshape(-1, d))
-    vals = vals.reshape((2,) + v0.shape[:-1] + (d,))
-    return (vals[0] - vals[1]) / (2.0 * h[..., 0])
-
-
 @cache
 def _hess_offsets(d: int) -> tuple:
     """The node offsets of _hess_real in units of the step, one read-only

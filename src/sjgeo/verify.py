@@ -25,10 +25,10 @@ to 256 samples (_STACK) and makes each of its draws once for the whole
 block, one call given the samples' seeds; sample k of the stack is what
 its seed draws alone.  Only the evaluation is split: the stencil checks
 cut each block by test field into sub-stacks of as many samples as fit
-a fixed budget of chart coordinates (_STENCIL_COORDS): all 50 of a run
-at (1, 1), one at a time at (3, 2).  _grouped hands each sub-stack its
-slice of the block's draws.  There, each Richardson level of every
-sample's stencil is one field call, and each oracle one metric call;
+a fixed budget of floats (_STENCIL_FLOATS): all 50 of a run at (1, 1),
+one at a time at (3, 2).  _grouped hands each sub-stack its slice of the
+block's draws.  There, each Richardson level of every sample's stencil
+is one field call, and each oracle one metric call and one field call;
 their test fields are drawn once per run_check (_CheckDef.prepare), not
 once per sampler call.  A call that raises is run again one sample at a
 time, so only the failing sample reports the error.
@@ -103,7 +103,7 @@ from .metrics import (
 )
 from .operators import (
     DomainMargin,
-    _grad_real,
+    _field_at_nodes,
     _require_margin,
     bundle_of,
     default_step,
@@ -225,13 +225,20 @@ def laplace_beltrami(f, p, metric):
     chart otherwise, and ``metric`` maps a stacked point to its stacked
     tensors over that chart, a (K, dim, dim) float array (such as
     metrics.metric_tensor's).  The point and its 2 dim flux points
-    v0 +- h e_i are one node array and one metric call.  The gradients at
-    every flux point come from one field evaluation of all their stencils
-    (see operators.ScalarField for the field contract).
+    v0 +- h e_i are one node array and one metric call.
+
+    The flux at flux point a of axis i is sqrt(det g_a) (g_a^-1 grad f)_i,
+    and (g_a^-1 grad f)_i = w_a . grad f with w_a = g_a^-1 e_i (g_a is
+    symmetric): one directional derivative along w_a, taken as one central
+    difference along w_a / |w_a| and scaled by |w_a|.  So the field is
+    evaluated at 2 nodes per flux point, 4 dim per point, all in one call
+    (see operators.ScalarField for the field contract); every node lies
+    within h + h1 of the point.
 
     A stacked point of K points gives K values, each with its point's own
     steps: the tensors at all K points and their flux points come from one
-    metric call, and the gradient stencils from one field call.
+    metric call, the w_a from one solve, and the field's values from one
+    field call.
 
     One Cholesky factorization of the tensors at all 2 dim + 1 nodes
     requires g positive definite at every node (SingularMatrix otherwise)
@@ -249,10 +256,7 @@ def laplace_beltrami(f, p, metric):
     v0 = chart.point_to_vec(p)[..., None, :]
     step = h[..., None, None] * np.eye(d)
     nodes = np.concatenate([v0, v0 + step, v0 - step], axis=-2)   # the point, then its flux points
-    h1 = np.asarray(default_step(p, chart, order=1))
-    # the gradient stencils first: their nodes are the largest array, and
-    # the tensors need not be alive beside them
-    grad = _grad_real(f, chart, nodes[..., 1:, :], h1[..., None])
+    h1 = np.asarray(default_step(p, chart, order=1))[..., None]
     rows = nodes.reshape(-1, d)
     g = np.asarray(metric(chart.vec_to_point(rows)))
     if g.shape != (len(rows), d, d):
@@ -267,9 +271,17 @@ def laplace_beltrami(f, p, metric):
     # product of ratios of the factors' diagonals, which no scale of g overflows
     pivots = np.diagonal(factor, axis1=-2, axis2=-1)
     ratio = np.prod(pivots[..., 1:, :] / pivots[..., :1, :], axis=-1)
-    flux = ratio[..., None] * np.linalg.solve(g[..., 1:, :, :], grad[..., None])[..., 0]
-    diag = np.arange(d)
-    val = np.sum(flux[..., diag, diag] - flux[..., d + diag, diag], axis=-1) / (2.0 * h)
+    # w_a = g_a^-1 e_i at flux point a = v0 +- h e_i
+    axes = np.concatenate([np.eye(d), np.eye(d)])[..., None]
+    w = np.linalg.solve(g[..., 1:, :, :], axes)[..., 0]
+    norm = np.linalg.norm(w, axis=-1)
+    shift = (h1 / norm)[..., None] * w
+    flux_nodes = nodes[..., 1:, :]
+    vals = _field_at_nodes(f, chart, np.concatenate([flux_nodes + shift, flux_nodes - shift],
+                                                    axis=-2).reshape(-1, d))
+    vals = vals.reshape(norm.shape[:-1] + (2, 2 * d))
+    flux = ratio * norm * (vals[..., 0, :] - vals[..., 1, :]) / (2.0 * h1)
+    val = np.sum(flux[..., :d] - flux[..., d:], axis=-1) / (2.0 * h)
     return float(val) if val.ndim == 0 else val
 
 
@@ -809,32 +821,30 @@ def _slot_jacobian(g, p, q) -> np.ndarray:
     return chart.slot_coords(*action_differential(g, p, q, *chart.slot_basis())).mT
 
 
-def _pullbacks(f, g, p, q, herm) -> tuple:
-    """(bundle at p, p) and (bundle at q, q) for a stack of K samples,
-    where q = g . p.  Each bundle has 2K members, the field f's K and then
-    the K Hermitian slot matrices ``herm``, and each point is repeated to
-    match, so one operator call per point serves both (_both_parts).
+def _pullbacks(f, jac, p, q, herm) -> tuple:
+    """One bundle of 4K members and its points (p, p, q, q), for a stack of
+    K samples, where q = g . p and ``jac`` is the action's complex Jacobian
+    at p (_slot_jacobian).  The quarters are the field f's bundle at q
+    pulled back to p, the Hermitian slot matrices ``herm`` pulled back to
+    p, then the field's bundle at q and ``herm`` at q themselves, so one
+    operator call serves both sides of both parts (_both_parts).
 
-    The bundle at q is pulled back to p by the holomorphic chain rule: the
-    mixed matrix of a function after the action is J^H M J, where M is the
-    function's at q and J the action's complex Jacobian (_slot_jacobian).
-    An invariant operator gives the same value on both bundles."""
-    chart = chart_for(p)
-    jac = _slot_jacobian(g, p, q)
+    The pull-back is the holomorphic chain rule: the mixed matrix of a
+    function after the action is J^H M J, where M is the function's at q.
+    An invariant operator gives the same value at p as at q."""
     jac = np.concatenate([jac, jac])
     at_q = np.concatenate([second_bundle(f, q, mat_only=False).mixed, herm])
     pulled = mat_mul(mat_mul(jac.conj().mT, at_q), jac)
-    return ((bundle_of(pulled, chart), _stack([p, p])),
-            (bundle_of(at_q, chart), _stack([q, q])))
+    return (bundle_of(np.concatenate([pulled, at_q]), chart_for(p)), _stack([p, p, q, q]))
 
 
-def _both_parts(out, label: str, at_p, at_q):
-    """Part ``label`` from the field's values of an operator on the
-    bundles of _pullbacks, and part label[hermitian] from the Hermitian
-    matrices' values."""
-    k = out.count
-    out.add(label, at_p[:k], at_q[:k])
-    out.add(label + "[hermitian]", at_p[k:], at_q[k:])
+def _both_parts(out, label: str, values):
+    """Part ``label`` from an operator's values on a bundle of _pullbacks
+    (the field's pulled-back quarter against its quarter at q), and part
+    label[hermitian] from the Hermitian matrices' quarters."""
+    pulled, herm_pulled, at_q, herm_at_q = np.split(values, 4)
+    out.add(label, pulled, at_q)
+    out.add(label + "[hermitian]", herm_pulled, herm_at_q)
 
 
 def _invariance_suites(n, m, master) -> tuple:
@@ -855,9 +865,10 @@ def _invariance_sample(n, m, master, suites, idx, parts) -> _Stack:
     """The residuals ``parts(out, upper, disk)`` adds for each sub-stack of
     samples, where each model's argument is its _pullbacks at the drawn
     point p and the moved point q = g . p.  The block's draws are one
-    _redraw of the elements, points and images, and one draw of the
-    Hermitian slot matrices, both models sharing sample k's.  Sample k
-    uses the non-constant field 1 + k % 4 of each model's suite
+    _redraw of the elements, points and images, one draw of the Hermitian
+    slot matrices, both models sharing sample k's, and each model's
+    action Jacobians, which no field changes.  Sample k uses the
+    non-constant field 1 + k % 4 of each model's suite
     (_invariance_suites)."""
     suite_u, suite_d = suites
 
@@ -870,24 +881,25 @@ def _invariance_sample(n, m, master, suites, idx, parts) -> _Stack:
         pd = random_point("disk", n, m, _seeds(seeds, "pd"))
         return g, s, pu, pd, act_upper(g, pu), act_disk(s, pd)
 
-    draws, retries = _redraw(make, _invariance_admissible, master, idx, "op-inv")
+    (g, s, pu, pd, qu, qd), retries = _redraw(make, _invariance_admissible, master, idx,
+                                              "op-inv")
     herm = _hermitian(_seeds(master, idx, "herm"), chart_of("upper", n, m).n_slots)
+    draws = (pu, pd, qu, qd, _slot_jacobian(g, pu, qu), _slot_jacobian(s, pd, qd), herm)
 
     def evaluate(out, j, drawn):
-        (g, s, pu, pd, qu, qd), herm = drawn
+        pu, pd, qu, qd, jac_u, jac_d, herm = drawn
         f_u, f_d = suite_u[1 + j], suite_d[1 + j]   # skip the constant field
-        parts(out, _pullbacks(f_u, g, pu, qu, herm), _pullbacks(f_d, s, pd, qd, herm))
+        parts(out, _pullbacks(f_u, jac_u, pu, qu, herm), _pullbacks(f_d, jac_d, pd, qd, herm))
         out.describe(field=f_u.name, point=pu, disk_point=pd)
 
-    return _grouped(len(suite_u) - 1, idx, _stencil_stack(n, m), (draws, herm), retries,
-                    evaluate)
+    return _grouped(len(suite_u) - 1, idx, _stencil_stack(n, m), draws, retries, evaluate)
 
 
 def _chk_laplacian_invariance(n, m, params, master, suites, idx) -> _Stack:
     def parts(out, upper, disk):
-        for name, lap, (at_p, at_q) in (("upper-laplacian", lap_upper, upper),
-                                         ("disk-laplacian", lap_disk, disk)):
-            _both_parts(out, name, lap(*at_p, params), lap(*at_q, params))
+        for name, lap, bundle in (("upper-laplacian", lap_upper, upper),
+                                  ("disk-laplacian", lap_disk, disk)):
+            _both_parts(out, name, lap(*bundle, params))
     return _invariance_sample(n, m, master, suites, idx, parts)
 
 
@@ -896,16 +908,16 @@ def _chk_remark_invariance(n, m, params, master, suites, idx) -> _Stack:
 
     def parts(out, upper, disk):
         k = out.count
-        moved = {}   # each operator on the field's bundles at the moved points
-        for (at_p, at_q), kinds in ((upper, ("D", "L")), (disk, ("Dtilde", "Ltilde"))):
+        moved = {}   # each operator on the field's bundle at the moved points
+        for bundle, kinds in ((upper, ("D", "L")), (disk, ("Dtilde", "Ltilde"))):
             for kind in kinds:
-                at_moved = op_invariant(kind, *at_q)
-                moved[kind] = at_moved[:k]
-                _both_parts(out, kind, op_invariant(kind, *at_p), at_moved)
-        # the defining splits of the field's bundles at the moved points (its
-        # first k members): a quarter of the unit-weight Laplacian minus D is
+                values = op_invariant(kind, *bundle)
+                moved[kind] = values[2 * k: 3 * k]
+                _both_parts(out, kind, values)
+        # the defining splits of the field's bundle at the moved points (the
+        # third quarter): a quarter of the unit-weight Laplacian minus D is
         # L, the disk Laplacian minus Dtilde is Ltilde
-        field_u, field_d = (_at(at_q, slice(k)) for _, at_q in (upper, disk))
+        field_u, field_d = (_at(bundle, slice(2 * k, 3 * k)) for bundle in (upper, disk))
         out.add("L-split", 0.25 * lap_upper(*field_u, unit) - moved["D"], moved["L"])
         out.add("Ltilde-split", lap_disk(*field_d, unit) - moved["Dtilde"], moved["Ltilde"])
     return _invariance_sample(n, m, master, suites, idx, parts)
@@ -917,17 +929,18 @@ def _chk_remark_invariance(n, m, params, master, suites, idx) -> _Stack:
 # Samples per sampler call (a block): a constant, so memory stays bounded.
 _STACK = 256
 
-# Chart coordinates per sub-stack of a stencil check.  Its largest array
-# is the oracle's gradient stencil, (2 dim)^2 nodes of dim chart
-# coordinates per sample, so one sample at the desk corner (3,2), chart
-# dimension 24, fills the budget: a sub-stack holds as many samples as fit.
-_STENCIL_COORDS = 4 * 24 ** 3
+# Floats per sub-stack of a stencil check.  Its largest array is the
+# oracle's tensors, (2 dim + 1) dim^2 entries per sample (no fewer than the
+# Hessian stencil's (1 + 2 dim^2) dim coordinates), so one sample at the
+# desk corner (3,2), chart dimension 24, fits the budget: a sub-stack holds
+# as many samples as fit.
+_STENCIL_FLOATS = 4 * 24 ** 3
 
 
 def _stencil_stack(n: int, m: int) -> int:
     """Samples per sub-stack of a stencil check at (n, m)."""
     dim = chart_of("upper", n, m, True).dim
-    return max(1, _STENCIL_COORDS // (4 * dim ** 3))
+    return max(1, _STENCIL_FLOATS // ((2 * dim + 1) * dim ** 2))
 
 
 @dataclass(frozen=True)

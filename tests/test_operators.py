@@ -147,34 +147,35 @@ def test_field_suite_properties():
 # The bits of the stencil path, pinned: blake2b of the four tensors of
 # second_bundle and of the flux-form oracle, for the gauss and cross fields
 # at a stack of three points, computed before the node-offset table and the
-# cached charts (the oracle's since it takes sqrt(det g) from one Cholesky
-# factor per node, relative to the point's).  A node that moved a bit changes these digests.
+# cached charts (the oracle's since it takes one central difference of the
+# field along g^-1 e_i per flux point).  A node that moved a bit changes
+# these digests.
 
 BUNDLE_DIGESTS = {
     ("upper", 1, 1, False): ("9628fb67f107da4cd15e903679ada104",
-                            "95b6b9cb7b2ee0c790f280e3c4c99b77"),
+                            "9be133bc1617f98d17d017a86c631ae6"),
     ("upper", 1, 1, True): ("556c967c010d583987a1864385e5839e",
-                           "2f60a41cc3c0a2d8bfaffac540bdbaba"),
+                           "476167d43cc427d6279f476442b79bb0"),
     ("upper", 2, 1, False): ("ce4ec6bb3233b0e9a39ef9cd3fd5bbae",
-                            "f96e6c8b2fcb8030b0c9ea780ee36232"),
+                            "68e7bd0a3daa38dfcab2ed968118860c"),
     ("upper", 2, 1, True): ("e7cd80feb21ee264be6a1e593fedbf91",
-                           "87145402b83daf6b22ef2fa51dfa5fcf"),
+                           "60125750f9062967089dd4a7452f0265"),
     ("upper", 3, 2, False): ("a626429c138d7e77c16a1ee31fadc209",
-                            "86c4c576842a24773c8dd5cdee18b468"),
+                            "056485f10f9d3c077dea5c29f10e30ee"),
     ("upper", 3, 2, True): ("b2a2261fb0ed1240c402ab1811bdffef",
-                           "a97c887600938ba5e3c2829b8ad4874e"),
+                           "772fe5d9a12d9ace77a104f0a2efada9"),
     ("disk", 1, 1, False): ("8c430e534307fd06631b9ac5e30f175d",
-                           "9ddde79764688c849fd7c3bd9693f704"),
+                           "ad1b33a6140156ed1a709fcbc1120dba"),
     ("disk", 1, 1, True): ("a81fd3abded4dd997e5f205bf6b736fd",
-                          "9674280c9ab73875f35ac55e4e10855c"),
+                          "529a8f58c7812ce55d349828d9ad84af"),
     ("disk", 2, 1, False): ("f6c15a0d4fccae3e6ca858d5e227704e",
-                           "b9f927a79fa0608ca3df597dcaa76e17"),
+                           "8e56fef1a9c212aa484a48f550363b7f"),
     ("disk", 2, 1, True): ("6dad0ed95223f4d51111decd5b68b213",
-                          "b5410c63b9e5ac768fba238da33ed84b"),
+                          "16b80d7a9985c68c8addad82dc3ec762"),
     ("disk", 3, 2, False): ("ca014fcc3ee025166102b4ae8e39ea80",
-                           "fe27a8009c273cbb9a2f779f2b9f81fb"),
+                           "6295431b8a53346c67edf2ed7073bfee"),
     ("disk", 3, 2, True): ("c0bcd4df8447a64ba4c2152d30071c3f",
-                          "e6e709d25423963aecd882da7f9c0b70"),
+                          "d53283d303048eb98cb9c73096cb7293"),
 }
 
 

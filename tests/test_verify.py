@@ -8,7 +8,7 @@ from sjgeo import groups as G
 from sjgeo import operators as op
 from sjgeo import verify as V
 from sjgeo.cmatrix import SingularMatrix, max_abs
-from sjgeo.metrics import Chart, MetricParams, Tangent, metric_tensor, random_tangent
+from sjgeo.metrics import Chart, MetricParams, Tangent, chart_of, metric_tensor, random_tangent
 from sjgeo.operators import DomainMargin, ScalarField
 
 UNIT = MetricParams(1.0, 1.0)
@@ -96,6 +96,81 @@ def test_laplace_beltrami_needs_a_positive_definite_metric_at_every_node(at_poin
     f = ScalarField("sq", "disk", lambda q: np.sum(Chart("disk", 1, 1).point_to_vec(q) ** 2, axis=-1))
     with pytest.raises(SingularMatrix):
         V.laplace_beltrami(f, p, metric)
+
+
+# Fields with closed-form Laplacians for the upper metric of weights (A, B):
+# det(Y)^s gives n s (2s - n - 1) / (2A) det(Y)^s, and the height
+# tr(V Y^-1 tV) the constant 2nm / B.  Composed with cayley, they give the
+# disk metric's Laplacians at the image point.
+
+def _det_power(s):
+    return lambda q: np.linalg.det(q.y) ** s
+
+
+def _height(q):
+    return np.trace(q.v @ np.linalg.inv(q.y) @ q.v.mT, axis1=-2, axis2=-1)
+
+
+@pytest.mark.parametrize("model", ["upper", "disk"])
+@pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.3, 0.7)])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_laplace_beltrami_matches_closed_forms(model, a, b, n, m):
+    params = MetricParams(a, b)
+    p = geo.random_point(model, n, m, np.arange(8))
+    image = p if model == "upper" else geo.cayley(p)
+    cases = [(_det_power(s), n * s * (2 * s - n - 1) / (2 * a) * np.linalg.det(image.y) ** s,
+              1e-5) for s in (0.5, 1.0)]
+    cases.append((_height, np.full(8, 2 * n * m / b), 1e-4))
+    for fn, exact, tol in cases:
+        field = fn if model == "upper" else (lambda q, fn=fn: fn(geo.cayley(q)))
+        lb = V.laplace_beltrami(ScalarField("closed", model, field), p,
+                                lambda q: metric_tensor(q, params, model))
+        assert np.max(np.abs(lb - exact) / (1.0 + np.abs(exact))) <= tol
+
+
+def test_laplace_beltrami_of_a_quadratic_under_a_constant_metric():
+    # off the axes: every w_a = G^-1 e_i has several nonzero entries
+    chart = Chart("upper", 2, 1)
+    d = chart.dim
+    rng = np.random.default_rng(4)
+    a = rng.uniform(-1.0, 1.0, (d, d))
+    g = a @ a.T + d * np.eye(d)
+    hess = rng.uniform(-1.0, 1.0, (d, d))
+    hess = hess + hess.T
+    lin = rng.uniform(-1.0, 1.0, d)
+
+    def quad(q):
+        v = chart.point_to_vec(q)
+        return 0.5 * np.einsum("...i,ij,...j->...", v, hess, v) + v @ lin
+
+    p = geo.random_point("upper", 2, 1, np.arange(4))
+    lb = V.laplace_beltrami(ScalarField("quad", "upper", quad), p,
+                            lambda q: np.broadcast_to(g, q.batch + (d, d)))
+    exact = np.trace(np.linalg.solve(g, hess))
+    assert np.max(np.abs(lb - exact)) / (1.0 + abs(exact)) <= 1e-5
+
+
+@pytest.mark.parametrize("model,mat_only", [("upper", False), ("disk", True)])
+def test_laplace_beltrami_evaluates_the_field_at_4_dim_nodes_per_point(model, mat_only):
+    # one central difference per flux point: 2 nodes at each of 2 dim
+    calls = []
+    inner = op.test_field_suite(model, 3, 2, 5, mat_only=mat_only)[3]
+
+    def counted(q):
+        calls.append(q.batch)
+        return inner(q)
+
+    p = geo.random_point(model, 3, 2, np.arange(3))
+    kind = {"upper": "siegel", "disk": "diskn"}[model] if mat_only else model
+    V.laplace_beltrami(ScalarField("counted", model, counted, mat_only), p,
+                       lambda q: metric_tensor(q, UNIT, kind))
+    dim = chart_of(model, 3, 2, not mat_only).dim
+    assert calls == [(4 * dim * 3,)]
+
+
+def test_stencil_stack_sizes_follow_the_oracle_tensors():
+    # (2 dim + 1) dim^2 tensor entries per sample within 4 * 24^3 floats
+    assert [V._stencil_stack(n, m) for n, m in [(1, 1), (2, 2), (3, 2)]] == [384, 9, 1]
 
 
 def test_run_check_unknown_name():
@@ -235,25 +310,31 @@ def test_redraw_gives_up_after_max_retries():
 
 
 @pytest.mark.parametrize("name,want", [
-    ("laplacian-invariance", {("lap_upper", 2): 8, ("lap_disk", 2): 8}),
-    ("remark41-invariance", {**{("op_invariant", kind, 2): 8
+    ("laplacian-invariance", {("lap_upper", 4): 4, ("lap_disk", 4): 4}),
+    ("remark41-invariance", {**{("op_invariant", kind, 4): 4
                                 for kind in ("D", "L", "Dtilde", "Ltilde")},
                              ("lap_upper", 1): 4, ("lap_disk", 1): 4}),
 ])
 def test_invariance_draws_once_per_block_and_applies_each_operator_once_per_point(
         monkeypatch, name, want):
     # at (3,2) the 4 samples are 4 sub-stacks of one sample, yet the block
-    # takes one _redraw; each sub-stack applies each operator once per model
-    # and side (p and q), to the field's and the Hermitian matrix's bundles
-    # together (2 members); the remark's splits take the field's alone
-    redraws, calls = [], []
-    redraw = V._redraw
+    # takes one _redraw and one Jacobian per model; each sub-stack applies
+    # each operator once per model, to the field's and the Hermitian
+    # matrix's bundles at both points (p and q) together (4 members); the
+    # remark's splits take the field's at q alone
+    redraws, jacobians, calls = [], [], []
+    redraw, slot_jacobian = V._redraw, V._slot_jacobian
 
     def counted_redraw(make, accept, master, idx, tag):
         redraws.append(len(idx))
         return redraw(make, accept, master, idx, tag)
 
+    def counted_jacobian(g, p, q):
+        jacobians.append(p.batch)
+        return slot_jacobian(g, p, q)
+
     monkeypatch.setattr(V, "_redraw", counted_redraw)
+    monkeypatch.setattr(V, "_slot_jacobian", counted_jacobian)
     for op_name in ("lap_upper", "lap_disk", "op_invariant"):
         def counted(*args, _name=op_name, _inner=getattr(V, op_name)):
             kind, point = (args[:1], args[2]) if _name == "op_invariant" else ((), args[1])
@@ -261,7 +342,7 @@ def test_invariance_draws_once_per_block_and_applies_each_operator_once_per_poin
             return _inner(*args)
         monkeypatch.setattr(V, op_name, counted)
     assert V.run_check(name, 3, 2, UNIT, 4, 42).passed
-    assert redraws == [4]
+    assert redraws == [4] and jacobians == [(4,), (4,)]
     assert {call: calls.count(call) for call in calls} == want
 
 
