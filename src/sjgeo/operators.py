@@ -322,12 +322,16 @@ def _contract(outer: np.ndarray, inner: np.ndarray, tensor: np.ndarray) -> np.nd
     """sum of outer[w, y] inner[x, z] tensor[w, x, y, z] over w, x, y, z,
     one value per sample of a stack.
 
-    Products and one sum over the trailing axes, not einsum: einsum's
+    Products and one sum over one flattened axis, not einsum: einsum's
     summation order can change with the stack size, and then a sample's
-    value would depend on the stack it sits in.
+    value would depend on the stack it sits in.  Nor a sum over the four
+    axes: the product keeps the memory order of bundle_of's gathers, which
+    put the stack axis last, and once it holds 2^14 entries or more numpy
+    sums several axes in that order.  Summed as one C-order row, a
+    sample's products give the same value alone or in a stack of any size.
     """
-    return np.sum(outer[..., :, None, :, None] * inner[..., None, :, None, :] * tensor,
-                  axis=(-4, -3, -2, -1))
+    prod = outer[..., :, None, :, None] * inner[..., None, :, None, :] * tensor
+    return np.sum(prod.reshape(prod.shape[:-4] + (-1,)), axis=-1)
 
 
 def _maass(left: np.ndarray, tensor: np.ndarray) -> np.ndarray:

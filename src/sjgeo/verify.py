@@ -24,14 +24,13 @@ worst (their draws and values).  Every sampler call takes a block of up
 to 256 samples (_STACK) and makes each of its draws once for the whole
 block, one call given the samples' seeds; sample k of the stack is what
 its seed draws alone.  Only the evaluation is split: the stencil checks
-cut each block by test field into sub-stacks of as many samples as fit
-a fixed budget of floats (_STENCIL_FLOATS): all 50 of a run at (1, 1),
-one at a time at (3, 2).  _grouped hands each sub-stack its slice of the
-block's draws.  There, each Richardson level of every sample's stencil
-is one field call, and each oracle one metric call and one field call;
-their test fields are drawn once per run_check (_CheckDef.prepare), not
-once per sampler call.  A call that raises is run again one sample at a
-time, so only the failing sample reports the error.
+cut each block by test field into one stack per field (at most _STACK
+samples, the one memory bound), and _grouped hands each stack its slice
+of the block's draws.  There, each Richardson level of every sample's
+stencil is one field call, and each oracle one metric call and one field
+call; their test fields are drawn once per run_check (_CheckDef.prepare),
+not once per sampler call.  A call that raises is run again one sample at
+a time, so only the failing sample reports the error.
 run_check reduces the concatenated stack of all samples to the report:
 the worst sample's description becomes ``worst``, and the part maxima
 ``parts``.
@@ -463,25 +462,24 @@ def _redraw(make, accept, master: int, idx, tag: str):
 # one call with the whole block's seeds: member k of the stack is what
 # sample k draws alone, as in a one-sample run, and each identity is
 # evaluated once on the stack.  A stencil check (and tensor-pd, by model)
-# evaluates its block in sub-stacks of one class (_grouped), each on its
+# evaluates its block as one stack per class (_grouped), each on its
 # slice of the block's draws.
 
 
-def _grouped(count: int, idx, size: int, drawn, retries, evaluate) -> _Stack:
-    """The block idx split by idx % count, each class into sub-stacks of up
-    to ``size`` samples, joined back in sample order.  Each sub-stack's
-    _Stack starts with its samples' members of ``retries`` (an array over
-    the block, or a count all share), and evaluate(out, j, draws) adds the
-    residuals of class j, where ``draws`` are the sub-stack's members of
-    the block's ``drawn`` (_at)."""
+def _grouped(count: int, idx, drawn, retries, evaluate) -> _Stack:
+    """The block idx split by idx % count into one stack per class that
+    has samples, joined back in sample order.  Each class's _Stack starts
+    with its samples' members of ``retries`` (an array over the block, or
+    a count all share), and evaluate(out, j, draws) adds the residuals of
+    class j, where ``draws`` are the class's members of the block's
+    ``drawn`` (_at)."""
     stacks = []
     for j in range(count):
         at = np.flatnonzero(idx % count == j)
-        for start in range(0, len(at), size):
-            sub = at[start: start + size]
-            out = _Stack(idx[sub])
-            out.retries[:] = _at(retries, sub)
-            evaluate(out, j, _at(drawn, sub))
+        if at.size:
+            out = _Stack(idx[at])
+            out.retries[:] = _at(retries, at)
+            evaluate(out, j, _at(drawn, at))
             stacks.append(out)
     return _Stack.concat(stacks)
 
@@ -710,7 +708,7 @@ def _tensor_pd(out, model, n, m, params, master):
 def _chk_tensor_pd(n, m, params, master, idx) -> _Stack:
     # even samples check the upper model, odd ones the disk; the draws
     # depend on the model, so each class draws its own
-    return _grouped(2, idx, _STACK, None, 0, lambda out, parity, _: _tensor_pd(
+    return _grouped(2, idx, None, 0, lambda out, parity, _: _tensor_pd(
         out, ("upper", "disk")[parity], n, m, params, master))
 
 
@@ -755,9 +753,9 @@ def _chk_reduce_n1m1(n, m, params, master, idx) -> _Stack:
 
 # The checks below build second-order stencils.  Each test field serves
 # the samples whose index is its position modulo the number of fields: a
-# sampler draws its block, then differentiates each field once per
-# sub-stack of its samples (see _grouped).  The fields are drawn once per
-# run (_CheckDef.fields).
+# sampler draws its block, then differentiates each field once on the
+# stack of its samples (see _grouped).  The fields are drawn once per run
+# (_CheckDef.fields).
 
 
 def _lb_model(kind) -> tuple:
@@ -796,7 +794,7 @@ def _lb_pair(kind, n, m, params, master, fields, idx) -> _Stack:
         out.describe(field=f.name, point=p, laplacian=lhs, oracle=rhs, **gap)
 
     p = random_point(model, n, m, _seeds(master, idx, "p"))
-    return _grouped(len(fields), idx, _stencil_stack(n, m), p, 0, evaluate)
+    return _grouped(len(fields), idx, p, 0, evaluate)
 
 
 def _rel_gap(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -862,12 +860,12 @@ def _invariance_admissible(draws) -> np.ndarray:
 
 
 def _invariance_sample(n, m, master, suites, idx, parts) -> _Stack:
-    """The residuals ``parts(out, upper, disk)`` adds for each sub-stack of
-    samples, where each model's argument is its _pullbacks at the drawn
-    point p and the moved point q = g . p.  The block's draws are one
-    _redraw of the elements, points and images, one draw of the Hermitian
-    slot matrices, both models sharing sample k's, and each model's
-    action Jacobians, which no field changes.  Sample k uses the
+    """The residuals ``parts(out, upper, disk)`` adds for the stack of
+    samples of each field, where each model's argument is its _pullbacks
+    at the drawn point p and the moved point q = g . p.  The block's draws
+    are one _redraw of the elements, points and images, one draw of the
+    Hermitian slot matrices, both models sharing sample k's, and each
+    model's action Jacobians, which no field changes.  Sample k uses the
     non-constant field 1 + k % 4 of each model's suite
     (_invariance_suites)."""
     suite_u, suite_d = suites
@@ -892,7 +890,7 @@ def _invariance_sample(n, m, master, suites, idx, parts) -> _Stack:
         parts(out, _pullbacks(f_u, jac_u, pu, qu, herm), _pullbacks(f_d, jac_d, pd, qd, herm))
         out.describe(field=f_u.name, point=pu, disk_point=pd)
 
-    return _grouped(len(suite_u) - 1, idx, _stencil_stack(n, m), draws, retries, evaluate)
+    return _grouped(len(suite_u) - 1, idx, draws, retries, evaluate)
 
 
 def _chk_laplacian_invariance(n, m, params, master, suites, idx) -> _Stack:
@@ -928,20 +926,6 @@ def _chk_remark_invariance(n, m, params, master, suites, idx) -> _Stack:
 
 # Samples per sampler call (a block): a constant, so memory stays bounded.
 _STACK = 256
-
-# Floats per sub-stack of a stencil check.  Its largest array is the
-# oracle's tensors, (2 dim + 1) dim^2 entries per sample (no fewer than the
-# Hessian stencil's (1 + 2 dim^2) dim coordinates), so one sample at the
-# desk corner (3,2), chart dimension 24, fits the budget: a sub-stack holds
-# as many samples as fit.
-_STENCIL_FLOATS = 4 * 24 ** 3
-
-
-def _stencil_stack(n: int, m: int) -> int:
-    """Samples per sub-stack of a stencil check at (n, m)."""
-    dim = chart_of("upper", n, m, True).dim
-    return max(1, _STENCIL_FLOATS // ((2 * dim + 1) * dim ** 2))
-
 
 @dataclass(frozen=True)
 class _CheckDef:

@@ -9,6 +9,7 @@ a stack on its own.
 
 import dataclasses
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sjgeo import groups as G
 from sjgeo import operators as op
 from sjgeo import verify as V
 from sjgeo.cmatrix import SeedStream, SingularMatrix, mat_inverse, max_abs, sym_defect
-from sjgeo.metrics import Chart, MetricParams, metric_tensor, random_tangent
+from sjgeo.metrics import Chart, MetricParams, chart_of, metric_tensor, random_tangent
 
 PARAMS = MetricParams(1.3, 0.7)
 SHAPES = [(1, 1), (2, 1), (3, 2)]
@@ -334,7 +335,7 @@ STENCIL_CHECKS = ["lb-equivalence-upper", "lb-equivalence-disk", "laplacian-inva
 
 
 @pytest.mark.parametrize("name", STENCIL_CHECKS)
-@pytest.mark.parametrize("n,m", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 2)])
 def test_stencil_residuals_do_not_depend_on_the_stack(name, n, m):
     sampler = V._CHECKS[name].prepare(n, m, UNIT, 5)
     idx = np.arange(10)     # every test field, twice or more
@@ -342,15 +343,22 @@ def test_stencil_residuals_do_not_depend_on_the_stack(name, n, m):
     alone = V._Stack.concat([V._sample_stack(sampler, idx[k: k + 1])
                              for k in range(len(idx))])
     assert list(stacked.labels) == list(alone.labels)
-    assert np.allclose(stacked.max_rel, alone.max_rel, rtol=1e-12, atol=0.0)
+    assert np.array_equal(stacked.max_rel, alone.max_rel)
+    assert stacked.parts == alone.parts
     assert np.array_equal(stacked.retries, alone.retries)
 
 
-def test_stencil_stack_sizes():
-    # a fixed budget of chart coordinates: the README run at (1,1) packs all
-    # 50 samples, the desk corner (3,2) runs them one at a time
-    assert V._stencil_stack(1, 1) >= 50
-    assert V._stencil_stack(3, 2) == 1
+def test_oracle_takes_each_field_class_as_one_stack(monkeypatch):
+    # at (3,2), 50 samples over 5 test fields are 5 oracle calls of 10 points
+    calls = []
+    oracle = V.laplace_beltrami
+
+    def counted(f, p, metric):
+        calls.append(p.batch)
+        return oracle(f, p, metric)
+    monkeypatch.setattr(V, "laplace_beltrami", counted)
+    V.run_check("lb-equivalence-siegel", 3, 2, UNIT, 50, 42)
+    assert calls == [(10,)] * 5
 
 
 @pytest.mark.parametrize("name", [f"lb-equivalence-{kind}" for kind in
@@ -395,9 +403,40 @@ def test_stacked_operators_match_single_point(n, m):
                 assert np.array_equal(got, want), (model, f.name)
 
 
+_OPERATORS = {
+    "upper": [("lap_upper", lambda sb, p: op.lap_upper(sb, p, PARAMS)),
+              ("lap_upper_printed", lambda sb, p: op.lap_upper_printed(sb, p, PARAMS)),
+              ("D", partial(op.op_invariant, "D")), ("L", partial(op.op_invariant, "L"))],
+    "disk": [("lap_disk", lambda sb, p: op.lap_disk(sb, p, PARAMS)),
+             ("lap_disk_printed", lambda sb, p: op.lap_disk_printed(sb, p, PARAMS)),
+             ("Dtilde", partial(op.op_invariant, "Dtilde")),
+             ("Ltilde", partial(op.op_invariant, "Ltilde"))],
+}
+_MAT_ONLY_OPERATORS = {"upper": [("lap_siegel", op.lap_siegel)],
+                       "disk": [("lap_disk_n", op.lap_disk_n)]}
+
+
+@pytest.mark.parametrize("n,m,count", [(3, 2, 256), (2, 2, 1100)])
+def test_operators_keep_a_points_bits_in_a_large_stack(n, m, count):
+    # one bundle of `count` seeded Hermitian slot matrices, far past the size
+    # where numpy's multi-axis sums change order with the memory layout:
+    # every operator's value at a member equals that member's alone
+    members = np.linspace(0, count - 1, 16).astype(int)
+    for model in ("upper", "disk"):
+        p = geo.random_point(model, n, m, list(range(count)))
+        for include_vec, operators in ((True, _OPERATORS), (False, _MAT_ONLY_OPERATORS)):
+            chart = chart_of(model, n, m, include_vec)
+            mixed = V._hermitian(V._seeds(9, np.arange(count), "herm"), chart.n_slots)
+            sb = op.bundle_of(mixed, chart)
+            for name, fn in operators[model]:
+                stacked = fn(sb, p)
+                alone = [fn(op.bundle_of(mixed[k], chart), V._at(p, k)) for k in members]
+                assert stacked.shape == (count,)
+                assert np.array_equal(stacked[members], alone), (model, name)
+
+
 def test_failing_stencil_sample_is_isolated(monkeypatch):
     seed, bad = 42, 3
-    assert V._stencil_stack(1, 1) >= 8   # one stacked call
     clean = V._all_samples("lb-equivalence-disk", 1, 1, UNIT, 8, seed)
     poisoned = geo.random_point("disk", 1, 1, V.sample_seed(seed, bad, "p"))
     correct = V.laplace_beltrami

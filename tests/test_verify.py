@@ -168,11 +168,6 @@ def test_laplace_beltrami_evaluates_the_field_at_4_dim_nodes_per_point(model, ma
     assert calls == [(4 * dim * 3,)]
 
 
-def test_stencil_stack_sizes_follow_the_oracle_tensors():
-    # (2 dim + 1) dim^2 tensor entries per sample within 4 * 24^3 floats
-    assert [V._stencil_stack(n, m) for n, m in [(1, 1), (2, 2), (3, 2)]] == [384, 9, 1]
-
-
 def test_run_check_unknown_name():
     with pytest.raises(V.UnknownCheck):
         V.run_check("nope", 1, 1, UNIT, 5, 0)
