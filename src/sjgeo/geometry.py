@@ -232,27 +232,28 @@ def _moebius_table(g, p) -> tuple:
     return x, pq.p, pq.q, pq.q.conj(), pq.p.conj(), (v, g.xi, g.xi.conj())
 
 
-def _moebius_differential(x, a, c, d, lam, image: tuple, dx, dv) -> tuple:
+def _moebius_differential(a, c, lam, image: tuple, dx, dv) -> tuple:
     """The differential of _moebius's map at (X, V) along tangent blocks:
     with (X', V') = ``image``, the image of (X, V),
 
-        dX' = (A - X'C) dX (CX + D)^-1,
-        dV' = (dV + (Lam - V'C) dX)(CX + D)^-1,
+        dX' = (A - X'C) dX t(A - X'C),
+        dV' = (dV + (Lam - V'C) dX) t(A - X'C),
 
     the exact derivative of the holomorphic map, not a difference quotient.
-    dx and dv carry an axis of tangents before their matrix axes, shapes
-    (..., T, n, n) and (..., T, m, n), whose leading axes broadcast against
-    the point's and the element's stacks.  Built from mat_mul and
-    mat_inverse only, so a point's tangents get the same bits alone or in
+    It reads (CX + D)^-1 off the image by Siegel's identity
+    (CX + D)^-1 = t(A - X'C), exact when [[A, B], [C, D]] is symplectic
+    (tA D - tC B = I, tA C symmetric) and X symmetric, as
+    groups.sp_inverse uses it; a matrix symplectic up to a factor s scales
+    the result by s.  dx and dv carry an axis of tangents before their
+    matrix axes, shapes (..., T, n, n) and (..., T, m, n), whose leading
+    axes broadcast against the point's and the element's stacks.  Built
+    from mat_mul only, so a point's tangents get the same bits alone or in
     a stack of any size.
     """
-    image_x, image_v = image
-    right = mat_inverse(mat_mul(c, x) + d)
-    left = a - mat_mul(image_x, c)
-    shift = lam - mat_mul(image_v, c)
-    right, left, shift = (op[..., None, :, :] for op in (right, left, shift))
-    return (mat_mul(mat_mul(left, dx), right),
-            mat_mul(dv + mat_mul(shift, dx), right))
+    # left = A - X'C and shift = Lam - V'C, with the tangent axis added
+    left, shift = ((k - mat_mul(y, c))[..., None, :, :] for k, y in zip((a, lam), image))
+    return (mat_mul(mat_mul(left, dx), left.mT),
+            mat_mul(dv + mat_mul(shift, dx), left.mT))
 
 
 def act_siegel(m: SpElement, omega: np.ndarray) -> np.ndarray:
@@ -298,9 +299,13 @@ def action_differential(g, p, q, dmat, dvec) -> tuple:
     point, (..., T, n, n) and (..., T, m, n) (see _moebius_differential);
     returns their images (dmat', dvec') at q.  The action is holomorphic,
     so on complex slot coordinates this is the complex Jacobian of the map.
+    Only A, C and Lam of the element enter, with q's blocks in place of
+    (CX + D)^-1: exact for a symplectic Sp part, as random_jacobi makes,
+    and for its theta_map image, whose [[P, Q], [conj(Q), conj(P)]] is
+    complex symplectic.
     """
-    x, a, _, c, d, (_, lam, _) = _moebius_table(g, p)
-    return _moebius_differential(x, a, c, d, lam, _point_blocks(q), dmat, dvec)
+    _, a, _, c, _, (_, lam, _) = _moebius_table(g, p)
+    return _moebius_differential(a, c, lam, _point_blocks(q), dmat, dvec)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +320,19 @@ def cayley(p: DiskPoint) -> UpperPoint:
     return UpperPoint(omega, 2j * p.eta @ inv)
 
 
-def cayley_differential(p: DiskPoint, dmat, dvec) -> tuple:
-    """(dW, deta) at p -> (2i (I-W)^-1 dW (I-W)^-1, 2i (deta + eta (I-W)^-1 dW)(I-W)^-1)
-    at cayley(p), dOmega symmetrised; the blocks broadcast against p's."""
-    inv = mat_inverse(np.eye(p.n) - p.w)
-    d_omega = 2j * inv @ dmat @ inv
-    return 0.5 * (d_omega + d_omega.mT), 2j * (dvec + p.eta @ inv @ dmat) @ inv
+def cayley_differential(p: DiskPoint, q: UpperPoint, dmat, dvec) -> tuple:
+    """The differential of cayley at p, applied to tangent blocks, where
+    q = cayley(p): dmat and dvec hold T tangents per point, (..., T, n, n)
+    and (..., T, m, n), as in action_differential.
+
+    cayley is the Moebius map of [[iI, iI], [-I, I]] on (W, 2i eta), with
+    A = iI, C = -I and Lam = 0, so the shift is Z.  That matrix is
+    symplectic up to the factor tA D - tC B = 2iI, so _moebius_differential
+    gives 2i times the differential, through (I - W)^-1 = (iI + Omega) / 2i.
+    """
+    eye = np.eye(p.n)
+    return tuple(x / 2j for x in _moebius_differential(
+        1j * eye, -eye, 0.0, (q.omega, q.z), dmat, 2j * dvec))
 
 
 def cayley_inv(p: UpperPoint) -> DiskPoint:

@@ -625,15 +625,23 @@ def _chk_cayley_compat(n, m, params, master, idx) -> _Stack:
     return out
 
 
+def _push(differential, p, q, t) -> Tangent:
+    """t at p pushed to q by a closed-form ``differential(p, q, dmat,
+    dvec)`` (geometry.action_differential with its element bound, or
+    geometry.cayley_differential), one tangent per point: the tangent axis
+    the differential takes is added and dropped here."""
+    pushed = differential(p, q, t.dmat[..., None, :, :], t.dvec[..., None, :, :])
+    return Tangent(q.model, *(x[..., 0, :, :] for x in pushed))
+
+
 def _pushed(out, label, act, g, p, q, t) -> Tangent:
     """t at p pushed to q = act(g, p) by the action's closed-form
-    differential (geometry.action_differential), after part ``label``:
-    map_differential's push of t against it."""
-    exact = action_differential(g, p, q, t.dmat[..., None, :, :], t.dvec[..., None, :, :])
-    exact = tuple(x[..., 0, :, :] for x in exact)
+    differential (_push of geometry.action_differential), after part
+    ``label``: map_differential's push of t against it."""
+    exact = _push(partial(action_differential, g), p, q, t)
     moved = map_differential(lambda x: act(g, x), p, t)
-    out.add(label, (moved.dmat, moved.dvec), exact)
-    return Tangent(t.model, *exact)
+    out.add(label, (moved.dmat, moved.dvec), (exact.dmat, exact.dvec))
+    return exact
 
 
 def _chk_metric_invariance_upper(n, m, params, master, idx) -> _Stack:
@@ -682,8 +690,9 @@ def _chk_cayley_isometry(n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
     p = random_point("disk", n, m, _seeds(master, idx, "p"))
     t = random_tangent("disk", n, m, _seeds(master, idx, "t"))
-    moved = Tangent("upper", *cayley_differential(p, t.dmat, t.dvec))
-    out.add("isometry", q_disk(p, t, params), q_upper(cayley(p), moved, params))
+    q = cayley(p)
+    moved = _push(cayley_differential, p, q, t)
+    out.add("isometry", q_disk(p, t, params), q_upper(q, moved, params))
     out.describe(point=p)
     return out
 
@@ -729,9 +738,9 @@ def _chk_pushforward_identities(n, m, params, master, idx) -> _Stack:
     chart = chart_for(p)
     h = 1e-6 * (1.0 + chart.point_scale(p))
     moved = map_differential(cayley, p, t, h=h)
-    d_omega, d_z = cayley_differential(p, t.dmat, t.dvec)
-    out.add("differential-dOmega", moved.dmat, d_omega)
-    out.add("differential-dZ", moved.dvec, d_z)
+    exact = _push(cayley_differential, p, target, t)
+    out.add("differential-dOmega", moved.dmat, exact.dmat)
+    out.add("differential-dZ", moved.dvec, exact.dvec)
     out.describe(point=p)
     return out
 
@@ -811,12 +820,14 @@ def _hermitian(seeds, size: int) -> np.ndarray:
     return seeded(seeds, (size,), lambda s: s.uniform((-1.0, 1.0, (2, size, size))), build)[0]
 
 
-def _slot_jacobian(g, p, q) -> np.ndarray:
-    """J[..., s', s] = dc'_s' / dc_s: the complex Jacobian of the action of
-    g at p in the full chart's complex slot coordinates, where q = g . p;
-    column s is the action's exact differential on slot s's basis tangent."""
-    chart = chart_for(p)
-    return chart.slot_coords(*action_differential(g, p, q, *chart.slot_basis())).mT
+def _slot_jacobian(differential, p, q) -> np.ndarray:
+    """J[..., s', s] = dc'_s' / dc_s: the complex Jacobian at p of a
+    holomorphic map with image q, from p's full chart's complex slots to
+    q's; column s is ``differential(p, q, dmat, dvec)`` on slot s's basis
+    tangent (chart.slot_basis), the map's exact differential: an action's
+    is partial(action_differential, g), the Cayley transform's is
+    cayley_differential."""
+    return chart_for(q).slot_coords(*differential(p, q, *chart_for(p).slot_basis())).mT
 
 
 def _pullbacks(f, jac, p, q, herm) -> tuple:
@@ -882,7 +893,8 @@ def _invariance_sample(n, m, master, suites, idx, parts) -> _Stack:
     (g, s, pu, pd, qu, qd), retries = _redraw(make, _invariance_admissible, master, idx,
                                               "op-inv")
     herm = _hermitian(_seeds(master, idx, "herm"), chart_of("upper", n, m).n_slots)
-    draws = (pu, pd, qu, qd, _slot_jacobian(g, pu, qu), _slot_jacobian(s, pd, qd), herm)
+    draws = (pu, pd, qu, qd, _slot_jacobian(partial(action_differential, g), pu, qu),
+             _slot_jacobian(partial(action_differential, s), pd, qd), herm)
 
     def evaluate(out, j, drawn):
         pu, pd, qu, qd, jac_u, jac_d, herm = drawn

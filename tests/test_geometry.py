@@ -1,4 +1,5 @@
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -301,24 +302,47 @@ def _differential_bits(model: str, case: str, n: int, m: int) -> str:
 
 
 DIFFERENTIAL_DIGESTS = {
-    ("upper", "stacked", 1, 1): "0e1cfb7ea32a2f448b429b119ebd8aed",
-    ("upper", "stacked", 2, 1): "dddbda59561149a1ca9aab18e1b0069f",
-    ("upper", "stacked", 3, 2): "b0e5ef55829dfa698fb8d65f4ecadc05",
+    ("upper", "stacked", 1, 1): "d6205275b36ca9b174dc96e01df80b4b",
+    ("upper", "stacked", 2, 1): "867dc7437d8e7abb5dc2a3f0dd69fe5d",
+    ("upper", "stacked", 3, 2): "b4ffce68c52654ed5be32176a363e9ec",
     ("upper", "single", 1, 1): "9c98815005b4626c56d031183911039a",
-    ("upper", "single", 2, 1): "196ff08dd523caf92bd4c1280c9c4feb",
-    ("upper", "single", 3, 2): "868126ac6f324cd2b1e3375f946fcbc3",
-    ("disk", "stacked", 1, 1): "db86b9166d9932de666c48e1ea8e6f46",
-    ("disk", "stacked", 2, 1): "626b3de8cfedaf6858af24d0e1bdd1d4",
-    ("disk", "stacked", 3, 2): "d423e0cddf95b7bfd4096b3074da2546",
-    ("disk", "single", 1, 1): "e099470e6bed41c8491b8d7f5c705b89",
-    ("disk", "single", 2, 1): "69aa16d821414466b8f5f7250d7caae3",
-    ("disk", "single", 3, 2): "737fa1e964c7b6c73dc54360d3430b91",
+    ("upper", "single", 2, 1): "2d240cdb86b0d0b1c5bc617c5661511b",
+    ("upper", "single", 3, 2): "65f3ae666dea0ca5307a2acce3ce7d23",
+    ("disk", "stacked", 1, 1): "d1a8fd8629ab6cc1d8ad8fefdce5a9c3",
+    ("disk", "stacked", 2, 1): "a04b22886635e2f6d4b9acf487e9889c",
+    ("disk", "stacked", 3, 2): "9f3ef2dd025564e8aaae22e7b4ef4f83",
+    ("disk", "single", 1, 1): "9f53139e907e36020b528a3c41a4100c",
+    ("disk", "single", 2, 1): "ffdd2ad621beb6168b45ac82acf13c8a",
+    ("disk", "single", 3, 2): "e0182e5f110ad323412be29f4857de03",
 }
 
 
 @pytest.mark.parametrize("model,case,n,m", list(DIFFERENTIAL_DIGESTS))
 def test_action_differential_bits_are_pinned(model, case, n, m):
     assert _differential_bits(model, case, n, m) == DIFFERENTIAL_DIGESTS[model, case, n, m]
+
+
+@pytest.mark.parametrize("model", ["upper", "disk", "cayley"])
+def test_closed_form_differentials_invert_nothing(monkeypatch, model):
+    # (CX + D)^-1 is read off the image (Siegel's identity), so a
+    # differential given p and its image q inverts no matrix
+    g = G.random_jacobi(2, 1, 5)
+    p = geo.random_point("upper" if model == "upper" else "disk", 2, 1, 6)
+    if model == "upper":
+        differential, q = partial(geo.action_differential, g), geo.act_upper(g, p)
+    elif model == "disk":
+        s = G.theta_map(g)
+        differential, q = partial(geo.action_differential, s), geo.act_disk(s, p)
+    else:
+        differential, q = geo.cayley_differential, geo.cayley(p)
+    calls = []
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return mat_inverse(mat)
+    monkeypatch.setattr(geo, "mat_inverse", counted)
+    differential(p, q, *Chart(p.model, 2, 1).slot_basis())
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,10 @@ def test_cayley_isometry_exact_differential(n, m):
         p = geo.random_point("disk", n, m, seed)
         t = me.random_tangent("disk", n, m, seed)
         qd = me.q_disk(p, t, params)
-        moved = me.Tangent("upper", *geo.cayley_differential(p, t.dmat, t.dvec))
-        qu = me.q_upper(geo.cayley(p), moved, params)
+        q = geo.cayley(p)
+        moved = me.Tangent("upper", *(x[0] for x in geo.cayley_differential(
+            p, q, t.dmat[None], t.dvec[None])))
+        qu = me.q_upper(q, moved, params)
         assert abs(qd - qu) <= 1e-12 * (1 + max(abs(qd), abs(qu)))
 
 

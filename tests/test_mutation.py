@@ -186,12 +186,12 @@ def test_invariance_holds_at_tiny_weights_and_still_catches_a_mutant(monkeypatch
 
 
 def test_differential_without_its_shift_term_fails(monkeypatch):
-    # drop -V'C dX from dV' = (dV + (Lam - V'C) dX)(CX + D)^-1: with V' = 0
+    # drop -V'C dX from dV' = (dV + (Lam - V'C) dX) t(A - X'C): with V' = 0
     # the helper computes exactly that
     correct = geo._moebius_differential
 
-    def dropped(x, a, c, d, lam, image, dx, dv):
-        return correct(x, a, c, d, lam, (image[0], np.zeros_like(image[1])), dx, dv)
+    def dropped(a, c, lam, image, dx, dv):
+        return correct(a, c, lam, (image[0], np.zeros_like(image[1])), dx, dv)
     monkeypatch.setattr(geo, "_moebius_differential", dropped)
     rep = _run("metric-invariance-upper")
     assert not rep.passed and rep.worst["part"] == "upper-differential", rep.parts

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -312,8 +313,8 @@ def test_redraw_gives_up_after_max_retries():
 ])
 def test_invariance_draws_once_per_block_and_applies_each_operator_once_per_point(
         monkeypatch, name, want):
-    # at (3,2) the 4 samples are 4 sub-stacks of one sample, yet the block
-    # takes one _redraw and one Jacobian per model; each sub-stack applies
+    # at (3,2) the 4 samples are 4 field classes of one sample each, yet the
+    # block takes one _redraw and one Jacobian per model; each class applies
     # each operator once per model, to the field's and the Hermitian
     # matrix's bundles at both points (p and q) together (4 members); the
     # remark's splits take the field's at q alone
@@ -324,9 +325,9 @@ def test_invariance_draws_once_per_block_and_applies_each_operator_once_per_poin
         redraws.append(len(idx))
         return redraw(make, accept, master, idx, tag)
 
-    def counted_jacobian(g, p, q):
+    def counted_jacobian(differential, p, q):
         jacobians.append(p.batch)
-        return slot_jacobian(g, p, q)
+        return slot_jacobian(differential, p, q)
 
     monkeypatch.setattr(V, "_redraw", counted_redraw)
     monkeypatch.setattr(V, "_slot_jacobian", counted_jacobian)
@@ -366,6 +367,14 @@ def test_invariance_sample_never_admissible_fails_alone(monkeypatch, name):
                     == (clean.max_rel[k], clean.max_abs[k], clean.labels[k], clean.retries[k]))
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: at tiny weights the residual's 1 + vanishes, and the "
+    "field parts compare finite-difference noise on near-zero Laplacians"))
+def test_laplacian_invariance_passes_at_tiny_weights_on_40_samples():
+    # sample 7 raises ArithmeticError (lap_upper's realness guard)
+    assert V.run_check("laplacian-invariance", 2, 1, MetricParams(1e-20, 1e-20), 40, 0).passed
+
+
 def test_nonunit_parameters():
     params = MetricParams(2.5, 0.3)
     for name in ("metric-invariance-disk", "cayley-isometry"):
@@ -375,8 +384,9 @@ def test_nonunit_parameters():
     assert rep.passed and rep.constant == pytest.approx(1.0, abs=1e-4)
 
 
-# The action's complex Jacobian in slot coordinates, from its exact
-# differential (geometry.action_differential on the chart's slot basis).
+# The complex Jacobian in slot coordinates of an action, or of the Cayley
+# transform, from its exact differential (geometry.action_differential or
+# geometry.cayley_differential on the chart's slot basis).
 
 def _element(model, n, m, seed):
     g = G.random_jacobi(n, m, seed)
@@ -387,43 +397,50 @@ def _act(model):
     return geo.act_upper if model == "upper" else geo.act_disk
 
 
+def _map(model, n, m, seed):
+    """The map of a case with its closed-form differential, and the model
+    of the points it takes: the action of a seeded element, or cayley."""
+    if model == "cayley":
+        return geo.cayley, geo.cayley_differential, "disk"
+    g = _element(model, n, m, seed)
+    return partial(_act(model), g), partial(geo.action_differential, g), model
+
+
 @pytest.mark.parametrize("model", ["upper", "disk"])
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
 def test_identity_element_has_the_identity_jacobian(model, n, m):
     e = G.jacobi_identity(n, m) if model == "upper" else G.jacobistar_identity(n, m)
     p = geo.random_point(model, n, m, [3, 4])
-    jac = V._slot_jacobian(e, p, _act(model)(e, p))
+    jac = V._slot_jacobian(partial(geo.action_differential, e), p, _act(model)(e, p))
     slots = Chart(model, n, m).n_slots
     assert jac.shape == (2, slots, slots)
     assert np.array_equal(jac, np.broadcast_to(np.eye(slots), jac.shape))
 
 
-@pytest.mark.parametrize("model", ["upper", "disk"])
+@pytest.mark.parametrize("model", ["upper", "disk", "cayley"])
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 2)])
 def test_stacked_jacobian_has_each_samples_bytes(model, n, m):
     seeds = [11, 12, 13, 14, 15]
-    g = _element(model, n, m, seeds)
-    p = geo.random_point(model, n, m, seeds)
-    jac = V._slot_jacobian(g, p, _act(model)(g, p))
+    fn, differential, domain = _map(model, n, m, seeds)
+    p = geo.random_point(domain, n, m, seeds)
+    jac = V._slot_jacobian(differential, p, fn(p))
     for k, seed in enumerate(seeds):
-        gk = _element(model, n, m, seed)
-        pk = geo.random_point(model, n, m, seed)
-        alone = V._slot_jacobian(gk, pk, _act(model)(gk, pk))
+        fn, differential, _ = _map(model, n, m, seed)
+        pk = geo.random_point(domain, n, m, seed)
+        alone = V._slot_jacobian(differential, pk, fn(pk))
         assert jac[k].tobytes() == alone.tobytes()
 
 
-@pytest.mark.parametrize("model", ["upper", "disk"])
+@pytest.mark.parametrize("model", ["upper", "disk", "cayley"])
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
 def test_jacobian_matches_map_differential_on_the_slot_basis(model, n, m):
-    chart = Chart(model, n, m)
-    basis = Tangent(model, *chart.slot_basis())
     for seed in range(3):
-        g = _element(model, n, m, 20 + seed)
-        p = geo.random_point(model, n, m, 30 + seed)
-        act = _act(model)
-        moved = V.map_differential(lambda q: act(g, q), p, basis)
-        fd = chart.slot_coords(moved.dmat, moved.dvec).T
-        exact = V._slot_jacobian(g, p, act(g, p))
+        fn, differential, domain = _map(model, n, m, 20 + seed)
+        p = geo.random_point(domain, n, m, 30 + seed)
+        q = fn(p)
+        moved = V.map_differential(fn, p, Tangent(domain, *Chart(domain, n, m).slot_basis()))
+        fd = Chart(q.model, n, m).slot_coords(moved.dmat, moved.dvec).T
+        exact = V._slot_jacobian(differential, p, q)
         assert max_abs(exact - fd) / (1.0 + max_abs(exact)) <= 1e-7
 
 
