@@ -13,10 +13,11 @@ reports write the same bytes:
     cmp old.json new.json
 
 ``--compare OLD.json`` computes the reports, pairs them with OLD.json's by
-(check, n, m, seed) and prints one line per report that differs (its key,
-max_rel and pass before and after), then a one-line summary; the exit code
-is 1 when a report's pass/fail result flipped, or when OLD.json does not
-hold the same runs:
+(check, n, m, seed) and prints one line per report that differs (its key;
+what differs: top-level keys, ``parts[label]`` and ``worst[key]``; max_rel
+and pass before and after), then a one-line summary; the exit code is 1
+when a report's pass/fail result flipped, or when OLD.json does not hold
+the same runs:
 
     PYTHONPATH=src python scripts/reference_reports.py --compare old.json
 """
@@ -75,6 +76,21 @@ def _key(rep: dict) -> tuple:
     return rep["check"], rep["n"], rep["m"], rep["seed"]
 
 
+def _differences(before: dict, after: dict) -> list[str]:
+    """The names of what differs between two reports of one run: each
+    top-level key, but a label of ``parts`` or a key of ``worst`` on its own."""
+    names = []
+    for key in sorted(before.keys() | after.keys()):
+        b, a = before.get(key), after.get(key)
+        if b == a:
+            continue
+        if key in ("parts", "worst") and isinstance(b, dict) and isinstance(a, dict):
+            names += [f"{key}[{k}]" for k in sorted(b.keys() | a.keys()) if b.get(k) != a.get(k)]
+        else:
+            names.append(key)
+    return names
+
+
 def compare(old: list, new: list) -> tuple[list[str], bool]:
     """One line per report that differs, a summary line last, and whether
     the comparison failed: a flipped pass/fail result, or files that do not
@@ -94,7 +110,8 @@ def compare(old: list, new: list) -> tuple[list[str], bool]:
         flips += flipped
         change = _decades(b["max_rel"], a["max_rel"])
         rise = max(rise, (change, label), key=lambda r: r[0])
-        lines.append(f"{label}: max_rel {b['max_rel']:.3e} -> {a['max_rel']:.3e} "
+        lines.append(f"{label}: differs in {', '.join(_differences(b, a))}; "
+                     f"max_rel {b['max_rel']:.3e} -> {a['max_rel']:.3e} "
                      f"({change:+.2f} dec), pass {b['pass']} -> {a['pass']}"
                      + ("  FLIPPED" if flipped else ""))
     worst = "none" if rise[1] is None else f"{rise[0]:+.2f} dec ({rise[1]})"

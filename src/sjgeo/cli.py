@@ -50,6 +50,10 @@ def _error(exc: Exception) -> int:
     return 2
 
 
+def _cannot_write(path: str, exc: OSError) -> str:
+    return f"cannot write the report to {path}: {exc.strerror}"
+
+
 def _unwritable(path: str) -> str | None:
     """Why a report cannot be written to ``path``, or None when it can.
 
@@ -61,7 +65,7 @@ def _unwritable(path: str) -> str | None:
         with open(path, "a"):
             pass
     except OSError as exc:
-        return f"cannot write the report to {path}: {exc.strerror}"
+        return _cannot_write(path, exc)
     if not existed:
         os.remove(path)
     return None
@@ -188,8 +192,12 @@ def _cmd_verify(args) -> int:
         payload = reports[0] if args.check != "all" else reports
         text = _json_text(payload, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:   # such as a full disk, after the checks ran
+            _log(f"error: {_cannot_write(args.out, exc)}")
+            return 2
         _log(f"report written to {args.out}")
     else:
         sys.stdout.write(text)
@@ -198,9 +206,12 @@ def _cmd_verify(args) -> int:
 
 def _load(path: str, parse):
     """parse() of a JSON file's content; content of the wrong shape or
-    type is a ValueError."""
+    type, or nested too deeply to parse, is a ValueError."""
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"malformed {path}: nested too deeply") from None
     try:
         return parse(obj)
     except (KeyError, TypeError, IndexError) as exc:

@@ -43,7 +43,6 @@ __all__ = [
     "mat_mul",
     "mat_inverse",
     "hermitian_pd_margin",
-    "max_abs",
     "mat_max_abs",
     "sym_defect",
     "mat_to_json",
@@ -454,11 +453,6 @@ def seeded(seed, sizes, draw, build) -> tuple:
     stream = SeedStream(seed)
     built = build(*draw(stream))
     return built if stream.stacked else tuple(a[0] for a in built)
-
-
-def max_abs(m) -> float:
-    """Max-norm (largest entry magnitude)."""
-    return float(np.max(np.abs(np.asarray(m))))
 
 
 def _per_matrix(values: np.ndarray):

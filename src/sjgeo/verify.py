@@ -463,7 +463,11 @@ def _redraw(make, accept, master: int, idx, tag: str):
 # sample k draws alone, as in a one-sample run, and each identity is
 # evaluated once on the stack.  A stencil check (and tensor-pd, by model)
 # evaluates its block as one stack per class (_grouped), each on its
-# slice of the block's draws.
+# slice of the block's draws.  A law stated for several groups, actions or
+# models is written once, as a loop over a table of its cases built inside
+# the sampler, so it holds the module's functions as they are at the call.
+# The loop adds the parts in the table's order: of two equal residuals, the
+# later part names the sample's worst.
 
 
 def _grouped(count: int, idx, drawn, retries, evaluate) -> _Stack:
@@ -500,42 +504,27 @@ def _chk_group_laws(n, m, params, master, idx) -> _Stack:
     out = _Stack(idx)
     hs = [random_heisenberg(n, m, _seeds(master, idx, "h", k)) for k in range(3)]
     gs = [random_jacobi(n, m, _seeds(master, idx, "g", k)) for k in range(3)]
-    ss = [theta_map(g) for g in gs]
-
-    h12 = heisenberg_mul(hs[0], hs[1])
-    lhs = heisenberg_mul(h12, hs[2])
-    rhs = heisenberg_mul(hs[0], heisenberg_mul(hs[1], hs[2]))
-    out.add("heisenberg-assoc", _heisenberg_parts(lhs), _heisenberg_parts(rhs))
-    e = heisenberg_identity(n, m)
-    out.add("heisenberg-identity", heisenberg_mul(hs[0], e).kappa, hs[0].kappa)
-    inv = heisenberg_mul(hs[0], heisenberg_inverse(hs[0]))
-    out.add_residual("heisenberg-inverse",
-                     np.maximum.reduce([_sample_max(a) for a in _heisenberg_parts(inv)]))
-    out.add_residual("heisenberg-symmetry", heisenberg_defect(h12),
-                     mat_max_abs(h12.kappa))
-
-    g12 = jacobi_mul(gs[0], gs[1])
-    lhs_g = jacobi_mul(g12, gs[2])
-    rhs_g = jacobi_mul(gs[0], jacobi_mul(gs[1], gs[2]))
-    out.add("jacobi-assoc", _jacobi_parts(lhs_g), _jacobi_parts(rhs_g))
-    out.add("jacobi-identity", _jacobi_parts(jacobi_mul(gs[0], jacobi_identity(n, m))),
-            _jacobi_parts(gs[0]))
-    ginv = jacobi_mul(gs[0], jacobi_inverse(gs[0]))
-    out.add("jacobi-inverse", _jacobi_parts(ginv), _jacobi_parts(jacobi_identity(n, m)))
-    out.add_residual("jacobi-symmetry", heisenberg_defect(g12.h), mat_max_abs(g12.h.kappa))
-    out.add_residual("sp-closure", sp_defect(g12.sp),
-                     mat_max_abs(g12.sp.matrix()) ** 2)
-
-    s12 = jacobistar_mul(ss[0], ss[1])
-    lhs_s = jacobistar_mul(s12, ss[2])
-    rhs_s = jacobistar_mul(ss[0], jacobistar_mul(ss[1], ss[2]))
-    out.add("star-assoc", _star_parts(lhs_s), _star_parts(rhs_s))
-    out.add("star-identity", _star_parts(jacobistar_mul(ss[0], jacobistar_identity(n, m))),
-            _star_parts(ss[0]))
-    sinv = jacobistar_mul(ss[0], jacobistar_inverse(ss[0]))
-    out.add("star-inverse", _star_parts(sinv), _star_parts(jacobistar_identity(n, m)))
-    out.add_residual("star-closure", jacobistar_defect(s12),
-                     mat_max_abs(s12.g.p) ** 2)
+    # per group: three elements, its product, identity, inverse and parts,
+    # and the defects (label, value, scale) that vanish on a product
+    laws = (
+        ("heisenberg", hs, heisenberg_mul, heisenberg_identity, heisenberg_inverse,
+         _heisenberg_parts,
+         lambda h: [("heisenberg-symmetry", heisenberg_defect(h), mat_max_abs(h.kappa))]),
+        ("jacobi", gs, jacobi_mul, jacobi_identity, jacobi_inverse, _jacobi_parts,
+         lambda g: [("jacobi-symmetry", heisenberg_defect(g.h), mat_max_abs(g.h.kappa)),
+                    ("sp-closure", sp_defect(g.sp), mat_max_abs(g.sp.matrix()) ** 2)]),
+        ("star", [theta_map(g) for g in gs], jacobistar_mul, jacobistar_identity,
+         jacobistar_inverse, _star_parts,
+         lambda s: [("star-closure", jacobistar_defect(s), mat_max_abs(s.g.p) ** 2)]),
+    )
+    for name, (x, y, z), mul, identity, inverse, parts, defects in laws:
+        xy = mul(x, y)
+        out.add(f"{name}-assoc", parts(mul(xy, z)), parts(mul(x, mul(y, z))))
+        e = identity(n, m)
+        out.add(f"{name}-identity", parts(mul(x, e)), parts(x))
+        out.add(f"{name}-inverse", parts(mul(x, inverse(x))), parts(e))
+        for label, defect, scale in defects(xy):
+            out.add_residual(label, defect, scale)
     out.describe(element=gs[0])
     return out
 
@@ -568,26 +557,25 @@ def _chk_action_axioms(n, m, params, master, idx) -> _Stack:
     g2 = random_jacobi(n, m, _seeds(master, idx, "g", 1))
     pu = random_point("upper", n, m, _seeds(master, idx, "pu"))
     pd = random_point("disk", n, m, _seeds(master, idx, "pd"))
-
-    om_lhs = act_siegel(jacobi_mul(g1, g2).sp, pu.omega)
-    om_rhs = act_siegel(g1.sp, act_siegel(g2.sp, pu.omega))
-    out.add("siegel-assoc", om_lhs, om_rhs)
-    out.add("siegel-identity", act_siegel(jacobi_identity(n, m).sp, pu.omega), pu.omega)
-
-    up_lhs = act_upper(jacobi_mul(g1, g2), pu)
-    up_rhs = act_upper(g1, act_upper(g2, pu))
-    out.add("upper-assoc", (up_lhs.omega, up_lhs.z), (up_rhs.omega, up_rhs.z))
-    out.add("upper-identity", act_upper(jacobi_identity(n, m), pu).omega, pu.omega)
-
     s1, s2 = theta_map(g1), theta_map(g2)
-    dk_lhs = act_disk(jacobistar_mul(s1, s2), pd)
-    dk_rhs = act_disk(s1, act_disk(s2, pd))
-    out.add("disk-assoc", (dk_lhs.w, dk_lhs.eta), (dk_rhs.w, dk_rhs.eta))
-    out.add("disk-identity", act_disk(jacobistar_identity(n, m), pd).w, pd.w)
+    # per space: the action, its group's product and identity, two elements,
+    # a point and the point's parts; Omega moves by a Jacobi element's Sp part
+    actions = (
+        ("siegel", lambda g, omega: act_siegel(g.sp, omega), jacobi_mul, jacobi_identity,
+         g1, g2, pu.omega, lambda omega: omega),
+        ("upper", act_upper, jacobi_mul, jacobi_identity, g1, g2, pu,
+         lambda p: (p.omega, p.z)),
+        ("disk", act_disk, jacobistar_mul, jacobistar_identity, s1, s2, pd,
+         lambda p: (p.w, p.eta)),
+    )
+    moved = {}
+    for name, act, mul, identity, x, y, p, parts in actions:
+        moved[name] = act(mul(x, y), p)
+        out.add(f"{name}-assoc", parts(moved[name]), parts(act(x, act(y, p))))
+        out.add(f"{name}-identity", parts(act(identity(n, m), p)), parts(p))
 
     # transformed points must stay inside their domains
-    found = {tag: validate_point(pt, strict=False) for tag, pt in (("upper", up_lhs),
-                                                                   ("disk", dk_lhs))}
+    found = {tag: validate_point(moved[tag], strict=False) for tag in ("upper", "disk")}
     for tag, problems in found.items():
         bad = np.array([bool(p) for p in problems])
         out.add_residual(f"domain-{tag}", 1.0, where=bad)
@@ -634,55 +622,41 @@ def _push(differential, p, q, t) -> Tangent:
     return Tangent(q.model, *(x[..., 0, :, :] for x in pushed))
 
 
-def _pushed(out, label, act, g, p, q, t) -> Tangent:
-    """t at p pushed to q = act(g, p) by the action's closed-form
-    differential (_push of geometry.action_differential), after part
-    ``label``: map_differential's push of t against it."""
-    exact = _push(partial(action_differential, g), p, q, t)
-    moved = map_differential(lambda x: act(g, x), p, t)
-    out.add(label, (moved.dmat, moved.dvec), (exact.dmat, exact.dvec))
-    return exact
-
-
-def _chk_metric_invariance_upper(n, m, params, master, idx) -> _Stack:
+def _metric_invariance(model, n, m, params, master, idx) -> _Stack:
+    """The invariant forms of ``model`` on a tangent t at p against theirs on
+    t pushed to q = g . p by the action's closed-form differential, after
+    part <model>-differential: map_differential's push against that one."""
+    # per model: the action, the element it takes from a Jacobi element, and
+    # the forms; Omega moves by g's Sp part alone, so the push of dOmega is
+    # the same for q_siegel
+    act, element, forms = {
+        "upper": (act_upper, lambda g: g,
+                  (("upper-family", lambda p, t: q_upper(p, t, params)),
+                   ("siegel", lambda p, t: q_siegel(p.omega, t)))),
+        "disk": (act_disk, theta_map,
+                 (("disk-family", lambda p, t: q_disk(p, t, params)),
+                  ("disk-base", lambda p, t: q_disk_n(p.w, t)))),
+    }[model]
     out = _Stack(idx)
 
     def make(seeds):
         # the draws carry their images: accept judges them, and the forms use them
-        g = random_jacobi(n, m, seeds)
-        p = random_point("upper", n, m, _seeds(seeds, "p"))
-        return g, p, act_upper(g, p)
+        g = element(random_jacobi(n, m, seeds))
+        p = random_point(model, n, m, _seeds(seeds, "p"))
+        return g, p, act(g, p)
 
     def accept(draws):
         return point_margin(draws[2]) >= _MIN_MARGIN_METRIC
 
-    (g, p, q), out.retries = _redraw(make, accept, master, idx, "mi-upper")
-    t = random_tangent("upper", n, m, _seeds(master, idx, "t"))
-    moved = _pushed(out, "upper-differential", act_upper, g, p, q, t)
-    out.add("upper-family", q_upper(p, t, params), q_upper(q, moved, params))
-    # Omega moves by g's Sp part alone, so the push of dOmega is the same
-    out.add("siegel", q_siegel(p.omega, t), q_siegel(q.omega, moved))
-    out.describe(point=p, element=g)
-    return out
-
-
-def _chk_metric_invariance_disk(n, m, params, master, idx) -> _Stack:
-    out = _Stack(idx)
-
-    def make(seeds):
-        s = theta_map(random_jacobi(n, m, seeds))
-        p = random_point("disk", n, m, _seeds(seeds, "p"))
-        return s, p, act_disk(s, p)
-
-    def accept(draws):
-        return point_margin(draws[2]) >= _MIN_MARGIN_METRIC
-
-    (s, p, q), out.retries = _redraw(make, accept, master, idx, "mi-disk")
-    t = random_tangent("disk", n, m, _seeds(master, idx, "t"))
-    moved = _pushed(out, "disk-differential", act_disk, s, p, q, t)
-    out.add("disk-family", q_disk(p, t, params), q_disk(q, moved, params))
-    out.add("disk-base", q_disk_n(p.w, t), q_disk_n(q.w, moved))
-    out.describe(point=p)
+    (g, p, q), out.retries = _redraw(make, accept, master, idx, f"mi-{model}")
+    t = random_tangent(model, n, m, _seeds(master, idx, "t"))
+    exact = _push(partial(action_differential, g), p, q, t)
+    moved = map_differential(lambda x: act(g, x), p, t)
+    out.add(f"{model}-differential", (moved.dmat, moved.dvec), (exact.dmat, exact.dvec))
+    for label, form in forms:
+        out.add(label, form(p, t), form(q, exact))
+    # a disk element's description is not kept: it is the larger by far
+    out.describe(point=p, **({"element": g} if model == "upper" else {}))
     return out
 
 
@@ -961,8 +935,8 @@ _CHECKS: dict[str, _CheckDef] = {
     "action-axioms": _CheckDef(_chk_action_axioms, 1e-9),
     "cayley-roundtrip": _CheckDef(_chk_cayley_roundtrip, 1e-10),
     "cayley-compat": _CheckDef(_chk_cayley_compat, 1e-9),
-    "metric-invariance-upper": _CheckDef(_chk_metric_invariance_upper, 1e-5),
-    "metric-invariance-disk": _CheckDef(_chk_metric_invariance_disk, 1e-5),
+    **{f"metric-invariance-{model}": _CheckDef(partial(_metric_invariance, model), 1e-5)
+       for model in ("upper", "disk")},
     "cayley-isometry": _CheckDef(_chk_cayley_isometry, 1e-10),
     "tensor-pd": _CheckDef(_chk_tensor_pd, 1e-9),
     **{f"lb-equivalence-{kind}": _CheckDef(partial(_lb_pair, kind), 1e-3,

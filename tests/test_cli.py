@@ -88,6 +88,18 @@ def test_verify_unwritable_out_exits_2_before_any_check(capsys, tmp_path, monkey
     assert os.listdir(tmp_path) == []   # and nothing was created
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_verify_report_that_cannot_be_written_exits_2(capsys):
+    # /dev/full opens but refuses the write, after the checks ran
+    code, out, err = run_cli(capsys, "verify", "group-laws", "--samples", "2",
+                             "--out", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: cannot write the report to /dev/full: No space left on device"]
+    assert "Traceback" not in err
+
+
 def test_verify_invariance_passes_at_tiny_weights(capsys):
     # the operators scale as 1/A and 1/B, but both sides of each invariance
     # residual are built from one mixed matrix, so none is noise against noise
@@ -222,6 +234,18 @@ def test_eval_rejects_bad_json(capsys, tmp_path):
     code, out, err = run_cli(capsys, "eval", "metric", "--point", str(bad),
                              "--tangent", str(bad))
     assert code == 2
+
+
+def test_eval_rejects_a_file_nested_too_deeply(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    origin = _write_origin_point(tmp_path)
+    for point, tangent in ((deep, origin), (origin, deep)):
+        code, out, err = run_cli(capsys, "eval", "metric", "--point", str(point),
+                                 "--tangent", str(tangent))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: malformed {deep}: nested too deeply"]
 
 
 def test_eval_rejects_invalid_point(capsys, tmp_path):

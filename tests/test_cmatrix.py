@@ -13,8 +13,12 @@ from sjgeo.cmatrix import (
     mat_inverse,
     mat_mul,
     mat_to_json,
-    max_abs,
 )
+
+
+def max_abs(x) -> float:
+    """Largest entry magnitude of an array."""
+    return float(np.max(np.abs(x)))
 
 
 def _rand_complex(rng, rows, cols):

@@ -6,8 +6,13 @@ import pytest
 
 from sjgeo import geometry as geo
 from sjgeo import groups as G
-from sjgeo.cmatrix import PIVOT_RTOL, SingularMatrix, mat_inverse, max_abs
+from sjgeo.cmatrix import PIVOT_RTOL, SingularMatrix, mat_inverse
 from sjgeo.metrics import Chart
+
+
+def max_abs(x) -> float:
+    """Largest entry magnitude of an array."""
+    return float(np.max(np.abs(x)))
 
 
 def _pt_flat(p):

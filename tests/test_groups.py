@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sjgeo import groups as G
-from sjgeo.cmatrix import max_abs
+
+
+def max_abs(x) -> float:
+    """Largest entry magnitude of an array."""
+    return float(np.max(np.abs(x)))
 
 
 def _flat_h(h):

@@ -5,7 +5,13 @@ import pytest
 
 from sjgeo import geometry as geo
 from sjgeo import metrics as me
-from sjgeo.cmatrix import mat_inverse, max_abs
+from sjgeo.cmatrix import mat_inverse
+
+
+def max_abs(x) -> float:
+    """Largest entry magnitude of an array."""
+    return float(np.max(np.abs(x)))
+
 
 UNIT = me.MetricParams(1.0, 1.0)
 

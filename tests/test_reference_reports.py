@@ -37,7 +37,7 @@ def test_compare_lists_each_differing_report_and_sums_up(script):
     new[k]["max_rel"] = 1e-11
     lines, failed = script.compare(old[::-1], new)   # the order of the old file is free
     assert not failed
-    assert lines[0] == ("reduce-n1m1 n=1 m=1 seed=7: "
+    assert lines[0] == ("reduce-n1m1 n=1 m=1 seed=7: differs in max_rel; "
                         "max_rel 1.000e-12 -> 1.000e-11 (+1.00 dec), pass True -> True")
     assert lines[1].startswith(f"1 of {len(old)} reports differ, 0 pass/fail flipped; "
                                f"largest max_rel rise +1.00 dec")
@@ -55,3 +55,21 @@ def test_compare_fails_on_a_flip_or_a_different_layout(script):
     assert failed and len(lines) == 1
     lines, failed = script.compare(old + old[:1], old)   # a run twice
     assert failed and len(lines) == 1
+
+
+def test_compare_names_the_keys_parts_and_worst_keys_that_differ(script):
+    old = _reports(script)
+    for rep in old:
+        rep.update(max_abs=1e-12, parts={"assoc": 1e-12, "inverse": 0.0},
+                   worst={"part": "assoc", "sample": 3})
+    new = copy.deepcopy(old)
+    new[0]["max_abs"] = 2e-12
+    new[0]["parts"].update(inverse=1e-13, closure=0.0)   # one changed, one new
+    new[0]["worst"]["sample"] = 4
+    del new[1]["parts"]   # as in a file written before the key existed: named whole
+    lines, failed = script.compare(old, new)
+    assert not failed
+    assert lines[0].split("; ")[0].endswith(
+        ": differs in max_abs, parts[closure], parts[inverse], worst[sample]")
+    assert lines[1].split("; ")[0].endswith(": differs in parts")
+    assert lines[2].startswith("2 of ")
