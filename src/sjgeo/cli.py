@@ -205,8 +205,9 @@ def _cmd_verify(args) -> int:
 
 
 def _load(path: str, parse):
-    """parse() of a JSON file's content; content of the wrong shape or
-    type, or nested too deeply to parse, is a ValueError."""
+    """parse() of a JSON file's content; content of the wrong shape, type
+    or value, or nested too deeply to parse, is a ValueError that names
+    the file."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -214,7 +215,7 @@ def _load(path: str, parse):
             raise ValueError(f"malformed {path}: nested too deeply") from None
     try:
         return parse(obj)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed {path}: {type(exc).__name__}: {exc}") from None
 
 

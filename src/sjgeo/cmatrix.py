@@ -608,10 +608,17 @@ def mat_to_json(m: np.ndarray) -> dict:
 
 
 def mat_from_json(obj: dict) -> np.ndarray:
-    """Inverse of mat_to_json, with shape validation."""
+    """Inverse of mat_to_json, with shape validation; a ValueError names
+    the first entry of ``data`` that is not a [re, im] pair of numbers."""
     rows, cols = int(obj["rows"]), int(obj["cols"])
     data = obj["data"]
     if len(data) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+    flat = np.empty(len(data), dtype=np.complex128)
+    for k, entry in enumerate(data):
+        try:
+            re, im = entry
+            flat[k] = complex(re, im)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"data entry {k} is not a [re, im] pair of numbers") from None
     return as_cmatrix(flat.reshape(rows, cols))

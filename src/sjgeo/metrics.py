@@ -35,7 +35,6 @@ from .cmatrix import (
     mat_inverse,
     mat_max_abs,
     mat_mul,
-    mat_to_json,
     seeded,
     sym_defect,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "q_disk_closed_11",
     "metric_tensor",
     "random_tangent",
-    "tangent_to_json",
     "tangent_from_json",
 ]
 
@@ -246,9 +244,6 @@ class Chart:
         if t.model != self.model:
             raise ValueError("tangent model does not match the chart")
         return self._pack(t.dmat, t.dvec)
-
-    def vec_to_tangent(self, v: np.ndarray) -> Tangent:
-        return Tangent(self.model, *self._unpack(v))
 
     def slot_basis(self):
         """Stacked dmat / dvec arrays of one basis tangent per complex slot:
@@ -535,11 +530,6 @@ def random_tangent(model: str, n: int, m: int, seed) -> Tangent:
     """One seed's tangent, or the stack of an array of seeds' (cmatrix.seeded)."""
     return Tangent(model, *seeded(seed, (n, m), lambda s: _tangent_draw(n, m, s),
                                   _tangent_blocks))
-
-
-def tangent_to_json(t: Tangent) -> dict:
-    return {"model": t.model, "n": t.n, "m": t.m,
-            "dmat": mat_to_json(t.dmat), "dvec": mat_to_json(t.dvec)}
 
 
 def tangent_from_json(obj: dict) -> Tangent:

@@ -86,22 +86,22 @@ def test_criterion_05_harish_chandra_route(action_axioms):
 def test_criterion_06_upper_metric_invariance():
     worst = 0.0
     for (n, m) in [(1, 1), (2, 1), (2, 2)]:
-        rep = _run("metric-invariance-upper", n, m, 100, 1e-5)
+        rep = _run("metric-invariance-upper", n, m, 100, 1e-9)
         worst = max(worst, rep.max_rel)
         assert rep.passed
-    _line("criterion-6 upper-metric-invariance", f"max_rel={worst:.2e} tol=1e-5",
-          worst <= 1e-5)
+    _line("criterion-6 upper-metric-invariance", f"max_rel={worst:.2e} tol=1e-9",
+          worst <= 1e-9)
 
 
 def test_criterion_07_disk_metric_invariance_and_positivity():
     worst = 0.0
     for (n, m) in [(1, 1), (2, 1), (2, 2)]:
-        rep = _run("metric-invariance-disk", n, m, 100, 1e-5)
+        rep = _run("metric-invariance-disk", n, m, 100, 1e-9)
         worst = max(worst, rep.max_rel)
         assert rep.passed
     rep_pd = _run("tensor-pd", 2, 2, 100, 1e-9)
-    _line("criterion-7a disk-metric-invariance", f"max_rel={worst:.2e} tol=1e-5",
-          worst <= 1e-5)
+    _line("criterion-7a disk-metric-invariance", f"max_rel={worst:.2e} tol=1e-9",
+          worst <= 1e-9)
     _line("criterion-7b tensor-positivity",
           f"tensor-pd={rep_pd.parts['tensor-pd']:.1e} at 100 points",
           rep_pd.passed and rep_pd.parts["tensor-pd"] == 0.0)
@@ -165,10 +165,10 @@ def test_criterion_11_n1m1_reduction():
 def test_criterion_12_pushforward_identities():
     worst_point = worst_diff = 0.0
     for (n, m) in [(1, 1), (2, 1), (2, 2)]:
-        parts = _run("pushforward-identities", n, m, 100, 1e-6).parts
+        parts = _run("pushforward-identities", n, m, 100, 1e-9).parts
         worst_point = max(worst_point, parts["point-identity-Y"], parts["point-identity-V"])
         worst_diff = max(worst_diff, parts["differential-dOmega"], parts["differential-dZ"])
     _line("criterion-12a point identities", f"max_rel={worst_point:.2e} tol=1e-10",
           worst_point <= 1e-10)
-    _line("criterion-12b differential identities", f"max_rel={worst_diff:.2e} tol=1e-6",
-          worst_diff <= 1e-6)
+    _line("criterion-12b differential identities", f"max_rel={worst_diff:.2e} tol=1e-9",
+          worst_diff <= 1e-9)

@@ -248,6 +248,22 @@ def test_eval_rejects_a_file_nested_too_deeply(capsys, tmp_path):
         assert err.splitlines() == [f"error: malformed {deep}: nested too deeply"]
 
 
+@pytest.mark.parametrize("entry", [[0.0], [0.0, 0.0, 1.0], ["a", 0.0], None])
+def test_eval_names_the_file_and_the_entry_that_is_not_a_pair(capsys, tmp_path, entry):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "model": "disk", "n": 1, "m": 1,
+        "w": {"rows": 1, "cols": 1, "data": [entry]},
+        "eta": {"rows": 1, "cols": 1, "data": [[0.0, 0.0]]},
+    }))
+    code, out, err = run_cli(capsys, "eval", "field", "--field", "absW2",
+                             "--point", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: malformed {path}: ValueError: "
+                                "data entry 0 is not a [re, im] pair of numbers"]
+
+
 def test_eval_rejects_invalid_point(capsys, tmp_path):
     path = tmp_path / "outside.json"
     path.write_text(json.dumps({

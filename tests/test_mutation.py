@@ -107,12 +107,20 @@ def test_scaled_disk_cmid_weight_fails(monkeypatch, name):
     assert not rep.passed, f"max_rel={rep.max_rel}"
 
 
-# cayley-isometry and reduce-n1m1 compare closed forms with no finite
-# difference between them, so a defect far below an FD floor shows.
+# cayley-isometry, metric-invariance-* and reduce-n1m1 compare closed
+# forms, or a closed form with a Cauchy contour, with no finite difference
+# between them, so a defect far below an FD floor shows.  Term 0 (the
+# A-term) of each family is invariant by itself: only cayley-isometry,
+# which maps one model's form to the other's, sees it.
 
-@pytest.mark.parametrize("name", ["_upper_terms", "_disk_terms"])
-@pytest.mark.parametrize("k", range(5))
-def test_metric_term_defect_fails_cayley_isometry(monkeypatch, name, k):
+@pytest.mark.parametrize("name, k, check", [
+    *(pytest.param(name, k, "cayley-isometry", id=f"{k}-{name}")
+      for k in range(5) for name in ("_disk_terms", "_upper_terms")),
+    *(pytest.param(name, k, check, id=f"{k}-{name}-{check}")
+      for k in range(1, 5) for name, check in (("_disk_terms", "metric-invariance-disk"),
+                                               ("_upper_terms", "metric-invariance-upper"))),
+])
+def test_metric_term_defect_fails_cayley_isometry(monkeypatch, name, k, check):
     correct = getattr(M, name)
 
     def scaled(*args):
@@ -121,7 +129,7 @@ def test_metric_term_defect_fails_cayley_isometry(monkeypatch, name, k):
         terms[k] = ((1.0 + 1e-8) * weight, *rest)
         return terms
     monkeypatch.setattr(M, name, scaled)
-    rep = V.run_check("cayley-isometry", 2, 1, UNIT, 50, 42)
+    rep = V.run_check(check, 2, 1, UNIT, 50, 42)
     assert not rep.passed, f"max_rel={rep.max_rel}"
 
 

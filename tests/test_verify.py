@@ -463,20 +463,20 @@ def test_jacobian_matches_map_differential_on_the_slot_basis(model, n, m):
         p = geo.random_point(domain, n, m, 30 + seed)
         q = fn(p)
         moved = V.map_differential(fn, p, Tangent(domain, *Chart(domain, n, m).slot_basis()))
-        fd = Chart(q.model, n, m).slot_coords(moved.dmat, moved.dvec).T
+        contour = Chart(q.model, n, m).slot_coords(moved.dmat, moved.dvec).T
         exact = V._slot_jacobian(differential, p, q)
-        assert max_abs(exact - fd) / (1.0 + max_abs(exact)) <= 1e-7
+        assert max_abs(exact - contour) / (1.0 + max_abs(exact)) <= 1e-11
 
 
 @pytest.mark.parametrize("name,action,calls", [
-    ("metric-invariance-upper", "act_upper", 3),
-    ("metric-invariance-disk", "act_disk", 3),
+    ("metric-invariance-upper", "act_upper", 9),
+    ("metric-invariance-disk", "act_disk", 9),
     ("cayley-isometry", "cayley", 1),
-    ("pushforward-identities", "cayley", 3),
+    ("pushforward-identities", "cayley", 9),
 ])
 def test_metric_checks_move_each_stack_once(monkeypatch, name, action, calls):
-    # one image per stack of draws and two per map_differential (its
-    # stencil sides)
+    # one image per stack of draws and eight per map_differential (its
+    # contour nodes)
     count = []
     inner = getattr(V, action)
 
@@ -488,6 +488,17 @@ def test_metric_checks_move_each_stack_once(monkeypatch, name, action, calls):
     report = V.run_check(name, 3, 2, UNIT, 200, 42)
     assert report.passed and report.retries == 0
     assert len(count) == calls
+
+
+@pytest.mark.parametrize("omega", [np.array([[1.0, 0.5], [0.5, 2.0]]), -1j * np.eye(2)])
+def test_zero_tangent_has_the_zero_image_off_the_domain(omega):
+    # margins 0 and -1, where the action is still defined: no contour radius
+    # is taken from them
+    g = G.random_jacobi(2, 1, 3)
+    zero = Tangent("upper", np.zeros((2, 2)), np.zeros((1, 2)))
+    moved = V.map_differential(lambda q: geo.act_upper(g, q),
+                               geo.UpperPoint(omega, np.zeros((1, 2))), zero)
+    assert max_abs(moved.dmat) == 0.0 and max_abs(moved.dvec) == 0.0
 
 
 @pytest.mark.parametrize("model,point,tangent_is_zero,error", [
