@@ -609,8 +609,12 @@ def mat_to_json(m: np.ndarray) -> dict:
 
 def mat_from_json(obj: dict) -> np.ndarray:
     """Inverse of mat_to_json, with shape validation; a ValueError names
-    the first entry of ``data`` that is not a [re, im] pair of numbers."""
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    the size key that is not an integer >= 1 (a bool or a float is not),
+    or the first entry of ``data`` that is not a [re, im] pair of numbers."""
+    rows, cols = obj["rows"], obj["cols"]
+    for key, size in (("rows", rows), ("cols", cols)):
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+            raise ValueError(f"{key!r} is not an integer >= 1: {size!r}")
     data = obj["data"]
     if len(data) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(data)}")

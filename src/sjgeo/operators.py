@@ -30,15 +30,30 @@ matrix-only bundle; the others need the full-chart one:
 The hat substitution arises from completing the square in the paired
 metric: its rectangular-block part is sigma(Y^-1 tE conj(E)) with
 E = dZ - V Y^-1 dOmega (and the disk analogue), so the dual
-second-order contraction acts through the shifted derivative.  The
-widely quoted expanded displays of these Laplacians drop the
-symmetrization of the shift; that loses nothing for 1 x 1 blocks but
-deviates from the true Laplace-Beltrami operator for n >= 2.  Both
-forms are provided (lap_upper / lap_upper_printed and likewise for the
-disk).  The corrected forms are checked numerically against the
-coordinate Laplace-Beltrami oracle (sjgeo.verify.laplace_beltrami) by
-the lb-equivalence-* checks; the printed forms reproduce the corrected
-ones at n = 1.
+second-order contraction acts through the shifted derivative.  Expanded,
+the 1/A block is five sigma-terms (_shifted_maass): the Maass part, the
+two dOmega-dZ cross terms and, in the dZ dZbar block,
+
+    (1/2) sigma(Y dZ V Y^-1 tV t(dZbar)) + (1/2) sigma(dZ V dZbar V),
+
+with dZ the n x m derivative matrix above.  The widely quoted expanded
+displays of these Laplacians (lap_upper_printed, lap_disk_printed) get
+every other term right but carry the first dZ dZbar term at full weight
+and drop its crossed twin, the second.  The two are equal for 1 x 1
+blocks, so the displays are exact at n = 1 and deviate from the
+Laplace-Beltrami operator for n >= 2, in that one term alone.  The disk is the same with
+Y -> I - W Wbar (I - Wbar W on the left of the first term), dZ -> deta
+and V -> S = etabar - eta Wbar:
+
+    (1/2) sigma((I-Wbar W) deta S (I-W Wbar)^-1 S^H t(detabar))
+      + (1/2) sigma(deta S detabar Sbar).
+
+tests/test_operators.py pins this on exact Hermitian bundles: the
+corrected forms are the Kaehler trace 2 Re tr(h^-1 M) of the metric, and
+the printed ones differ from them on the dZ-dZ block only, by half the
+display's term less its twin.  The lb-equivalence-* checks compare the
+corrected forms with the coordinate Laplace-Beltrami oracle
+(sjgeo.verify.laplace_beltrami).
 
 Second derivatives use nested central differences (the two passes
 collapse to the standard mixed-difference stencil) with one Richardson
@@ -284,40 +299,6 @@ def _require_full(sb: SecondBundle):
                          "second_bundle(f, p, mat_only=False)")
 
 
-# ---------------------------------------------------------------------------
-# The shifted-derivative tensor shared by both corrected Laplacians
-
-
-def _hat_mat_mat(sb: SecondBundle, twist: np.ndarray, sign: float) -> np.ndarray:
-    """Second-derivative tensor of hat = dmat + sign * Sym[(dvec) twist].
-
-    ``twist`` is the m x n coefficient of the shift; the result replaces
-    sb.mat_mat in the Maass-type contraction.  Normal ordering is exact
-    here: the shift coefficients are holomorphic in the unbarred slots,
-    so no first-order remainders appear.
-    """
-    _require_full(sb)
-    tw = twist[..., None, None, :, :]
-    twc_t = twist.conj().mT[..., None, :, :]
-
-    def barred(x):   # sum_j conj(twist)[j, e] x[k, j, c, a], as [k, e, c, a]
-        flat = twc_t @ x.reshape(x.shape[:-2] + (-1,))
-        return flat.reshape(x.shape[:-3] + (x.shape[-2],) * 3)
-
-    def sym_plain(x):    # symmetrized over the unbarred index pair (c, a)
-        return x + x.swapaxes(-1, -2)
-
-    def sym_barred(x):   # symmetrized over the barred index pair (k, e)
-        return x + x.swapaxes(-4, -3)
-
-    half = 0.5 * sign
-    # (dmatbar)(dvec) and (dvecbar)(dmat) cross blocks, then the (dvecbar)(dvec) block
-    return (sb.mat_mat
-            + half * sym_plain(sb.mat_vec @ tw)
-            + half * sym_barred(barred(sb.vec_mat))
-            + 0.25 * sym_barred(sym_plain(barred(sb.vec_vec @ tw))))
-
-
 def _contract(outer: np.ndarray, inner: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """sum of outer[w, y] inner[x, z] tensor[w, x, y, z] over w, x, y, z,
     one value per sample of a stack.
@@ -344,6 +325,26 @@ def _vec_part(coef: np.ndarray, sb: SecondBundle) -> np.ndarray:
     return _contract(coef, np.eye(sb.vec_vec.shape[-1]), sb.vec_vec)
 
 
+def _shifted_maass(left: np.ndarray, shift: np.ndarray, sb: SecondBundle) -> np.ndarray:
+    """The corrected Maass-type block of both models, as five sigma-terms.
+
+    ``left`` is Y (upper) or I - W Wbar (disk) and ``shift`` is S = V or
+    S = etabar - eta Wbar.  The Maass part and the two cross terms are the
+    printed display's own.  The dvec dvecbar term is half the display's,
+    sigma(t(left) dvec S left^-1 S^H t(dvecbar)), plus half its crossed
+    twin sigma(dvec S dvecbar Sbar): the contraction of vec_vec with its
+    unbarred index pair swapped.
+    """
+    _require_full(sb)
+    lt = left.mT
+    zz = mat_mul(mat_mul(shift, mat_inverse(left)), shift.conj().mT)   # S left^-1 S^H
+    return (_maass(left, sb.mat_mat)
+            + _contract(lt, shift.mT, sb.mat_vec)
+            + _contract(lt, shift.conj(), sb.vec_mat)
+            + 0.5 * (_contract(lt, zz.mT, sb.vec_vec)
+                     + _contract(shift.mT, shift.conj(), sb.vec_vec.swapaxes(-1, -2))))
+
+
 # ---------------------------------------------------------------------------
 # Upper-model operators
 
@@ -363,10 +364,7 @@ def _upper_terms_printed(p: UpperPoint, sb: SecondBundle):
 
 def _upper_l(p: UpperPoint, sb: SecondBundle):
     """The corrected Maass-type block L: the shifted Maass part."""
-    y = p.y.astype(complex)
-    v = p.v.astype(complex)
-    hat = _hat_mat_mat(sb, v @ mat_inverse(y), +1.0)
-    return _maass(y, hat)
+    return _shifted_maass(p.y.astype(complex), p.v.astype(complex), sb)
 
 
 def _upper_d(p: UpperPoint, sb: SecondBundle):
@@ -389,8 +387,9 @@ def lap_upper(sb: SecondBundle, p: UpperPoint, params):
 def lap_upper_printed(sb: SecondBundle, p: UpperPoint, params):
     """Literal five-term transcription of the widely used expanded display.
 
-    Deviates from the true Laplacian for n >= 2 (the display drops the
-    symmetrization of the derivative shift); kept for comparison runs.
+    Deviates from the true Laplacian for n >= 2 in its dZ dZbar term t2
+    alone, which lap_upper halves and pairs with its crossed twin (see the
+    module docstring); kept for comparison runs.
     """
     t1, t2, t3, t4, t5 = _upper_terms_printed(p, sb)
     val = (4.0 / params.a) * (t1 + t2 + t3 + t4) + (4.0 / params.b) * t5
@@ -428,9 +427,7 @@ def _disk_terms_printed(p: DiskPoint, sb: SecondBundle):
 def _disk_l(p: DiskPoint, sb: SecondBundle):
     """The corrected Maass-type block Ltilde: the shifted Maass part."""
     lm = np.eye(p.n) - p.w @ p.w.conj()
-    twist = (p.eta @ p.w.conj() - p.eta.conj()) @ mat_inverse(lm)
-    hat = _hat_mat_mat(sb, twist, -1.0)
-    return _maass(lm, hat)
+    return _shifted_maass(lm, p.eta.conj() - mat_mul(p.eta, p.w.conj()), sb)
 
 
 def _disk_d(p: DiskPoint, sb: SecondBundle):
@@ -453,7 +450,8 @@ def lap_disk(sb: SecondBundle, p: DiskPoint, params):
 
 def lap_disk_printed(sb: SecondBundle, p: DiskPoint, params):
     """Literal eight-term transcription of the expanded display; deviates
-    from the true Laplacian for n >= 2 (see lap_disk)."""
+    from the true Laplacian for n >= 2 in its deta detabar term t_eta
+    alone (see the module docstring)."""
     t1, t2, t3, t_eta, t8 = _disk_terms_printed(p, sb)
     val = (1.0 / params.a) * (t1 + t2 + t3 + t_eta) + (1.0 / params.b) * t8
     return _realize(val, "disk laplacian (printed)")
@@ -505,8 +503,8 @@ def op_invariant(kind: str, sb: SecondBundle, p):
     Ltilde  the shifted Maass part, = lap - Dtilde     (disk model)
 
     Only the named block is computed: D and Dtilde are one contraction
-    of the bundle's vector block; L and Ltilde build the shifted tensor
-    and invert one matrix per point.  lap_upper and lap_disk are the
+    of the bundle's vector block; L and Ltilde are five contractions and
+    one inverse per point (_shifted_maass).  lap_upper and lap_disk are the
     weighted sums of the same blocks.
     """
     if kind not in _INVARIANT:

@@ -264,6 +264,21 @@ def test_eval_names_the_file_and_the_entry_that_is_not_a_pair(capsys, tmp_path, 
                                 "data entry 0 is not a [re, im] pair of numbers"]
 
 
+@pytest.mark.parametrize("size", ["Infinity", "1e400", "true", "2.5"])
+@pytest.mark.parametrize("which", ["point", "tangent"])
+def test_eval_names_a_matrix_size_that_is_not_a_positive_integer(capsys, tmp_path, size, which):
+    # written as text: 1e400 is not a float json.dumps can write
+    point, tangent = _write_origin_point(tmp_path), _write_unit_tangent(tmp_path, 1.0, 0.0)
+    path = point if which == "point" else tangent
+    text = Path(path).read_text()
+    Path(path).write_text(text.replace('"rows": 1', f'"rows": {size}', 1))
+    code, out, err = run_cli(capsys, "eval", "metric", "--point", point, "--tangent", tangent)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: malformed {path}: ValueError: "
+                                f"'rows' is not an integer >= 1: {json.loads(size)!r}"]
+
+
 def test_eval_rejects_invalid_point(capsys, tmp_path):
     path = tmp_path / "outside.json"
     path.write_text(json.dumps({

@@ -16,6 +16,7 @@ from sjgeo import groups as G
 from sjgeo import metrics as M
 from sjgeo import operators as op
 from sjgeo import verify as V
+from sjgeo.cmatrix import mat_inverse, mat_mul
 from sjgeo.metrics import MetricParams
 
 UNIT = MetricParams(1.0, 1.0)
@@ -166,11 +167,11 @@ def test_printed_laplacian_is_invariant_at_n1(monkeypatch, name, printed):
 
 
 def _scaled_shifted_maass(monkeypatch):
-    """_hat_mat_mat with 0.01 of the unshifted tensor added: the L blocks
-    of both Laplacians (and L, Ltilde) are then no longer invariant."""
-    correct = op._hat_mat_mat
-    monkeypatch.setattr(op, "_hat_mat_mat",
-                        lambda sb, twist, sign: correct(sb, twist, sign) + 0.01 * sb.mat_mat)
+    """_shifted_maass with 0.01 of the unshifted Maass part added: the L
+    blocks of both Laplacians (and L, Ltilde) are then no longer invariant."""
+    correct = op._shifted_maass
+    monkeypatch.setattr(op, "_shifted_maass", lambda left, shift, sb: (
+        correct(left, shift, sb) + 0.01 * op._maass(left, sb.mat_mat)))
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2)])
@@ -178,6 +179,25 @@ def test_shifted_maass_mutant_fails_remark41_invariance(monkeypatch, n, m):
     _scaled_shifted_maass(monkeypatch)
     rep = V.run_check("remark41-invariance", n, m, UNIT, 8, 42)
     assert not rep.passed, f"max_rel={rep.max_rel}"
+
+
+def _twin_dropped(left, shift, sb):
+    """_shifted_maass with its dZ dZbar term at full weight and no crossed
+    twin, as the printed displays carry it; in L and Ltilde too."""
+    zz = mat_mul(mat_mul(shift, mat_inverse(left)), shift.conj().mT)
+    return (op._maass(left, sb.mat_mat)
+            + op._contract(left.mT, shift.mT, sb.mat_vec)
+            + op._contract(left.mT, shift.conj(), sb.vec_mat)
+            + op._contract(left.mT, zz.mT, sb.vec_vec))
+
+
+@pytest.mark.parametrize("name", ["laplacian-invariance", "remark41-invariance"])
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_twin_dropped_mutant_fails_invariance_from_n2(monkeypatch, name, n, m):
+    # at n = 1 the display's term equals its twin, so the mutant is exact there
+    monkeypatch.setattr(op, "_shifted_maass", _twin_dropped)
+    rep = V.run_check(name, n, m, UNIT, 8, 42)
+    assert rep.passed == (n == 1), f"max_rel={rep.max_rel}"
 
 
 def test_invariance_holds_at_tiny_weights_and_still_catches_a_mutant(monkeypatch):

@@ -396,7 +396,7 @@ def test_invariance_sample_never_admissible_fails_alone(monkeypatch, name):
     "field parts compare finite-difference noise on near-zero Laplacians"))
 def test_laplacian_invariance_passes_at_tiny_weights_on_40_samples():
     # sample 7 raises ArithmeticError (lap_upper's realness guard)
-    assert V.run_check("laplacian-invariance", 2, 1, MetricParams(1e-20, 1e-20), 40, 0).passed
+    assert V.run_check("laplacian-invariance", 2, 1, MetricParams(1e-20, 1e-20), 40, 2).passed
 
 
 def test_nonunit_parameters():
